@@ -138,8 +138,6 @@ fn bench_fastpath(c: &mut Criterion) {
                 margin_cycles: 64,
                 fastpath,
                 batch: true,
-                warmstart: true,
-                sparse: true,
                 static_preclassify: true,
             },
         )
@@ -211,8 +209,6 @@ fn bench_batch(c: &mut Criterion) {
             margin_cycles: 64,
             fastpath: true,
             batch: true,
-            warmstart: true,
-            sparse: true,
             static_preclassify: true,
         },
     )

@@ -205,7 +205,6 @@ pub(crate) fn run_one_cohort<'p>(
     sub_cycle: bool,
     pending: &[&'p PlannedExperiment],
     chaos: Option<ChaosPanic>,
-    warmstart: bool,
     loaded: &mut Vec<&'p PlannedExperiment>,
     sink: &mut dyn FnMut(u64, ExperimentResult),
 ) -> Result<Vec<&'p PlannedExperiment>, CoreError> {
@@ -215,15 +214,12 @@ pub(crate) fn run_one_cohort<'p>(
     // whole word can splat-restore the nearest golden checkpoint at or
     // before the cohort's earliest injection and skip the pristine
     // prefix. On refill passes (whose surviving entries inject late) the
-    // skip multiplies.
-    let checkpoint = if warmstart {
-        pending
-            .first()
-            .and_then(|e| golden.checkpoint_at_or_before(e.schedule.inject_at))
-            .filter(|cp| cp.cycle() > 0)
-    } else {
-        None
-    };
+    // skip multiplies. With no checkpoint past cycle 0 to restore, the
+    // pass starts cold from `reset`.
+    let checkpoint = pending
+        .first()
+        .and_then(|e| golden.checkpoint_at_or_before(e.schedule.inject_at))
+        .filter(|cp| cp.cycle() > 0);
     let start_cycle = match checkpoint {
         Some(cp) => {
             batch.restore_broadcast(cp);
@@ -267,8 +263,7 @@ pub(crate) fn run_one_cohort<'p>(
             // observable — outcome, traffic and modelled time are all
             // fixed. Snap it onto the golden trajectory so the ordinary
             // reconvergence retirement below fires right now instead of
-            // dragging a hard-diverged machine (and the divergence
-            // frontier it keeps dirty) to the end of the pass.
+            // dragging a hard-diverged machine to the end of the pass.
             for (lane, entry) in slots.iter().enumerate().skip(1) {
                 let decided = entry.as_ref().is_some_and(|s| {
                     s.diverged && s.planned.schedule.inert_at(cycle) && (conf >> lane) & 1 == 0
@@ -423,7 +418,6 @@ pub(crate) fn run_lane_cohorts<'p>(
     ports: &[String],
     sub_cycle: bool,
     entries: &[&'p PlannedExperiment],
-    warmstart: bool,
     threads: usize,
 ) -> Result<Vec<(u64, ExperimentResult)>, CoreError> {
     let port_wires = lane_prologue(batch, golden, ports, entries)?;
@@ -446,7 +440,6 @@ pub(crate) fn run_lane_cohorts<'p>(
                 sub_cycle,
                 &pending,
                 None,
-                warmstart,
                 &mut loaded,
                 &mut |index, result| results.push((index, result)),
             )?;
@@ -473,7 +466,6 @@ pub(crate) fn run_lane_cohorts<'p>(
                                         sub_cycle,
                                         &rest,
                                         None,
-                                        warmstart,
                                         &mut loaded,
                                         &mut |index, result| out.push((index, result)),
                                     )?;

@@ -40,16 +40,6 @@ pub struct CampaignConfig {
     /// the scalar path. With this off, [`Campaign::run_batched`] falls
     /// back to the scalar executor wholesale.
     pub batch: bool,
-    /// Whether batched cohort passes warm-start from the nearest golden
-    /// checkpoint at or before the cohort's earliest injection instant
-    /// instead of replaying the pristine prefix from cycle 0. Host
-    /// wall-clock only — bit-identical results either way.
-    pub warmstart: bool,
-    /// Whether the lane engine's settle evaluates only the fan-out cone
-    /// of changed words (the sparse divergence-frontier scheduler)
-    /// instead of sweeping the whole netlist. Host wall-clock only —
-    /// bit-identical results either way.
-    pub sparse: bool,
     /// Whether executors honour the plan's static pre-classification:
     /// experiments the cone-of-influence analysis proved Silent replay
     /// their reconfiguration ledger without simulating a single workload
@@ -67,8 +57,6 @@ impl Default for CampaignConfig {
             margin_cycles: 64,
             fastpath: fastpath_default(),
             batch: batch_default(),
-            warmstart: warmstart_default(),
-            sparse: fades_fpga::sparse_default(),
             static_preclassify: static_default(),
         }
     }
@@ -92,16 +80,6 @@ pub fn fastpath_default() -> bool {
 /// both paths (the differential test relies on this).
 pub fn batch_default() -> bool {
     !matches!(std::env::var("FADES_NO_BATCH"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Default for [`CampaignConfig::warmstart`]: enabled unless the
-/// `FADES_NO_WARMSTART` escape hatch is set to a non-empty value other
-/// than `0` (kept available for equivalence testing and debugging).
-///
-/// Read per call — not cached — so one process can construct configs on
-/// both paths (the differential test relies on this).
-pub fn warmstart_default() -> bool {
-    !matches!(std::env::var("FADES_NO_WARMSTART"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 /// Default for [`CampaignConfig::static_preclassify`]: enabled unless the
@@ -200,6 +178,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// The telemetry record of one finished experiment.
+fn record_of(
+    index: u64,
+    target: &str,
+    result: &ExperimentResult,
+    modelled_s: f64,
+    attempts: u32,
+) -> ExperimentRecord {
+    ExperimentRecord {
+        index,
+        target: target.to_string(),
+        strategy: result.strategy.to_string(),
+        outcome: result.outcome.as_str(),
+        modelled_s,
+        ops: result.traffic.ops as u64,
+        readback_ops: result.traffic.readback_ops as u64,
+        write_ops: result.traffic.write_ops as u64,
+        bulk_ops: result.traffic.bulk_ops as u64,
+        pulse_ops: result.traffic.pulse_ops as u64,
+        readback_bytes: result.traffic.readback_bytes,
+        write_bytes: result.traffic.write_bytes,
+        bulk_bytes: result.traffic.bulk_bytes,
+        skipped_cycles: result.skipped_cycles,
+        early_stop_cycles: result.early_stop_cycles,
+        wall_us: result.wall_us,
+        attempts: u64::from(attempts),
     }
 }
 
@@ -447,7 +454,6 @@ impl<'n> Campaign<'n> {
             // than 64 bits): run everything scalar.
             return self.execute(plan, recorder);
         };
-        engine.set_sparse(self.config.sparse);
         if plan.is_empty() {
             return Ok(Vec::new());
         }
@@ -486,33 +492,15 @@ impl<'n> Campaign<'n> {
             &self.ports,
             plan.sub_cycle,
             &lane_entries,
-            self.config.warmstart,
             self.config.threads,
         )?;
         if let Some(recorder) = recorder {
             let handle = recorder.handle();
             for (index, result) in &lane_results {
-                handle.record(ExperimentRecord {
-                    index: *index,
-                    target: plan.target.clone(),
-                    strategy: result.strategy.to_string(),
-                    outcome: result.outcome.as_str(),
-                    modelled_s: self
-                        .time_model
-                        .experiment_seconds(&result.traffic, self.golden.cycles()),
-                    ops: result.traffic.ops as u64,
-                    readback_ops: result.traffic.readback_ops as u64,
-                    write_ops: result.traffic.write_ops as u64,
-                    bulk_ops: result.traffic.bulk_ops as u64,
-                    pulse_ops: result.traffic.pulse_ops as u64,
-                    readback_bytes: result.traffic.readback_bytes,
-                    write_bytes: result.traffic.write_bytes,
-                    bulk_bytes: result.traffic.bulk_bytes,
-                    skipped_cycles: result.skipped_cycles,
-                    early_stop_cycles: result.early_stop_cycles,
-                    wall_us: result.wall_us,
-                    attempts: 1,
-                });
+                let modelled_s = self
+                    .time_model
+                    .experiment_seconds(&result.traffic, self.golden.cycles());
+                handle.record(record_of(*index, &plan.target, result, modelled_s, 1));
             }
         }
 
@@ -771,7 +759,6 @@ impl<'n> Campaign<'n> {
         let Some(mut engine) = fades_fpga::BatchDevice::new(&self.device) else {
             return self.execute_isolated(plan, retries, recorder, observer);
         };
-        engine.set_sparse(self.config.sparse);
         if plan.is_empty() {
             return Ok(Vec::new());
         }
@@ -830,7 +817,6 @@ impl<'n> Campaign<'n> {
                         plan.sub_cycle,
                         pending,
                         chaos,
-                        self.config.warmstart,
                         loaded,
                         &mut |index, result| {
                             let verdict = ExperimentVerdict::Completed {
@@ -850,25 +836,13 @@ impl<'n> Campaign<'n> {
                                 },
                             ) = (&handle, &verdict)
                             {
-                                h.record(ExperimentRecord {
+                                h.record(record_of(
                                     index,
-                                    target: plan.target.clone(),
-                                    strategy: result.strategy.to_string(),
-                                    outcome: result.outcome.as_str(),
-                                    modelled_s: *modelled_seconds,
-                                    ops: result.traffic.ops as u64,
-                                    readback_ops: result.traffic.readback_ops as u64,
-                                    write_ops: result.traffic.write_ops as u64,
-                                    bulk_ops: result.traffic.bulk_ops as u64,
-                                    pulse_ops: result.traffic.pulse_ops as u64,
-                                    readback_bytes: result.traffic.readback_bytes,
-                                    write_bytes: result.traffic.write_bytes,
-                                    bulk_bytes: result.traffic.bulk_bytes,
-                                    skipped_cycles: result.skipped_cycles,
-                                    early_stop_cycles: result.early_stop_cycles,
-                                    wall_us: result.wall_us,
-                                    attempts: 1,
-                                });
+                                    &plan.target,
+                                    result,
+                                    *modelled_seconds,
+                                    1,
+                                ));
                             }
                             if let Some(f) = observer {
                                 f(&verdict);
@@ -911,10 +885,7 @@ impl<'n> Campaign<'n> {
                     // The word may hold a half-installed fault; rebuild
                     // the engine from the pristine device.
                     match fades_fpga::BatchDevice::new(&self.device) {
-                        Some(mut rebuilt) => {
-                            rebuilt.set_sparse(self.config.sparse);
-                            engine = rebuilt;
-                        }
+                        Some(rebuilt) => engine = rebuilt,
                         None => {
                             fallback.extend(pending.iter().map(|e| (*e).clone()));
                             pending.clear();
@@ -1094,25 +1065,13 @@ impl<'n> Campaign<'n> {
                             },
                         ) = (&rec, &verdict)
                         {
-                            h.record(ExperimentRecord {
-                                index: planned.index,
-                                target: target.to_string(),
-                                strategy: result.strategy.to_string(),
-                                outcome: result.outcome.as_str(),
-                                modelled_s: *modelled_seconds,
-                                ops: result.traffic.ops as u64,
-                                readback_ops: result.traffic.readback_ops as u64,
-                                write_ops: result.traffic.write_ops as u64,
-                                bulk_ops: result.traffic.bulk_ops as u64,
-                                pulse_ops: result.traffic.pulse_ops as u64,
-                                readback_bytes: result.traffic.readback_bytes,
-                                write_bytes: result.traffic.write_bytes,
-                                bulk_bytes: result.traffic.bulk_bytes,
-                                skipped_cycles: result.skipped_cycles,
-                                early_stop_cycles: result.early_stop_cycles,
-                                wall_us: result.wall_us,
-                                attempts: *attempts as u64,
-                            });
+                            h.record(record_of(
+                                planned.index,
+                                target,
+                                result,
+                                *modelled_seconds,
+                                *attempts,
+                            ));
                         }
                         if let ExecMode::Isolated {
                             observer: Some(f), ..

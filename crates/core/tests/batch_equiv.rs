@@ -12,7 +12,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
-use fades_core::{Campaign, CampaignConfig, DurationRange, FaultLoad, PermanentFault, TargetClass};
+use fades_core::{
+    Campaign, CampaignConfig, CampaignPlan, CampaignStats, DurationRange, ExperimentResult,
+    FaultLoad, PermanentFault, TargetClass,
+};
 use fades_netlist::UnitTag;
 use fades_pnr::implement;
 use fades_rtl::RtlBuilder;
@@ -39,31 +42,26 @@ fn lfsr_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
 }
 
 fn config(batch: bool) -> CampaignConfig {
-    config_with(batch, true, true)
-}
-
-/// Full-control constructor for the mode matrix: warm-start and the
-/// sparse settle are host-side shortcuts, so every combination must be
-/// bit-identical to the scalar reference.
-fn config_with(batch: bool, warmstart: bool, sparse: bool) -> CampaignConfig {
     CampaignConfig {
         threads: 1,
         margin_cycles: 64,
         fastpath: true,
         batch,
-        warmstart,
-        sparse,
-        // Off: the equivalence matrix must exercise the engines for real.
+        // Off: the equivalence suite must exercise the engines for real.
         static_preclassify: false,
     }
 }
 
-/// Every {warm-start, sparse} combination, all-on first (the default).
-const MODE_MATRIX: [(bool, bool); 4] = [(true, true), (true, false), (false, true), (false, false)];
-
 /// Runs `load` on both paths of the *same* campaign and asserts the
 /// per-experiment results and aggregated stats are identical — outcomes
 /// and traffic exactly, modelled emulation seconds to the bit.
+///
+/// The sampled experiments then run twice more, retimed: once with every
+/// injection in cycles 0–7 (no checkpoint past cycle 0, so every cohort
+/// pass starts cold from `reset`; the window is narrow so that plans
+/// larger than a word leave entries for cold refill passes), and once
+/// with every injection after the last checkpoint (every pass
+/// warm-starts from it).
 fn assert_equivalent(
     nl: &fades_netlist::Netlist,
     imp: &fades_pnr::Implementation,
@@ -73,41 +71,13 @@ fn assert_equivalent(
     n: usize,
     seed: u64,
 ) {
-    assert_equivalent_cfg(nl, imp, ports, workload_cycles, load, n, seed, config(true));
-}
-
-/// Same contract as [`assert_equivalent`] but under an arbitrary batched
-/// configuration (mode-matrix sweeps pass each hatch combination).
-fn assert_equivalent_cfg(
-    nl: &fades_netlist::Netlist,
-    imp: &fades_pnr::Implementation,
-    ports: &[&str],
-    workload_cycles: u64,
-    load: &FaultLoad,
-    n: usize,
-    seed: u64,
-    cfg: CampaignConfig,
-) {
-    let campaign =
-        Campaign::with_config(nl, imp.clone(), ports, workload_cycles, cfg).expect("campaign");
-    let batched = campaign
-        .run_batched_detailed(load, n, seed)
-        .expect("batched run");
-    let scalar = campaign.run_detailed(load, n, seed).expect("scalar run");
-    assert_eq!(batched.len(), scalar.len());
-    for (b, s) in batched.iter().zip(&scalar) {
-        assert_eq!(b.fault, s.fault, "{load:?}");
-        assert_eq!(b.schedule, s.schedule, "{load:?}");
-        assert_eq!(b.outcome, s.outcome, "{load:?} fault {:?}", b.fault);
-        assert_eq!(
-            b.traffic, s.traffic,
-            "{load:?} fault {:?}: configuration traffic must be identical",
-            b.fault
-        );
-        assert_eq!(b.strategy, s.strategy);
-    }
-    // The modelled campaign time — the paper's reported quantity — must
-    // agree to the bit, not just approximately.
+    let campaign = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(true))
+        .expect("campaign");
+    let plan = campaign.plan(load, n, seed).expect("plan");
+    assert_plan_equivalent(&campaign, &plan, &format!("{load:?}"));
+    // The stats entry points fold the same results: the modelled
+    // campaign time — the paper's reported quantity — must agree to the
+    // bit, not just approximately.
     let bs = campaign.run_batched(load, n, seed).expect("batched stats");
     let ss = campaign.run(load, n, seed).expect("scalar stats");
     assert_eq!(bs.outcomes, ss.outcomes, "{load:?}");
@@ -115,6 +85,70 @@ fn assert_equivalent_cfg(
         bs.emulation_seconds.to_bits(),
         ss.emulation_seconds.to_bits(),
         "{load:?}: modelled emulation time must be bit-identical"
+    );
+
+    let run_cycles = campaign.run_cycles();
+    let interval = campaign.golden().checkpoint_interval();
+    let last_checkpoint = (run_cycles - 1) / interval * interval;
+    assert!(
+        last_checkpoint > 0 && last_checkpoint + 1 < run_cycles,
+        "the fixture needs cycles before and after its last checkpoint"
+    );
+    let cold = retimed(&plan, |at| at % 8);
+    assert_plan_equivalent(&campaign, &cold, &format!("{load:?}, cold start"));
+    let late = retimed(&plan, |at| {
+        last_checkpoint + 1 + at % (run_cycles - last_checkpoint - 1)
+    });
+    assert_plan_equivalent(
+        &campaign,
+        &late,
+        &format!("{load:?}, after the last checkpoint"),
+    );
+}
+
+/// `plan` with every injection instant mapped through `at`.
+fn retimed(plan: &CampaignPlan, at: impl Fn(u64) -> u64) -> CampaignPlan {
+    let mut plan = plan.clone();
+    for e in &mut plan.experiments {
+        e.schedule.inject_at = at(e.schedule.inject_at);
+    }
+    plan
+}
+
+/// Executes `plan` on the lane engine and on the scalar oracle and
+/// asserts identical per-experiment results, identical outcome tallies
+/// and bit-identical modelled seconds, folded in plan order.
+fn assert_plan_equivalent(campaign: &Campaign<'_>, plan: &CampaignPlan, what: &str) {
+    let batched = campaign.execute_batched(plan, None).expect("batched run");
+    let scalar = campaign.execute(plan, None).expect("scalar run");
+    assert_eq!(batched.len(), scalar.len(), "{what}");
+    for (b, s) in batched.iter().zip(&scalar) {
+        assert_eq!(b.fault, s.fault, "{what}");
+        assert_eq!(b.schedule, s.schedule, "{what}");
+        assert_eq!(b.outcome, s.outcome, "{what}: fault {:?}", b.fault);
+        assert_eq!(
+            b.traffic, s.traffic,
+            "{what}: fault {:?}: configuration traffic must be identical",
+            b.fault
+        );
+        assert_eq!(b.strategy, s.strategy, "{what}");
+    }
+    let fold = |results: &[ExperimentResult]| {
+        let mut stats = CampaignStats::default();
+        for r in results {
+            let seconds = campaign
+                .time_model()
+                .experiment_seconds(&r.traffic, campaign.run_cycles());
+            stats.accumulate(r.outcome, seconds);
+        }
+        stats
+    };
+    let (bs, ss) = (fold(&batched), fold(&scalar));
+    assert_eq!(bs.outcomes, ss.outcomes, "{what}");
+    assert_eq!(
+        bs.emulation_seconds.to_bits(),
+        ss.emulation_seconds.to_bits(),
+        "{what}: modelled emulation time must be bit-identical"
     );
 }
 
@@ -230,7 +264,9 @@ fn memory_bit_flips_match_scalar_path() {
         },
         DurationRange::SubCycle,
     );
-    assert_equivalent(&soc.netlist, &imp, &OBSERVED_PORTS, 700, &load, 6, 211);
+    for seed in [211, 219] {
+        assert_equivalent(&soc.netlist, &imp, &OBSERVED_PORTS, 700, &load, 6, seed);
+    }
 }
 
 #[test]
@@ -240,7 +276,9 @@ fn cohort_overflow_refills_and_multi_pass() {
     // into a later pass — all without disturbing equivalence.
     let (nl, imp) = lfsr_design();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    assert_equivalent(&nl, &imp, &["q"], 150, &load, 100, 212);
+    for seed in [212, 218] {
+        assert_equivalent(&nl, &imp, &["q"], 150, &load, 100, seed);
+    }
 }
 
 #[test]
@@ -249,48 +287,58 @@ fn batched_execution_composes_with_shards() {
     // `fades-dispatch`: the union of per-shard results must equal the
     // monolithic run.
     let (nl, imp) = lfsr_design();
+    // Warm-start picks its checkpoint from each shard's own earliest
+    // injection, so this also pins that choice.
     let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    let plan = campaign.plan(&load, 20, 213).unwrap();
-    let whole = campaign.execute_batched(&plan, None).unwrap();
-    let mut sharded = Vec::new();
-    for shard in 0..3 {
-        let sub = plan.shard(shard, 3);
-        sharded.extend(
-            campaign
-                .execute_batched(&sub, None)
-                .unwrap()
-                .into_iter()
-                .zip(sub.experiments.iter().map(|e| e.index)),
-        );
-    }
-    sharded.sort_by_key(|(_, index)| *index);
-    assert_eq!(whole.len(), sharded.len());
-    for (w, (s, _)) in whole.iter().zip(&sharded) {
-        assert_eq!(w.fault, s.fault);
-        assert_eq!(w.outcome, s.outcome);
-        assert_eq!(w.traffic, s.traffic);
+    for seed in [213, 222] {
+        let plan = campaign.plan(&load, 20, seed).unwrap();
+        let whole = campaign.execute_batched(&plan, None).unwrap();
+        let mut sharded = Vec::new();
+        for shard in 0..3 {
+            let sub = plan.shard(shard, 3);
+            sharded.extend(
+                campaign
+                    .execute_batched(&sub, None)
+                    .unwrap()
+                    .into_iter()
+                    .zip(sub.experiments.iter().map(|e| e.index)),
+            );
+        }
+        sharded.sort_by_key(|(_, index)| *index);
+        assert_eq!(whole.len(), sharded.len());
+        for (w, (s, _)) in whole.iter().zip(&sharded) {
+            assert_eq!(w.fault, s.fault);
+            assert_eq!(w.outcome, s.outcome);
+            assert_eq!(w.traffic, s.traffic);
+        }
     }
 }
 
 #[test]
 fn disabling_batch_makes_run_batched_scalar() {
     // With `batch: false` the batched entry points must route everything
-    // through the scalar executor — observable as zero lane telemetry.
+    // through the scalar executor. Observable per result: only the scalar
+    // fast path fast-forwards a golden prefix (`skipped_cycles > 0`); a
+    // lane never does. (The process-global lane counters cannot show
+    // this: the other tests of this binary run lanes concurrently.)
     let (nl, imp) = lfsr_design();
     let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(false)).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    fades_telemetry::sim::reset();
     let scalar = campaign.run_detailed(&load, 8, 214).unwrap();
     let batched = campaign.run_batched_detailed(&load, 8, 214).unwrap();
-    assert_eq!(
-        fades_telemetry::sim::LANE_CYCLES.get(),
-        0,
-        "batch: false must never touch the lane engine"
+    assert!(
+        scalar.iter().any(|s| s.skipped_cycles > 0),
+        "the fixture must fast-forward at least one experiment"
     );
     for (b, s) in batched.iter().zip(&scalar) {
         assert_eq!(b.outcome, s.outcome);
         assert_eq!(b.traffic, s.traffic);
+        assert_eq!(
+            (b.skipped_cycles, b.early_stop_cycles),
+            (s.skipped_cycles, s.early_stop_cycles),
+            "batch: false must never touch the lane engine"
+        );
     }
 }
 
@@ -342,23 +390,25 @@ fn batched_isolated_matches_scalar_isolated_bitwise() {
     let (nl, imp) = lfsr_design();
     let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    let plan = campaign.plan(&load, 70, 215).unwrap();
+    for seed in [215, 220] {
+        let plan = campaign.plan(&load, 70, seed).unwrap();
 
-    let observed = std::sync::Mutex::new(Vec::new());
-    let observer = |v: &fades_core::ExperimentVerdict| observed.lock().unwrap().push(v.index());
-    let batched = campaign
-        .execute_batched_isolated(&plan, 1, None, Some(&observer))
-        .unwrap();
-    let scalar = campaign.execute_isolated(&plan, 1, None, None).unwrap();
-    assert_verdicts_equivalent(&batched, &scalar);
+        let observed = std::sync::Mutex::new(Vec::new());
+        let observer = |v: &fades_core::ExperimentVerdict| observed.lock().unwrap().push(v.index());
+        let batched = campaign
+            .execute_batched_isolated(&plan, 1, None, Some(&observer))
+            .unwrap();
+        let scalar = campaign.execute_isolated(&plan, 1, None, None).unwrap();
+        assert_verdicts_equivalent(&batched, &scalar);
 
-    let mut seen = observed.into_inner().unwrap();
-    seen.sort_unstable();
-    assert_eq!(
-        seen,
-        (0..70).collect::<Vec<u64>>(),
-        "observer must fire exactly once per experiment"
-    );
+        let mut seen = observed.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..70).collect::<Vec<u64>>(),
+            "observer must fire exactly once per experiment"
+        );
+    }
 }
 
 #[test]
@@ -450,169 +500,6 @@ fn no_batch_escape_hatch_controls_the_default() {
     assert!(fades_core::batch_default());
 }
 
-/// Scalar reference once, then each {warm-start, sparse} combination of
-/// the batched path against it: detailed results per-field, stats
-/// outcomes and bit-identical modelled seconds.
-fn assert_matrix_matches(
-    nl: &fades_netlist::Netlist,
-    imp: &fades_pnr::Implementation,
-    ports: &[&str],
-    workload_cycles: u64,
-    load: &FaultLoad,
-    n: usize,
-    seed: u64,
-) {
-    let reference = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(false))
-        .expect("scalar campaign");
-    let scalar = reference.run_detailed(load, n, seed).expect("scalar run");
-    let ss = reference.run(load, n, seed).expect("scalar stats");
-    for (warmstart, sparse) in MODE_MATRIX {
-        let campaign = Campaign::with_config(
-            nl,
-            imp.clone(),
-            ports,
-            workload_cycles,
-            config_with(true, warmstart, sparse),
-        )
-        .expect("batched campaign");
-        let batched = campaign
-            .run_batched_detailed(load, n, seed)
-            .expect("batched run");
-        assert_eq!(batched.len(), scalar.len());
-        for (b, s) in batched.iter().zip(&scalar) {
-            assert_eq!(b.fault, s.fault, "warmstart={warmstart} sparse={sparse}");
-            assert_eq!(
-                b.schedule, s.schedule,
-                "warmstart={warmstart} sparse={sparse}"
-            );
-            assert_eq!(
-                b.outcome, s.outcome,
-                "warmstart={warmstart} sparse={sparse} fault {:?}",
-                b.fault
-            );
-            assert_eq!(
-                b.traffic, s.traffic,
-                "warmstart={warmstart} sparse={sparse} fault {:?}: \
-                 configuration traffic must be identical",
-                b.fault
-            );
-        }
-        let bs = campaign.run_batched(load, n, seed).expect("batched stats");
-        assert_eq!(
-            bs.outcomes, ss.outcomes,
-            "warmstart={warmstart} sparse={sparse}"
-        );
-        assert_eq!(
-            bs.emulation_seconds.to_bits(),
-            ss.emulation_seconds.to_bits(),
-            "warmstart={warmstart} sparse={sparse}: modelled time must be bit-identical"
-        );
-    }
-}
-
-#[test]
-fn mode_matrix_multi_pass_matches_scalar_bitwise() {
-    // The tentpole sweep: warm-start and the sparse settle, each on and
-    // off, over a multi-pass load (n > 63 forces cohort refill plus
-    // carry-over of entries whose injection instant already passed —
-    // exactly where a stale warm-start cycle or an unmarked dirty cone
-    // would diverge).
-    let (nl, imp) = lfsr_design();
-    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    assert_matrix_matches(&nl, &imp, &["q"], 150, &load, 100, 218);
-}
-
-#[test]
-fn mode_matrix_memory_load_matches_scalar() {
-    // BRAM-targeting faults exercise the dirty-content divergence sweep,
-    // BRAM node marking and the per-lane gather path under every mode
-    // combination.
-    use fades_mcu8051::{build_soc, workloads, OBSERVED_PORTS};
-    let w = workloads::fibonacci();
-    let soc = build_soc(&w.rom).unwrap();
-    let imp = implement(&soc.netlist, fades_fpga::ArchParams::virtex1000_like()).unwrap();
-    let load = FaultLoad::bit_flips(
-        TargetClass::MemoryBits {
-            name: "iram".into(),
-            lo: w.data_range.0 as usize,
-            hi: w.data_range.1 as usize,
-        },
-        DurationRange::SubCycle,
-    );
-    assert_matrix_matches(&soc.netlist, &imp, &OBSERVED_PORTS, 700, &load, 6, 219);
-}
-
-#[test]
-fn mode_matrix_isolated_matches_scalar_isolated() {
-    // The isolation contract under every mode combination: verdicts from
-    // `execute_batched_isolated` (which rebuilds the engine after
-    // quarantines) must stay bit-identical to the scalar isolated path.
-    let (nl, imp) = lfsr_design();
-    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    let reference = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(false)).unwrap();
-    let plan = reference.plan(&load, 70, 220).unwrap();
-    let scalar = reference.execute_isolated(&plan, 1, None, None).unwrap();
-    for (warmstart, sparse) in MODE_MATRIX {
-        let campaign = Campaign::with_config(
-            &nl,
-            imp.clone(),
-            &["q"],
-            150,
-            config_with(true, warmstart, sparse),
-        )
-        .unwrap();
-        let batched = campaign
-            .execute_batched_isolated(&plan, 1, None, None)
-            .unwrap();
-        assert_verdicts_equivalent(&batched, &scalar);
-    }
-}
-
-#[test]
-fn mode_matrix_composes_with_shards() {
-    // Sharded composition must hold in every mode: warm-start picks its
-    // checkpoint from each shard's own earliest injection, so per-shard
-    // unions must still equal the monolithic run.
-    let (nl, imp) = lfsr_design();
-    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    for (warmstart, sparse) in MODE_MATRIX {
-        let campaign = Campaign::with_config(
-            &nl,
-            imp.clone(),
-            &["q"],
-            150,
-            config_with(true, warmstart, sparse),
-        )
-        .unwrap();
-        let plan = campaign.plan(&load, 20, 222).unwrap();
-        let whole = campaign.execute_batched(&plan, None).unwrap();
-        let mut sharded = Vec::new();
-        for shard in 0..3 {
-            let sub = plan.shard(shard, 3);
-            sharded.extend(
-                campaign
-                    .execute_batched(&sub, None)
-                    .unwrap()
-                    .into_iter()
-                    .zip(sub.experiments.iter().map(|e| e.index)),
-            );
-        }
-        sharded.sort_by_key(|(_, index)| *index);
-        assert_eq!(whole.len(), sharded.len());
-        for (w, (s, _)) in whole.iter().zip(&sharded) {
-            assert_eq!(w.fault, s.fault, "warmstart={warmstart} sparse={sparse}");
-            assert_eq!(
-                w.outcome, s.outcome,
-                "warmstart={warmstart} sparse={sparse}"
-            );
-            assert_eq!(
-                w.traffic, s.traffic,
-                "warmstart={warmstart} sparse={sparse}"
-            );
-        }
-    }
-}
-
 #[test]
 fn multi_thread_batched_matches_single_thread_bitwise() {
     // Per-experiment results are cohort-composition-independent (lanes
@@ -655,28 +542,4 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
         os.emulation_seconds.to_bits(),
         "modelled time must not depend on the thread count"
     );
-}
-
-#[test]
-fn warmstart_and_sparse_escape_hatches_control_the_defaults() {
-    // Read per call (deliberately uncached), mirroring FADES_NO_BATCH; no
-    // other test in this binary consults these defaults — every campaign
-    // here sets the fields explicitly.
-    std::env::set_var("FADES_NO_WARMSTART", "1");
-    assert!(!fades_core::warmstart_default());
-    std::env::set_var("FADES_NO_WARMSTART", "0");
-    assert!(fades_core::warmstart_default());
-    std::env::set_var("FADES_NO_WARMSTART", "");
-    assert!(fades_core::warmstart_default());
-    std::env::remove_var("FADES_NO_WARMSTART");
-    assert!(fades_core::warmstart_default());
-
-    std::env::set_var("FADES_NO_SPARSE", "1");
-    assert!(!fades_core::sparse_default());
-    std::env::set_var("FADES_NO_SPARSE", "0");
-    assert!(fades_core::sparse_default());
-    std::env::set_var("FADES_NO_SPARSE", "");
-    assert!(fades_core::sparse_default());
-    std::env::remove_var("FADES_NO_SPARSE");
-    assert!(fades_core::sparse_default());
 }

@@ -70,8 +70,6 @@ fn config(fastpath: bool) -> CampaignConfig {
         margin_cycles: 64,
         fastpath,
         batch: true,
-        warmstart: true,
-        sparse: true,
         // Off: this suite compares the raw engines, not the plan-time skip.
         static_preclassify: false,
     }

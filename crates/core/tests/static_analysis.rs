@@ -45,8 +45,6 @@ fn config(static_preclassify: bool, batch: bool) -> CampaignConfig {
         margin_cycles: 32,
         fastpath: true,
         batch,
-        warmstart: true,
-        sparse: true,
         static_preclassify,
     }
 }

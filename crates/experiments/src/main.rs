@@ -21,11 +21,9 @@
 //! * `FADES_PROGRESS` — `1`/`0` forces the stderr progress ticker on/off
 //! * `FADES_NO_BATCH` — `1` disables the bit-parallel lane engine (the
 //!   `batch` section then compares scalar against scalar)
-//! * `FADES_NO_WARMSTART` — `1` disables golden-checkpoint warm-start of
-//!   lane cohorts (every cohort replays from cycle 0)
-//! * `FADES_NO_SPARSE` — `1` disables the sparse divergence-frontier
-//!   settle (full eval-order sweep every cycle); both hatches are
-//!   wall-clock-only — results are bit-identical either way
+//! * `FADES_NO_FASTPATH` — `1` disables checkpoint fast-forward and early
+//!   stop on the scalar path; wall-clock-only, results are bit-identical
+//!   either way
 //! * `FADES_NO_STATIC` — `1` disables acting on static `StaticSilent`
 //!   pre-classification (every planned fault executes); wall-clock-only,
 //!   campaign statistics are bit-identical either way

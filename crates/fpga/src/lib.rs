@@ -71,8 +71,7 @@ mod timing;
 
 pub use arch::ArchParams;
 pub use batch::{
-    lane_obstacles, sparse_default, BatchDevice, ConfigAccess, LaneDevice, LaneObstacle,
-    GOLDEN_LANE_MASK, LANES,
+    lane_obstacles, BatchDevice, ConfigAccess, LaneDevice, LaneObstacle, GOLDEN_LANE_MASK, LANES,
 };
 pub use bitstream::Bitstream;
 pub use bram::BramConfig;

@@ -19,16 +19,6 @@ impl ForceKind {
             ForceKind::Flip => !driven,
         }
     }
-
-    /// Applies the force to all 64 lanes of a driven word at once
-    /// (the bit-parallel analogue of [`apply`](Self::apply)).
-    pub fn apply_word(self, driven: u64) -> u64 {
-        match self {
-            ForceKind::Stuck(false) => 0,
-            ForceKind::Stuck(true) => u64::MAX,
-            ForceKind::Flip => !driven,
-        }
-    }
 }
 
 /// A simulator-command force on a net.
@@ -65,47 +55,5 @@ impl Force {
     /// Value the net takes given what its driver produced.
     pub fn value(&self, driven: bool) -> bool {
         self.kind.apply(driven)
-    }
-}
-
-/// A lane-masked force for the bit-parallel [`crate::BatchSimulator`].
-///
-/// Identical to [`Force`] except that it only acts on the lanes whose bit
-/// is set in `lane_mask`, so each of the 63 concurrent faulty experiments
-/// can inject on its own lane without disturbing the golden lane 0 or its
-/// neighbours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneForce {
-    /// Target net.
-    pub net: NetId,
-    /// Effect on the target lanes.
-    pub kind: ForceKind,
-    /// Lanes the force applies to (bit `l` set = lane `l` forced).
-    pub lane_mask: u64,
-}
-
-impl LaneForce {
-    /// Force the net to a fixed value on the given lanes.
-    pub fn stuck(net: NetId, value: bool, lane_mask: u64) -> Self {
-        LaneForce {
-            net,
-            kind: ForceKind::Stuck(value),
-            lane_mask,
-        }
-    }
-
-    /// Invert the net's driven value on the given lanes.
-    pub fn flip(net: NetId, lane_mask: u64) -> Self {
-        LaneForce {
-            net,
-            kind: ForceKind::Flip,
-            lane_mask,
-        }
-    }
-
-    /// Word the net takes given the driven word: forced lanes see the
-    /// force applied to the driven value, other lanes pass through.
-    pub fn value_word(&self, driven: u64) -> u64 {
-        (driven & !self.lane_mask) | (self.kind.apply_word(driven) & self.lane_mask)
     }
 }

@@ -48,7 +48,6 @@
     allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)
 )]
 
-mod batch;
 mod builder;
 mod cell;
 mod error;
@@ -61,11 +60,10 @@ mod stats;
 mod trace;
 mod vcd;
 
-pub use batch::{broadcast_lane0, BatchSimulator};
 pub use builder::{DffHandle, NetlistBuilder};
-pub use cell::{eval_table_word, Cell, CellId, DffCell, LutCell, RamCell, UnitTag};
+pub use cell::{Cell, CellId, DffCell, LutCell, RamCell, UnitTag};
 pub use error::NetlistError;
-pub use force::{Force, ForceKind, LaneForce};
+pub use force::{Force, ForceKind};
 pub use interp::{SimSnapshot, Simulator};
 pub use levelize::{levelize, LevelizeResult};
 pub use net::{NetId, PortDir};

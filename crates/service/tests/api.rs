@@ -185,3 +185,33 @@ fn http_submit_status_results_cancel_shutdown() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deeply_nested_submit_is_a_400_and_the_server_keeps_serving() {
+    // A body-budget's worth of `[` used to recurse the JSON parser off
+    // the end of the serving thread's stack, aborting the whole process.
+    let dir = scratch("nesting");
+    let service = Service::start(
+        &ServiceConfig {
+            queue_dir: dir.clone(),
+            workers: 1,
+            max_jobs: 1,
+        },
+        Box::new(InstantBackend),
+    )
+    .unwrap();
+    let server = api::start_http("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let addr = server.addr().to_string();
+
+    let body = "[".repeat(fades_telemetry::serve::BODY_BUDGET);
+    let (code, reply) = http_post(&addr, "/campaigns", &body).unwrap();
+    assert_eq!(code, 400, "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+
+    let (code, reply) = http_get(&addr, "/campaigns").unwrap();
+    assert_eq!(code, 200, "{reply}");
+
+    service.join();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

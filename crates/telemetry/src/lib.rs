@@ -149,25 +149,13 @@ pub mod sim {
         LANE_RETIREMENTS.inc();
     }
 
-    /// Combinational node evaluations the sparse divergence-frontier
-    /// settle skipped (nodes outside the changed fan-out).
+    /// Always 0: the lane engine's settle evaluates every combinational
+    /// node. Retained only because the benchmark reads it; not exported
+    /// on `/metrics`.
     pub static EVALS_SKIPPED: Counter = Counter::new();
     /// Golden-prefix cycles cohort passes skipped by restoring a
     /// checkpoint instead of replaying from cycle 0.
     pub static WARM_SKIPPED_CYCLES: Counter = Counter::new();
-    /// Sparse settles that ran entirely in the golden-uniform scalar
-    /// fast path (no lane had touched configuration or state yet).
-    pub static UNIFORM_CYCLES: Counter = Counter::new();
-
-    /// Records one sparse settle that skipped `skipped` of the netlist's
-    /// combinational nodes. Always live — one add per batch *settle*.
-    #[inline(always)]
-    pub fn record_sparse_settle(skipped: u64, uniform: bool) {
-        EVALS_SKIPPED.add(skipped);
-        if uniform {
-            UNIFORM_CYCLES.inc();
-        }
-    }
 
     /// Records one cohort pass warm-started past `cycles` golden-prefix
     /// cycles. Always live — one add per cohort *pass*.
@@ -185,7 +173,6 @@ pub mod sim {
         LANE_RETIREMENTS.reset();
         EVALS_SKIPPED.reset();
         WARM_SKIPPED_CYCLES.reset();
-        UNIFORM_CYCLES.reset();
     }
 }
 

@@ -78,16 +78,8 @@ pub fn snapshot() -> MetricsSnapshot {
             crate::sim::LANE_RETIREMENTS.get(),
         ),
         (
-            "fades_sim_evals_skipped_total",
-            crate::sim::EVALS_SKIPPED.get(),
-        ),
-        (
             "fades_sim_warm_skipped_cycles_total",
             crate::sim::WARM_SKIPPED_CYCLES.get(),
-        ),
-        (
-            "fades_sim_uniform_cycles_total",
-            crate::sim::UNIFORM_CYCLES.get(),
         ),
         (
             "fades_fastpath_fast_forwarded_total",

@@ -42,6 +42,13 @@ echo "== settle/batch throughput microbenches (release)"
 cargo bench -q --offline -p fades-bench --bench microbench -- settle_throughput 2>&1 | tail -n +1
 cargo bench -q --offline -p fades-bench --bench microbench -- batch_throughput 2>&1 | tail -n +1
 
+# The benchmark (fadesbench/) is a package of its own, outside the
+# workspace, so nothing above builds it. Build it and run its smoke test,
+# so an API change in core, fpga, dispatch or service cannot break it
+# unnoticed.
+echo "== benchmark build + smoke test (release)"
+cargo test --release --offline --manifest-path fadesbench/Cargo.toml
+
 # Observability smoke gate: a real sharded campaign with the metrics
 # endpoint and Chrome-trace export enabled, scraped live by the test's
 # built-in HTTP client, with the emitted trace validated as JSON with
@@ -155,10 +162,10 @@ if ratio > 1.15:
     raise SystemExit("FAIL: disabled-path telemetry cost regressed beyond 15% of enabled")
 EOF
 
-# The lane engine's reason to exist is host wall-clock: with the sparse
-# divergence-frontier settle and golden-checkpoint warm-start on top of
-# 63-wide lanes, the batched 64-fault campaign must beat the scalar one
-# by at least 4x, or the gate fails.
+# The lane engine's reason to exist is host wall-clock: with
+# golden-checkpoint warm-start on top of 63-wide lanes, the batched
+# 64-fault campaign must beat the scalar one by at least 4x, or the gate
+# fails.
 echo "== batched campaign must outrun the scalar campaign by >= 4x"
 FADES_FAULTS=64 cargo run -q --release --offline -p fades-experiments -- batch
 python3 - <<'EOF'
