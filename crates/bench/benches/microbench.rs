@@ -26,6 +26,19 @@ fn bench_substrate(c: &mut Criterion) {
     group.bench_function("device_configure_8051", |b| {
         b.iter(|| Device::configure(imp.bitstream.clone()).expect("configures"));
     });
+    // The per-experiment restore: one rewritten LUT table (the common
+    // single-cell fault) undone, memory contents and runtime state reset.
+    // Routing faults add one timing re-analysis (`timing_reanalysis`).
+    group.bench_function("device_reset_8051", |b| {
+        let mut dev = Device::configure(imp.bitstream.clone()).expect("configures");
+        let cb = imp.bitstream.used_luts()[0];
+        dev.run(64);
+        b.iter(|| {
+            dev.apply(&Mutation::SetLutTable { cb, table: 0xBEEF })
+                .expect("applies");
+            dev.reset();
+        });
+    });
 
     const CYCLES: u64 = 256;
     group.throughput(Throughput::Elements(CYCLES));

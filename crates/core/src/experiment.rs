@@ -151,6 +151,18 @@ pub(crate) fn replay_static_silent(
     })
 }
 
+/// Resolves each observed port to its wires once, so the per-cycle reads
+/// are direct wire loads instead of name searches.
+pub(crate) fn resolve_ports(dev: &Device, ports: &[String]) -> Result<Vec<Vec<u32>>, CoreError> {
+    ports
+        .iter()
+        .map(|p| {
+            dev.output_wires(p)
+                .map_err(|_| CoreError::UnknownPort(p.clone()))
+        })
+        .collect()
+}
+
 /// Runs one fault-injection experiment: reset, execute the workload,
 /// reconfigure to inject at the scheduled instant, reconfigure to remove
 /// at expiry, observe, classify (paper Fig. 1).
@@ -198,6 +210,7 @@ pub fn run_experiment(
     }
     dev.reset();
     dev.clear_ledger();
+    let port_wires = resolve_ports(dev, ports)?;
 
     let mut start_cycle = 0u64;
     if fastpath {
@@ -235,12 +248,7 @@ pub fn run_experiment(
         }
         dev.settle();
         row.clear();
-        for port in ports {
-            row.push(
-                dev.output_u64(port)
-                    .map_err(|_| CoreError::UnknownPort(port.clone()))?,
-            );
-        }
+        row.extend(port_wires.iter().map(|w| dev.wires_u64(w)));
         match &mut trace {
             Some(trace) => trace.push_cycle(row.clone()),
             None => {

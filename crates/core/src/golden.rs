@@ -4,6 +4,7 @@ use fades_fpga::{Device, DeviceState};
 use fades_netlist::OutputTrace;
 
 use crate::error::CoreError;
+use crate::experiment::resolve_ports;
 
 /// Default checkpointing interval (cycles between saved device states).
 ///
@@ -76,6 +77,7 @@ impl GoldenRun {
     ) -> Result<Self, CoreError> {
         assert!(interval >= 1, "checkpoint interval must be at least 1");
         dev.reset();
+        let port_wires = resolve_ports(dev, ports)?;
         let mut trace = OutputTrace::new(ports.to_vec());
         let mut checkpoints = Vec::new();
         let mut hashes = Vec::with_capacity(cycles as usize + 1);
@@ -85,14 +87,7 @@ impl GoldenRun {
                 checkpoints.push(dev.save_state());
             }
             dev.settle();
-            let mut row = Vec::with_capacity(ports.len());
-            for port in ports {
-                row.push(
-                    dev.output_u64(port)
-                        .map_err(|_| CoreError::UnknownPort(port.clone()))?,
-                );
-            }
-            trace.push_cycle(row);
+            trace.push_cycle(port_wires.iter().map(|w| dev.wires_u64(w)).collect());
             dev.clock_edge();
         }
         hashes.push(dev.state_hash());

@@ -28,7 +28,7 @@ use crate::arch::ArchParams;
 use crate::bitstream::Bitstream;
 use crate::cb::SetReset;
 use crate::coords::{BramId, CbCoord};
-use crate::device::{CombNode, Device, FfData, FfNode};
+use crate::device::{capture_misses, compact_table, Device, FfData, FfNode, NodeKind, NO_WIRE};
 use crate::error::FpgaError;
 use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
@@ -295,7 +295,7 @@ pub struct BatchDevice {
     brams: Vec<LaneBram>,
     ledgers: Vec<TransferLedger>,
 
-    /// Per-`eval_order`-position evaluation descriptor, in topological
+    /// Per-tape-position evaluation descriptor, in topological
     /// order: the settle sweep walks this array front to back.
     node_descs: Vec<NodeDesc>,
 
@@ -390,9 +390,10 @@ pub fn lane_obstacles(bitstream: &Bitstream) -> Vec<LaneObstacle> {
 impl BatchDevice {
     /// Builds a lane engine from a configured device.
     ///
-    /// The device is cloned and reset internally, so the harvest always
-    /// reflects the pristine configuration regardless of what the caller
-    /// has done to `dev` since configuring it.
+    /// Harvests the device's compiled tape and structures by borrow and
+    /// reads configuration and static timing from its *pristine*
+    /// configuration, so the engine always starts pristine regardless of
+    /// what the caller has done to `dev` since configuring it.
     ///
     /// Returns `None` for configurations the engine cannot represent
     /// bit-exactly (see [`lane_obstacles`]), counting the refusal in
@@ -400,27 +401,18 @@ impl BatchDevice {
     /// scalar fallback is visible on `/metrics`.
     #[must_use]
     pub fn new(dev: &Device) -> Option<Self> {
-        let mut d = dev.clone();
-        d.reset();
-        let arch = *d.arch();
-        let pristine = d.pristine.clone();
-        if !lane_obstacles(&pristine).is_empty() {
+        let pristine = &dev.pristine;
+        if !lane_obstacles(pristine).is_empty() {
             fades_telemetry::analysis::LANE_FALLBACKS.inc();
             return None;
         }
-
-        let luts = std::mem::take(&mut d.luts);
-        let ffs = std::mem::take(&mut d.ffs);
-        let ff_of_cb = std::mem::take(&mut d.ff_of_cb);
-        let lut_of_cb = std::mem::take(&mut d.lut_of_cb);
-        let eval_order = std::mem::take(&mut d.eval_order);
-        let bram_write_ports = std::mem::take(&mut d.bram_write_ports);
-        let bram_dout_wires = std::mem::take(&mut d.bram_dout_wires);
-        let ff_overshoot_ns = std::mem::take(&mut d.timing.ff_overshoot_ns);
-        let bram_overshoot_ns = std::mem::take(&mut d.timing.bram_overshoot_ns);
+        let arch = *pristine.arch();
+        let timing = dev.static_timing(pristine);
+        let ffs = dev.ffs.clone();
 
         let cbs = pristine.cbs();
-        let pristine_tables: Vec<u16> = luts
+        let pristine_tables: Vec<u16> = dev
+            .luts
             .iter()
             .map(|l| cbs[l.cb_flat as usize].lut_table)
             .collect();
@@ -437,41 +429,18 @@ impl BatchDevice {
             .map(|f| cbs[f.cb_flat as usize].ff_init)
             .collect();
 
-        // Arity-compacted evaluation structures: gather each LUT's
-        // connected pins into the low index positions and permute its
-        // truth table to match, so evaluation walks a `2^arity`-word mux
-        // tree instead of the full 16-word tree.
-        let mut lut_arity = Vec::with_capacity(luts.len());
-        let mut lut_cpins = Vec::with_capacity(luts.len());
-        let mut lut_cfull = Vec::with_capacity(luts.len());
-        let mut lut_cpristine = Vec::with_capacity(luts.len());
-        let mut lut_coff = Vec::with_capacity(luts.len());
+        // The tape is arity-compacted (see `TapeOp`): each LUT evaluates
+        // a `2^arity`-word mux tree over its compact table slice.
+        let mut lut_arity = Vec::with_capacity(dev.luts.len());
+        let mut lut_cfull = Vec::with_capacity(dev.luts.len());
+        let mut lut_cpristine = Vec::with_capacity(dev.luts.len());
+        let mut lut_coff = Vec::with_capacity(dev.luts.len());
         let mut coff = 0u32;
-        for (li, l) in luts.iter().enumerate() {
-            let mut cpins = [0u32; 4];
-            let mut used = [0u8; 4];
-            let mut arity = 0usize;
-            for (k, pin) in l.pins.iter().enumerate() {
-                if let Some(w) = pin {
-                    cpins[arity] = *w;
-                    used[arity] = k as u8;
-                    arity += 1;
-                }
-            }
-            let mut cfull = [0u8; 16];
-            let mut cpristine = 0u16;
-            for (j, cf) in cfull.iter_mut().enumerate().take(1usize << arity) {
-                let mut full = 0usize;
-                for (k, &pos) in used.iter().enumerate().take(arity) {
-                    full |= ((j >> k) & 1) << pos;
-                }
-                *cf = full as u8;
-                cpristine |= (((pristine_tables[li] >> full) & 1) as u16) << j;
-            }
-            lut_arity.push(arity as u8);
-            lut_cpins.push(cpins);
-            lut_cfull.push(cfull);
-            lut_cpristine.push(cpristine);
+        for (l, &table) in dev.luts.iter().zip(&pristine_tables) {
+            let arity = dev.tape[l.tape as usize].arity;
+            lut_arity.push(arity);
+            lut_cfull.push(l.cfull);
+            lut_cpristine.push(compact_table(table, &l.cfull));
             lut_coff.push(coff);
             coff += 1u32 << arity;
         }
@@ -479,8 +448,8 @@ impl BatchDevice {
         let brams: Vec<LaneBram> = pristine
             .brams()
             .iter()
-            .zip(&bram_write_ports)
-            .zip(&bram_dout_wires)
+            .zip(&dev.bram_write_ports)
+            .zip(&dev.bram_dout_wires)
             .map(|((cfg, port), douts)| {
                 let width = cfg.width as usize;
                 let depth = cfg.depth();
@@ -504,26 +473,24 @@ impl BatchDevice {
 
         let n_wires = pristine.wires().len();
         let ff_columns = pristine.ff_columns();
-        let n_luts = luts.len();
+        let n_luts = dev.luts.len();
         let n_ffs = ffs.len();
 
-        let node_descs: Vec<NodeDesc> = eval_order
+        let node_descs: Vec<NodeDesc> = dev
+            .tape
             .iter()
-            .map(|&node| match node {
-                CombNode::Lut(li) => {
-                    let l = li as usize;
-                    NodeDesc {
-                        target: li,
-                        out_wire: luts[l].out_wire.unwrap_or(u32::MAX),
-                        table_off: lut_coff[l],
-                        arity: lut_arity[l],
-                        is_bram: 0,
-                        pins: lut_cpins[l],
-                    }
-                }
-                CombNode::Bram(bi) => NodeDesc {
-                    target: bi,
-                    out_wire: u32::MAX,
+            .map(|op| match op.kind {
+                NodeKind::Lut => NodeDesc {
+                    target: op.target,
+                    out_wire: op.out_wire,
+                    table_off: lut_coff[op.target as usize],
+                    arity: op.arity,
+                    is_bram: 0,
+                    pins: op.pins,
+                },
+                NodeKind::Bram => NodeDesc {
+                    target: op.target,
+                    out_wire: NO_WIRE,
                     table_off: 0,
                     arity: 0,
                     is_bram: 1,
@@ -534,12 +501,12 @@ impl BatchDevice {
 
         let mut engine = BatchDevice {
             arch,
-            pristine,
+            pristine: pristine.clone(),
             ffs,
-            ff_of_cb,
-            lut_of_cb,
-            ff_overshoot_ns,
-            bram_overshoot_ns,
+            ff_of_cb: dev.ff_of_cb.clone(),
+            lut_of_cb: dev.lut_of_cb.clone(),
+            ff_overshoot_ns: timing.ff_overshoot_ns,
+            bram_overshoot_ns: timing.bram_overshoot_ns,
             ff_columns,
             pristine_tables,
             pristine_invert,
@@ -870,11 +837,12 @@ impl BatchDevice {
             let overshoot = self.ff_overshoot_ns.get(i).copied().unwrap_or(0.0);
             // Timing is pristine and lane-invariant (lanes cannot touch
             // routing), so the miss decision is one whole-word select.
-            let captured = if capture_misses(&self.arch, self.cycle, overshoot, i as u64) {
-                self.ff_prev_d[i]
-            } else {
-                d
-            };
+            let captured =
+                if capture_misses(self.arch.arrival_spread_ns, self.cycle, overshoot, i as u64) {
+                    self.ff_prev_d[i]
+                } else {
+                    d
+                };
             self.ff_state[i] = captured;
             self.ff_prev_d[i] = d;
             div_ff |= captured ^ splat_lane0(captured);
@@ -882,7 +850,12 @@ impl BatchDevice {
         }
         for bi in 0..self.brams.len() {
             let overshoot = self.bram_overshoot_ns.get(bi).copied().unwrap_or(0.0);
-            let miss = capture_misses(&self.arch, self.cycle, overshoot, 0x8000_0000 | bi as u64);
+            let miss = capture_misses(
+                self.arch.arrival_spread_ns,
+                self.cycle,
+                overshoot,
+                0x8000_0000 | bi as u64,
+            );
             let b = &mut self.brams[bi];
             let Some(we) = b.we else { continue };
             let we_now = self.wire_values[we as usize];
@@ -1541,26 +1514,6 @@ fn mux_tree(m: [u64; 8], b: u64, c: u64, d: u64) -> u64 {
     let p0 = (n0 & !c) | (n1 & c);
     let p1 = (n2 & !c) | (n3 & c);
     (p0 & !d) | (p1 & d)
-}
-
-/// Deterministic capture-miss draw — bit-identical to
-/// `Device::capture_misses` (same hash, same probability mapping), which
-/// is what keeps batched and scalar runs cycle-exact on designs with
-/// marginal timing.
-fn capture_misses(arch: &ArchParams, cycle: u64, overshoot: f64, element: u64) -> bool {
-    if overshoot <= 0.0 {
-        return false;
-    }
-    let p = (overshoot / arch.arrival_spread_ns).min(1.0);
-    if p >= 1.0 {
-        return true;
-    }
-    let mut h =
-        cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ element.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    ((h >> 11) as f64 / (1u64 << 53) as f64) < p
 }
 
 #[cfg(test)]

@@ -537,6 +537,21 @@ impl Bitstream {
             .collect()
     }
 
+    /// Copies the listed blocks and wires (flat indices) and every memory
+    /// block's contents back from `pristine`, a configuration with the
+    /// same structure. Everything not listed must already equal it.
+    pub(crate) fn restore_from(&mut self, pristine: &Bitstream, cbs: &[u32], wires: &[u32]) {
+        for &i in cbs {
+            self.cbs[i as usize] = pristine.cbs[i as usize];
+        }
+        for &i in wires {
+            self.wires[i as usize].clone_from(&pristine.wires[i as usize]);
+        }
+        for (b, p) in self.brams.iter_mut().zip(&pristine.brams) {
+            b.contents.copy_from_slice(&p.contents);
+        }
+    }
+
     /// Appends a fully-formed wire (configuration-file loading).
     pub(crate) fn push_raw_wire(&mut self, wire: WireConfig) {
         self.wires.push(wire);

@@ -2,14 +2,14 @@
 //! and runs it cycle by cycle.
 
 use crate::arch::ArchParams;
-use crate::bitstream::Bitstream;
-use crate::cb::{FfDSrc, SetReset};
+use crate::bitstream::{Bitstream, PortDef};
+use crate::cb::{CbConfig, FfDSrc, SetReset};
 use crate::coords::{BramId, CbCoord, WireId};
 use crate::error::FpgaError;
 use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
 use crate::reconfig::Mutation;
-use crate::routing::WireDriver;
+use crate::routing::{WireConfig, WireDriver};
 use crate::state::{self, DeviceState};
 use crate::timing::TimingReport;
 
@@ -25,11 +25,60 @@ pub(crate) enum FfData {
     Wire(u32),
 }
 
+/// Marks a missing wire in packed compiled records.
+pub(crate) const NO_WIRE: u32 = u32::MAX;
+
+/// Kind of a combinational node on the evaluation tape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NodeKind {
+    /// A LUT; `TapeOp::target` is its LUT node index.
+    Lut,
+    /// A block-RAM read port; `TapeOp::target` is the block index.
+    Bram,
+}
+
+/// One record of the compiled evaluation tape: everything the settle
+/// sweep needs to evaluate one combinational node, packed inline.
+///
+/// A LUT's connected pins are compacted into the low `arity` slots of
+/// `pins`, and its truth table is held permuted to match: bit `j` of
+/// `table` is the entry selected when connected pin `k` carries bit `k`
+/// of `j`, which is exact because an unconnected pin always reads 0.
+/// The unconnected slots are masked rather than skipped: they repeat
+/// slot 0, and the table repeats every `1 << arity` bits, so whatever
+/// they read selects the same entry. Evaluation is then one branch-free
+/// four-pin lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TapeOp {
+    pub(crate) pins: [u32; 4],
+    /// Wire the node drives (`NO_WIRE` for a LUT without one; unused for
+    /// a BRAM, whose outputs are `Device::bram_dout_wires`).
+    pub(crate) out_wire: u32,
+    pub(crate) target: u32,
+    /// Live compact truth table (LUT only).
+    pub(crate) table: u16,
+    pub(crate) arity: u8,
+    pub(crate) kind: NodeKind,
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct LutNode {
     pub(crate) cb_flat: u32,
-    pub(crate) pins: [Option<u32>; 4],
-    pub(crate) out_wire: Option<u32>,
+    /// Position of this LUT's record on the tape.
+    pub(crate) tape: u32,
+    /// Compact-index → full-table-index map; the pattern repeats every
+    /// `1 << arity` entries, as the compact table does.
+    pub(crate) cfull: [u8; 16],
+}
+
+/// Permutes a full 16-entry truth table into the compact index space
+/// described by `cfull` (see [`TapeOp`]).
+pub(crate) fn compact_table(table: u16, cfull: &[u8; 16]) -> u16 {
+    let mut compact = 0u16;
+    for (j, &full) in cfull.iter().enumerate() {
+        compact |= ((table >> full) & 1) << j;
+    }
+    compact
 }
 
 #[derive(Debug, Clone)]
@@ -46,10 +95,34 @@ pub(crate) struct BramWritePort {
     pub(crate) din: Vec<u32>,
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CombNode {
-    Lut(u32),
-    Bram(u32),
+/// A set of configuration cells (by flat index), each listed once.
+#[derive(Debug, Clone, Default)]
+struct DirtySet {
+    list: Vec<u32>,
+    marked: Vec<bool>,
+}
+
+impl DirtySet {
+    fn new(len: usize) -> Self {
+        DirtySet {
+            list: Vec::new(),
+            marked: vec![false; len],
+        }
+    }
+
+    fn mark(&mut self, i: usize) {
+        if !self.marked[i] {
+            self.marked[i] = true;
+            self.list.push(i as u32);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &i in &self.list {
+            self.marked[i as usize] = false;
+        }
+        self.list.clear();
+    }
 }
 
 /// A configured, running FPGA.
@@ -71,18 +144,31 @@ pub struct Device {
     ledger: TransferLedger,
     cycle: u64,
 
-    // Compiled structures (connectivity never changes at run time; LUT
-    // tables, mux bits, memory contents and routing delays are read live
-    // from `bits`). Crate-visible so the lane engine can harvest them.
+    // Compiled structures. Connectivity never changes at run time. The
+    // settle sweep and the clock edge read the configuration through two
+    // mirrors of `bits` — the LUT tables inline on `tape` and the per-FF
+    // `ff_invert` — so they never touch the block array. `bits` stays
+    // authoritative: the mirrors are written only where `bits` is, by
+    // `apply_inner` (through `refresh_mirrors`) and by `reset` when it
+    // restores a cell. Memory contents and routing delays are read live
+    // from `bits`. Crate-visible so the lane engine can harvest them.
+    /// Combinational nodes in topological order, one packed record each.
+    pub(crate) tape: Vec<TapeOp>,
     pub(crate) luts: Vec<LutNode>,
     pub(crate) ffs: Vec<FfNode>,
+    /// Mirror of each flip-flop's `invert_ff_in` cell.
+    ff_invert: Vec<bool>,
     /// Flip-flop node index per CB (u32::MAX if none).
     pub(crate) ff_of_cb: Vec<u32>,
     /// LUT node index per CB (u32::MAX if none).
     pub(crate) lut_of_cb: Vec<u32>,
     pub(crate) bram_write_ports: Vec<BramWritePort>,
     pub(crate) bram_dout_wires: Vec<Vec<Option<u32>>>,
-    pub(crate) eval_order: Vec<CombNode>,
+
+    /// Blocks and wires whose configuration was written since the last
+    /// [`reset`](Self::reset), which restores exactly these.
+    dirty_cbs: DirtySet,
+    dirty_wires: DirtySet,
 
     // Runtime state.
     wire_values: Vec<bool>,
@@ -90,7 +176,7 @@ pub struct Device {
     ff_state: Vec<bool>,
     ff_prev_d: Vec<bool>,
     bram_prev_write: Vec<(bool, usize, u64)>,
-    pub(crate) timing: TimingReport,
+    timing: TimingReport,
 
     // Incremental digests for state-hash convergence checks (see the
     // `state` module). `behav_hash` covers behaviour-affecting
@@ -119,13 +205,16 @@ impl Device {
             pristine,
             ledger: TransferLedger::new(),
             cycle: 0,
+            tape: Vec::new(),
             luts: Vec::new(),
             ffs: Vec::new(),
+            ff_invert: Vec::new(),
             ff_of_cb: Vec::new(),
             lut_of_cb: Vec::new(),
             bram_write_ports: Vec::new(),
             bram_dout_wires: Vec::new(),
-            eval_order: Vec::new(),
+            dirty_cbs: DirtySet::default(),
+            dirty_wires: DirtySet::default(),
             wire_values: Vec::new(),
             lut_values: Vec::new(),
             ff_state: Vec::new(),
@@ -179,15 +268,48 @@ impl Device {
         }
         self.bram_dout_wires = bram_dout;
 
+        // Each LUT's record, arity-compacted: its connected pins gathered
+        // into the low slots and its table permuted to match. The tape
+        // position is filled in once the order is known.
+        let mut lut_ops = Vec::new();
         for (flat, &out_wire) in lut_out_wire.iter().enumerate() {
             let cfg = &self.bits.cbs()[flat];
             if cfg.lut_used {
-                let pins = cfg.lut_pins.map(|p| p.map(|w| w.0));
-                self.lut_of_cb[flat] = self.luts.len() as u32;
+                let mut pins = [0u32; 4];
+                let mut used = [0u8; 4];
+                let mut arity = 0u8;
+                for (k, pin) in cfg.lut_pins.iter().enumerate() {
+                    if let Some(w) = pin {
+                        pins[arity as usize] = w.0;
+                        used[arity as usize] = k as u8;
+                        arity += 1;
+                    }
+                }
+                for k in arity as usize..4 {
+                    pins[k] = pins[0];
+                }
+                // Index bits at and above `arity` are ignored, so the map
+                // (and the compact table) repeats every `1 << arity`.
+                let mut cfull = [0u8; 16];
+                for (j, cf) in cfull.iter_mut().enumerate() {
+                    for (k, &pos) in used.iter().enumerate().take(arity as usize) {
+                        *cf |= (((j >> k) & 1) as u8) << pos;
+                    }
+                }
+                let li = self.luts.len() as u32;
+                self.lut_of_cb[flat] = li;
                 self.luts.push(LutNode {
                     cb_flat: flat as u32,
+                    tape: 0,
+                    cfull,
+                });
+                lut_ops.push(TapeOp {
                     pins,
-                    out_wire,
+                    out_wire: out_wire.unwrap_or(NO_WIRE),
+                    target: li,
+                    table: compact_table(cfg.lut_table, &cfull),
+                    arity,
+                    kind: NodeKind::Lut,
                 });
             }
         }
@@ -206,6 +328,11 @@ impl Device {
                 });
             }
         }
+        self.ff_invert = self
+            .ffs
+            .iter()
+            .map(|ff| self.bits.cbs()[ff.cb_flat as usize].invert_ff_in)
+            .collect();
 
         self.bram_write_ports = self
             .bits
@@ -218,7 +345,23 @@ impl Device {
             })
             .collect();
 
-        self.eval_order = self.levelize(n_wires)?;
+        let bram_ops = (0..self.bits.brams().len()).map(|bi| TapeOp {
+            pins: [0; 4],
+            out_wire: NO_WIRE,
+            target: bi as u32,
+            table: 0,
+            arity: 0,
+            kind: NodeKind::Bram,
+        });
+        let nodes: Vec<TapeOp> = lut_ops.into_iter().chain(bram_ops).collect();
+        self.tape = self.levelize(&nodes, n_wires)?;
+        for (pos, op) in self.tape.iter().enumerate() {
+            if op.kind == NodeKind::Lut {
+                self.luts[op.target as usize].tape = pos as u32;
+            }
+        }
+        self.dirty_cbs = DirtySet::new(n_cbs);
+        self.dirty_wires = DirtySet::new(n_wires);
         self.wire_values = vec![false; n_wires];
         self.lut_values = vec![false; self.luts.len()];
         self.ff_state = vec![false; self.ffs.len()];
@@ -227,98 +370,66 @@ impl Device {
         Ok(())
     }
 
+    /// Combinational input wires of a tape node. BRAM reads depend
+    /// combinationally on the address only.
+    fn node_inputs<'a>(&'a self, op: &'a TapeOp) -> &'a [u32] {
+        match op.kind {
+            NodeKind::Lut => &op.pins[..op.arity as usize],
+            NodeKind::Bram => &self.bram_write_ports[op.target as usize].addr,
+        }
+    }
+
+    /// Wires a tape node drives.
+    fn node_outputs<'a>(&'a self, op: &'a TapeOp) -> impl Iterator<Item = u32> + 'a {
+        let douts: &[Option<u32>] = match op.kind {
+            NodeKind::Lut => &[],
+            NodeKind::Bram => &self.bram_dout_wires[op.target as usize],
+        };
+        (op.out_wire != NO_WIRE)
+            .then_some(op.out_wire)
+            .into_iter()
+            .chain(douts.iter().flatten().copied())
+    }
+
     /// Topologically orders the combinational nodes (LUTs and BRAM read
-    /// ports).
-    fn levelize(&self, n_wires: usize) -> Result<Vec<CombNode>, FpgaError> {
-        // Which comb node drives each wire, if any.
-        let mut wire_src: Vec<Option<CombNode>> = vec![None; n_wires];
-        for (li, lut) in self.luts.iter().enumerate() {
-            if let Some(w) = lut.out_wire {
-                wire_src[w as usize] = Some(CombNode::Lut(li as u32));
+    /// ports) into the evaluation tape.
+    fn levelize(&self, nodes: &[TapeOp], n_wires: usize) -> Result<Vec<TapeOp>, FpgaError> {
+        // Which node drives each wire, if any.
+        let mut wire_src = vec![false; n_wires];
+        for op in nodes {
+            for w in self.node_outputs(op) {
+                wire_src[w as usize] = true;
             }
         }
-        for (bi, douts) in self.bram_dout_wires.iter().enumerate() {
-            for w in douts.iter().flatten() {
-                wire_src[*w as usize] = Some(CombNode::Bram(bi as u32));
-            }
-        }
-
-        let node_key = |n: CombNode| match n {
-            CombNode::Lut(i) => i as usize,
-            CombNode::Bram(i) => self.luts.len() + i as usize,
-        };
-        let total = self.luts.len() + self.bits.brams().len();
-        let mut pending = vec![0u32; total];
+        let mut pending = vec![0u32; nodes.len()];
         let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n_wires];
-
-        let comb_inputs = |n: CombNode| -> Vec<u32> {
-            match n {
-                CombNode::Lut(i) => self.luts[i as usize]
-                    .pins
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect(),
-                // BRAM reads depend combinationally on the address only.
-                CombNode::Bram(i) => self.bram_write_ports[i as usize].addr.clone(),
-            }
-        };
-
-        let all_nodes: Vec<CombNode> = (0..self.luts.len())
-            .map(|i| CombNode::Lut(i as u32))
-            .chain((0..self.bits.brams().len()).map(|i| CombNode::Bram(i as u32)))
-            .collect();
-        for &node in &all_nodes {
-            for w in comb_inputs(node) {
-                if wire_src[w as usize].is_some() {
-                    readers[w as usize].push(node_key(node));
-                    pending[node_key(node)] += 1;
+        for (n, op) in nodes.iter().enumerate() {
+            for &w in self.node_inputs(op) {
+                if wire_src[w as usize] {
+                    readers[w as usize].push(n);
+                    pending[n] += 1;
                 }
             }
         }
-        let mut order = Vec::with_capacity(total);
-        let mut queue: Vec<CombNode> = all_nodes
-            .iter()
-            .copied()
-            .filter(|&n| pending[node_key(n)] == 0)
-            .collect();
-        let mut done = vec![false; total];
-        while let Some(node) = queue.pop() {
-            done[node_key(node)] = true;
-            order.push(node);
-            let outs: Vec<u32> = match node {
-                CombNode::Lut(i) => self.luts[i as usize].out_wire.into_iter().collect(),
-                CombNode::Bram(i) => self.bram_dout_wires[i as usize]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect(),
-            };
-            for out in outs {
-                for &rk in &readers[out as usize] {
-                    pending[rk] -= 1;
-                    if pending[rk] == 0 {
-                        queue.push(if rk < self.luts.len() {
-                            CombNode::Lut(rk as u32)
-                        } else {
-                            CombNode::Bram((rk - self.luts.len()) as u32)
-                        });
+        let mut order = Vec::with_capacity(nodes.len());
+        let mut queue: Vec<usize> = (0..nodes.len()).filter(|&n| pending[n] == 0).collect();
+        let mut done = vec![false; nodes.len()];
+        while let Some(n) = queue.pop() {
+            done[n] = true;
+            order.push(nodes[n]);
+            for out in self.node_outputs(&nodes[n]) {
+                for &r in &readers[out as usize] {
+                    pending[r] -= 1;
+                    if pending[r] == 0 {
+                        queue.push(r);
                     }
                 }
             }
         }
         // A node the queue never reached sits on a cycle: report one of
         // its output wires for diagnosis.
-        if let Some(stuck) = all_nodes.iter().find(|&&n| !done[node_key(n)]) {
-            let wire = match stuck {
-                CombNode::Lut(i) => self.luts[*i as usize].out_wire.unwrap_or(0),
-                CombNode::Bram(i) => self.bram_dout_wires[*i as usize]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .next()
-                    .unwrap_or(0),
-            };
+        if let Some(stuck) = (0..nodes.len()).find(|&n| !done[n]) {
+            let wire = self.node_outputs(&nodes[stuck]).next().unwrap_or(0);
             return Err(FpgaError::CombinationalLoop(WireId(wire)));
         }
         Ok(order)
@@ -368,25 +479,63 @@ impl Device {
     /// restoration of faulted frames is part of the *previous* experiment's
     /// removal phase, which the strategies charge explicitly.
     pub fn reset(&mut self) {
-        self.bits = self.pristine.clone();
+        // Only the blocks and wires written since the last reset can
+        // differ from pristine; memory contents are restored wholesale.
+        self.bits
+            .restore_from(&self.pristine, &self.dirty_cbs.list, &self.dirty_wires.list);
+        for k in 0..self.dirty_cbs.list.len() {
+            self.refresh_mirrors(self.dirty_cbs.list[k] as usize);
+        }
+        self.dirty_cbs.clear();
+        let routing_touched = !self.dirty_wires.list.is_empty();
+        self.dirty_wires.clear();
         for (i, ff) in self.ffs.iter().enumerate() {
-            let init = self.bits.cbs()[ff.cb_flat as usize].ff_init;
+            let init = self.pristine.cbs()[ff.cb_flat as usize].ff_init;
             self.ff_state[i] = init;
             self.ff_prev_d[i] = init;
         }
-        for w in self.wire_values.iter_mut() {
-            *w = false;
-        }
-        for v in self.lut_values.iter_mut() {
-            *v = false;
-        }
-        for p in self.bram_prev_write.iter_mut() {
-            *p = (false, 0, 0);
-        }
+        self.wire_values.fill(false);
+        self.lut_values.fill(false);
+        self.bram_prev_write.fill((false, 0, 0));
         self.cycle = 0;
         self.behav_hash = self.pristine_behav_hash;
         self.bram_hash = self.pristine_bram_hash;
-        self.recompute_timing();
+        if routing_touched {
+            self.recompute_timing();
+        }
+    }
+
+    /// Mutable access to one block's live configuration, recording the
+    /// block for [`reset`](Self::reset) before anything can fail on it.
+    fn cb_mut(&mut self, cb: CbCoord) -> Result<&mut CbConfig, FpgaError> {
+        let rows = self.bits.arch().rows;
+        let cfg = self.bits.cb_mut(cb)?;
+        self.dirty_cbs.mark(cb.flat_index(rows));
+        Ok(cfg)
+    }
+
+    /// Mutable access to one wire's live configuration, recording the
+    /// wire for [`reset`](Self::reset).
+    fn wire_mut(&mut self, wire: WireId) -> Result<&mut WireConfig, FpgaError> {
+        let w = self.bits.wire_mut(wire)?;
+        self.dirty_wires.mark(wire.index());
+        Ok(w)
+    }
+
+    /// Re-derives the evaluation mirrors of one block (its LUT's tape
+    /// table, its flip-flop's input inverter) from the live `bits`.
+    fn refresh_mirrors(&mut self, flat: usize) {
+        let cfg = &self.bits.cbs()[flat];
+        let li = self.lut_of_cb[flat];
+        if li != u32::MAX {
+            let lut = &self.luts[li as usize];
+            let op = &mut self.tape[lut.tape as usize];
+            op.table = compact_table(cfg.lut_table, &lut.cfull);
+        }
+        let fi = self.ff_of_cb[flat];
+        if fi != u32::MAX {
+            self.ff_invert[fi as usize] = cfg.invert_ff_in;
+        }
     }
 
     /// Drives an input port.
@@ -408,10 +557,18 @@ impl Device {
                 actual: bits.len(),
             });
         }
-        for (w, &v) in port.wires.clone().iter().zip(bits) {
+        for (w, &v) in port.wires.iter().zip(bits) {
             self.wire_values[w.index()] = v;
         }
         Ok(())
+    }
+
+    fn output_port(&self, name: &str) -> Result<&PortDef, FpgaError> {
+        self.bits
+            .outputs()
+            .iter()
+            .find(|p| p.name == name)
+            .ok_or_else(|| FpgaError::UnknownPort(name.to_string()))
     }
 
     /// Reads an output port as bits (LSB first); call after
@@ -421,12 +578,7 @@ impl Device {
     ///
     /// Returns [`FpgaError::UnknownPort`] for an unknown port.
     pub fn output_bits(&self, name: &str) -> Result<Vec<bool>, FpgaError> {
-        let port = self
-            .bits
-            .outputs()
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| FpgaError::UnknownPort(name.to_string()))?;
+        let port = self.output_port(name)?;
         Ok(port
             .wires
             .iter()
@@ -440,93 +592,105 @@ impl Device {
     ///
     /// Returns [`FpgaError::UnknownPort`] for an unknown port.
     pub fn output_u64(&self, name: &str) -> Result<u64, FpgaError> {
-        let bits = self.output_bits(name)?;
+        let port = self.output_port(name)?;
         let mut v = 0u64;
-        for (i, b) in bits.iter().enumerate().take(64) {
-            if *b {
-                v |= 1 << i;
-            }
+        for (i, w) in port.wires.iter().enumerate().take(64) {
+            v |= (self.wire_values[w.index()] as u64) << i;
         }
         Ok(v)
     }
 
-    /// Propagates values through the combinational fabric.
-    pub fn settle(&mut self) {
-        // Present flip-flop state on output wires.
-        for (i, ff) in self.ffs.iter().enumerate() {
-            if let Some(w) = ff.out_wire {
-                self.wire_values[w as usize] = self.ff_state[i];
-            }
-        }
-        for idx in 0..self.eval_order.len() {
-            match self.eval_order[idx] {
-                CombNode::Lut(li) => {
-                    let node = &self.luts[li as usize];
-                    let cfg = &self.bits.cbs()[node.cb_flat as usize];
-                    let mut pins = [false; 4];
-                    for (p, pin) in node.pins.iter().enumerate() {
-                        if let Some(w) = pin {
-                            pins[p] = self.wire_values[*w as usize];
-                        }
-                    }
-                    let v = cfg.eval_lut(pins);
-                    self.lut_values[li as usize] = v;
-                    if let Some(w) = node.out_wire {
-                        self.wire_values[w as usize] = v;
-                    }
-                }
-                CombNode::Bram(bi) => {
-                    let addr = self.read_bus(&self.bram_write_ports[bi as usize].addr.clone());
-                    let word = self.bits.brams()[bi as usize].contents[addr];
-                    for (bit, w) in self.bram_dout_wires[bi as usize].clone().iter().enumerate() {
-                        if let Some(w) = w {
-                            self.wire_values[*w as usize] = (word >> bit) & 1 == 1;
-                        }
-                    }
-                }
-            }
-        }
+    /// The wire indices of an output port, LSB first (resolve once, then
+    /// read per cycle with [`wires_u64`](Self::wires_u64)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::UnknownPort`] for an unknown port.
+    pub fn output_wires(&self, name: &str) -> Result<Vec<u32>, FpgaError> {
+        let port = self.output_port(name)?;
+        Ok(port.wires.iter().map(|w| w.index() as u32).collect())
     }
 
-    fn read_bus(&self, wires: &[u32]) -> usize {
-        let mut v = 0usize;
-        for (bit, w) in wires.iter().enumerate() {
-            if self.wire_values[*w as usize] {
-                v |= 1 << bit;
-            }
+    /// Reads wires resolved by [`output_wires`](Self::output_wires) as an
+    /// integer, LSB first; only the first 64 count, exactly as in
+    /// [`output_u64`](Self::output_u64). Call after
+    /// [`settle`](Self::settle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a wire index is out of range for this device.
+    pub fn wires_u64(&self, wires: &[u32]) -> u64 {
+        let mut v = 0u64;
+        for (i, &w) in wires.iter().enumerate().take(64) {
+            v |= (self.wire_values[w as usize] as u64) << i;
         }
         v
+    }
+
+    /// Propagates values through the combinational fabric: presents every
+    /// flip-flop's state on its output wire, then walks the tape.
+    pub fn settle(&mut self) {
+        let wv = &mut self.wire_values;
+        for (ff, &q) in self.ffs.iter().zip(&self.ff_state) {
+            if let Some(w) = ff.out_wire {
+                wv[w as usize] = q;
+            }
+        }
+        for op in &self.tape {
+            match op.kind {
+                NodeKind::Lut => {
+                    // A constant (pinless) LUT has no wire to read.
+                    let idx = if op.arity == 0 {
+                        0
+                    } else {
+                        let [a, b, c, d] = op.pins.map(|p| wv[p as usize] as u32);
+                        a | (b << 1) | (c << 2) | (d << 3)
+                    };
+                    let v = (op.table >> idx) & 1 == 1;
+                    self.lut_values[op.target as usize] = v;
+                    if op.out_wire != NO_WIRE {
+                        wv[op.out_wire as usize] = v;
+                    }
+                }
+                NodeKind::Bram => {
+                    let bi = op.target as usize;
+                    let addr = read_bus(wv, &self.bram_write_ports[bi].addr);
+                    let word = self.bits.brams()[bi].contents[addr];
+                    for (bit, w) in self.bram_dout_wires[bi].iter().enumerate() {
+                        if let Some(w) = w {
+                            wv[*w as usize] = (word >> bit) & 1 == 1;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Applies the clock edge: flip-flops capture their data inputs (the
     /// previous cycle's value if their path violates setup), memory blocks
     /// perform enabled writes.
     pub fn clock_edge(&mut self) {
-        let mut captures = Vec::with_capacity(self.ffs.len());
+        let spread = self.bits.arch().arrival_spread_ns;
+        // A flip-flop's capture reads only combinational values and its
+        // own shadow, so capturing in place is order-independent.
         for (i, ff) in self.ffs.iter().enumerate() {
-            let cfg = &self.bits.cbs()[ff.cb_flat as usize];
             let raw = match ff.data {
                 FfData::LutInternal(li) => self.lut_values[li as usize],
                 FfData::Wire(w) => self.wire_values[w as usize],
             };
-            let d = raw ^ cfg.invert_ff_in;
+            let d = raw ^ self.ff_invert[i];
             let overshoot = self.timing.ff_overshoot_ns.get(i).copied().unwrap_or(0.0);
-            let captured = if self.capture_misses(overshoot, i as u64) {
+            self.ff_state[i] = if capture_misses(spread, self.cycle, overshoot, i as u64) {
                 self.ff_prev_d[i]
             } else {
                 d
             };
-            captures.push((captured, d));
-        }
-        for (i, (captured, d)) in captures.into_iter().enumerate() {
-            self.ff_state[i] = captured;
             self.ff_prev_d[i] = d;
         }
-        for bi in 0..self.bram_write_ports.len() {
-            let port = self.bram_write_ports[bi].clone();
+        for (bi, port) in self.bram_write_ports.iter().enumerate() {
             let Some(we) = port.we else { continue };
             let we_now = self.wire_values[we as usize];
-            let addr_now = self.read_bus(&port.addr);
+            let addr_now = read_bus(&self.wire_values, &port.addr);
             let mut din_now = 0u64;
             for (bit, w) in port.din.iter().enumerate() {
                 if self.wire_values[*w as usize] {
@@ -540,7 +704,7 @@ impl Device {
                 .copied()
                 .unwrap_or(0.0);
             let (we_eff, addr_eff, din_eff) =
-                if self.capture_misses(overshoot, 0x8000_0000 | bi as u64) {
+                if capture_misses(spread, self.cycle, overshoot, 0x8000_0000 | bi as u64) {
                     self.bram_prev_write[bi]
                 } else {
                     (we_now, addr_now, din_now)
@@ -606,28 +770,29 @@ impl Device {
         } * frames.len() as u32;
         match mutation {
             Mutation::SetLutTable { cb, table } => {
-                let flat = cb.flat_index(arch.rows) as u64;
-                let cfg = self.bits.cb_mut(*cb)?;
+                let flat = cb.flat_index(arch.rows);
+                let cfg = self.cb_mut(*cb)?;
                 if !cfg.lut_used {
                     return Err(FpgaError::ResourceUnused(*cb));
                 }
-                self.behav_hash ^= state::mix(state::TAG_LUT_TABLE, flat, cfg.lut_table as u64)
-                    ^ state::mix(state::TAG_LUT_TABLE, flat, *table as u64);
-                cfg.lut_table = *table;
+                let old = std::mem::replace(&mut cfg.lut_table, *table);
+                self.behav_hash ^= state::mix(state::TAG_LUT_TABLE, flat as u64, old as u64)
+                    ^ state::mix(state::TAG_LUT_TABLE, flat as u64, *table as u64);
+                self.refresh_mirrors(flat);
             }
             Mutation::SetInvertFfIn { cb, invert } => {
-                let flat = cb.flat_index(arch.rows) as u64;
-                let cfg = self.bits.cb_mut(*cb)?;
+                let flat = cb.flat_index(arch.rows);
+                let cfg = self.cb_mut(*cb)?;
                 if !cfg.ff_used {
                     return Err(FpgaError::ResourceUnused(*cb));
                 }
-                self.behav_hash ^=
-                    state::mix(state::TAG_INVERT_FF_IN, flat, cfg.invert_ff_in as u64)
-                        ^ state::mix(state::TAG_INVERT_FF_IN, flat, *invert as u64);
-                cfg.invert_ff_in = *invert;
+                let old = std::mem::replace(&mut cfg.invert_ff_in, *invert);
+                self.behav_hash ^= state::mix(state::TAG_INVERT_FF_IN, flat as u64, old as u64)
+                    ^ state::mix(state::TAG_INVERT_FF_IN, flat as u64, *invert as u64);
+                self.refresh_mirrors(flat);
             }
             Mutation::SetLsrDrive { cb, drive } => {
-                let cfg = self.bits.cb_mut(*cb)?;
+                let cfg = self.cb_mut(*cb)?;
                 if !cfg.ff_used {
                     return Err(FpgaError::ResourceUnused(*cb));
                 }
@@ -662,6 +827,7 @@ impl Device {
                 bit,
                 value,
             } => {
+                // Memory contents are restored wholesale by `reset`.
                 let b = self.bits.bram_mut(*bram)?;
                 if *addr >= b.depth() || *bit >= b.width {
                     return Err(FpgaError::BadBramLocation {
@@ -681,27 +847,19 @@ impl Device {
                     ^ state::mix(state::TAG_BRAM_WORD, cell, b.contents[*addr]);
             }
             Mutation::SetWireFanout { wire, extra } => {
-                let w = self.bits.wire_mut(*wire)?;
-                self.behav_hash ^=
-                    state::mix(
-                        state::TAG_WIRE_FANOUT,
-                        wire.index() as u64,
-                        w.extra_fanout as u64,
-                    ) ^ state::mix(state::TAG_WIRE_FANOUT, wire.index() as u64, *extra as u64);
-                w.extra_fanout = *extra;
+                let old = std::mem::replace(&mut self.wire_mut(*wire)?.extra_fanout, *extra);
+                let wi = wire.index() as u64;
+                self.behav_hash ^= state::mix(state::TAG_WIRE_FANOUT, wi, old as u64)
+                    ^ state::mix(state::TAG_WIRE_FANOUT, wi, *extra as u64);
             }
             Mutation::SetWireDetour { wire, luts } => {
-                let w = self.bits.wire_mut(*wire)?;
-                self.behav_hash ^=
-                    state::mix(
-                        state::TAG_WIRE_DETOUR,
-                        wire.index() as u64,
-                        w.detour_luts as u64,
-                    ) ^ state::mix(state::TAG_WIRE_DETOUR, wire.index() as u64, *luts as u64);
-                w.detour_luts = *luts;
+                let old = std::mem::replace(&mut self.wire_mut(*wire)?.detour_luts, *luts);
+                let wi = wire.index() as u64;
+                self.behav_hash ^= state::mix(state::TAG_WIRE_DETOUR, wi, old as u64)
+                    ^ state::mix(state::TAG_WIRE_DETOUR, wi, *luts as u64);
             }
             Mutation::ReRandomiseFf { cb, drive } => {
-                let cfg = self.bits.cb_mut(*cb)?;
+                let cfg = self.cb_mut(*cb)?;
                 if !cfg.ff_used {
                     return Err(FpgaError::ResourceUnused(*cb));
                 }
@@ -769,7 +927,7 @@ impl Device {
         let arch = *self.bits.arch();
         let mut set = FrameSet::new();
         for (cb, drive) in drives {
-            let cfg = self.bits.cb_mut(*cb)?;
+            let cfg = self.cb_mut(*cb)?;
             if !cfg.ff_used {
                 return Err(FpgaError::ResourceUnused(*cb));
             }
@@ -1043,15 +1201,20 @@ impl Device {
 
     /// Recomputes static timing for the current configuration.
     pub fn recompute_timing(&mut self) {
-        let arch = *self.bits.arch();
-        let n_wires = self.bits.wires().len();
-        let mut arrival = vec![0.0f64; n_wires];
+        self.timing = self.static_timing(&self.bits);
+    }
+
+    /// Static timing of this device's compiled circuit under the routing
+    /// delays of `bits` (the live or the pristine configuration).
+    pub(crate) fn static_timing(&self, bits: &Bitstream) -> TimingReport {
+        let arch = *bits.arch();
+        let wires = bits.wires();
+        let mut arrival = vec![0.0f64; wires.len()];
         let mut lut_ready = vec![0.0f64; self.luts.len()];
-        let mut bram_ready = vec![0.0f64; self.bits.brams().len()];
 
         // Source wires (inputs, FF outputs) are ready at t=0 plus their own
         // wire delay.
-        for (wi, w) in self.bits.wires().iter().enumerate() {
+        for (wi, w) in wires.iter().enumerate() {
             if matches!(
                 w.driver,
                 WireDriver::PrimaryInput { .. } | WireDriver::CbFf(_)
@@ -1059,33 +1222,20 @@ impl Device {
                 arrival[wi] = w.delay_ns(&arch);
             }
         }
-        for &node in &self.eval_order {
-            match node {
-                CombNode::Lut(li) => {
-                    let n = &self.luts[li as usize];
-                    let mut t: f64 = 0.0;
-                    for pin in n.pins.iter().flatten() {
-                        t = t.max(arrival[*pin as usize]);
-                    }
-                    let ready = t + arch.lut_delay_ns;
-                    lut_ready[li as usize] = ready;
-                    if let Some(w) = n.out_wire {
-                        arrival[w as usize] = ready + self.bits.wires()[w as usize].delay_ns(&arch);
-                    }
-                }
-                CombNode::Bram(bi) => {
-                    let port = &self.bram_write_ports[bi as usize];
-                    let mut t: f64 = 0.0;
-                    for a in &port.addr {
-                        t = t.max(arrival[*a as usize]);
-                    }
-                    let ready = t + arch.bram_read_ns;
-                    bram_ready[bi as usize] = ready;
-                    for w in self.bram_dout_wires[bi as usize].iter().flatten() {
-                        arrival[*w as usize] =
-                            ready + self.bits.wires()[*w as usize].delay_ns(&arch);
-                    }
-                }
+        for op in &self.tape {
+            let mut t: f64 = 0.0;
+            for &w in self.node_inputs(op) {
+                t = t.max(arrival[w as usize]);
+            }
+            let ready = t + match op.kind {
+                NodeKind::Lut => arch.lut_delay_ns,
+                NodeKind::Bram => arch.bram_read_ns,
+            };
+            if op.kind == NodeKind::Lut {
+                lut_ready[op.target as usize] = ready;
+            }
+            for w in self.node_outputs(op) {
+                arrival[w as usize] = ready + wires[w as usize].delay_ns(&arch);
             }
         }
         let limit = arch.usable_period_ns();
@@ -1114,38 +1264,51 @@ impl Device {
                 (t - limit).max(0.0)
             })
             .collect();
-        self.timing = TimingReport {
+        TimingReport {
             wire_arrival_ns: arrival,
             ff_violated: ff_overshoot_ns.iter().map(|&o| o > 0.0).collect(),
             ff_overshoot_ns,
             bram_write_violated: bram_overshoot_ns.iter().map(|&o| o > 0.0).collect(),
             bram_overshoot_ns,
             critical_path_ns: critical,
-        };
+        }
     }
+}
 
-    /// Whether a marginal setup violation corrupts *this* cycle's capture.
-    ///
-    /// The static analysis gives worst-case arrival; the path actually
-    /// exercised depends on the cycle's data, so an overshoot of `o` ns
-    /// misses the edge with probability `min(1, o / arrival_spread_ns)`.
-    /// The draw is a deterministic hash of (cycle, element), keeping
-    /// experiments reproducible.
-    fn capture_misses(&self, overshoot: f64, element: u64) -> bool {
-        if overshoot <= 0.0 {
-            return false;
+/// Reads a bus of wires as an integer, LSB first.
+fn read_bus(wire_values: &[bool], wires: &[u32]) -> usize {
+    let mut v = 0usize;
+    for (bit, w) in wires.iter().enumerate() {
+        if wire_values[*w as usize] {
+            v |= 1 << bit;
         }
-        let p = (overshoot / self.bits.arch().arrival_spread_ns).min(1.0);
-        if p >= 1.0 {
-            return true;
-        }
-        let mut h = self.cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ element.wrapping_mul(0xD1B5_4A32_D192_ED03);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        ((h >> 11) as f64 / (1u64 << 53) as f64) < p
     }
+    v
+}
+
+/// Whether a marginal setup violation corrupts *this* cycle's capture.
+///
+/// The static analysis gives worst-case arrival; the path actually
+/// exercised depends on the cycle's data, so an overshoot of `o` ns
+/// misses the edge with probability `min(1, o / arrival_spread_ns)`.
+/// The draw is a deterministic hash of (cycle, element), keeping
+/// experiments reproducible. Shared by both engines, which is what keeps
+/// batched and scalar runs cycle-exact on designs with marginal timing.
+#[inline]
+pub(crate) fn capture_misses(spread_ns: f64, cycle: u64, overshoot: f64, element: u64) -> bool {
+    if overshoot <= 0.0 {
+        return false;
+    }
+    let p = (overshoot / spread_ns).min(1.0);
+    if p >= 1.0 {
+        return true;
+    }
+    let mut h =
+        cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ element.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    ((h >> 11) as f64 / (1u64 << 53) as f64) < p
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use fades_fpga::{
-    ArchParams, Bitstream, CbConfig, CbCoord, Device, Mutation, WireConfig, WireDriver,
+    ArchParams, Bitstream, BramId, CbConfig, CbCoord, Device, FfDSrc, Mutation, SetReset,
+    WireConfig, WireDriver, WireId,
 };
 use proptest::prelude::*;
 
@@ -110,4 +111,213 @@ fn reset_restores_pristine_configuration_after_any_mutation() {
         .unwrap();
     dev.reset();
     assert_eq!(dev.bitstream().cb(cb).unwrap().lut_table, 0x5555);
+}
+
+/// A small sequential design in which every configuration cell a
+/// mutation can write matters: LUTs of arity 0 to 4 with flip-flop
+/// feedback, flip-flops fed through their LUT and directly, a writable
+/// memory block read by logic, and routed wires of varied delay. Returns
+/// the configuration and its used blocks.
+fn mixed_design() -> (Bitstream, Vec<CbCoord>) {
+    let mut bs = Bitstream::new(ArchParams::small());
+    let a = bs.add_input("a", 1)[0];
+    let cbs: Vec<CbCoord> = (0..6u16)
+        .map(|i| CbCoord::new(i * 2, (i * 5) % 16))
+        .collect();
+    let tables = [0x6996, 0xE8E8, 0x1E1E, 0x9669, 0x00FF, 0x5A5A];
+    let luts: Vec<WireId> = cbs
+        .iter()
+        .zip(tables)
+        .map(|(&cb, t)| bs.place_lut(cb, t).unwrap())
+        .collect();
+    let qs: Vec<WireId> = cbs
+        .iter()
+        .enumerate()
+        .map(|(i, &cb)| bs.place_ff(cb, i % 2 == 0).unwrap())
+        .collect();
+    for (i, &cb) in cbs.iter().enumerate() {
+        // Pin sets of every size, some with gaps.
+        let pins: &[(u8, WireId)] = match i {
+            0 => &[(0, qs[0]), (1, qs[5]), (2, a), (3, qs[3])],
+            1 => &[(0, qs[1]), (2, luts[0])],
+            2 => &[(1, qs[2]), (2, qs[1]), (3, luts[1])],
+            3 => &[(3, qs[3])],
+            4 => &[(0, qs[4]), (1, qs[2]), (3, luts[3])],
+            _ => &[(0, qs[5]), (1, luts[4])],
+        };
+        for &(pin, w) in pins {
+            bs.connect_lut_pin(cb, pin, w).unwrap();
+        }
+        let src = if i == 5 {
+            FfDSrc::Direct(luts[2])
+        } else {
+            FfDSrc::LutOut
+        };
+        bs.connect_ff(cb, src).unwrap();
+    }
+    let dout = bs
+        .add_bram(
+            "m",
+            &[qs[0], qs[1], qs[2]],
+            &[luts[0], luts[4]],
+            Some(qs[3]),
+            2,
+            &[1, 2, 3, 0, 2, 1, 3, 0],
+        )
+        .unwrap();
+    let reader = CbCoord::new(13, 7);
+    bs.add_lut(reader, 0x6666, [Some(dout[0]), None, Some(dout[1]), None])
+        .unwrap();
+    let q_reader = bs.add_ff(reader, true, FfDSrc::LutOut).unwrap();
+    let constant = CbCoord::new(14, 1);
+    let one = bs.add_lut(constant, 0xFFFF, [None; 4]).unwrap();
+    let q_const = bs.add_ff(constant, false, FfDSrc::Direct(one)).unwrap();
+    for wi in 0..bs.wires().len() {
+        let w = WireId::from_index(wi);
+        bs.set_routing(w, (wi as u32 * 7) % 11, wi as u32 % 5, (0, 15))
+            .unwrap();
+    }
+    let mut q = qs.clone();
+    q.extend([q_reader, q_const]);
+    bs.add_output("q", &q).unwrap();
+    bs.add_output("d", &dout).unwrap();
+    let mut used = cbs;
+    used.extend([reader, constant]);
+    (bs, used)
+}
+
+/// Block chosen by `k`: a used one, or (rarely) an unused block or a
+/// coordinate off the grid.
+fn pick_cb(used: &[CbCoord], k: u32) -> CbCoord {
+    match k as usize % (used.len() + 2) {
+        i if i < used.len() => used[i],
+        i if i == used.len() => CbCoord::new(15, 15),
+        _ => CbCoord::new(40, 3),
+    }
+}
+
+/// Decodes one random step `(kind, a, b)` and performs it on `dev`:
+/// every mutation kind (through `apply` or the full-download path), a
+/// bulk set/reset write that may fail part way, a held set/reset line,
+/// or a few clock cycles. Failures are part of the test: a write that
+/// errors after touching a cell must still be undone by `reset`.
+fn perform(dev: &mut Device, used: &[CbCoord], (kind, a, b): (u8, u32, u32)) {
+    let cb = pick_cb(used, a);
+    let n_wires = dev.bitstream().wires().len();
+    let wire = WireId::from_index(a as usize % (n_wires + 1));
+    let drive = SetReset::driving(b & 1 == 1);
+    let mutation = match kind % 12 {
+        0 => Mutation::SetLutTable {
+            cb,
+            table: b as u16,
+        },
+        1 => Mutation::SetInvertFfIn {
+            cb,
+            invert: b & 1 == 1,
+        },
+        2 => Mutation::SetLsrDrive { cb, drive },
+        3 => Mutation::PulseLsr { cb },
+        4 => Mutation::PulseGsr,
+        5 => Mutation::SetBramBit {
+            bram: BramId::from_index((b >> 8) as usize % 2),
+            addr: a as usize % 10,
+            bit: (b >> 1) % 3,
+            value: b & 1 == 1,
+        },
+        6 => Mutation::SetWireFanout {
+            wire,
+            extra: b % 12_000,
+        },
+        7 => Mutation::SetWireDetour {
+            wire,
+            luts: b % 128,
+        },
+        8 => Mutation::ReRandomiseFf { cb, drive },
+        9 => {
+            let drives: Vec<(CbCoord, SetReset)> = a
+                .to_le_bytes()
+                .iter()
+                .take(1 + b as usize % 4)
+                .map(|&k| (pick_cb(used, k as u32), SetReset::driving(k & 1 == 1)))
+                .collect();
+            let _ = dev.bulk_set_lsr_drives(&drives);
+            return;
+        }
+        10 => {
+            let _ = dev.hold_lsr(cb);
+            return;
+        }
+        _ => {
+            dev.run(u64::from(b % 5));
+            return;
+        }
+    };
+    let _ = if a & 0x100 != 0 {
+        dev.apply_via_full_download(&mutation)
+    } else {
+        dev.apply(&mutation)
+    };
+}
+
+/// Steps both devices side by side, comparing every observable each
+/// cycle.
+fn assert_lockstep(dev: &mut Device, reference: &mut Device, cycles: u32) {
+    for cycle in 0..cycles {
+        assert_eq!(dev.state_hash(), reference.state_hash(), "cycle {cycle}");
+        dev.settle();
+        reference.settle();
+        for port in ["q", "d"] {
+            assert_eq!(
+                dev.output_u64(port).unwrap(),
+                reference.output_u64(port).unwrap(),
+                "port {port}, cycle {cycle}"
+            );
+        }
+        dev.clock_edge();
+        reference.clock_edge();
+    }
+    assert_eq!(dev.state_snapshot(), reference.state_snapshot());
+}
+
+proptest! {
+    /// `reset` undoes any sequence of reconfigurations and cycles —
+    /// including writes that failed part way — exactly: configuration,
+    /// static timing, state hash and behaviour all equal a device freshly
+    /// configured from the pristine bitstream.
+    #[test]
+    fn reset_equals_a_fresh_device(
+        ops in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..40),
+    ) {
+        let (bs, used) = mixed_design();
+        let mut dev = Device::configure(bs).unwrap();
+        for &op in &ops {
+            perform(&mut dev, &used, op);
+        }
+        dev.reset();
+        let mut fresh = Device::configure(dev.pristine().clone()).unwrap();
+        prop_assert!(dev.bitstream() == dev.pristine());
+        prop_assert_eq!(dev.timing(), fresh.timing());
+        prop_assert_eq!(dev.cycle(), 0);
+        assert_lockstep(&mut dev, &mut fresh, 64);
+    }
+
+    /// The evaluation mirrors never drift from the live configuration:
+    /// after any reconfiguration sequence the device steps exactly like a
+    /// device configured from its current bitstream and restored to its
+    /// current state.
+    #[test]
+    fn device_steps_like_its_own_bitstream(
+        ops in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..40),
+    ) {
+        let (bs, used) = mixed_design();
+        let mut dev = Device::configure(bs).unwrap();
+        dev.run(3);
+        for &op in &ops {
+            perform(&mut dev, &used, op);
+        }
+        let mut reference = Device::configure(dev.bitstream().clone()).unwrap();
+        reference.restore_state(&dev.save_state());
+        prop_assert_eq!(dev.timing(), reference.timing());
+        assert_lockstep(&mut dev, &mut reference, 32);
+    }
 }

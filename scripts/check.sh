@@ -38,9 +38,13 @@ echo "== lane-engine differential suite (release)"
 cargo test -q --release --offline -p fades-core --test batch_equiv
 cargo test -q --release --offline -p fades-core --test batch_props
 
-echo "== settle/batch throughput microbenches (release)"
-cargo bench -q --offline -p fades-bench --bench microbench -- settle_throughput 2>&1 | tail -n +1
-cargo bench -q --offline -p fades-bench --bench microbench -- batch_throughput 2>&1 | tail -n +1
+# The scalar device (oracle, golden capture, routing-delay faults) is
+# printed beside the lane engine so a regression in either shows up as a
+# number. The offline criterion stand-in takes no filter, so one run
+# prints every bench and the relevant lines are picked out.
+echo "== scalar device and lane settle/batch throughput microbenches (release)"
+cargo bench -q --offline -p fades-bench --bench microbench 2>&1 \
+    | grep -E 'substrate/device_|settle_throughput|batch_throughput'
 
 # The benchmark (fadesbench/) is a package of its own, outside the
 # workspace, so nothing above builds it. Build it and run its smoke test,
