@@ -12,8 +12,9 @@
 //! fades-experiments shutdown [--addr <host:port>]
 //! ```
 //!
-//! `serve` builds the experimental setup once (8051 + implementation +
-//! golden run), then serves the `fades-service` HTTP API on `--addr`
+//! `serve` builds the experimental setup and one campaign over it once
+//! (8051 + implementation + golden run), which every shard of every job
+//! shares, then serves the `fades-service` HTTP API on `--addr`
 //! (port 0 picks a free port; the bound address lands in `--addr-file`
 //! when given). Jobs are durable: killing the server loses nothing —
 //! the next `serve` with the same `--queue-dir` resumes every
@@ -31,7 +32,7 @@
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fades_core::Campaign;
 use fades_dispatch::{CancelToken, ShardOptions};
@@ -48,15 +49,53 @@ use crate::ExperimentContext;
 /// Default server address for `serve` and every client subcommand.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7348";
 
-/// The service backend over the paper's experimental setup. Holds the
-/// `Sync` parts of an [`ExperimentContext`]; each shard run builds a
-/// fresh campaign borrowing them, exactly as the `shard` subcommand
-/// does, so service jobs and CLI shards produce bit-identical journals.
-pub struct ExperimentBackend {
+/// The most faults one job may ask for. A plan holds every fault up
+/// front, so an unbounded count is an unbounded allocation at admission;
+/// this bound keeps one job's plan in the tens of megabytes.
+pub const MAX_JOB_FAULTS: u64 = 1_000_000;
+
+/// The standard setup (Bubblesort on the 8051, implemented), built at
+/// most once per process. It is a pure function of nothing, so every
+/// backend can borrow the same netlist for `'static`.
+struct StandardSetup {
     soc: Soc,
     workload: Workload,
     implementation: Implementation,
     workload_cycles: u64,
+}
+
+fn standard_setup() -> Result<&'static StandardSetup, Box<dyn Error>> {
+    static SETUP: OnceLock<Result<StandardSetup, String>> = OnceLock::new();
+    SETUP
+        .get_or_init(|| {
+            let (soc, workload, implementation, workload_cycles) = ExperimentContext::new()
+                .map_err(|e| e.to_string())?
+                .into_parts();
+            Ok(StandardSetup {
+                soc,
+                workload,
+                implementation,
+                workload_cycles,
+            })
+        })
+        .as_ref()
+        .map_err(|e| e.clone().into())
+}
+
+/// The service backend over the paper's experimental setup. Like FADES
+/// itself, which configures the FPGA once and pays per fault only for
+/// the partial reconfiguration, it builds one campaign (device
+/// configuration plus golden run) when it starts, and every shard run
+/// of every job on every worker borrows it: a shard only plans and
+/// clones the pristine device. Shards run exactly what the `shard`
+/// subcommand runs, so service jobs and CLI shards produce
+/// bit-identical journals.
+///
+/// Admission rejects unknown loads, zero faults and more than
+/// [`MAX_JOB_FAULTS`] faults.
+pub struct ExperimentBackend {
+    campaign: Campaign<'static>,
+    workload: &'static Workload,
     /// Structural lint findings over the implemented design, computed
     /// once at construction. Admission rejects every job while an
     /// `Error`-severity finding is present.
@@ -64,29 +103,34 @@ pub struct ExperimentBackend {
 }
 
 impl ExperimentBackend {
-    /// Builds the standard setup (Bubblesort on the 8051) once and lints
-    /// the implemented design. Diagnostics are surfaced in the run log
-    /// (`FADES_RUN_LOG`) as structured `lint` lines and counted on
-    /// `/metrics`; `Error`-severity findings make [`validate`] reject
-    /// every submission.
+    /// Builds the standard setup (Bubblesort on the 8051) once per
+    /// process, then this backend's campaign over it (golden run
+    /// included), and lints the implemented design. Diagnostics are
+    /// surfaced in the run log (`FADES_RUN_LOG`) as structured `lint`
+    /// lines and counted on `/metrics`; `Error`-severity findings make
+    /// [`validate`] reject every submission.
     ///
     /// [`validate`]: CampaignBackend::validate
     ///
     /// # Errors
     ///
-    /// Propagates model-construction and implementation errors.
+    /// Propagates model-construction, implementation and
+    /// device-configuration errors.
     pub fn new() -> Result<ExperimentBackend, Box<dyn Error>> {
-        let (soc, workload, implementation, workload_cycles) =
-            ExperimentContext::new()?.into_parts();
-        let diagnostics = fades_analysis::lint(&implementation.bitstream);
+        let setup = standard_setup()?;
+        let campaign = Campaign::new(
+            &setup.soc.netlist,
+            setup.implementation.clone(),
+            &OBSERVED_PORTS,
+            setup.workload_cycles,
+        )?;
+        let diagnostics = fades_analysis::lint(&campaign.implementation().bitstream);
         for d in &diagnostics {
             fades_telemetry::log_raw_line(&d.to_runlog_json("8051-bubblesort"));
         }
         Ok(ExperimentBackend {
-            soc,
-            workload,
-            implementation,
-            workload_cycles,
+            campaign,
+            workload: &setup.workload,
             diagnostics,
         })
     }
@@ -130,6 +174,12 @@ impl CampaignBackend for ExperimentBackend {
         if spec.faults == 0 {
             return Err("a campaign needs at least one fault".into());
         }
+        if spec.faults > MAX_JOB_FAULTS {
+            return Err(format!(
+                "a job may ask for at most {MAX_JOB_FAULTS} faults, not {}",
+                spec.faults
+            ));
+        }
         Ok(())
     }
 
@@ -142,14 +192,8 @@ impl CampaignBackend for ExperimentBackend {
     ) -> Result<ShardRun, String> {
         let load = named_load_for(&spec.load, || self.memory_targets())
             .ok_or_else(|| format!("unknown fault load `{}`", spec.load))?;
-        let campaign = Campaign::new(
-            &self.soc.netlist,
-            self.implementation.clone(),
-            &OBSERVED_PORTS,
-            self.workload_cycles,
-        )
-        .map_err(|e| e.to_string())?;
-        let plan = campaign
+        let plan = self
+            .campaign
             .plan(&load, spec.faults as usize, spec.seed)
             .map_err(|e| e.to_string())?;
         let opts = ShardOptions {
@@ -160,7 +204,7 @@ impl CampaignBackend for ExperimentBackend {
             cancel: Some(cancel.clone()),
         };
         let outcome =
-            fades_dispatch::run_shard(&campaign, &plan, shard, spec.shards, journal, &opts)
+            fades_dispatch::run_shard(&self.campaign, &plan, shard, spec.shards, journal, &opts)
                 .map_err(|e| e.to_string())?;
         Ok(ShardRun {
             cancelled: outcome.cancelled,

@@ -123,3 +123,106 @@ fn scaling_speedup_grows_with_workload_length() {
         r.rows
     );
 }
+
+/// The merged tallies a journal set reports, with `emulation_seconds`
+/// as its exact bit pattern.
+fn merged(journals: &[std::path::PathBuf]) -> (fades_core::OutcomeStats, usize, u64, u64, usize) {
+    let report = fades_dispatch::merge(journals).expect("merge");
+    assert!(report.is_complete(), "{report:?}");
+    (
+        report.stats.outcomes,
+        report.stats.n,
+        report.stats.emulation_seconds.to_bits(),
+        report.completed,
+        report.quarantined.len(),
+    )
+}
+
+#[test]
+fn service_jobs_sharing_one_campaign_match_fresh_campaigns_bit_for_bit() {
+    use fades_experiments::dispatch_cli::named_load;
+    use fades_experiments::service_cli::ExperimentBackend;
+    use fades_service::{CampaignBackend, JobSpec};
+
+    let dir = std::env::temp_dir().join(format!("fades-shared-campaign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let jobs = [("pulse-luts", 40u64, 5u64, 2u32), ("bitflip-mem", 30, 8, 3)];
+    let specs: Vec<JobSpec> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, &(load, faults, seed, shards))| JobSpec {
+            id: format!("job-{:06}", i + 1),
+            label: load.into(),
+            load: load.into(),
+            faults,
+            seed,
+            shards,
+            submitted_at_ms: 0,
+        })
+        .collect();
+    let journal = |side: &str, spec: &JobSpec, shard: u32| {
+        dir.join(format!("{side}-{}-s{shard}.jsonl", spec.id))
+    };
+
+    // Every shard of both jobs at once, all borrowing one backend; the
+    // barrier makes them start together.
+    let backend = ExperimentBackend::new().expect("backend");
+    let cancel = fades_dispatch::CancelToken::new();
+    let start = std::sync::Barrier::new(specs.iter().map(|s| s.shards as usize).sum());
+    std::thread::scope(|s| {
+        for spec in &specs {
+            for shard in 0..spec.shards {
+                let (backend, cancel, start) = (&backend, &cancel, &start);
+                let path = journal("shared", spec, shard);
+                s.spawn(move || {
+                    start.wait();
+                    let run = backend
+                        .run_shard(spec, shard, &path, cancel)
+                        .expect("shard");
+                    assert!(!run.cancelled);
+                });
+            }
+        }
+    });
+
+    // The same plans, one freshly built campaign per job.
+    let ctx = ctx();
+    for spec in &specs {
+        let campaign = ctx.fades_campaign().unwrap();
+        let load = named_load(&ctx, &spec.load).unwrap();
+        let plan = campaign
+            .plan(&load, spec.faults as usize, spec.seed)
+            .unwrap();
+        let opts = fades_dispatch::ShardOptions {
+            load: spec.load.clone(),
+            retries: 1,
+            with_recorder: true,
+            batch: fades_core::batch_default(),
+            cancel: None,
+        };
+        for shard in 0..spec.shards {
+            fades_dispatch::run_shard(
+                &campaign,
+                &plan,
+                shard,
+                spec.shards,
+                &journal("fresh", spec, shard),
+                &opts,
+            )
+            .unwrap();
+        }
+        let paths = |side: &str| -> Vec<_> {
+            (0..spec.shards)
+                .map(|shard| journal(side, spec, shard))
+                .collect()
+        };
+        assert_eq!(
+            merged(&paths("shared")),
+            merged(&paths("fresh")),
+            "{}: shared-campaign merge differs from a fresh campaign's",
+            spec.load
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -22,6 +22,9 @@ use fades_dispatch::{campaign_status, merge, MergeReport};
 
 use crate::service::{JobView, Service, SubmitError};
 
+/// Largest shard fan-out a submission may ask for.
+const MAX_SHARDS: u64 = 4096;
+
 /// Starts the API server for `service` on `addr` (port 0 picks a free
 /// port; read it back from [`HttpServer::addr`]).
 ///
@@ -82,19 +85,10 @@ fn submit(service: &Service, body: &str) -> HttpResponse {
     let Some(load) = v.get("load").and_then(|x| x.as_str()) else {
         return HttpResponse::error(400, "missing required field `load`");
     };
-    let faults = v
-        .get("faults")
-        .and_then(fades_telemetry::json::JsonValue::as_u64)
-        .unwrap_or(100);
-    let seed = v
-        .get("seed")
-        .and_then(fades_telemetry::json::JsonValue::as_u64)
-        .unwrap_or(1);
-    let shards = v
-        .get("shards")
-        .and_then(fades_telemetry::json::JsonValue::as_u64)
-        .unwrap_or(1)
-        .clamp(1, 4096) as u32;
+    let (faults, seed, shards) = match numeric_fields(&v) {
+        Ok(fields) => fields,
+        Err(msg) => return HttpResponse::error(400, &msg),
+    };
     let label = v.get("label").and_then(|x| x.as_str());
     match service.submit(label, load, faults, seed, shards) {
         Ok(spec) => HttpResponse::json(format!(
@@ -107,6 +101,29 @@ fn submit(service: &Service, body: &str) -> HttpResponse {
         Err(SubmitError::Invalid(msg)) => HttpResponse::error(400, &msg),
         Err(SubmitError::Io(e)) => HttpResponse::error(500, &e.to_string()),
     }
+}
+
+/// A submission's `faults`, `seed` and `shards`: the defaults when
+/// absent, the exact integers when present, and an error for anything
+/// else (fractions, negatives, strings, floats too large to be exact,
+/// shard counts outside `1..=MAX_SHARDS`) rather than a silent fallback
+/// or a rounded value.
+fn numeric_fields(v: &json::JsonValue) -> Result<(u64, u64, u32), String> {
+    let field = |key: &str, default: u64| match v.get(key) {
+        None => Ok(default),
+        Some(x) => x
+            .as_u64()
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+    };
+    let faults = field("faults", 100)?;
+    let seed = field("seed", 1)?;
+    let shards = field("shards", 1)?;
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(format!(
+            "`shards` must be between 1 and {MAX_SHARDS}, got {shards}"
+        ));
+    }
+    Ok((faults, seed, shards as u32))
 }
 
 fn list(service: &Service) -> HttpResponse {

@@ -19,7 +19,9 @@
 //! * graceful shutdown fires the cancel tokens of running jobs but
 //!   writes **no** markers: in-flight chunks retire and journal, and
 //!   the next [`Service::start`] re-queues those jobs, resuming from
-//!   the journals.
+//!   the journals;
+//! * nothing runs without passing [`CampaignBackend::validate`]: at
+//!   submit time, and again for every spec a restart would re-queue.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -57,7 +59,8 @@ pub struct ShardRun {
 /// does natively) and must honor `cancel` promptly.
 pub trait CampaignBackend: Send + Sync + 'static {
     /// Rejects specs the backend cannot execute (unknown load, zero
-    /// faults, absurd geometry) *before* they are queued.
+    /// faults, absurd geometry) *before* they are queued, and again
+    /// before a restart re-queues them.
     ///
     /// # Errors
     ///
@@ -172,7 +175,9 @@ impl std::error::Error for SubmitError {}
 
 impl Service {
     /// Opens the queue directory, rescans it (re-queueing every
-    /// incomplete job for resume), registers the service gauges and
+    /// incomplete job for resume, after re-validating its spec against
+    /// the backend; a spec that fails is marked `failed` with an `error`
+    /// marker instead of running), registers the service gauges and
     /// starts the worker pool.
     ///
     /// # Errors
@@ -199,11 +204,24 @@ impl Service {
         };
         for ScannedJob {
             spec,
-            state: js,
-            error,
+            state: mut js,
+            mut error,
         } in store.scan()?
         {
             let seq = spec.seq();
+            // A spec on disk was validated when it was accepted, but the
+            // directory is not trusted: an older build, a hand-edited
+            // file or a since-tightened bound must not run unchecked.
+            // Re-validate what would run and fail the rest durably.
+            if js == JobState::Queued {
+                if let Err(msg) = backend.validate(&spec) {
+                    if let Err(e) = store.mark_failed(&spec.id, &msg) {
+                        eprintln!("warning: could not write error marker for {}: {e}", spec.id);
+                    }
+                    js = JobState::Failed;
+                    error = Some(msg);
+                }
+            }
             if js == JobState::Queued {
                 state.queue.push_back(seq);
             }

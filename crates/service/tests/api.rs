@@ -97,6 +97,42 @@ fn http_submit_status_results_cancel_shutdown() {
     let (code, body) = http_post(&addr, "/campaigns", r#"{"load":"no-such"}"#).unwrap();
     assert_eq!(code, 400, "{body}");
 
+    // Present numbers must be exact non-negative integers: no silent
+    // fallback to the default, no rounding through f64.
+    for bad in [
+        r#"{"load":"mock","seed":1.5}"#,
+        r#"{"load":"mock","seed":-1}"#,
+        r#"{"load":"mock","seed":"7"}"#,
+        r#"{"load":"mock","faults":1e19}"#,
+        r#"{"load":"mock","faults":2.5}"#,
+        r#"{"load":"mock","shards":-1}"#,
+        r#"{"load":"mock","shards":0}"#,
+        r#"{"load":"mock","shards":4097}"#,
+    ] {
+        let (code, body) = http_post(&addr, "/campaigns", bad).unwrap();
+        assert_eq!(code, 400, "{bad} -> {body}");
+    }
+    assert!(service.list().is_empty(), "nothing invalid was queued");
+
+    // A seed above 2^53 runs exactly as sent.
+    let exact_seed = (1u64 << 53) + 1;
+    let (code, body) = http_post(
+        &addr,
+        "/campaigns",
+        &format!(r#"{{"load":"mock","faults":4,"seed":{exact_seed}}}"#),
+    )
+    .unwrap();
+    assert_eq!(code, 200, "{body}");
+    let job = parse(body.trim()).unwrap();
+    assert_eq!(
+        job.get("seed")
+            .and_then(fades_telemetry::json::JsonValue::as_u64),
+        Some(exact_seed),
+        "{body}"
+    );
+    let exact_id = job.get("id").and_then(|v| v.as_str()).unwrap().to_string();
+    assert_eq!(service.job(&exact_id).unwrap().spec.seed, exact_seed);
+
     // A good submission returns the allocated job document.
     let (code, body) = http_post(
         &addr,

@@ -439,3 +439,50 @@ fn shutdown_stops_admission_and_leaves_no_markers() {
     service.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn restart_fails_persisted_specs_the_backend_rejects() {
+    let dir = scratch("revalidate");
+    let store = fades_service::JobStore::open(&dir).unwrap();
+    let spec = |seq: u64, load: &str| JobSpec {
+        id: fades_service::JobStore::id_for_seq(seq),
+        label: load.into(),
+        load: load.into(),
+        faults: 4,
+        seed: 7,
+        shards: 1,
+        submitted_at_ms: 0,
+    };
+    // A spec that slipped past admission (an older build, a hand edit)
+    // sits next to a valid one.
+    store.persist(&spec(1, "no-such")).unwrap();
+    store.persist(&spec(2, "mock")).unwrap();
+
+    let backend = MockBackend::new(None);
+    let order = Arc::clone(&backend.order);
+    let service = Service::start(&config(&dir, 1, 1), Box::new(backend)).unwrap();
+    let bad = service.job("job-000001").unwrap();
+    assert_eq!(bad.state, JobState::Failed);
+    assert!(
+        bad.error.as_deref().unwrap_or("").contains("no-such"),
+        "{:?}",
+        bad.error
+    );
+    wait_until("valid job completed", || {
+        state_of(&service, "job-000002") == JobState::Completed
+    });
+    assert_eq!(
+        *order.lock().unwrap(),
+        ["job-000002"],
+        "the rejected spec never ran"
+    );
+    service.join();
+
+    // The failure is durable: the next start sees the marker.
+    let err = std::fs::read_to_string(dir.join("job-000001").join("error")).unwrap();
+    assert!(err.contains("no-such"), "{err}");
+    let service = Service::start(&config(&dir, 1, 1), Box::new(MockBackend::new(None))).unwrap();
+    assert_eq!(state_of(&service, "job-000001"), JobState::Failed);
+    service.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

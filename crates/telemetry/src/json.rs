@@ -100,6 +100,9 @@ pub fn array(items: &[String]) -> String {
     format!("[{}]", items.join(","))
 }
 
+/// 2^53: every integer below it is exactly representable as an `f64`.
+const EXACT_F64_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value (used by tests and the bench-file reader).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -107,7 +110,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (parsed as `f64`).
+    /// A plain non-negative integer literal (digits only) that fits in
+    /// a `u64`, kept exact: `f64` would round anything above 2^53.
+    Integer(u64),
+    /// Any other number (parsed as `f64`).
     Number(f64),
     /// A string.
     String(String),
@@ -121,15 +127,23 @@ impl JsonValue {
     /// The value as a float, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Integer(n) => Some(*n as f64),
             JsonValue::Number(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as a u64, if it is a non-negative integral number.
+    /// The value as a u64, if it is a non-negative integer: a plain
+    /// integer literal (exact at any size), or an integral float
+    /// (`12.0`, `1e3`) below 2^53, the range where `f64` holds every
+    /// integer exactly. Fractions, negatives and larger floats are
+    /// `None`, never rounded or saturated.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            JsonValue::Integer(n) => Some(*n),
+            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_F64_LIMIT => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -361,6 +375,11 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::Integer(n));
+            }
+        }
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -449,6 +468,38 @@ mod tests {
         let body = "[".repeat(256 * 1024);
         let result = std::thread::spawn(move || parse(&body)).join().unwrap();
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_and_non_integers_are_not_u64() {
+        let big = (1u64 << 53) + 1;
+        let v = parse(&format!(
+            "[{big}, {}, 12.0, 1e3, 1.5, -1, 1e19, 2e20]",
+            u64::MAX
+        ))
+        .expect("parses");
+        let JsonValue::Array(items) = v else {
+            panic!("expected array");
+        };
+        let got: Vec<Option<u64>> = items.iter().map(JsonValue::as_u64).collect();
+        assert_eq!(
+            got,
+            [
+                Some(big),
+                Some(u64::MAX),
+                Some(12),
+                Some(1000),
+                None,
+                None,
+                None,
+                None
+            ]
+        );
+        assert_eq!(items[0].as_f64(), Some(big as f64));
+        // One past u64::MAX is still a number, just not a u64.
+        let past = parse("18446744073709551616").expect("parses");
+        assert_eq!(past.as_u64(), None);
+        assert_eq!(past.as_f64(), Some(18_446_744_073_709_551_616.0));
     }
 
     #[test]

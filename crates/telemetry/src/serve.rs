@@ -7,8 +7,13 @@
 //! for `curl`, Prometheus scrapes, the smoke tests and the
 //! `fades-service` JSON API: it reads one request head (bounded), routes
 //! it through a handler closure, writes one `Connection: close`
-//! response. One background thread, non-blocking accept with a 20 ms
-//! poll so shutdown is prompt, no keep-alive, no chunking.
+//! response. One background thread blocked in `accept`, so a request is
+//! served the moment it arrives; no keep-alive, no chunking. Shutdown
+//! sets a stop flag and then connects once to the listener itself,
+//! which wakes the `accept` (an unspecified bind address such as
+//! `0.0.0.0` is woken through loopback). The only sleep in the loop is
+//! a short backoff after a failed `accept` (EMFILE and the like), so a
+//! persistent error cannot spin the thread.
 //!
 //! The read path is hardened against slow and oversized clients — a
 //! public listener must not let one bad connection park the serving
@@ -29,7 +34,7 @@
 //! that is set, which is how tests discover it).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,6 +54,12 @@ pub const READ_DEADLINE: Duration = Duration::from_secs(2);
 /// Per-`read` socket timeout; keeps the serving thread from parking on
 /// one silent peer while the overall [`READ_DEADLINE`] accumulates.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Pause after a failed `accept` before trying again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Timeout of each connection shutdown makes to wake the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// One parsed request, as seen by an [`HttpServer`] handler.
 #[derive(Debug, Clone)]
@@ -133,7 +144,6 @@ impl HttpServer {
     /// Propagates bind/configuration errors.
     pub fn start(addr: &str, name: &str, handler: Arc<HttpHandler>) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -158,8 +168,15 @@ impl HttpServer {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            // One connection wakes the blocked `accept`; the loop checks
+            // the flag after every accept. Retry only while connecting
+            // itself fails and the thread is still alive.
+            let wake = wake_addr(self.addr);
+            while TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_err() && !t.is_finished() {
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            }
             let _ = t.join();
         }
     }
@@ -171,9 +188,24 @@ impl Drop for HttpServer {
     }
 }
 
+/// Where to connect to reach a listener bound to `addr`: the address
+/// itself, or loopback when it is unspecified (`0.0.0.0`, `[::]`).
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 fn serve_loop(listener: &TcpListener, stop: &AtomicBool, handler: &Arc<HttpHandler>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // Serve inline: responses are small and clients are the
                 // CLI / scrapers, so one thread is plenty and keeps
@@ -182,10 +214,7 @@ fn serve_loop(listener: &TcpListener, stop: &AtomicBool, handler: &Arc<HttpHandl
                 // ~2 × READ_DEADLINE.
                 let _ = handle_connection(stream, handler);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -541,6 +570,44 @@ mod tests {
         assert_eq!(code, 200);
         assert_eq!(body, "GET /also []");
         server.shutdown();
+    }
+
+    #[test]
+    fn sequential_requests_do_not_wait_on_a_poll() {
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            "test-fast",
+            Arc::new(|_: &HttpRequest| HttpResponse::text(200, "ok\n")),
+        )
+        .expect("bind");
+        let addr = server.addr().to_string();
+        let started = Instant::now();
+        for _ in 0..200 {
+            let (code, _) = http_get(&addr, "/").expect("GET");
+            assert_eq!(code, 200);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "200 sequential requests took {elapsed:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_on_loopback_and_unspecified_binds() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = MetricsServer::start(bind).expect("bind");
+            let (code, _) = http_get(&wake_addr(server.addr()).to_string(), "/").expect("GET");
+            assert_eq!(code, 200);
+            let started = Instant::now();
+            server.shutdown();
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "shutdown of a server on {bind} took {elapsed:?}"
+            );
+        }
     }
 
     #[test]

@@ -102,7 +102,8 @@ rm -rf "$gate_dir"
 
 # Campaign-service CLI smoke gate: the serve/submit/jobs/results/shutdown
 # loop through the real binary and a real (tiny) campaign, on a throwaway
-# queue dir and an ephemeral port.
+# queue dir and an ephemeral port, after an oversized submission is
+# refused.
 echo "== campaign service CLI smoke gate (release)"
 svc_dir=$(mktemp -d)
 FADES_THREADS=2 FADES_PROGRESS=0 \
@@ -113,6 +114,13 @@ serve_pid=$!
 for _ in $(seq 1 600); do [ -s "$svc_dir/addr" ] && break; sleep 0.1; done
 [ -s "$svc_dir/addr" ] || { echo "FAIL: service never published its address"; cat "$svc_dir/serve.log"; exit 1; }
 addr=$(cat "$svc_dir/addr")
+# A fault count whose plan cannot fit in memory must be refused with a
+# 400, and the server must go on to serve the real job below.
+if run_exp submit pulse-luts --faults 1000000000000000 --addr "$addr" >"$svc_dir/huge.txt" 2>&1; then
+    echo "FAIL: an oversized job was accepted"; cat "$svc_dir/huge.txt"; exit 1
+fi
+grep -q 'HTTP 400' "$svc_dir/huge.txt" \
+    || { echo "FAIL: oversized job not refused with a 400"; cat "$svc_dir/huge.txt" "$svc_dir/serve.log"; exit 1; }
 run_exp submit pulse-luts --faults 400 --seed 11 --shards 2 --addr "$addr" \
     | tee "$svc_dir/submit.txt"
 job=$(grep -o 'job-[0-9]*' "$svc_dir/submit.txt" | head -1)
