@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fades_fpga::{ArchParams, Device, Mutation};
+use fades_fpga::{ArchParams, BatchDevice, Device, Mutation};
 use fades_mcu8051::{build_soc, workloads};
 use fades_netlist::Simulator;
 use fades_pnr::implement;
@@ -195,13 +195,42 @@ fn bench_settle_throughput(c: &mut Criterion) {
             sim.run(CYCLES);
         });
     });
+
+    // One lane-engine settle sweep of the placed 8051 per lane-word
+    // width: the cost the campaign layer trades against lanes per word
+    // when it sizes the word to a cohort.
+    let imp = implement(&soc.netlist, ArchParams::virtex1000_like()).expect("implements");
+    let dev = Device::configure(imp.bitstream).expect("configures");
+    group.throughput(Throughput::Elements(SWEEPS));
+    lane_settle::<1>(&mut group, &dev);
+    lane_settle::<2>(&mut group, &dev);
+    lane_settle::<4>(&mut group, &dev);
     group.finish();
+}
+
+/// Settle sweeps per `lane_settle_w*` iteration (reported per sweep).
+const SWEEPS: u64 = 256;
+
+/// Benches `BatchDevice::<W>::settle` as `lane_settle_w{W}`, from the
+/// state 64 cycles into the run.
+fn lane_settle<const W: usize>(group: &mut criterion::BenchmarkGroup<'_>, dev: &Device) {
+    let mut batch = BatchDevice::<W>::new(dev).expect("lane-encodable");
+    for _ in 0..64 {
+        batch.step();
+    }
+    group.bench_function(&format!("lane_settle_w{W}"), |b| {
+        b.iter(|| {
+            for _ in 0..SWEEPS {
+                batch.settle();
+            }
+        });
+    });
 }
 
 /// Bit-parallel lane engine vs the scalar per-experiment path: the same
 /// 64-fault single-thread FF bit-flip campaign (identical plan, identical
-/// outcomes and modelled time), emulated 63 machines at a time instead of
-/// one. The ratio is the tentpole's payoff and should stay above 4x.
+/// outcomes and modelled time), emulated 63 machines at a time (64 faults
+/// select the 64-lane word) instead of one. The ratio is the tentpole's payoff and should stay above 4x.
 fn bench_batch(c: &mut Criterion) {
     use fades_core::{Campaign, CampaignConfig, DurationRange, FaultLoad, TargetClass};
     use fades_mcu8051::OBSERVED_PORTS;

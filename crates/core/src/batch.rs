@@ -1,8 +1,9 @@
-//! Lane-cohort execution: up to 63 experiments per simulated pass.
+//! Lane-cohort execution: up to `64 * W - 1` experiments per simulated
+//! pass, on a lane word of `W` `u64`s sized to the cohort.
 //!
 //! The campaign layer groups lane-expressible plan entries into cohorts
 //! and runs each cohort on one [`BatchDevice`]: lane 0 replays the golden
-//! run, lanes `1..=63` each carry one experiment. A lane whose
+//! run, every other lane carries one experiment. A lane whose
 //! configuration has returned to pristine *and* whose sequential state
 //! has reconverged with lane 0 is provably golden for every remaining
 //! cycle, so it retires immediately — outcome decided — and is refilled
@@ -19,7 +20,7 @@
 //!
 //! # Wall-clock attribution
 //!
-//! The cohort's wall clock is *shared*: 63 concurrent lanes advance on
+//! The cohort's wall clock is *shared*: every occupied lane advances on
 //! one host instruction stream. Each retirement (and the end of the
 //! pass) charges the clock advanced since the previous charge point,
 //! divided evenly across the lanes that were occupied over that
@@ -29,7 +30,8 @@
 
 use std::time::Instant;
 
-use fades_fpga::{BatchDevice, LANES};
+use fades_fpga::{BatchDevice, Word};
+use fades_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,8 +68,8 @@ pub(crate) fn lane_expressible(fault: &ResolvedFault) -> bool {
 /// Validates the entries against the golden run length and resolves the
 /// observed ports to lane-engine wire lists — the shared prologue of
 /// every cohort loop.
-pub(crate) fn lane_prologue(
-    batch: &BatchDevice,
+pub(crate) fn lane_prologue<const W: usize>(
+    batch: &BatchDevice<W>,
     golden: &GoldenRun,
     ports: &[String],
     entries: &[&PlannedExperiment],
@@ -107,19 +109,21 @@ impl CohortClock {
     }
 
     /// Charges the clock advanced since the last charge point to the
-    /// currently occupied lanes, one equal share each. Call *before*
-    /// removing a retiring lane — it was occupied over the interval.
-    fn charge(&mut self, slots: &mut [Option<LaneSlot<'_>>]) {
+    /// occupied lanes `occ`, one equal share each. Call *before* removing
+    /// a retiring lane — it was occupied over the interval.
+    fn charge<const W: usize>(&mut self, slots: &mut [Option<LaneSlot<'_>>], occ: Word<W>) {
         let now_us = self.started.elapsed().as_secs_f64() * 1e6;
         let delta = now_us - self.marked_us;
         self.marked_us = now_us;
-        let occupied = slots.iter().flatten().count();
+        let occupied = occ.count_ones();
         if occupied == 0 {
             return;
         }
-        let share = delta / occupied as f64;
-        for slot in slots.iter_mut().flatten() {
-            slot.charged_us += share;
+        let share = delta / f64::from(occupied);
+        for lane in occ.ones() {
+            if let Some(slot) = &mut slots[lane] {
+                slot.charged_us += share;
+            }
         }
     }
 }
@@ -145,9 +149,9 @@ impl<'p> LaneSlot<'p> {
         }
     }
 
-    fn finish(
+    fn finish<const W: usize>(
         self,
-        batch: &BatchDevice,
+        batch: &BatchDevice<W>,
         lane: usize,
         outcome: Outcome,
         early_stop_cycles: u64,
@@ -171,16 +175,31 @@ impl<'p> LaneSlot<'p> {
 /// Deposits the per-experiment telemetry a lane retirement owes: the
 /// `experiment` phase histogram entry and — when Chrome tracing is on —
 /// a completed span of the lane's charged wall ending now. Lane spans
-/// overlap on one thread (the word runs up to 63 experiments at once),
+/// overlap on one thread (the word runs up to 255 experiments at once),
 /// which the trace renders faithfully.
-fn trace_retirement(index: u64, wall_us: u64) {
-    fades_telemetry::span_phase("experiment").record(wall_us);
+fn trace_retirement(phase: &Histogram, index: u64, wall_us: u64) {
+    phase.record(wall_us);
     if fades_telemetry::trace::enabled() {
         fades_telemetry::trace::set_current_experiment(index);
         let end = fades_telemetry::trace::epoch_us();
         fades_telemetry::trace::record_span("experiment", end.saturating_sub(wall_us), wall_us);
         fades_telemetry::trace::set_current_experiment(fades_telemetry::trace::NO_EXPERIMENT);
     }
+}
+
+/// The lane-word width, in `u64`s, for a cohort of `n` lane entries: the
+/// widest `W` ∈ {1, 2, 4} whose `64 * W - 1` faulty lanes the cohort
+/// fills at least twice over.
+///
+/// A sweep of a wider word costs more (measured per batch cycle: W=2
+/// ~1.1×, W=4 ~1.6× the W=1 cost), and it pays only while the extra lanes
+/// stay occupied. A small cohort on a wide word would sweep mostly empty
+/// lanes, so shards of a few dozen faults stay on the 64-lane word.
+pub(crate) fn lane_word_width(n: usize) -> usize {
+    [4, 2]
+        .into_iter()
+        .find(|&w| n >= 2 * (64 * w - 1))
+        .unwrap_or(1)
 }
 
 /// Runs *one* pass of the lane engine over `pending`: fills the lanes in
@@ -198,8 +217,11 @@ fn trace_retirement(index: u64, wall_us: u64) {
 /// Returns the entries this pass could not take: those whose injection
 /// instant had already passed when a lane freed up, plus everything
 /// beyond the last refill. The caller loops until the return is empty.
-pub(crate) fn run_one_cohort<'p>(
-    batch: &mut BatchDevice,
+///
+/// Per-cycle bookkeeping walks the occupancy mask `occ`, so its cost
+/// follows the occupied lanes, not the width of the word.
+pub(crate) fn run_one_cohort<'p, const W: usize>(
+    batch: &mut BatchDevice<W>,
     golden: &GoldenRun,
     port_wires: &[Vec<u32>],
     sub_cycle: bool,
@@ -231,19 +253,29 @@ pub(crate) fn run_one_cohort<'p>(
             0
         }
     };
+    let lanes = BatchDevice::<W>::LANES;
+    let capacity = (lanes - 1) as u64;
     let mut clock = CohortClock::start();
-    let mut slots: Vec<Option<LaneSlot<'p>>> = (0..LANES).map(|_| None).collect();
-    let mut occupied = 0usize;
+    let mut slots: Vec<Option<LaneSlot<'p>>> = (0..lanes).map(|_| None).collect();
+    // Occupied lanes; never includes the golden lane 0.
+    let mut occ = Word::<W>::ZERO;
+    // Per lane: the injection cycle and the cycle its fault is gone by
+    // (`FaultSchedule::inert_at`; `u64::MAX` for a permanent fault),
+    // dense so the per-cycle scans stay in cache.
+    let mut times = vec![(0u64, u64::MAX); lanes];
+    let lane_times = |e: &PlannedExperiment| (e.schedule.inject_at, e.schedule.gone_at());
+    let experiment_phase = fades_telemetry::span_phase("experiment");
     let mut cursor = 0usize;
     let mut leftovers: Vec<&'p PlannedExperiment> = Vec::new();
-    for slot in slots.iter_mut().skip(1) {
+    for (lane, slot) in slots.iter_mut().enumerate().skip(1) {
         let Some(&planned) = pending.get(cursor) else {
             break;
         };
         cursor += 1;
         loaded.push(planned);
         *slot = Some(LaneSlot::new(planned, sub_cycle));
-        occupied += 1;
+        times[lane] = lane_times(planned);
+        occ.set_bit(lane, true);
     }
 
     for cycle in start_cycle..run_cycles {
@@ -251,11 +283,13 @@ pub(crate) fn run_one_cohort<'p>(
         // analogue of the scalar early-stop hash check, by true
         // equality — equal state and pristine config imply the hash
         // check passes too).
-        let any_inert = slots
-            .iter()
-            .flatten()
-            .any(|s| s.planned.schedule.inert_at(cycle));
-        if any_inert {
+        let mut inert = Word::<W>::ZERO;
+        for lane in occ.ones() {
+            if times[lane].1 <= cycle {
+                inert.set_bit(lane, true);
+            }
+        }
+        if !inert.is_zero() {
             let conf = batch.config_divergence();
             // Decided-lane shortcut: a port-diverged lane's outcome is
             // locked (Failure), and once its fault is inert and its
@@ -264,38 +298,22 @@ pub(crate) fn run_one_cohort<'p>(
             // fixed. Snap it onto the golden trajectory so the ordinary
             // reconvergence retirement below fires right now instead of
             // dragging a hard-diverged machine to the end of the pass.
-            for (lane, entry) in slots.iter().enumerate().skip(1) {
-                let decided = entry.as_ref().is_some_and(|s| {
-                    s.diverged && s.planned.schedule.inert_at(cycle) && (conf >> lane) & 1 == 0
-                });
-                if decided {
+            for lane in (inert & !conf).ones() {
+                if slots[lane].as_ref().is_some_and(|s| s.diverged) {
                     batch.snap_lane_to_golden(lane);
                 }
             }
             let seq = batch.seq_divergence();
-            let mut will_retire = 0u64;
-            for (lane, entry) in slots.iter().enumerate().skip(1) {
-                let retire = entry.as_ref().is_some_and(|s| {
-                    s.planned.schedule.inert_at(cycle)
-                        && (seq >> lane) & 1 == 0
-                        && (conf >> lane) & 1 == 0
-                });
-                if retire {
-                    will_retire |= 1 << lane;
-                }
-            }
-            if will_retire != 0 {
+            let will_retire = inert & !seq & !conf;
+            if !will_retire.is_zero() {
                 // Charge the shared clock before the retiring lanes
                 // leave — they were occupied over the elapsed interval.
-                clock.charge(&mut slots);
-                for (lane, entry) in slots.iter_mut().enumerate().skip(1) {
-                    if (will_retire >> lane) & 1 == 0 {
-                        continue;
-                    }
-                    let Some(slot) = entry.take() else {
-                        continue; // retire mask checked occupancy
+                clock.charge(&mut slots, occ);
+                for lane in will_retire.ones() {
+                    let Some(slot) = slots[lane].take() else {
+                        continue; // the retire mask is a subset of `occ`
                     };
-                    occupied -= 1;
+                    occ.set_bit(lane, false);
                     let outcome = if slot.diverged {
                         Outcome::Failure
                     } else {
@@ -303,7 +321,7 @@ pub(crate) fn run_one_cohort<'p>(
                     };
                     fades_telemetry::sim::record_lane_retirement();
                     let (index, result) = slot.finish(batch, lane, outcome, run_cycles - cycle);
-                    trace_retirement(index, result.wall_us);
+                    trace_retirement(&experiment_phase, index, result.wall_us);
                     sink(index, result);
                     // Refill: skip entries whose injection instant has
                     // already passed (they wait for the next pass).
@@ -318,57 +336,64 @@ pub(crate) fn run_one_cohort<'p>(
                         cursor += 1;
                         batch.refill_lane(lane);
                         loaded.push(planned);
-                        *entry = Some(LaneSlot::new(planned, sub_cycle));
-                        occupied += 1;
+                        slots[lane] = Some(LaneSlot::new(planned, sub_cycle));
+                        times[lane] = lane_times(planned);
+                        occ.set_bit(lane, true);
                     }
                 }
             }
         }
-        if occupied == 0 {
+        if occ.is_zero() {
             break;
         }
-        for (lane, entry) in slots.iter_mut().enumerate().skip(1) {
-            if let Some(s) = entry {
-                if cycle == s.planned.schedule.inject_at {
-                    if let Some(c) = chaos {
-                        c.maybe_panic(s.planned.index, 0);
-                    }
-                    s.strategy.inject(&mut batch.lane(lane), &mut s.rng)?;
-                } else if s.planned.schedule.active(cycle) {
-                    s.strategy.tick(&mut batch.lane(lane), &mut s.rng)?;
+        // This cycle's strategy calls: injections, ticks of installed
+        // faults, and removals after the edge (`FaultSchedule::active`
+        // and `expires_after` over the dense times).
+        let (mut inject, mut tick, mut remove) =
+            (Word::<W>::ZERO, Word::<W>::ZERO, Word::<W>::ZERO);
+        for lane in occ.ones() {
+            let (start, end) = times[lane];
+            if start == cycle {
+                inject.set_bit(lane, true);
+            } else if start < cycle && cycle < end {
+                tick.set_bit(lane, true);
+            }
+            if cycle + 1 == end {
+                remove.set_bit(lane, true);
+            }
+        }
+        for lane in (inject | tick).ones() {
+            let Some(s) = &mut slots[lane] else { continue };
+            if inject.bit(lane) {
+                if let Some(c) = chaos {
+                    c.maybe_panic(s.planned.index, 0);
                 }
+                s.strategy.inject(&mut batch.lane(lane), &mut s.rng)?;
+            } else {
+                s.strategy.tick(&mut batch.lane(lane), &mut s.rng)?;
             }
         }
         batch.settle();
-        match golden.trace().row(cycle as usize) {
+        let diverged = match golden.trace().row(cycle as usize) {
             Some(row) => {
-                let mut diff = 0u64;
+                let mut diff = Word::<W>::ZERO;
                 for (wires, &g) in port_wires.iter().zip(row) {
                     diff |= batch.port_divergence(wires, g);
                 }
-                if diff != 0 {
-                    for (lane, s) in slots.iter_mut().enumerate() {
-                        if (diff >> lane) & 1 == 1 {
-                            if let Some(s) = s {
-                                s.diverged = true;
-                            }
-                        }
-                    }
-                }
+                diff & occ
             }
-            None => {
-                for s in slots.iter_mut().flatten() {
-                    s.diverged = true;
-                }
+            None => occ,
+        };
+        for lane in diverged.ones() {
+            if let Some(s) = &mut slots[lane] {
+                s.diverged = true;
             }
         }
         batch.clock_edge();
-        fades_telemetry::sim::record_lane_cycle(occupied as u64);
-        for (lane, entry) in slots.iter_mut().enumerate().skip(1) {
-            if let Some(s) = entry {
-                if s.planned.schedule.expires_after(cycle) {
-                    s.strategy.remove(&mut batch.lane(lane))?;
-                }
+        fades_telemetry::sim::record_lane_cycle(u64::from(occ.count_ones()), capacity);
+        for lane in remove.ones() {
+            if let Some(s) = &mut slots[lane] {
+                s.strategy.remove(&mut batch.lane(lane))?;
             }
         }
     }
@@ -377,25 +402,40 @@ pub(crate) fn run_one_cohort<'p>(
     // shared clock, remove an outliving fault (its removal traffic
     // belongs to this experiment's ledger, exactly as in the scalar
     // flow), then classify against the golden final state.
-    if occupied > 0 {
-        clock.charge(&mut slots);
+    if !occ.is_zero() {
+        clock.charge(&mut slots, occ);
     }
-    for (lane, entry) in slots.iter_mut().enumerate().skip(1) {
-        if let Some(mut slot) = entry.take() {
-            if slot.planned.schedule.outlives(run_cycles) {
-                slot.strategy.remove(&mut batch.lane(lane))?;
-            }
-            let outcome = if slot.diverged {
-                Outcome::Failure
-            } else if batch.state_snapshot_lane(lane).as_slice() != golden.final_state() {
-                Outcome::Latent
-            } else {
-                Outcome::Silent
-            };
-            let (index, result) = slot.finish(batch, lane, outcome, 0);
-            trace_retirement(index, result.wall_us);
-            sink(index, result);
+    // Latent classification compares each lane's final state with the
+    // golden run's. Lane 0 ran the golden trajectory, so once its state
+    // is the golden final state, the state-divergence mask answers for
+    // every lane (refreshed after a removal, which may write the lane's
+    // state); otherwise compare lane by lane.
+    let lane0_final =
+        !occ.is_zero() && batch.state_snapshot_lane(0).as_slice() == golden.final_state();
+    let mut state_div = batch.state_divergence();
+    for lane in occ.ones() {
+        let Some(mut slot) = slots[lane].take() else {
+            continue;
+        };
+        if slot.planned.schedule.outlives(run_cycles) {
+            slot.strategy.remove(&mut batch.lane(lane))?;
+            state_div = batch.state_divergence();
         }
+        let latent = if lane0_final {
+            state_div.bit(lane)
+        } else {
+            batch.state_snapshot_lane(lane).as_slice() != golden.final_state()
+        };
+        let outcome = if slot.diverged {
+            Outcome::Failure
+        } else if latent {
+            Outcome::Latent
+        } else {
+            Outcome::Silent
+        };
+        let (index, result) = slot.finish(batch, lane, outcome, 0);
+        trace_retirement(&experiment_phase, index, result.wall_us);
+        sink(index, result);
     }
 
     leftovers.extend_from_slice(&pending[cursor..]);
@@ -411,9 +451,10 @@ pub(crate) fn run_one_cohort<'p>(
 /// independent of cohort composition (lanes interact only with the
 /// golden lane, and timing draws are lane-invariant), so the merged
 /// results are bit-identical to the single-threaded run — the same
-/// property the sharded-dispatch suite already pins down.
-pub(crate) fn run_lane_cohorts<'p>(
-    batch: &mut BatchDevice,
+/// property the sharded-dispatch suite already pins down — and to a run
+/// on a word of any other width.
+pub(crate) fn run_lane_cohorts<'p, const W: usize>(
+    batch: &mut BatchDevice<W>,
     golden: &GoldenRun,
     ports: &[String],
     sub_cycle: bool,
@@ -428,7 +469,8 @@ pub(crate) fn run_lane_cohorts<'p>(
     pending.sort_by_key(|e| (e.schedule.inject_at, e.index));
 
     // No point spinning up a word for fewer entries than a word holds.
-    let threads = threads.clamp(1, pending.len().div_ceil(LANES - 1).max(1));
+    let faulty_lanes = BatchDevice::<W>::LANES - 1;
+    let threads = threads.clamp(1, pending.len().div_ceil(faulty_lanes).max(1));
     let mut results: Vec<(u64, ExperimentResult)> = Vec::with_capacity(entries.len());
     if threads <= 1 {
         while !pending.is_empty() {
@@ -489,4 +531,143 @@ pub(crate) fn run_lane_cohorts<'p>(
 
     results.sort_by_key(|(index, _)| *index);
     Ok(results)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Campaign, CampaignConfig, DurationRange, FaultLoad, PermanentFault, TargetClass};
+
+    #[test]
+    fn lane_word_width_takes_the_widest_word_filled_twice() {
+        for (n, w) in [
+            (0, 1),
+            (63, 1),
+            (253, 1),
+            (254, 2),
+            (509, 2),
+            (510, 4),
+            (3000, 4),
+        ] {
+            assert_eq!(lane_word_width(n), w, "{n} lane entries");
+        }
+    }
+
+    /// Runs `entries` through `run_lane_cohorts` on a width-`W` word.
+    fn run_width<const W: usize>(
+        campaign: &Campaign<'_>,
+        sub_cycle: bool,
+        entries: &[&PlannedExperiment],
+    ) -> Vec<(u64, ExperimentResult)> {
+        let (device, ports) = campaign.lane_parts();
+        let mut batch = BatchDevice::<W>::new(device).expect("lane-encodable");
+        run_lane_cohorts(&mut batch, campaign.golden(), ports, sub_cycle, entries, 1)
+            .expect("lane run")
+    }
+
+    /// Everything of a result except its wall-clock share.
+    fn observable(r: &(u64, ExperimentResult)) -> String {
+        let (index, e) = r;
+        format!(
+            "{index} {:?} {:?} {:?} {:?} {} {} {}",
+            e.fault,
+            e.schedule,
+            e.outcome,
+            e.traffic,
+            e.strategy,
+            e.skipped_cycles,
+            e.early_stop_cycles
+        )
+    }
+
+    /// The word width is a host-side packing choice: one plan per
+    /// lane-expressible fault type gives the same results, traffic
+    /// included, on 64-, 128- and 256-lane words.
+    #[test]
+    fn every_word_width_gives_identical_results() {
+        use fades_mcu8051::{build_soc, workloads, OBSERVED_PORTS};
+        let w = workloads::fibonacci();
+        let soc = build_soc(&w.rom).expect("soc");
+        let imp = fades_pnr::implement(&soc.netlist, fades_fpga::ArchParams::virtex1000_like())
+            .expect("implements");
+        let config = CampaignConfig {
+            threads: 1,
+            static_preclassify: false,
+            ..CampaignConfig::default()
+        };
+        let campaign = Campaign::with_config(&soc.netlist, imp, &OBSERVED_PORTS, 400, config)
+            .expect("campaign");
+        let memory = TargetClass::MemoryBits {
+            name: "iram".into(),
+            lo: w.data_range.0 as usize,
+            hi: w.data_range.1 as usize,
+        };
+        let loads = [
+            (
+                "FfBitFlip",
+                FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle),
+            ),
+            (
+                "MemBitFlip",
+                FaultLoad::bit_flips(memory, DurationRange::SubCycle),
+            ),
+            (
+                "MultiFfBitFlip",
+                FaultLoad::multiple_bit_flips(TargetClass::AllFfs, 3),
+            ),
+            (
+                "LutPulse",
+                FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT),
+            ),
+            (
+                "CbInputPulse",
+                FaultLoad::pulses(TargetClass::CbInputs, DurationRange::SHORT),
+            ),
+            (
+                "FfIndet",
+                FaultLoad::indeterminations(TargetClass::AllFfs, DurationRange::SHORT, false),
+            ),
+            (
+                "LutIndet",
+                FaultLoad::indeterminations(TargetClass::AllLuts, DurationRange::SHORT, false),
+            ),
+            (
+                "Permanent",
+                FaultLoad::permanent(PermanentFault::StuckAt, TargetClass::AllLuts),
+            ),
+        ];
+        for (kind, load) in loads {
+            // More entries than a 64-lane word holds, so the widths split
+            // the plan into different cohorts and refills.
+            let plan = campaign.plan(&load, 150, 31).expect("plan");
+            let entries: Vec<&PlannedExperiment> = plan
+                .experiments
+                .iter()
+                .filter(|e| lane_expressible(&e.fault))
+                .collect();
+            assert_eq!(entries.len(), plan.experiments.len(), "{kind}");
+            assert!(
+                entries
+                    .iter()
+                    .all(|e| format!("{:?}", e.fault).starts_with(kind)),
+                "{kind}: the load resolves to {:?}",
+                entries[0].fault
+            );
+            let w1: Vec<String> = run_width::<1>(&campaign, plan.sub_cycle, &entries)
+                .iter()
+                .map(observable)
+                .collect();
+            let w2: Vec<String> = run_width::<2>(&campaign, plan.sub_cycle, &entries)
+                .iter()
+                .map(observable)
+                .collect();
+            let w4: Vec<String> = run_width::<4>(&campaign, plan.sub_cycle, &entries)
+                .iter()
+                .map(observable)
+                .collect();
+            assert_eq!(w1.len(), entries.len(), "{kind}");
+            assert_eq!(w1, w2, "{kind}: 128-lane word");
+            assert_eq!(w1, w4, "{kind}: 256-lane word");
+        }
+    }
 }

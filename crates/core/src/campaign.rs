@@ -34,7 +34,8 @@ pub struct CampaignConfig {
     /// emulation time are identical to the full-simulation path.
     pub fastpath: bool,
     /// Whether the batched entry points use the bit-parallel lane engine
-    /// (63 experiments plus the golden run per `u64` word). Like
+    /// (up to 255 experiments plus the golden run per lane word, the word
+    /// sized to the plan). Like
     /// [`fastpath`](CampaignConfig::fastpath), a host-side shortcut only:
     /// outcomes, traffic and modelled emulation time are bit-identical to
     /// the scalar path. With this off, [`Campaign::run_batched`] falls
@@ -286,6 +287,13 @@ impl<'n> Campaign<'n> {
         &self.golden
     }
 
+    /// The pristine device and observed ports the lane engine is built
+    /// from.
+    #[cfg(test)]
+    pub(crate) fn lane_parts(&self) -> (&Device, &[String]) {
+        (&self.device, &self.ports)
+    }
+
     /// The implementation under test.
     pub fn implementation(&self) -> &Implementation {
         &self.implementation
@@ -361,9 +369,10 @@ impl<'n> Campaign<'n> {
     }
 
     /// [`run`](Campaign::run) through the bit-parallel lane engine: plan
-    /// entries are grouped into cohorts of up to 63 and emulated
-    /// simultaneously, one per `u64` lane, with lane 0 replaying the
-    /// golden run. Outcomes, configuration traffic and modelled emulation
+    /// entries are grouped into cohorts of up to `64 * W - 1` and
+    /// emulated simultaneously, one per lane of a `W`-`u64` word (`W` is
+    /// 1, 2 or 4, sized to the number of lane entries), with lane 0
+    /// replaying the golden run. Outcomes, configuration traffic and modelled emulation
     /// seconds are bit-identical to [`run`](Campaign::run) — the engine
     /// changes host wall-clock only.
     ///
@@ -448,7 +457,40 @@ impl<'n> Campaign<'n> {
         if !self.config.batch {
             return self.execute(plan, recorder);
         }
-        let Some(mut engine) = fades_fpga::BatchDevice::new(&self.device) else {
+        match crate::batch::lane_word_width(self.lane_entry_count(plan)) {
+            4 => self.execute_batched_on::<4>(plan, recorder),
+            2 => self.execute_batched_on::<2>(plan, recorder),
+            _ => self.execute_batched_on::<1>(plan, recorder),
+        }
+    }
+
+    /// Whether `e` runs on the lane engine: lane-expressible, and not a
+    /// statically-Silent entry the skip sends to the scalar side (so
+    /// `execute_mode` stays the single place that replays them; a lane
+    /// would simulate them for nothing).
+    fn runs_on_lane(&self, e: &PlannedExperiment) -> bool {
+        crate::batch::lane_expressible(&e.fault)
+            && !(self.config.static_preclassify
+                && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
+    }
+
+    /// Number of `plan` entries the lane engine takes, which sizes its
+    /// word.
+    fn lane_entry_count(&self, plan: &CampaignPlan) -> usize {
+        plan.experiments
+            .iter()
+            .filter(|e| self.runs_on_lane(e))
+            .count()
+    }
+
+    /// [`execute_batched`](Self::execute_batched) on a lane word of `W`
+    /// `u64`s.
+    fn execute_batched_on<const W: usize>(
+        &self,
+        plan: &CampaignPlan,
+        recorder: Option<&Recorder>,
+    ) -> Result<Vec<ExperimentResult>, CoreError> {
+        let Some(mut engine) = fades_fpga::BatchDevice::<W>::new(&self.device) else {
             // The design is not lane-encodable (pristine memory contents
             // carry bits beyond their declared width, or a word is wider
             // than 64 bits): run everything scalar.
@@ -458,14 +500,7 @@ impl<'n> Campaign<'n> {
             return Ok(Vec::new());
         }
 
-        // Statically-Silent experiments go to the scalar side when the
-        // skip is enabled, so `execute_mode` stays the single place that
-        // replays them (a lane would simulate them for nothing).
-        let on_lane = |e: &PlannedExperiment| {
-            crate::batch::lane_expressible(&e.fault)
-                && !(self.config.static_preclassify
-                    && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
-        };
+        let on_lane = |e: &PlannedExperiment| self.runs_on_lane(e);
         let lane_entries: Vec<&PlannedExperiment> =
             plan.experiments.iter().filter(|e| on_lane(e)).collect();
         let scalar_plan = CampaignPlan {
@@ -720,7 +755,7 @@ impl<'n> Campaign<'n> {
     }
 
     /// The lane engine under the isolation contract: lane-expressible
-    /// experiments run 63 per `u64` word, everything else (and every
+    /// experiments run up to 255 per lane word, everything else (and every
     /// fallback) goes through [`execute_isolated`](Self::execute_isolated)
     /// — same retry/quarantine semantics, same verdict shapes, outcomes
     /// and modelled seconds bit-identical to the scalar isolated path.
@@ -756,7 +791,23 @@ impl<'n> Campaign<'n> {
         if !self.config.batch {
             return self.execute_isolated(plan, retries, recorder, observer);
         }
-        let Some(mut engine) = fades_fpga::BatchDevice::new(&self.device) else {
+        match crate::batch::lane_word_width(self.lane_entry_count(plan)) {
+            4 => self.execute_batched_isolated_on::<4>(plan, retries, recorder, observer),
+            2 => self.execute_batched_isolated_on::<2>(plan, retries, recorder, observer),
+            _ => self.execute_batched_isolated_on::<1>(plan, retries, recorder, observer),
+        }
+    }
+
+    /// [`execute_batched_isolated`](Self::execute_batched_isolated) on a
+    /// lane word of `W` `u64`s.
+    fn execute_batched_isolated_on<const W: usize>(
+        &self,
+        plan: &CampaignPlan,
+        retries: u32,
+        recorder: Option<&Recorder>,
+        observer: Option<&(dyn Fn(&ExperimentVerdict) + Sync)>,
+    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
+        let Some(mut engine) = fades_fpga::BatchDevice::<W>::new(&self.device) else {
             return self.execute_isolated(plan, retries, recorder, observer);
         };
         if plan.is_empty() {
@@ -765,11 +816,7 @@ impl<'n> Campaign<'n> {
 
         // As in `execute_batched`: statically-Silent experiments take the
         // scalar isolated path, where `execute_mode` replays their ledger.
-        let on_lane = |e: &PlannedExperiment| {
-            crate::batch::lane_expressible(&e.fault)
-                && !(self.config.static_preclassify
-                    && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
-        };
+        let on_lane = |e: &PlannedExperiment| self.runs_on_lane(e);
         let lane_entries: Vec<&PlannedExperiment> =
             plan.experiments.iter().filter(|e| on_lane(e)).collect();
         let scalar_plan = CampaignPlan {
@@ -884,7 +931,7 @@ impl<'n> Campaign<'n> {
                     }
                     // The word may hold a half-installed fault; rebuild
                     // the engine from the pristine device.
-                    match fades_fpga::BatchDevice::new(&self.device) {
+                    match fades_fpga::BatchDevice::<W>::new(&self.device) {
                         Some(rebuilt) => engine = rebuilt,
                         None => {
                             fallback.extend(pending.iter().map(|e| (*e).clone()));

@@ -43,10 +43,14 @@ impl FaultSchedule {
     /// configuration is behaviourally pristine. Never true for permanent
     /// faults.
     pub(crate) fn inert_at(&self, cycle: u64) -> bool {
-        match self.duration {
-            Some(d) => cycle >= self.inject_at.saturating_add(d),
-            None => false,
-        }
+        cycle >= self.gone_at()
+    }
+
+    /// The first cycle at which [`inert_at`](Self::inert_at) holds;
+    /// `u64::MAX` (never reached) for a permanent fault.
+    pub(crate) fn gone_at(&self) -> u64 {
+        self.duration
+            .map_or(u64::MAX, |d| self.inject_at.saturating_add(d))
     }
 
     /// Whether the fault is still installed when a run of `run_cycles`

@@ -3,7 +3,8 @@
 //!
 //! The lane engine is a host-side shortcut: each faulty machine still
 //! executes the full workload and its strategy issues the same
-//! reconfigurations in the same order, just 63 machines per `u64` word.
+//! reconfigurations in the same order, just up to 255 machines per lane
+//! word (63 per `u64`, with 1, 2 or 4 `u64`s sized to the plan).
 //! These tests pin that down for every fault load — identical seeds must
 //! give identical faults, outcomes, configuration traffic and
 //! (bit-for-bit) modelled emulation time on both paths, including for
@@ -279,6 +280,18 @@ fn cohort_overflow_refills_and_multi_pass() {
     for seed in [212, 218] {
         assert_equivalent(&nl, &imp, &["q"], 150, &load, 100, seed);
     }
+}
+
+#[test]
+fn wide_lane_words_match_scalar_path() {
+    // 254 lane entries fill a 127-lane word twice and select it; 510 fill
+    // a 255-lane word twice. Both run against the scalar oracle, cold
+    // and warm-started, as every other load does.
+    let (nl, imp) = lfsr_design();
+    let flips = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
+    assert_equivalent(&nl, &imp, &["q"], 150, &flips, 254, 223);
+    let pulses = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    assert_equivalent(&nl, &imp, &["q"], 150, &pulses, 510, 224);
 }
 
 #[test]

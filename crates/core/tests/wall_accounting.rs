@@ -1,12 +1,13 @@
 //! Wall-clock attribution invariants of the lane engine.
 //!
-//! The cohort's host clock is shared by up to 63 concurrent lanes; each
+//! The cohort's host clock is shared by up to 255 concurrent lanes; each
 //! retirement charges the elapsed interval *divided* across the occupied
 //! lanes. These tests pin down the consequences:
 //!
 //! * summed per-experiment `wall_us` across a batched campaign stays
 //!   within the campaign's measured elapsed wall (the historical bug had
-//!   every lane claim the whole word's residency, inflating the sum 63×),
+//!   every lane claim the whole word's residency, inflating the sum by
+//!   the lane count),
 //! * the telemetry aggregate's `mean_us_per_fault() * n` reproduces the
 //!   summed per-experiment `wall_us` on the scalar and batched paths, and
 //! * the batched per-fault host cost comes out below scalar.
@@ -99,14 +100,14 @@ fn lane_wall_attribution_shares_the_cohort_clock() {
     // Shared-clock attribution: the cohort's lanes split its elapsed
     // wall, so the sum cannot exceed what the whole batched execution
     // measurably took (+1µs rounding per experiment). The overcounting
-    // bug put this at ~63× the elapsed wall.
+    // bug put this at ~63× the elapsed wall on a 64-lane word.
     assert!(
         result_sum <= elapsed_us + n as u64,
         "summed batched wall_us ({result_sum}µs) exceeds the measured elapsed wall \
          ({elapsed_us}µs): lanes are claiming whole-word residency again"
     );
 
-    // 63-wide sharing must make the per-fault host cost cheaper than
+    // Lane sharing must make the per-fault host cost cheaper than
     // running the same faults one at a time.
     assert!(
         batched.mean_us_per_fault() < scalar.mean_us_per_fault(),

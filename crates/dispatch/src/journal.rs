@@ -404,11 +404,23 @@ impl Journal {
     /// I/O errors, a missing/invalid header line, or conflicting
     /// duplicate records.
     pub fn load(path: &Path) -> Result<JournalReplay, DispatchError> {
-        let text = std::fs::read_to_string(path)?;
-        let mut lines = text.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| DispatchError::Journal(format!("{}: empty journal", path.display())))?;
+        let bytes = std::fs::read(path)?;
+        if bytes.is_empty() {
+            return Err(DispatchError::Journal(format!(
+                "{}: empty journal",
+                path.display()
+            )));
+        }
+        // Lines split as `str::lines` splits them (a trailing `\r` is
+        // dropped), but on bytes: a line that is not UTF-8 — a tail torn
+        // inside a multi-byte character, or stray bytes — is one more
+        // malformed line, not an unreadable journal.
+        let mut lines = bytes
+            .split(|&b| b == b'\n')
+            .map(|l| std::str::from_utf8(l.strip_suffix(b"\r").unwrap_or(l)));
+        let header_line = lines.next().and_then(Result::ok).ok_or_else(|| {
+            DispatchError::Journal(format!("{}: bad header: not UTF-8", path.display()))
+        })?;
         let header_value = json::parse(header_line)
             .map_err(|e| DispatchError::Journal(format!("{}: bad header: {e}", path.display())))?;
         if header_value.get("type").and_then(JsonValue::as_str) != Some("plan") {
@@ -428,6 +440,10 @@ impl Journal {
             settled_at_ms: BTreeMap::new(),
         };
         for line in lines {
+            let Ok(line) = line else {
+                replay.malformed_lines += 1;
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -570,6 +586,96 @@ mod tests {
         assert_eq!(replay.malformed_lines, 1);
         assert!(!replay.shard_complete);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn loader_tolerates_a_tail_torn_inside_a_utf8_character() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("fades-journal-utf8-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::create(&path, &header()).unwrap();
+            j.append(&JournalRecord::Completed {
+                index: 1,
+                outcome: Outcome::Silent,
+                modelled_seconds: 0.5,
+                attempts: 1,
+            })
+            .unwrap();
+        }
+        // A kill mid-write of a quarantine message holding "µ" (0xC2
+        // 0xB5): the tail ends after the character's first byte.
+        use std::io::Write as _;
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"type\":\"quarantined\",\"index\":2,\"error\":\"took 3 \xC2")
+            .unwrap();
+        drop(f);
+
+        let replay = Journal::load(&path).unwrap();
+        assert_eq!(replay.completed.len(), 1);
+        assert!(replay.quarantined.is_empty());
+        assert_eq!(replay.malformed_lines, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    proptest::proptest! {
+        /// A torn or garbage tail — a cut-off record followed by any
+        /// bytes at all, UTF-8 or not — never makes the journal
+        /// unloadable, and every record written before it survives.
+        #[test]
+        fn any_appended_tail_keeps_every_earlier_record(
+            cut in 0usize..80,
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let dir = std::env::temp_dir();
+            let path = dir.join(format!(
+                "fades-journal-tail-{}-{:?}.jsonl",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            {
+                let mut j = Journal::create(&path, &header()).unwrap();
+                j.append(&JournalRecord::Completed {
+                    index: 4,
+                    outcome: Outcome::Failure,
+                    modelled_seconds: 0.25,
+                    attempts: 1,
+                })
+                .unwrap();
+                j.append(&JournalRecord::Quarantined {
+                    index: 7,
+                    error: "µ-op panicked".into(),
+                    attempts: 2,
+                })
+                .unwrap();
+            }
+            let before = Journal::load(&path).unwrap();
+            let record = JournalRecord::Completed {
+                index: 9,
+                outcome: Outcome::Silent,
+                modelled_seconds: 0.5,
+                attempts: 1,
+            }
+            .to_json();
+            let mut tail = record.as_bytes()[..cut.min(record.len())].to_vec();
+            tail.extend_from_slice(&garbage);
+            use std::io::Write as _;
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&tail).unwrap();
+            drop(f);
+
+            let after = Journal::load(&path);
+            let _ = std::fs::remove_file(&path);
+            let after = after.unwrap();
+            proptest::prop_assert_eq!(&after.header, &before.header);
+            for (index, record) in &before.completed {
+                proptest::prop_assert_eq!(after.completed.get(index), Some(record));
+            }
+            for (index, record) in &before.quarantined {
+                proptest::prop_assert_eq!(after.quarantined.get(index), Some(record));
+            }
+        }
     }
 
     #[test]

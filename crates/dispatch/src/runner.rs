@@ -24,7 +24,7 @@ pub struct ShardOptions {
     /// while executing.
     pub with_recorder: bool,
     /// Whether to run lane-expressible experiments on the bit-parallel
-    /// lane engine (63 per `u64` word) via
+    /// lane engine (up to 255 per lane word) via
     /// [`Campaign::execute_batched_isolated`]. Outcomes, modelled
     /// seconds and journal contents are bit-identical to the scalar
     /// isolated path — this changes host wall-clock only. Defaults to

@@ -1,6 +1,7 @@
 //! Lane-engine speed-up: the same single-threaded FF bit-flip campaign
-//! executed scalar (one faulty machine at a time) and batched (63 faulty
-//! machines plus golden per `u64` word).
+//! executed scalar (one faulty machine at a time) and batched (up to 255
+//! faulty machines plus golden per lane word, the word sized to the
+//! campaign: 63 lanes at 64 faults, 255 from 510).
 //!
 //! Both runs feed the telemetry recorder under distinct labels, so
 //! `BENCH_campaign.json` reports `faults_per_sec` for each and the ratio
@@ -91,7 +92,7 @@ pub fn run(
     let batch_cycles = fades_telemetry::sim::BATCH_CYCLES.get();
     let mut rows = vec![
         row("scalar", &scalar, n_faults, scalar_wall),
-        row("batched (64 lanes)", &batched, n_faults, batched_wall),
+        row("batched (lane engine)", &batched, n_faults, batched_wall),
     ];
 
     if threads > 1 {
@@ -141,7 +142,7 @@ fn row(path: &'static str, stats: &CampaignStats, n: usize, wall_s: f64) -> Path
 /// Asserts the recorded per-fault host cost of the batched campaign is
 /// below the scalar one. With shared-clock wall attribution (each lane
 /// is charged its *share* of the cohort clock, not the word's whole
-/// residency), 63-wide execution must come out cheaper per fault — this
+/// residency), lane-parallel execution must come out cheaper per fault — this
 /// is the regression guard for the lane wall-time overcounting bug,
 /// checked against the same aggregates that land in
 /// `BENCH_campaign.json`.

@@ -1,16 +1,19 @@
-//! Bit-parallel lane engine: 63 faulty machines plus one golden machine
-//! per `u64` word.
+//! Bit-parallel lane engine: `64 * W - 1` faulty machines plus one golden
+//! machine per lane word.
 //!
 //! [`BatchDevice`] replicates the dynamics of [`Device`] with every piece
-//! of per-element runtime state widened from `bool` to `u64`: bit `l` of a
-//! word is the value that element holds in *lane* `l`. Lane 0 is reserved
-//! for the golden (fault-free) run; lanes `1..=63` each carry one
-//! independent fault-injection experiment. LUT evaluation becomes a
-//! branch-free mux tree over input words, flip-flop captures and
-//! block-RAM writes are lane-masked word operations, and every
-//! reconfiguration a strategy performs goes through a [`LaneDevice`]
-//! facade that touches only its own lane's bit while charging that lane's
-//! own [`TransferLedger`].
+//! of per-element runtime state widened from `bool` to a [`Word<W>`] of
+//! `64 * W` lanes: lane `l` of a word is the value that element holds in
+//! *lane* `l`. Lane 0 (bit 0 of word 0) is reserved for the golden
+//! (fault-free) run; every other lane carries one independent
+//! fault-injection experiment. LUT evaluation becomes a branch-free mux
+//! tree over input words, flip-flop captures and block-RAM writes are
+//! lane-masked word operations, and every reconfiguration a strategy
+//! performs goes through a [`LaneDevice`] facade that touches only its own
+//! lane's bit while charging that lane's own [`TransferLedger`].
+//!
+//! `W = 1` is the 64-lane engine on one `u64`; the campaign layer picks a
+//! wider word only for cohorts large enough to fill it.
 //!
 //! The engine is honest in the same sense the scalar device is: strategies
 //! drive it through the [`ConfigAccess`] trait — the exact
@@ -34,30 +37,7 @@ use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
 use crate::reconfig::Mutation;
 use crate::state::DeviceState;
-
-/// Number of lanes in one batch word.
-pub const LANES: usize = 64;
-
-/// Lane-mask of the golden lane (lane 0, never faulted).
-pub const GOLDEN_LANE_MASK: u64 = 1;
-
-/// Broadcasts a boolean across all 64 lanes.
-#[inline(always)]
-fn splat(b: bool) -> u64 {
-    0u64.wrapping_sub(b as u64)
-}
-
-/// Broadcasts lane 0 of a word across all 64 lanes.
-#[inline(always)]
-fn splat_lane0(w: u64) -> u64 {
-    0u64.wrapping_sub(w & 1)
-}
-
-/// True if every lane of the word holds the same value.
-#[inline(always)]
-fn uniform(w: u64) -> bool {
-    w == 0 || w == u64::MAX
-}
+use crate::word::Word;
 
 /// The readback/reconfigure surface injection strategies drive.
 ///
@@ -65,7 +45,7 @@ fn uniform(w: u64) -> bool {
 /// [`LaneDevice`] implements it against one lane of a [`BatchDevice`].
 /// Fault-injection strategies are written against this trait, which is
 /// what lets the same strategy code run one experiment on a scalar device
-/// or 63 at once on the lane engine.
+/// or up to 255 at once on the lane engine.
 pub trait ConfigAccess {
     /// Reads back the state of one flip-flop (one capture frame).
     ///
@@ -162,7 +142,7 @@ impl ConfigAccess for Device {
 /// One memory block, lane-parallel: contents are stored transposed, one
 /// lane word per (address, bit) cell.
 #[derive(Debug, Clone)]
-struct LaneBram {
+struct LaneBram<const W: usize> {
     we: Option<u32>,
     addr_wires: Vec<u32>,
     din_wires: Vec<u32>,
@@ -170,7 +150,7 @@ struct LaneBram {
     width: usize,
     depth: usize,
     /// `contents[addr * width + bit]` is the lane word of that bit.
-    contents: Vec<u64>,
+    contents: Vec<Word<W>>,
     /// Scalar pristine words, for broadcast reset.
     pristine_words: Vec<u64>,
     /// Indices into `contents` that may differ across lanes. Lazily swept
@@ -178,65 +158,123 @@ struct LaneBram {
     /// content word is on this list.
     dirty: Vec<u32>,
     is_dirty: Vec<bool>,
-    prev_we: u64,
-    prev_addr: Vec<u64>,
-    prev_din: Vec<u64>,
+    prev_we: Word<W>,
+    prev_addr: Vec<Word<W>>,
+    prev_din: Vec<Word<W>>,
+    /// The write-port words presented at the current edge. Swapped with
+    /// `prev_*` after the edge, so no operand is ever copied.
+    now_addr: Vec<Word<W>>,
+    now_din: Vec<Word<W>>,
 }
 
 /// Evaluation descriptor of one combinational node, packed so the
 /// settle sweep streams one small record per node instead of gathering
 /// from several scattered arrays. For a LUT node: `target` is the LUT
 /// index, `table_off` its slice start in `compact_tables`, `arity`/`pins`
-/// the connected pin count and wires. For a BRAM node (`is_bram != 0`):
-/// `target` is the BRAM index and the rest is unused.
+/// the connected pin count and wires, `ctable` its pristine compact
+/// table, and `wide` is set while some lane overrides the table (only
+/// then does the sweep read the lane-word slice; otherwise every lane
+/// evaluates `ctable`). For a BRAM node (`is_bram != 0`): `target` is the
+/// BRAM index and the rest is unused.
 #[derive(Debug, Clone, Copy)]
 struct NodeDesc {
     target: u32,
     out_wire: u32,
     table_off: u32,
+    pins: [u32; 4],
+    ctable: u16,
     arity: u8,
     is_bram: u8,
-    pins: [u32; 4],
+    wide: bool,
 }
 
-impl LaneBram {
-    fn mark_dirty(&mut self, idx: usize) {
-        if !self.is_dirty[idx] {
-            self.is_dirty[idx] = true;
-            self.dirty.push(idx as u32);
-        }
+/// Adds `idx` to a memory block's dirty list unless it is already on it.
+fn mark_dirty(dirty: &mut Vec<u32>, is_dirty: &mut [bool], idx: usize) {
+    if !is_dirty[idx] {
+        is_dirty[idx] = true;
+        dirty.push(idx as u32);
     }
+}
 
-    fn reset(&mut self) {
-        for (addr, &w) in self.pristine_words.iter().enumerate() {
-            for bit in 0..self.width {
-                self.contents[addr * self.width + bit] = splat((w >> bit) & 1 == 1);
+impl<const W: usize> LaneBram<W> {
+    /// Splats one scalar memory image (and write-port shadow) across
+    /// every lane and empties the dirty list.
+    fn load_broadcast(&mut self, words: &[u64], (we, addr, din): (bool, usize, u64)) {
+        for (cells, &w) in self.contents.chunks_mut(self.width.max(1)).zip(words) {
+            for (bit, cell) in cells.iter_mut().enumerate() {
+                *cell = Word::splat((w >> bit) & 1 == 1);
             }
         }
         for &idx in &self.dirty {
             self.is_dirty[idx as usize] = false;
         }
         self.dirty.clear();
-        self.prev_we = 0;
-        for w in self.prev_addr.iter_mut() {
-            *w = 0;
+        self.prev_we = Word::splat(we);
+        for (k, w) in self.prev_addr.iter_mut().enumerate() {
+            *w = Word::splat((addr >> k) & 1 == 1);
         }
-        for w in self.prev_din.iter_mut() {
-            *w = 0;
+        for (k, w) in self.prev_din.iter_mut().enumerate() {
+            *w = Word::splat((din >> k) & 1 == 1);
+        }
+    }
+
+    /// Drives the read port's output wires from the current address
+    /// words (asynchronous read).
+    ///
+    /// Every lane reads the golden lane's address as whole words; only
+    /// the lanes whose address differs from it are then patched one by
+    /// one, so the cost follows the address-diverged lanes, not the
+    /// width of the word.
+    fn read(&self, wv: &mut [Word<W>]) {
+        let (golden, odd) = golden_address(self.addr_wires.iter().map(|&w| wv[w as usize]));
+        let base = golden * self.width;
+        for (bit, dw) in self.dout_wires.iter().enumerate() {
+            if let Some(w) = dw {
+                wv[*w as usize] = self.contents[base + bit];
+            }
+        }
+        for lane in odd.ones() {
+            let addr = lane_address(self.addr_wires.iter().map(|&w| wv[w as usize]), lane);
+            for (bit, dw) in self.dout_wires.iter().enumerate() {
+                if let Some(w) = dw {
+                    let v = self.contents[addr * self.width + bit].bit(lane);
+                    wv[*w as usize].set_bit(lane, v);
+                }
+            }
         }
     }
 }
 
-/// A lane-parallel replica of one configured [`Device`]: 64 copies of the
-/// compiled circuit advance together, one `u64` lane word per wire, LUT,
-/// flip-flop and memory bit.
+/// The golden lane's address on a bus of lane words (LSB first), and
+/// the lanes whose address differs from it.
+#[inline]
+fn golden_address<const W: usize>(bus: impl Iterator<Item = Word<W>>) -> (usize, Word<W>) {
+    let mut addr = 0usize;
+    let mut odd = Word::ZERO;
+    for (k, w) in bus.enumerate() {
+        addr |= ((w.0[0] & 1) as usize) << k;
+        odd |= w ^ w.splat_lane0();
+    }
+    (addr, odd)
+}
+
+/// One lane's address on a bus of lane words (LSB first).
+#[inline]
+fn lane_address<const W: usize>(bus: impl Iterator<Item = Word<W>>, lane: usize) -> usize {
+    bus.enumerate()
+        .fold(0, |addr, (k, w)| addr | usize::from(w.bit(lane)) << k)
+}
+
+/// A lane-parallel replica of one configured [`Device`]: `64 * W` copies
+/// of the compiled circuit advance together, one [`Word<W>`] per wire,
+/// LUT, flip-flop and memory bit.
 ///
 /// Constructed from a configured device with [`BatchDevice::new`]; the
 /// compiled structures, pristine configuration and (pristine) static
 /// timing are harvested once and shared by all lanes. Per-lane
 /// reconfiguration goes through [`BatchDevice::lane`].
 #[derive(Debug, Clone)]
-pub struct BatchDevice {
+pub struct BatchDevice<const W: usize> {
     arch: ArchParams,
     pristine: Bitstream,
     ffs: Vec<FfNode>,
@@ -253,11 +291,7 @@ pub struct BatchDevice {
     pristine_drive: Vec<bool>,
     ff_init: Vec<bool>,
 
-    // Lane configuration state. A LUT table is 16 lane words: bit `l` of
-    // `lut_tables[li][k]` is truth-table entry `k` in lane `l`. This is
-    // the readback/bookkeeping representation; evaluation uses the
-    // arity-compacted mirror below.
-    lut_tables: Vec<[u64; 16]>,
+    // Lane configuration state.
     /// Number of connected pins per LUT (structural: mutations rewrite
     /// tables, never routing, so this is lane-invariant and constant).
     lut_arity: Vec<u8>,
@@ -268,42 +302,54 @@ pub struct BatchDevice {
     lut_cpristine: Vec<u16>,
     /// Start of each LUT's slice in `compact_tables` (length `1 << arity`).
     lut_coff: Vec<u32>,
-    /// Lane-word truth tables in compact index space, arity-packed flat —
-    /// the evaluation mirror of `lut_tables`. Unconnected pins always
-    /// present a constant-0 word, so only the `1 << arity` entries with
-    /// those index bits clear are reachable; restricting the mux tree to
-    /// them is exact for pristine *and* mutated tables.
-    compact_tables: Vec<u64>,
+    /// Lane-word truth tables in compact index space, arity-packed flat.
+    /// Unconnected pins always present a constant-0 word, so only the
+    /// `1 << arity` entries with those index bits clear are reachable;
+    /// restricting the mux tree to them is exact for pristine *and*
+    /// mutated tables. A LUT's slice differs from the pristine splat only
+    /// in lanes that hold an override for it in `lut_overrides`.
+    compact_tables: Vec<Word<W>>,
+    /// Per lane: `(lut, table)` for every LUT whose full truth table in
+    /// that lane differs from pristine. Readback answers from here (else
+    /// from `pristine_tables`), and reset re-splats only the slices
+    /// named here.
+    lut_overrides: Vec<Vec<(u32, u16)>>,
     /// Lanes whose table differs from pristine, per LUT node.
-    lut_table_diff: Vec<u64>,
-    invert_ff_in: Vec<u64>,
+    lut_table_diff: Vec<Word<W>>,
+    invert_ff_in: Vec<Word<W>>,
     /// Lanes whose inverter differs from pristine, per FF node.
-    invert_diff: Vec<u64>,
-    lsr_drive: Vec<u64>,
+    invert_diff: Vec<Word<W>>,
+    lsr_drive: Vec<Word<W>>,
     /// Per lane: number of configuration cells (LUT tables + inverters)
     /// currently differing from pristine. Zero means the lane is
     /// behaviourally pristine (`lsr_drive` deliberately excluded, exactly
     /// like [`Device::config_behaviourally_pristine`]).
-    config_diff_count: [u32; LANES],
+    config_diff_count: Vec<u32>,
+    /// Lanes with a non-zero `config_diff_count`, maintained alongside it.
+    config_div: Word<W>,
 
     // Lane runtime state.
     cycle: u64,
-    wire_values: Vec<u64>,
-    lut_values: Vec<u64>,
-    ff_state: Vec<u64>,
-    ff_prev_d: Vec<u64>,
-    brams: Vec<LaneBram>,
+    wire_values: Vec<Word<W>>,
+    /// LUT output words, kept only for LUTs without an output wire (the
+    /// others are read from their wire).
+    lut_values: Vec<Word<W>>,
+    ff_state: Vec<Word<W>>,
+    ff_prev_d: Vec<Word<W>>,
+    brams: Vec<LaneBram<W>>,
     ledgers: Vec<TransferLedger>,
 
     /// Per-tape-position evaluation descriptor, in topological
     /// order: the settle sweep walks this array front to back.
     node_descs: Vec<NodeDesc>,
+    /// Position of each LUT's descriptor in `node_descs`.
+    lut_node: Vec<u32>,
 
     // Incremental retirement mask (see `seq_divergence`): the flip-flop
     // and capture-shadow components are folded during `clock_edge`, so
     // the per-cycle retirement check no longer rescans every word.
-    seq_div_ff: u64,
-    seq_div_shadow: u64,
+    seq_div_ff: Word<W>,
+    seq_div_shadow: Word<W>,
     /// A set/reset pulse mutated `ff_state` after the last edge, so the
     /// cached `seq_div_ff` fold may be stale.
     ff_touched_since_edge: bool,
@@ -387,7 +433,17 @@ pub fn lane_obstacles(bitstream: &Bitstream) -> Vec<LaneObstacle> {
     out
 }
 
-impl BatchDevice {
+impl<const W: usize> BatchDevice<W> {
+    /// Number of lanes in one batch word (the golden lane included).
+    pub const LANES: usize = 64 * W;
+
+    /// Lane-mask of the golden lane (lane 0, never faulted).
+    pub const GOLDEN_LANE_MASK: Word<W> = {
+        let mut w = [0u64; W];
+        w[0] = 1;
+        Word(w)
+    };
+
     /// Builds a lane engine from a configured device.
     ///
     /// Harvests the device's compiled tape and structures by borrow and
@@ -408,7 +464,28 @@ impl BatchDevice {
         }
         let arch = *pristine.arch();
         let timing = dev.static_timing(pristine);
-        let ffs = dev.ffs.clone();
+        // A flip-flop fed by its LUT reads the LUT's output wire when it
+        // has one (the same word after settle), so the sweep stores a LUT
+        // word only for LUTs without an output wire.
+        let mut lut_out = vec![NO_WIRE; dev.luts.len()];
+        for op in &dev.tape {
+            if op.kind == NodeKind::Lut {
+                lut_out[op.target as usize] = op.out_wire;
+            }
+        }
+        let ffs: Vec<FfNode> = dev
+            .ffs
+            .iter()
+            .map(|f| {
+                let mut f = f.clone();
+                if let FfData::LutInternal(li) = f.data {
+                    if lut_out[li as usize] != NO_WIRE {
+                        f.data = FfData::Wire(lut_out[li as usize]);
+                    }
+                }
+                f
+            })
+            .collect();
 
         let cbs = pristine.cbs();
         let pristine_tables: Vec<u16> = dev
@@ -430,22 +507,24 @@ impl BatchDevice {
             .collect();
 
         // The tape is arity-compacted (see `TapeOp`): each LUT evaluates
-        // a `2^arity`-word mux tree over its compact table slice.
+        // a `2^arity`-word mux tree over its compact table slice, which
+        // starts out as the pristine table splat across every lane.
         let mut lut_arity = Vec::with_capacity(dev.luts.len());
         let mut lut_cfull = Vec::with_capacity(dev.luts.len());
         let mut lut_cpristine = Vec::with_capacity(dev.luts.len());
         let mut lut_coff = Vec::with_capacity(dev.luts.len());
-        let mut coff = 0u32;
+        let mut compact_tables = Vec::new();
         for (l, &table) in dev.luts.iter().zip(&pristine_tables) {
             let arity = dev.tape[l.tape as usize].arity;
+            let ct = compact_table(table, &l.cfull);
             lut_arity.push(arity);
             lut_cfull.push(l.cfull);
-            lut_cpristine.push(compact_table(table, &l.cfull));
-            lut_coff.push(coff);
-            coff += 1u32 << arity;
+            lut_cpristine.push(ct);
+            lut_coff.push(compact_tables.len() as u32);
+            compact_tables.extend((0..1usize << arity).map(|k| Word::splat((ct >> k) & 1 == 1)));
         }
 
-        let brams: Vec<LaneBram> = pristine
+        let brams: Vec<LaneBram<W>> = pristine
             .brams()
             .iter()
             .zip(&dev.bram_write_ports)
@@ -460,13 +539,15 @@ impl BatchDevice {
                     dout_wires: douts.clone(),
                     width,
                     depth,
-                    contents: vec![0; depth * width],
+                    contents: vec![Word::ZERO; depth * width],
                     pristine_words: cfg.contents.clone(),
                     dirty: Vec::new(),
                     is_dirty: vec![false; depth * width],
-                    prev_we: 0,
-                    prev_addr: vec![0; port.addr.len()],
-                    prev_din: vec![0; port.din.len()],
+                    prev_we: Word::ZERO,
+                    prev_addr: vec![Word::ZERO; port.addr.len()],
+                    prev_din: vec![Word::ZERO; port.din.len()],
+                    now_addr: vec![Word::ZERO; port.addr.len()],
+                    now_din: vec![Word::ZERO; port.din.len()],
                 }
             })
             .collect();
@@ -476,25 +557,34 @@ impl BatchDevice {
         let n_luts = dev.luts.len();
         let n_ffs = ffs.len();
 
+        let mut lut_node = vec![0u32; n_luts];
         let node_descs: Vec<NodeDesc> = dev
             .tape
             .iter()
-            .map(|op| match op.kind {
-                NodeKind::Lut => NodeDesc {
-                    target: op.target,
-                    out_wire: op.out_wire,
-                    table_off: lut_coff[op.target as usize],
-                    arity: op.arity,
-                    is_bram: 0,
-                    pins: op.pins,
-                },
+            .enumerate()
+            .map(|(pos, op)| match op.kind {
+                NodeKind::Lut => {
+                    lut_node[op.target as usize] = pos as u32;
+                    NodeDesc {
+                        target: op.target,
+                        out_wire: op.out_wire,
+                        table_off: lut_coff[op.target as usize],
+                        pins: op.pins,
+                        ctable: lut_cpristine[op.target as usize],
+                        arity: op.arity,
+                        is_bram: 0,
+                        wide: false,
+                    }
+                }
                 NodeKind::Bram => NodeDesc {
                     target: op.target,
                     out_wire: NO_WIRE,
                     table_off: 0,
+                    pins: [0; 4],
+                    ctable: 0,
                     arity: 0,
                     is_bram: 1,
-                    pins: [0; 4],
+                    wide: false,
                 },
             })
             .collect();
@@ -512,27 +602,29 @@ impl BatchDevice {
             pristine_invert,
             pristine_drive,
             ff_init,
-            lut_tables: vec![[0u64; 16]; n_luts],
             lut_arity,
             lut_cfull,
             lut_cpristine,
             lut_coff,
-            compact_tables: vec![0u64; coff as usize],
-            lut_table_diff: vec![0; n_luts],
-            invert_ff_in: vec![0; n_ffs],
-            invert_diff: vec![0; n_ffs],
-            lsr_drive: vec![0; n_ffs],
-            config_diff_count: [0; LANES],
+            compact_tables,
+            lut_overrides: vec![Vec::new(); Self::LANES],
+            lut_table_diff: vec![Word::ZERO; n_luts],
+            invert_ff_in: vec![Word::ZERO; n_ffs],
+            invert_diff: vec![Word::ZERO; n_ffs],
+            lsr_drive: vec![Word::ZERO; n_ffs],
+            config_diff_count: vec![0; Self::LANES],
+            config_div: Word::ZERO,
             cycle: 0,
-            wire_values: vec![0; n_wires],
-            lut_values: vec![0; n_luts],
-            ff_state: vec![0; n_ffs],
-            ff_prev_d: vec![0; n_ffs],
+            wire_values: vec![Word::ZERO; n_wires],
+            lut_values: vec![Word::ZERO; n_luts],
+            ff_state: vec![Word::ZERO; n_ffs],
+            ff_prev_d: vec![Word::ZERO; n_ffs],
             brams,
-            ledgers: vec![TransferLedger::new(); LANES],
+            ledgers: vec![TransferLedger::new(); Self::LANES],
             node_descs,
-            seq_div_ff: 0,
-            seq_div_shadow: 0,
+            lut_node,
+            seq_div_ff: Word::ZERO,
+            seq_div_shadow: Word::ZERO,
             ff_touched_since_edge: false,
         };
         engine.reset();
@@ -549,54 +641,58 @@ impl BatchDevice {
         self.cycle
     }
 
-    /// Broadcast-splats every LUT's pristine truth table into both the
-    /// full (readback) and compact (evaluation) lane representations and
-    /// clears the table-diff masks.
-    fn rebuild_pristine_tables(&mut self) {
-        for li in 0..self.pristine_tables.len() {
-            let table = self.pristine_tables[li];
-            for (k, w) in self.lut_tables[li].iter_mut().enumerate() {
-                *w = splat((table >> k) & 1 == 1);
+    /// Returns every lane's configuration to pristine: re-splats the
+    /// compact table slices of the LUTs some lane overrode, restores the
+    /// inverter and set/reset-mux words, and clears the divergence
+    /// bookkeeping and all lane ledgers.
+    fn restore_pristine_config(&mut self) {
+        for overrides in &mut self.lut_overrides {
+            for &(li, _) in overrides.iter() {
+                let li = li as usize;
+                let ct = self.lut_cpristine[li];
+                let off = self.lut_coff[li] as usize;
+                let len = 1usize << self.lut_arity[li];
+                for (k, w) in self.compact_tables[off..off + len].iter_mut().enumerate() {
+                    *w = Word::splat((ct >> k) & 1 == 1);
+                }
+                self.lut_table_diff[li] = Word::ZERO;
+                self.node_descs[self.lut_node[li] as usize].wide = false;
             }
-            let ct = self.lut_cpristine[li];
-            let off = self.lut_coff[li] as usize;
-            for k in 0..(1usize << self.lut_arity[li]) {
-                self.compact_tables[off + k] = splat((ct >> k) & 1 == 1);
-            }
-            self.lut_table_diff[li] = 0;
+            overrides.clear();
         }
+        for i in 0..self.ffs.len() {
+            self.invert_ff_in[i] = Word::splat(self.pristine_invert[i]);
+            self.invert_diff[i] = Word::ZERO;
+            self.lsr_drive[i] = Word::splat(self.pristine_drive[i]);
+        }
+        self.config_diff_count.fill(0);
+        self.config_div = Word::ZERO;
+        for l in self.ledgers.iter_mut() {
+            l.clear();
+        }
+        self.seq_div_ff = Word::ZERO;
+        self.seq_div_shadow = Word::ZERO;
+        self.ff_touched_since_edge = false;
     }
 
     /// Restores every lane to the device's initial state: flip-flops to
     /// their init values, configuration (LUT tables, inverters, set/reset
     /// muxes, memory contents) to pristine, and clears all lane ledgers.
     pub fn reset(&mut self) {
-        self.rebuild_pristine_tables();
+        self.restore_pristine_config();
         for i in 0..self.ffs.len() {
-            self.invert_ff_in[i] = splat(self.pristine_invert[i]);
-            self.invert_diff[i] = 0;
-            self.lsr_drive[i] = splat(self.pristine_drive[i]);
-            let init = splat(self.ff_init[i]);
+            let init = Word::splat(self.ff_init[i]);
             self.ff_state[i] = init;
             self.ff_prev_d[i] = init;
         }
-        self.config_diff_count = [0; LANES];
-        for w in self.wire_values.iter_mut() {
-            *w = 0;
-        }
-        for v in self.lut_values.iter_mut() {
-            *v = 0;
-        }
+        self.wire_values.fill(Word::ZERO);
+        self.lut_values.fill(Word::ZERO);
         for b in self.brams.iter_mut() {
-            b.reset();
-        }
-        for l in self.ledgers.iter_mut() {
-            l.clear();
+            let words = std::mem::take(&mut b.pristine_words);
+            b.load_broadcast(&words, (false, 0, 0));
+            b.pristine_words = words;
         }
         self.cycle = 0;
-        self.seq_div_ff = 0;
-        self.seq_div_shadow = 0;
-        self.ff_touched_since_edge = false;
     }
 
     /// Splat-loads every lane from one scalar golden-run snapshot:
@@ -617,47 +713,21 @@ impl BatchDevice {
     /// That is harmless because every [`settle`](Self::settle) recomputes
     /// every combinational word from the sequential state.
     pub fn restore_broadcast(&mut self, snap: &DeviceState) {
-        self.rebuild_pristine_tables();
+        self.restore_pristine_config();
         for i in 0..self.ffs.len() {
-            self.invert_ff_in[i] = splat(self.pristine_invert[i]);
-            self.invert_diff[i] = 0;
-            self.lsr_drive[i] = splat(self.pristine_drive[i]);
-            self.ff_state[i] = splat(snap.ff_state[i]);
-            self.ff_prev_d[i] = splat(snap.ff_prev_d[i]);
+            self.ff_state[i] = Word::splat(snap.ff_state[i]);
+            self.ff_prev_d[i] = Word::splat(snap.ff_prev_d[i]);
         }
-        self.config_diff_count = [0; LANES];
         for (w, &v) in self.wire_values.iter_mut().zip(&snap.wire_values) {
-            *w = splat(v);
+            *w = Word::splat(v);
         }
         for (w, &v) in self.lut_values.iter_mut().zip(&snap.lut_values) {
-            *w = splat(v);
+            *w = Word::splat(v);
         }
         for (bi, b) in self.brams.iter_mut().enumerate() {
-            for (addr, &word) in snap.bram_contents[bi].iter().enumerate() {
-                for bit in 0..b.width {
-                    b.contents[addr * b.width + bit] = splat((word >> bit) & 1 == 1);
-                }
-            }
-            for &idx in &b.dirty {
-                b.is_dirty[idx as usize] = false;
-            }
-            b.dirty.clear();
-            let (we, addr, din) = snap.bram_prev_write[bi];
-            b.prev_we = splat(we);
-            for (k, w) in b.prev_addr.iter_mut().enumerate() {
-                *w = splat((addr >> k) & 1 == 1);
-            }
-            for (k, w) in b.prev_din.iter_mut().enumerate() {
-                *w = splat((din >> k) & 1 == 1);
-            }
-        }
-        for l in self.ledgers.iter_mut() {
-            l.clear();
+            b.load_broadcast(&snap.bram_contents[bi], snap.bram_prev_write[bi]);
         }
         self.cycle = snap.cycle;
-        self.seq_div_ff = 0;
-        self.seq_div_shadow = 0;
-        self.ff_touched_since_edge = false;
     }
 
     /// Drives an input port with the same bits on every lane.
@@ -680,7 +750,7 @@ impl BatchDevice {
             });
         }
         for (w, &v) in port.wires.iter().zip(bits) {
-            self.wire_values[w.index()] = splat(v);
+            self.wire_values[w.index()] = Word::splat(v);
         }
         Ok(())
     }
@@ -705,10 +775,10 @@ impl BatchDevice {
     /// the expected golden value; call after [`settle`](Self::settle).
     /// Only the first 64 wires are compared, mirroring
     /// [`Device::output_u64`].
-    pub fn port_divergence(&self, wires: &[u32], golden: u64) -> u64 {
-        let mut d = 0u64;
+    pub fn port_divergence(&self, wires: &[u32], golden: u64) -> Word<W> {
+        let mut d = Word::ZERO;
         for (bit, &w) in wires.iter().enumerate().take(64) {
-            d |= self.wire_values[w as usize] ^ splat((golden >> bit) & 1 == 1);
+            d |= self.wire_values[w as usize] ^ Word::splat((golden >> bit) & 1 == 1);
         }
         d
     }
@@ -722,7 +792,7 @@ impl BatchDevice {
         let wires = self.output_wires(name)?;
         let mut v = 0u64;
         for (bit, &w) in wires.iter().enumerate().take(64) {
-            v |= ((self.wire_values[w as usize] >> lane) & 1) << bit;
+            v |= u64::from(self.wire_values[w as usize].bit(lane)) << bit;
         }
         Ok(v)
     }
@@ -731,90 +801,29 @@ impl BatchDevice {
     /// once: presents every flip-flop's state word on its output wire,
     /// then evaluates every combinational node in topological order.
     pub fn settle(&mut self) {
-        for (i, ff) in self.ffs.iter().enumerate() {
+        let wv = &mut self.wire_values;
+        for (ff, &q) in self.ffs.iter().zip(&self.ff_state) {
             if let Some(w) = ff.out_wire {
-                self.wire_values[w as usize] = self.ff_state[i];
+                wv[w as usize] = q;
             }
         }
-        for idx in 0..self.node_descs.len() {
-            let d = self.node_descs[idx];
+        let tables = &self.compact_tables;
+        let lv = &mut self.lut_values;
+        for d in &self.node_descs {
             if d.is_bram == 0 {
-                let v = self.eval_lut_lanes(&d);
-                self.lut_values[d.target as usize] = v;
-                if d.out_wire != u32::MAX {
-                    self.wire_values[d.out_wire as usize] = v;
+                let v = if d.wide {
+                    let ct = &tables[d.table_off as usize..];
+                    eval_lut_lanes(|k| ct[k], d, wv)
+                } else {
+                    eval_lut_lanes(|k| Word::splat((d.ctable >> k) & 1 == 1), d, wv)
+                };
+                if d.out_wire != NO_WIRE {
+                    wv[d.out_wire as usize] = v;
+                } else {
+                    lv[d.target as usize] = v;
                 }
             } else {
-                let b = &self.brams[d.target as usize];
-                let all_uniform = b
-                    .addr_wires
-                    .iter()
-                    .all(|&w| uniform(self.wire_values[w as usize]));
-                if all_uniform {
-                    let mut addr = 0usize;
-                    for (k, &w) in b.addr_wires.iter().enumerate() {
-                        addr |= ((self.wire_values[w as usize] & 1) as usize) << k;
-                    }
-                    let base = addr * b.width;
-                    for (bit, dw) in b.dout_wires.iter().enumerate() {
-                        if let Some(w) = dw {
-                            self.wire_values[*w as usize] = b.contents[base + bit];
-                        }
-                    }
-                } else {
-                    let mut addrs = [0usize; LANES];
-                    for (k, &w) in b.addr_wires.iter().enumerate() {
-                        let word = self.wire_values[w as usize];
-                        for (lane, a) in addrs.iter_mut().enumerate() {
-                            *a |= (((word >> lane) & 1) as usize) << k;
-                        }
-                    }
-                    for (bit, dw) in b.dout_wires.iter().enumerate() {
-                        if let Some(w) = dw {
-                            let mut out = 0u64;
-                            for (lane, &a) in addrs.iter().enumerate() {
-                                out |= ((b.contents[a * b.width + bit] >> lane) & 1) << lane;
-                            }
-                            self.wire_values[*w as usize] = out;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evaluates one LUT over all lanes with a mux tree sized to its
-    /// connected-pin count. Bit-identical to the full 4-variable tree:
-    /// unconnected pins present constant-0 words, so the full tree only
-    /// ever selects the table entries the compact tree holds.
-    #[inline]
-    fn eval_lut_lanes(&self, d: &NodeDesc) -> u64 {
-        let ct = &self.compact_tables[d.table_off as usize..];
-        let wv = &self.wire_values;
-        match d.arity {
-            0 => ct[0],
-            1 => mux2(ct[0], ct[1], wv[d.pins[0] as usize]),
-            2 => {
-                let a = wv[d.pins[0] as usize];
-                let b = wv[d.pins[1] as usize];
-                mux2(mux2(ct[0], ct[1], a), mux2(ct[2], ct[3], a), b)
-            }
-            3 => {
-                let a = wv[d.pins[0] as usize];
-                let b = wv[d.pins[1] as usize];
-                let c = wv[d.pins[2] as usize];
-                let n0 = mux2(mux2(ct[0], ct[1], a), mux2(ct[2], ct[3], a), b);
-                let n1 = mux2(mux2(ct[4], ct[5], a), mux2(ct[6], ct[7], a), b);
-                mux2(n0, n1, c)
-            }
-            _ => {
-                let p = [
-                    wv[d.pins[0] as usize],
-                    wv[d.pins[1] as usize],
-                    wv[d.pins[2] as usize],
-                    wv[d.pins[3] as usize],
-                ];
-                eval_lane_table(ct, p)
+                self.brams[d.target as usize].read(wv);
             }
         }
     }
@@ -826,10 +835,11 @@ impl BatchDevice {
         // Fold the flip-flop and capture-shadow components of the
         // retirement divergence mask while the words are already in hand,
         // so `seq_divergence` does not rescan them per cycle.
-        let mut div_ff = 0u64;
-        let mut div_shadow = 0u64;
-        for i in 0..self.ffs.len() {
-            let raw = match self.ffs[i].data {
+        let mut div_ff = Word::ZERO;
+        let mut div_shadow = Word::ZERO;
+        let spread = self.arch.arrival_spread_ns;
+        for (i, ff) in self.ffs.iter().enumerate() {
+            let raw = match ff.data {
                 FfData::LutInternal(li) => self.lut_values[li as usize],
                 FfData::Wire(w) => self.wire_values[w as usize],
             };
@@ -837,107 +847,75 @@ impl BatchDevice {
             let overshoot = self.ff_overshoot_ns.get(i).copied().unwrap_or(0.0);
             // Timing is pristine and lane-invariant (lanes cannot touch
             // routing), so the miss decision is one whole-word select.
-            let captured =
-                if capture_misses(self.arch.arrival_spread_ns, self.cycle, overshoot, i as u64) {
-                    self.ff_prev_d[i]
-                } else {
-                    d
-                };
+            let captured = if capture_misses(spread, self.cycle, overshoot, i as u64) {
+                self.ff_prev_d[i]
+            } else {
+                d
+            };
             self.ff_state[i] = captured;
             self.ff_prev_d[i] = d;
-            div_ff |= captured ^ splat_lane0(captured);
-            div_shadow |= d ^ splat_lane0(d);
+            div_ff |= captured ^ captured.splat_lane0();
+            div_shadow |= d ^ d.splat_lane0();
         }
-        for bi in 0..self.brams.len() {
+        let wv = &self.wire_values;
+        for (bi, b) in self.brams.iter_mut().enumerate() {
             let overshoot = self.bram_overshoot_ns.get(bi).copied().unwrap_or(0.0);
-            let miss = capture_misses(
-                self.arch.arrival_spread_ns,
-                self.cycle,
-                overshoot,
-                0x8000_0000 | bi as u64,
-            );
-            let b = &mut self.brams[bi];
+            let miss = capture_misses(spread, self.cycle, overshoot, 0x8000_0000 | bi as u64);
             let Some(we) = b.we else { continue };
-            let we_now = self.wire_values[we as usize];
-            let mut addr_now = [0u64; 32];
-            let naddr = b.addr_wires.len();
-            for (k, &w) in b.addr_wires.iter().enumerate() {
-                addr_now[k] = self.wire_values[w as usize];
+            let we_now = wv[we as usize];
+            for (slot, &w) in b.now_addr.iter_mut().zip(&b.addr_wires) {
+                *slot = wv[w as usize];
             }
-            let mut din_now = [0u64; 64];
-            let ndin = b.din_wires.len();
-            for (k, &w) in b.din_wires.iter().enumerate() {
-                din_now[k] = self.wire_values[w as usize];
+            for (slot, &w) in b.now_din.iter_mut().zip(&b.din_wires) {
+                *slot = wv[w as usize];
             }
-            {
-                // Copy the effective write operands to the stack so the
-                // content writes below don't alias `prev_*`.
-                let we_eff;
-                let mut addr_buf = [0u64; 32];
-                let mut din_buf = [0u64; 64];
-                if miss {
-                    we_eff = b.prev_we;
-                    addr_buf[..naddr].copy_from_slice(&b.prev_addr);
-                    din_buf[..ndin].copy_from_slice(&b.prev_din);
-                } else {
-                    we_eff = we_now;
-                    addr_buf = addr_now;
-                    din_buf = din_now;
+            // A missed capture writes the operands of the previous edge.
+            let (we_eff, addr_eff, din_eff) = if miss {
+                (b.prev_we, &b.prev_addr, &b.prev_din)
+            } else {
+                (we_now, &b.now_addr, &b.now_din)
+            };
+            let (contents, dirty, is_dirty) = (&mut b.contents, &mut b.dirty, &mut b.is_dirty);
+            let width = b.width;
+            // Lanes agreeing with the golden lane on enable and address
+            // write (or not) as whole words; the rest, one by one.
+            let (golden, odd) = golden_address(addr_eff.iter().copied());
+            let odd = odd | (we_eff ^ we_eff.splat_lane0());
+            if we_eff.0[0] & 1 == 1 {
+                let agree = !odd;
+                let base = golden * width;
+                for bit in 0..width {
+                    let din = din_eff.get(bit).copied().unwrap_or(Word::ZERO);
+                    let idx = base + bit;
+                    let new = Word::mux(contents[idx], din, agree);
+                    if contents[idx] != new {
+                        contents[idx] = new;
+                        if !new.is_uniform() {
+                            mark_dirty(dirty, is_dirty, idx);
+                        }
+                    }
                 }
-                let addr_eff = &addr_buf[..naddr];
-                let din_eff = &din_buf[..ndin];
-                if we_eff == u64::MAX && addr_eff.iter().all(|&w| uniform(w)) {
-                    // Whole-word fast path: every lane writes the same
-                    // address, so each bit cell takes its din word.
-                    let mut addr = 0usize;
-                    for (k, &w) in addr_eff.iter().enumerate() {
-                        addr |= ((w & 1) as usize) << k;
-                    }
-                    let base = addr * b.width;
-                    for bit in 0..b.width {
-                        let w = din_eff.get(bit).copied().unwrap_or(0);
-                        let idx = base + bit;
-                        if b.contents[idx] != w {
-                            b.contents[idx] = w;
-                            if !uniform(w) {
-                                b.mark_dirty(idx);
-                            }
-                        }
-                    }
-                } else if we_eff != 0 {
-                    let mut lanes = we_eff;
-                    while lanes != 0 {
-                        let lane = lanes.trailing_zeros() as usize;
-                        lanes &= lanes - 1;
-                        let m = 1u64 << lane;
-                        let mut addr = 0usize;
-                        for (k, &w) in addr_eff.iter().enumerate() {
-                            addr |= (((w >> lane) & 1) as usize) << k;
-                        }
-                        let base = addr * b.width;
-                        for bit in 0..b.width {
-                            let v = din_eff.get(bit).copied().unwrap_or(0) & m;
-                            let idx = base + bit;
-                            let new = (b.contents[idx] & !m) | v;
-                            if new != b.contents[idx] {
-                                b.contents[idx] = new;
-                                if !uniform(new) {
-                                    b.mark_dirty(idx);
-                                }
-                            }
+            }
+            for lane in (odd & we_eff).ones() {
+                let base = lane_address(addr_eff.iter().copied(), lane) * width;
+                for bit in 0..width {
+                    let v = din_eff.get(bit).is_some_and(|w| w.bit(lane));
+                    let idx = base + bit;
+                    let cell = &mut contents[idx];
+                    if cell.bit(lane) != v {
+                        cell.set_bit(lane, v);
+                        if !cell.is_uniform() {
+                            mark_dirty(dirty, is_dirty, idx);
                         }
                     }
                 }
             }
             b.prev_we = we_now;
-            b.prev_addr.copy_from_slice(&addr_now[..naddr]);
-            b.prev_din.copy_from_slice(&din_now[..ndin]);
-            div_shadow |= we_now ^ splat_lane0(we_now);
-            for &w in &addr_now[..naddr] {
-                div_shadow |= w ^ splat_lane0(w);
-            }
-            for &w in &din_now[..ndin] {
-                div_shadow |= w ^ splat_lane0(w);
+            std::mem::swap(&mut b.prev_addr, &mut b.now_addr);
+            std::mem::swap(&mut b.prev_din, &mut b.now_din);
+            div_shadow |= we_now ^ we_now.splat_lane0();
+            for &w in b.prev_addr.iter().chain(&b.prev_din) {
+                div_shadow |= w ^ w.splat_lane0();
             }
         }
         self.seq_div_ff = div_ff;
@@ -970,11 +948,11 @@ impl BatchDevice {
     /// `ff_touched_since_edge`, and the flip-flop component is then
     /// recomputed directly (the shadow words are only ever written at the
     /// edge, so their fold cannot go stale).
-    pub fn seq_divergence(&mut self) -> u64 {
+    pub fn seq_divergence(&mut self) -> Word<W> {
         let ff_part = if self.ff_touched_since_edge {
-            let mut d = 0u64;
+            let mut d = Word::ZERO;
             for &w in &self.ff_state {
-                d |= w ^ splat_lane0(w);
+                d |= w ^ w.splat_lane0();
             }
             d
         } else {
@@ -986,8 +964,8 @@ impl BatchDevice {
             while k < b.dirty.len() {
                 let idx = b.dirty[k] as usize;
                 let w = b.contents[idx];
-                let x = w ^ splat_lane0(w);
-                if x == 0 {
+                let x = w ^ w.splat_lane0();
+                if x.is_zero() {
                     b.is_dirty[idx] = false;
                     b.dirty.swap_remove(k);
                 } else {
@@ -1007,23 +985,20 @@ impl BatchDevice {
     /// Ground-truth divergence mask: rescans every flip-flop, shadow and
     /// memory word. Only used to validate the incremental mask in debug
     /// builds.
-    fn seq_divergence_scan(&self) -> u64 {
-        let mut d = 0u64;
-        for i in 0..self.ffs.len() {
-            d |= self.ff_state[i] ^ splat_lane0(self.ff_state[i]);
-            d |= self.ff_prev_d[i] ^ splat_lane0(self.ff_prev_d[i]);
-        }
-        for b in &self.brams {
-            d |= b.prev_we ^ splat_lane0(b.prev_we);
-            for &w in &b.prev_addr {
-                d |= w ^ splat_lane0(w);
-            }
-            for &w in &b.prev_din {
-                d |= w ^ splat_lane0(w);
-            }
-            for &w in &b.contents {
-                d |= w ^ splat_lane0(w);
-            }
+    fn seq_divergence_scan(&self) -> Word<W> {
+        let mut d = Word::ZERO;
+        let words = self
+            .ff_state
+            .iter()
+            .chain(&self.ff_prev_d)
+            .chain(self.brams.iter().flat_map(|b| {
+                std::iter::once(&b.prev_we)
+                    .chain(&b.prev_addr)
+                    .chain(&b.prev_din)
+                    .chain(&b.contents)
+            }));
+        for &w in words {
+            d |= w ^ w.splat_lane0();
         }
         d
     }
@@ -1032,14 +1007,8 @@ impl BatchDevice {
     /// from pristine (LUT tables and FF-input inverters; `lsr_drive` is
     /// deliberately excluded, matching
     /// [`Device::config_behaviourally_pristine`]).
-    pub fn config_divergence(&self) -> u64 {
-        let mut d = 0u64;
-        for (lane, &c) in self.config_diff_count.iter().enumerate() {
-            if c != 0 {
-                d |= 1 << lane;
-            }
-        }
-        d
+    pub fn config_divergence(&self) -> Word<W> {
+        self.config_div
     }
 
     /// One lane's sequential-state snapshot in exactly the layout of
@@ -1047,30 +1016,42 @@ impl BatchDevice {
     /// words), for Latent-fault classification.
     pub fn state_snapshot_lane(&self, lane: usize) -> Vec<u64> {
         let mut snap = Vec::new();
-        let mut acc = 0u64;
-        let mut nbits = 0;
-        for w in &self.ff_state {
-            acc |= ((w >> lane) & 1) << nbits;
-            nbits += 1;
-            if nbits == 64 {
-                snap.push(acc);
-                acc = 0;
-                nbits = 0;
+        for chunk in self.ff_state.chunks(64) {
+            let mut acc = 0u64;
+            for (k, w) in chunk.iter().enumerate() {
+                acc |= u64::from(w.bit(lane)) << k;
             }
-        }
-        if nbits > 0 {
             snap.push(acc);
         }
         for b in &self.brams {
             for addr in 0..b.depth {
                 let mut word = 0u64;
                 for bit in 0..b.width {
-                    word |= ((b.contents[addr * b.width + bit] >> lane) & 1) << bit;
+                    word |= u64::from(b.contents[addr * b.width + bit].bit(lane)) << bit;
                 }
                 snap.push(word);
             }
         }
         snap
+    }
+
+    /// Lanes (bit set) whose [`state_snapshot_lane`](Self::state_snapshot_lane)
+    /// differs from lane 0's: flip-flop state and memory contents, the
+    /// shadows excluded. One pass over the flip-flop words and the memory
+    /// dirty lists answers for every lane at once.
+    pub fn state_divergence(&self) -> Word<W> {
+        let mut d = Word::ZERO;
+        for &w in &self.ff_state {
+            d |= w ^ w.splat_lane0();
+        }
+        // Every non-uniform content word is on its block's dirty list.
+        for b in &self.brams {
+            for &idx in &b.dirty {
+                let w = b.contents[idx as usize];
+                d |= w ^ w.splat_lane0();
+            }
+        }
+        d
     }
 
     /// One lane's configuration-traffic ledger.
@@ -1105,30 +1086,25 @@ impl BatchDevice {
     ///
     /// Panics if `lane` is 0 (the golden lane) or out of range.
     pub fn snap_lane_to_golden(&mut self, lane: usize) {
-        assert!((1..LANES).contains(&lane), "lane {lane} out of range");
-        let m = 1u64 << lane;
-        let keep = !m;
-        let snap = |w: u64| (w & keep) | ((w & 1) << lane);
-        for w in self.ff_state.iter_mut().chain(self.ff_prev_d.iter_mut()) {
-            *w = snap(*w);
-        }
+        assert!((1..Self::LANES).contains(&lane), "lane {lane} out of range");
+        let snap = |w: &mut Word<W>| w.set_bit(lane, w.0[0] & 1 == 1);
+        self.ff_state.iter_mut().for_each(snap);
+        self.ff_prev_d.iter_mut().for_each(snap);
         for b in self.brams.iter_mut() {
-            b.prev_we = snap(b.prev_we);
-            for w in b.prev_addr.iter_mut().chain(b.prev_din.iter_mut()) {
-                *w = snap(*w);
-            }
+            snap(&mut b.prev_we);
+            b.prev_addr.iter_mut().for_each(snap);
+            b.prev_din.iter_mut().for_each(snap);
             // Every content word diverging in this lane is on the dirty
             // list (the list's invariant), so this reaches all of them.
             for &idx in &b.dirty {
-                let w = &mut b.contents[idx as usize];
-                *w = snap(*w);
+                snap(&mut b.contents[idx as usize]);
             }
         }
         // The cached retirement folds are per-lane ORs, so clearing the
         // snapped lane's bit keeps them exact (its true divergence is
         // now zero; other lanes' bits are untouched).
-        self.seq_div_ff &= keep;
-        self.seq_div_shadow &= keep;
+        self.seq_div_ff.set_bit(lane, false);
+        self.seq_div_shadow.set_bit(lane, false);
     }
 
     /// Prepares a retired lane for a fresh experiment: restores its
@@ -1139,9 +1115,8 @@ impl BatchDevice {
     /// behaviour-affecting configuration is pristine; `lsr_drive` is the
     /// one configuration cell retirement ignores).
     pub fn refill_lane(&mut self, lane: usize) {
-        let keep = !(1u64 << lane);
-        for (i, w) in self.lsr_drive.iter_mut().enumerate() {
-            *w = (*w & keep) | (splat(self.pristine_drive[i]) & !keep);
+        for (w, &drive) in self.lsr_drive.iter_mut().zip(&self.pristine_drive) {
+            w.set_bit(lane, drive);
         }
         self.ledgers[lane].clear();
     }
@@ -1154,78 +1129,122 @@ impl BatchDevice {
         if idx == u32::MAX {
             None
         } else {
-            Some((self.ff_state[idx as usize] >> lane) & 1 == 1)
+            Some(self.ff_state[idx as usize].bit(lane))
         }
     }
 
-    /// A reconfiguration facade for one lane; `lane` must be in `1..64`
-    /// (lane 0 is the golden lane and must never be reconfigured).
+    /// A reconfiguration facade for one lane; `lane` must be in
+    /// `1..Self::LANES` (lane 0 is the golden lane and must never be
+    /// reconfigured).
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is 0 or ≥ 64.
-    pub fn lane(&mut self, lane: usize) -> LaneDevice<'_> {
-        assert!((1..LANES).contains(&lane), "lane {lane} out of range");
+    /// Panics if `lane` is 0 or ≥ [`Self::LANES`].
+    pub fn lane(&mut self, lane: usize) -> LaneDevice<'_, W> {
+        assert!((1..Self::LANES).contains(&lane), "lane {lane} out of range");
         LaneDevice { dev: self, lane }
     }
 
-    fn set_lane_table(&mut self, li: usize, lane: usize, table: u16) {
-        let m = 1u64 << lane;
-        for (k, w) in self.lut_tables[li].iter_mut().enumerate() {
-            if (table >> k) & 1 == 1 {
-                *w |= m;
-            } else {
-                *w &= !m;
-            }
+    /// Counts one configuration cell of `lane` leaving (`diverged`) or
+    /// returning to pristine.
+    fn note_config_diff(&mut self, lane: usize, diverged: bool) {
+        let c = &mut self.config_diff_count[lane];
+        if diverged {
+            *c += 1;
+        } else {
+            *c -= 1;
         }
+        self.config_div.set_bit(lane, *c != 0);
+    }
+
+    fn set_lane_table(&mut self, li: usize, lane: usize, table: u16) {
         let cfull = self.lut_cfull[li];
         let off = self.lut_coff[li] as usize;
-        for (j, &cf) in cfull.iter().enumerate().take(1usize << self.lut_arity[li]) {
-            let w = &mut self.compact_tables[off + j];
-            if (table >> cf) & 1 == 1 {
-                *w |= m;
-            } else {
-                *w &= !m;
-            }
+        let len = 1usize << self.lut_arity[li];
+        for (w, &cf) in self.compact_tables[off..off + len].iter_mut().zip(&cfull) {
+            w.set_bit(lane, (table >> cf) & 1 == 1);
         }
-        let was = self.lut_table_diff[li] & m != 0;
+        let overrides = &mut self.lut_overrides[lane];
+        let at = overrides.iter().position(|&(l, _)| l as usize == li);
         let now = table != self.pristine_tables[li];
-        if was != now {
-            if now {
-                self.lut_table_diff[li] |= m;
-                self.config_diff_count[lane] += 1;
-            } else {
-                self.lut_table_diff[li] &= !m;
-                self.config_diff_count[lane] -= 1;
+        match (at, now) {
+            (Some(k), true) => overrides[k].1 = table,
+            (None, true) => overrides.push((li as u32, table)),
+            (Some(k), false) => {
+                overrides.swap_remove(k);
             }
+            (None, false) => {}
+        }
+        if at.is_some() != now {
+            self.lut_table_diff[li].set_bit(lane, now);
+            self.node_descs[self.lut_node[li] as usize].wide = !self.lut_table_diff[li].is_zero();
+            self.note_config_diff(lane, now);
         }
     }
 
-    /// Asserts one flip-flop's local set/reset line on the lanes of
-    /// `mask`: those lanes take their `lsr_drive` value, the rest keep
-    /// their state.
-    fn pulse_lsr(&mut self, fi: usize, mask: u64) {
-        self.ff_state[fi] = (self.ff_state[fi] & !mask) | (self.lsr_drive[fi] & mask);
+    /// One lane's truth table of LUT `li`: its override, else pristine.
+    fn lane_table(&self, li: usize, lane: usize) -> u16 {
+        self.lut_overrides[lane]
+            .iter()
+            .find(|&&(l, _)| l as usize == li)
+            .map_or(self.pristine_tables[li], |&(_, t)| t)
+    }
+
+    /// Asserts one flip-flop's local set/reset line on one lane: the lane
+    /// takes its `lsr_drive` value, the others keep their state.
+    fn pulse_lsr(&mut self, fi: usize, lane: usize) {
+        let drive = self.lsr_drive[fi].bit(lane);
+        self.ff_state[fi].set_bit(lane, drive);
         self.ff_touched_since_edge = true;
     }
 
     fn set_lane_invert(&mut self, fi: usize, lane: usize, invert: bool) {
-        let m = 1u64 << lane;
-        if invert {
-            self.invert_ff_in[fi] |= m;
-        } else {
-            self.invert_ff_in[fi] &= !m;
-        }
-        let was = self.invert_diff[fi] & m != 0;
+        self.invert_ff_in[fi].set_bit(lane, invert);
+        let was = self.invert_diff[fi].bit(lane);
         let now = invert != self.pristine_invert[fi];
         if was != now {
-            if now {
-                self.invert_diff[fi] |= m;
-                self.config_diff_count[lane] += 1;
-            } else {
-                self.invert_diff[fi] &= !m;
-                self.config_diff_count[lane] -= 1;
-            }
+            self.invert_diff[fi].set_bit(lane, now);
+            self.note_config_diff(lane, now);
+        }
+    }
+}
+
+/// Evaluates one LUT over all lanes with a mux tree sized to its
+/// connected-pin count. Bit-identical to the full 4-variable tree:
+/// unconnected pins present constant-0 words, so the full tree only
+/// ever selects the table entries the compact tree holds.
+///
+/// `ct(k)` is compact table entry `k` as a lane word.
+#[inline(always)]
+fn eval_lut_lanes<const W: usize>(
+    ct: impl Fn(usize) -> Word<W>,
+    d: &NodeDesc,
+    wv: &[Word<W>],
+) -> Word<W> {
+    let mux = Word::mux;
+    match d.arity {
+        0 => ct(0),
+        1 => mux(ct(0), ct(1), wv[d.pins[0] as usize]),
+        2 => {
+            let a = wv[d.pins[0] as usize];
+            let b = wv[d.pins[1] as usize];
+            mux(mux(ct(0), ct(1), a), mux(ct(2), ct(3), a), b)
+        }
+        3 => {
+            let a = wv[d.pins[0] as usize];
+            let b = wv[d.pins[1] as usize];
+            let c = wv[d.pins[2] as usize];
+            let n0 = mux(mux(ct(0), ct(1), a), mux(ct(2), ct(3), a), b);
+            let n1 = mux(mux(ct(4), ct(5), a), mux(ct(6), ct(7), a), b);
+            mux(n0, n1, c)
+        }
+        _ => {
+            let a = wv[d.pins[0] as usize];
+            let b = wv[d.pins[1] as usize];
+            let c = wv[d.pins[2] as usize];
+            let e = wv[d.pins[3] as usize];
+            let quad = |j: usize| mux(mux(ct(j), ct(j + 1), a), mux(ct(j + 2), ct(j + 3), a), b);
+            mux(mux(quad(0), quad(4), c), mux(quad(8), quad(12), c), e)
         }
     }
 }
@@ -1235,16 +1254,12 @@ impl BatchDevice {
 /// would a scalar [`Device`] — same validation, same frame accounting,
 /// charged to this lane's own ledger.
 #[derive(Debug)]
-pub struct LaneDevice<'a> {
-    dev: &'a mut BatchDevice,
+pub struct LaneDevice<'a, const W: usize> {
+    dev: &'a mut BatchDevice<W>,
     lane: usize,
 }
 
-impl LaneDevice<'_> {
-    fn mask(&self) -> u64 {
-        1u64 << self.lane
-    }
-
+impl<const W: usize> LaneDevice<'_, W> {
     fn flat(&self, cb: CbCoord) -> Result<usize, FpgaError> {
         let arch = &self.dev.arch;
         if cb.col >= arch.cols || cb.row >= arch.rows {
@@ -1259,6 +1274,18 @@ impl LaneDevice<'_> {
             return Err(FpgaError::ResourceUnused(cb));
         }
         Ok(idx as usize)
+    }
+
+    fn lut_node(&self, cb: CbCoord) -> Result<usize, FpgaError> {
+        let idx = self.dev.lut_of_cb[self.flat(cb)?];
+        if idx == u32::MAX {
+            return Err(FpgaError::ResourceUnused(cb));
+        }
+        Ok(idx as usize)
+    }
+
+    fn set_drive(&mut self, fi: usize, drive: SetReset) {
+        self.dev.lsr_drive[fi].set_bit(self.lane, drive.value());
     }
 
     fn record(&mut self, op: TransferOp) {
@@ -1284,35 +1311,27 @@ impl LaneDevice<'_> {
             Mutation::PulseLsr { .. } => 2,
             _ => 1,
         } * frames.len() as u32;
-        let m = self.mask();
+        let lane = self.lane;
         match mutation {
             Mutation::SetLutTable { cb, table } => {
-                let flat = self.flat(*cb)?;
-                let li = self.dev.lut_of_cb[flat];
-                if li == u32::MAX {
-                    return Err(FpgaError::ResourceUnused(*cb));
-                }
-                self.dev.set_lane_table(li as usize, self.lane, *table);
+                let li = self.lut_node(*cb)?;
+                self.dev.set_lane_table(li, lane, *table);
             }
             Mutation::SetInvertFfIn { cb, invert } => {
                 let fi = self.ff_node(*cb)?;
-                self.dev.set_lane_invert(fi, self.lane, *invert);
+                self.dev.set_lane_invert(fi, lane, *invert);
             }
             Mutation::SetLsrDrive { cb, drive } => {
                 let fi = self.ff_node(*cb)?;
-                if drive.value() {
-                    self.dev.lsr_drive[fi] |= m;
-                } else {
-                    self.dev.lsr_drive[fi] &= !m;
-                }
+                self.set_drive(fi, *drive);
             }
             Mutation::PulseLsr { cb } => {
                 let fi = self.ff_node(*cb)?;
-                self.dev.pulse_lsr(fi, m);
+                self.dev.pulse_lsr(fi, lane);
             }
             Mutation::PulseGsr => {
                 for fi in 0..self.dev.ffs.len() {
-                    self.dev.pulse_lsr(fi, m);
+                    self.dev.pulse_lsr(fi, lane);
                 }
                 self.record(TransferOp {
                     kind: TransferKind::GlobalPulse,
@@ -1340,12 +1359,11 @@ impl LaneDevice<'_> {
                     });
                 }
                 let idx = addr * b.width + *bit as usize;
-                let old = b.contents[idx];
-                let new = if *value { old | m } else { old & !m };
-                if new != old {
-                    b.contents[idx] = new;
-                    if !uniform(new) {
-                        b.mark_dirty(idx);
+                let cell = &mut b.contents[idx];
+                if cell.bit(lane) != *value {
+                    cell.set_bit(lane, *value);
+                    if !cell.is_uniform() {
+                        mark_dirty(&mut b.dirty, &mut b.is_dirty, idx);
                     }
                 }
             }
@@ -1354,12 +1372,8 @@ impl LaneDevice<'_> {
             }
             Mutation::ReRandomiseFf { cb, drive } => {
                 let fi = self.ff_node(*cb)?;
-                if drive.value() {
-                    self.dev.lsr_drive[fi] |= m;
-                } else {
-                    self.dev.lsr_drive[fi] &= !m;
-                }
-                self.dev.pulse_lsr(fi, m);
+                self.set_drive(fi, *drive);
+                self.dev.pulse_lsr(fi, lane);
             }
         }
         if full_download {
@@ -1381,14 +1395,14 @@ impl LaneDevice<'_> {
     }
 }
 
-impl ConfigAccess for LaneDevice<'_> {
+impl<const W: usize> ConfigAccess for LaneDevice<'_, W> {
     fn readback_ff(&mut self, cb: CbCoord) -> Result<bool, FpgaError> {
         let fi = self.ff_node(cb)?;
         let arch = self.dev.arch;
         let mut set = FrameSet::new();
         set.add_cb_field(&arch, cb, CbField::FfCapture);
         self.charge_readback(&set);
-        Ok(self.dev.ff_state[fi] & self.mask() != 0)
+        Ok(self.dev.ff_state[fi].bit(self.lane))
     }
 
     fn readback_all_ffs(&mut self) -> Vec<(CbCoord, bool)> {
@@ -1396,15 +1410,14 @@ impl ConfigAccess for LaneDevice<'_> {
         let mut set = FrameSet::new();
         set.add_ff_capture_columns(self.dev.ff_columns.iter().copied());
         self.charge_readback(&set);
-        let m = self.mask();
         self.dev
             .ffs
             .iter()
-            .enumerate()
-            .map(|(i, ff)| {
+            .zip(&self.dev.ff_state)
+            .map(|(ff, w)| {
                 (
                     CbCoord::from_flat_index(ff.cb_flat as usize, arch.rows),
-                    self.dev.ff_state[i] & m != 0,
+                    w.bit(self.lane),
                 )
             })
             .collect()
@@ -1424,7 +1437,7 @@ impl ConfigAccess for LaneDevice<'_> {
         let width = b.width;
         let mut word = 0u64;
         for bit in 0..width {
-            word |= ((b.contents[addr * width + bit] >> lane) & 1) << bit;
+            word |= u64::from(b.contents[addr * width + bit].bit(lane)) << bit;
         }
         let mut set = FrameSet::new();
         set.add_bram_word(&arch, bram, addr, width as u32);
@@ -1433,15 +1446,8 @@ impl ConfigAccess for LaneDevice<'_> {
     }
 
     fn readback_lut_table(&mut self, cb: CbCoord) -> Result<u16, FpgaError> {
-        let flat = self.flat(cb)?;
-        let li = self.dev.lut_of_cb[flat];
-        if li == u32::MAX {
-            return Err(FpgaError::ResourceUnused(cb));
-        }
-        let mut table = 0u16;
-        for (k, w) in self.dev.lut_tables[li as usize].iter().enumerate() {
-            table |= (((w >> self.lane) & 1) as u16) << k;
-        }
+        let li = self.lut_node(cb)?;
+        let table = self.dev.lane_table(li, self.lane);
         let arch = self.dev.arch;
         let mut set = FrameSet::new();
         set.add_cb_field(&arch, cb, CbField::LutTable);
@@ -1459,15 +1465,10 @@ impl ConfigAccess for LaneDevice<'_> {
 
     fn bulk_set_lsr_drives(&mut self, drives: &[(CbCoord, SetReset)]) -> Result<(), FpgaError> {
         let arch = self.dev.arch;
-        let m = self.mask();
         let mut set = FrameSet::new();
         for (cb, drive) in drives {
             let fi = self.ff_node(*cb)?;
-            if drive.value() {
-                self.dev.lsr_drive[fi] |= m;
-            } else {
-                self.dev.lsr_drive[fi] &= !m;
-            }
+            self.set_drive(fi, *drive);
             set.add_cb_field(&arch, *cb, CbField::LsrDrive);
         }
         let bytes = set.bytes(&arch);
@@ -1481,39 +1482,9 @@ impl ConfigAccess for LaneDevice<'_> {
 
     fn hold_lsr(&mut self, cb: CbCoord) -> Result<(), FpgaError> {
         let fi = self.ff_node(cb)?;
-        self.dev.pulse_lsr(fi, self.mask());
+        self.dev.pulse_lsr(fi, self.lane);
         Ok(())
     }
-}
-
-/// One 64-lane 2:1 mux: per lane, `hi` where the select bit is set,
-/// else `lo`.
-#[inline(always)]
-fn mux2(lo: u64, hi: u64, s: u64) -> u64 {
-    (lo & !s) | (hi & s)
-}
-
-/// Evaluates a lane-word truth table (16 lane words, one per entry) on
-/// four lane words.
-#[inline]
-fn eval_lane_table(t: &[u64], p: [u64; 4]) -> u64 {
-    let [a, b, c, d] = p;
-    let mut m = [0u64; 8];
-    for (j, slot) in m.iter_mut().enumerate() {
-        *slot = (t[2 * j] & !a) | (t[2 * j + 1] & a);
-    }
-    mux_tree(m, b, c, d)
-}
-
-#[inline(always)]
-fn mux_tree(m: [u64; 8], b: u64, c: u64, d: u64) -> u64 {
-    let n0 = (m[0] & !b) | (m[1] & b);
-    let n1 = (m[2] & !b) | (m[3] & b);
-    let n2 = (m[4] & !b) | (m[5] & b);
-    let n3 = (m[6] & !b) | (m[7] & b);
-    let p0 = (n0 & !c) | (n1 & c);
-    let p1 = (n2 & !c) | (n3 & c);
-    (p0 & !d) | (p1 & d)
 }
 
 #[cfg(test)]
@@ -1538,35 +1509,40 @@ mod tests {
         Device::configure(bs).unwrap()
     }
 
-    #[test]
-    fn all_lanes_track_the_scalar_device() {
+    fn all_lanes_track<const W: usize>() {
         let mut dev = toggle_device();
-        let mut batch = BatchDevice::new(&dev).unwrap();
+        let mut batch = BatchDevice::<W>::new(&dev).unwrap();
         dev.reset();
         for _ in 0..8 {
             dev.settle();
             batch.settle();
             let expected = dev.output_u64("q").unwrap();
-            for lane in 0..LANES {
+            for lane in 0..BatchDevice::<W>::LANES {
                 assert_eq!(batch.output_u64_lane("q", lane).unwrap(), expected);
             }
-            assert_eq!(batch.seq_divergence(), 0);
+            assert!(batch.seq_divergence().is_zero());
             dev.clock_edge();
             batch.clock_edge();
         }
     }
 
     #[test]
-    fn lane_pulse_diverges_and_reconverges() {
+    fn all_lanes_track_the_scalar_device() {
+        all_lanes_track::<1>();
+        all_lanes_track::<2>();
+        all_lanes_track::<4>();
+    }
+
+    fn lane_pulse<const W: usize>(l: usize) {
         let dev = toggle_device();
         let cb = CbCoord::new(2, 3);
-        let mut batch = BatchDevice::new(&dev).unwrap();
+        let mut batch = BatchDevice::<W>::new(&dev).unwrap();
         batch.step();
         batch.step();
-        // Flip lane 5's FF via LSR drive + pulse; other lanes untouched.
-        let current = batch.peek_ff_lane(cb, 5).unwrap();
+        // Flip lane `l`'s FF via LSR drive + pulse; other lanes untouched.
+        let current = batch.peek_ff_lane(cb, l).unwrap();
         {
-            let mut lane = batch.lane(5);
+            let mut lane = batch.lane(l);
             lane.apply(&Mutation::SetLsrDrive {
                 cb,
                 drive: SetReset::driving(!current),
@@ -1574,57 +1550,102 @@ mod tests {
             .unwrap();
             lane.apply(&Mutation::PulseLsr { cb }).unwrap();
         }
-        assert_eq!(batch.peek_ff_lane(cb, 5), Some(!current));
-        assert_eq!(batch.peek_ff_lane(cb, 4), Some(current));
-        assert_ne!(batch.seq_divergence() & (1 << 5), 0);
+        assert_eq!(batch.peek_ff_lane(cb, l), Some(!current));
+        assert_eq!(batch.peek_ff_lane(cb, l - 1), Some(current));
+        assert_eq!(batch.seq_divergence(), Word::lane(l));
         // The lane's config is behaviourally pristine (only lsr_drive
         // changed), and the toggle circuit never reconverges a flipped
         // bit, so divergence persists.
-        assert_eq!(batch.config_divergence(), 0);
+        assert!(batch.config_divergence().is_zero());
         batch.step();
-        assert_ne!(batch.seq_divergence() & (1 << 5), 0);
+        assert_eq!(batch.seq_divergence(), Word::lane(l));
         // Ledger accounting matches the scalar choreography: one drive
         // frame write plus a double-written pulse frame.
-        assert_eq!(batch.ledger(5).total_frames(), 3);
-        assert_eq!(batch.ledger(4).total_frames(), 0);
+        assert_eq!(batch.ledger(l).total_frames(), 3);
+        assert_eq!(batch.ledger(l - 1).total_frames(), 0);
+        // Snapping the lane back onto the golden trajectory clears it.
+        batch.snap_lane_to_golden(l);
+        assert!(batch.seq_divergence().is_zero());
     }
 
     #[test]
-    fn lane_lut_rewrite_tracks_config_divergence() {
+    fn lane_pulse_diverges_and_reconverges() {
+        lane_pulse::<1>(5);
+        lane_pulse::<1>(63);
+        lane_pulse::<2>(64);
+        lane_pulse::<2>(127);
+        lane_pulse::<4>(128);
+        lane_pulse::<4>(255);
+    }
+
+    fn lane_lut_rewrite<const W: usize>(l: usize) {
         let dev = toggle_device();
         let cb = CbCoord::new(2, 3);
-        let mut batch = BatchDevice::new(&dev).unwrap();
+        let mut batch = BatchDevice::<W>::new(&dev).unwrap();
         let original = {
-            let mut lane = batch.lane(9);
+            let mut lane = batch.lane(l);
             let t = lane.readback_lut_table(cb).unwrap();
             lane.apply(&Mutation::SetLutTable { cb, table: !t })
                 .unwrap();
+            assert_eq!(lane.readback_lut_table(cb).unwrap(), !t);
             t
         };
-        assert_eq!(batch.config_divergence(), 1 << 9);
-        // Lane 9's LUT now passes the FF value through unchanged, so its
+        assert_eq!(batch.lane(1).readback_lut_table(cb).unwrap(), original);
+        assert_eq!(batch.config_divergence(), Word::lane(l));
+        // Lane `l`'s LUT now passes the FF value through unchanged, so its
         // FF stops toggling while the others continue. (After an even
         // number of steps both are back at zero — the frozen lane
         // transiently reconverges — so observe after an odd step count.)
         batch.step();
-        assert_ne!(batch.seq_divergence() & (1 << 9), 0);
+        assert!(batch.seq_divergence().bit(l));
         batch.step();
-        assert_eq!(batch.seq_divergence() & (1 << 9), 0);
+        assert!(!batch.seq_divergence().bit(l));
         {
-            let mut lane = batch.lane(9);
+            let mut lane = batch.lane(l);
             lane.apply(&Mutation::SetLutTable {
                 cb,
                 table: original,
             })
             .unwrap();
         }
-        assert_eq!(batch.config_divergence(), 0);
+        assert!(batch.config_divergence().is_zero());
+
+        // A reset while a lane still holds an override restores it.
+        batch
+            .lane(l)
+            .apply(&Mutation::SetLutTable { cb, table: 0 })
+            .unwrap();
+        batch.reset();
+        assert!(batch.config_divergence().is_zero());
+        assert_eq!(batch.lane(l).readback_lut_table(cb).unwrap(), original);
+        all_lanes_stay_golden(&mut batch, 4);
+    }
+
+    fn all_lanes_stay_golden<const W: usize>(batch: &mut BatchDevice<W>, cycles: usize) {
+        for _ in 0..cycles {
+            batch.step();
+            assert!(batch.seq_divergence().is_zero());
+        }
+    }
+
+    #[test]
+    fn lane_lut_rewrite_tracks_config_divergence() {
+        lane_lut_rewrite::<1>(9);
+        lane_lut_rewrite::<2>(64);
+        lane_lut_rewrite::<4>(200);
+    }
+
+    #[test]
+    fn golden_lane_mask_is_bit_zero_of_word_zero() {
+        assert_eq!(BatchDevice::<1>::GOLDEN_LANE_MASK, Word([1]));
+        assert_eq!(BatchDevice::<4>::GOLDEN_LANE_MASK, Word([1, 0, 0, 0]));
+        assert_eq!(BatchDevice::<4>::LANES, 256);
     }
 
     #[test]
     fn routing_mutations_are_rejected_per_lane() {
         let dev = toggle_device();
-        let mut batch = BatchDevice::new(&dev).unwrap();
+        let mut batch = BatchDevice::<1>::new(&dev).unwrap();
         let err = batch.lane(1).apply(&Mutation::SetWireFanout {
             wire: crate::coords::WireId::from_index(0),
             extra: 3,

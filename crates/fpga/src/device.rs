@@ -16,7 +16,7 @@ use crate::timing::TimingReport;
 /// Data source of a flip-flop node, resolved at compile time.
 ///
 /// Crate-visible so the bit-parallel lane engine (`batch` module) can run
-/// the same compiled structures 64 lanes at a time.
+/// the same compiled structures `64 * W` lanes at a time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FfData {
     /// Output of the LUT node with this index.

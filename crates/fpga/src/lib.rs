@@ -68,11 +68,10 @@ mod reconfig;
 mod routing;
 mod state;
 mod timing;
+mod word;
 
 pub use arch::ArchParams;
-pub use batch::{
-    lane_obstacles, BatchDevice, ConfigAccess, LaneDevice, LaneObstacle, GOLDEN_LANE_MASK, LANES,
-};
+pub use batch::{lane_obstacles, BatchDevice, ConfigAccess, LaneDevice, LaneObstacle};
 pub use bitstream::Bitstream;
 pub use bram::BramConfig;
 pub use cb::{CbConfig, FfDSrc, SetReset};
@@ -85,3 +84,4 @@ pub use reconfig::Mutation;
 pub use routing::{WireConfig, WireDriver, WireSink};
 pub use state::DeviceState;
 pub use timing::TimingReport;
+pub use word::{Ones, Word};

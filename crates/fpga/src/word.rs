@@ -1,0 +1,191 @@
+//! The lane word of the bit-parallel engine: `64 * W` lanes packed into
+//! `W` machine words.
+//!
+//! Lane `l` lives in bit `l % 64` of `u64` number `l / 64`. Lane 0 (bit 0
+//! of word 0) is the golden lane. Every operation is a plain loop over the
+//! `W` words, which the compiler unrolls and, on the SSE2 baseline,
+//! vectorises; `W = 1` compiles to the single-`u64` operations it
+//! replaces.
+
+use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+
+/// One value per lane: bit `l % 64` of `self.0[l / 64]` is lane `l`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Word<const W: usize>(pub(crate) [u64; W]);
+
+impl<const W: usize> Word<W> {
+    /// Every lane clear.
+    pub const ZERO: Self = Word([0; W]);
+    /// Every lane set.
+    pub(crate) const ONES: Self = Word([u64::MAX; W]);
+
+    /// Broadcasts a boolean across every lane.
+    #[inline(always)]
+    pub(crate) fn splat(b: bool) -> Self {
+        Word([0u64.wrapping_sub(b as u64); W])
+    }
+
+    /// The value of one lane.
+    #[inline(always)]
+    pub fn bit(&self, lane: usize) -> bool {
+        (self.0[lane / 64] >> (lane % 64)) & 1 == 1
+    }
+
+    /// Sets one lane to `v`, leaving the others.
+    #[inline(always)]
+    pub fn set_bit(&mut self, lane: usize, v: bool) {
+        let m = 1u64 << (lane % 64);
+        let w = &mut self.0[lane / 64];
+        *w = (*w & !m) | (0u64.wrapping_sub(v as u64) & m);
+    }
+
+    /// Broadcasts the golden lane (bit 0 of word 0) across every lane.
+    #[inline(always)]
+    pub(crate) fn splat_lane0(self) -> Self {
+        Self::splat(self.0[0] & 1 == 1)
+    }
+
+    /// True if no lane is set.
+    #[inline(always)]
+    pub fn is_zero(self) -> bool {
+        self.0.iter().fold(0, |acc, &w| acc | w) == 0
+    }
+
+    /// True if every lane holds the same value.
+    #[inline(always)]
+    pub(crate) fn is_uniform(self) -> bool {
+        self == Self::ZERO || self == Self::ONES
+    }
+
+    /// Number of set lanes.
+    pub fn count_ones(self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// The set lanes, ascending.
+    pub fn ones(self) -> Ones<W> {
+        Ones { word: self, at: 0 }
+    }
+
+    /// Per lane: `hi` where `s` is set, else `lo`.
+    #[inline(always)]
+    pub(crate) fn mux(lo: Self, hi: Self, s: Self) -> Self {
+        let mut out = lo;
+        for i in 0..W {
+            out.0[i] = (lo.0[i] & !s.0[i]) | (hi.0[i] & s.0[i]);
+        }
+        out
+    }
+}
+
+/// Iterator over the set lanes of a [`Word`], ascending.
+#[derive(Debug, Clone)]
+pub struct Ones<const W: usize> {
+    word: Word<W>,
+    at: usize,
+}
+
+impl<const W: usize> Iterator for Ones<W> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.at < W {
+            let w = &mut self.word.0[self.at];
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(self.at * 64 + bit);
+            }
+            self.at += 1;
+        }
+        None
+    }
+}
+
+macro_rules! word_binop {
+    ($trait:ident, $method:ident, $assign_trait:ident, $assign:ident, $op_assign:tt) => {
+        impl<const W: usize> $trait for Word<W> {
+            type Output = Self;
+
+            #[inline(always)]
+            fn $method(mut self, rhs: Self) -> Self {
+                self $op_assign rhs;
+                self
+            }
+        }
+
+        impl<const W: usize> $assign_trait for Word<W> {
+            #[inline(always)]
+            fn $assign(&mut self, rhs: Self) {
+                for i in 0..W {
+                    self.0[i] $op_assign rhs.0[i];
+                }
+            }
+        }
+    };
+}
+
+word_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, &=);
+word_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |=);
+word_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, ^=);
+
+impl<const W: usize> Not for Word<W> {
+    type Output = Self;
+
+    #[inline(always)]
+    fn not(mut self) -> Self {
+        for w in self.0.iter_mut() {
+            *w = !*w;
+        }
+        self
+    }
+}
+
+#[cfg(test)]
+impl<const W: usize> Word<W> {
+    /// The mask holding only `lane`.
+    pub(crate) fn lane(lane: usize) -> Self {
+        let mut w = Self::ZERO;
+        w.set_bit(lane, true);
+        w
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lanes_address_across_words() {
+        for lane in [0, 1, 63, 64, 127, 128, 255] {
+            let m = Word::<4>::lane(lane);
+            assert!(m.bit(lane));
+            assert_eq!(m.count_ones(), 1);
+            assert_eq!(m.ones().collect::<Vec<_>>(), vec![lane]);
+            let mut w = Word::<4>::ONES;
+            w.set_bit(lane, false);
+            assert_eq!(w, !m);
+            w.set_bit(lane, true);
+            assert_eq!(w, Word::ONES);
+        }
+    }
+
+    #[test]
+    fn splat_lane0_broadcasts_word_zero_bit_zero_only() {
+        // Bit 0 of the *other* words must not leak into the broadcast.
+        let w = Word::<4>([0, 1, 1, 1]);
+        assert_eq!(w.splat_lane0(), Word::ZERO);
+        let w = Word::<4>([1, 0, 0, 0]);
+        assert_eq!(w.splat_lane0(), Word::ONES);
+        assert!(!Word::<2>([u64::MAX, 0]).is_uniform());
+        assert!(Word::<2>([u64::MAX, u64::MAX]).is_uniform());
+    }
+
+    #[test]
+    fn ones_walks_every_set_lane_ascending() {
+        let w = Word::<4>([0b101, 0, 1 << 63, 1]);
+        assert_eq!(w.ones().collect::<Vec<_>>(), vec![0, 2, 191, 192]);
+        assert_eq!(Word::<1>::ZERO.ones().count(), 0);
+    }
+}

@@ -3,8 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use fades_fpga::{
-    ArchParams, Bitstream, BramId, CbConfig, CbCoord, Device, FfDSrc, Mutation, SetReset,
-    WireConfig, WireDriver, WireId,
+    ArchParams, BatchDevice, Bitstream, BramId, CbConfig, CbCoord, ConfigAccess, Device, FfDSrc,
+    Mutation, SetReset, WireConfig, WireDriver, WireId,
 };
 use proptest::prelude::*;
 
@@ -319,5 +319,178 @@ proptest! {
         reference.restore_state(&dev.save_state());
         prop_assert_eq!(dev.timing(), reference.timing());
         assert_lockstep(&mut dev, &mut reference, 32);
+    }
+}
+
+/// Lanes on the edges of the `u64` words a lane word spans; a width-`W`
+/// engine uses those below `64 * W`.
+const EDGE_LANES: [usize; 6] = [1, 63, 64, 127, 128, 255];
+
+/// Decodes one random step `(kind, a, b)` for the lane engine and its
+/// scalar twin: every mutation a lane can express (routing mutations
+/// are scalar-only), bulk and held set/reset writes, and readbacks.
+/// Returns what the step observed (readback values and errors) so both
+/// sides can be compared.
+fn perform_on(
+    dev: &mut dyn ConfigAccess,
+    used: &[CbCoord],
+    (kind, a, b): (u8, u32, u32),
+) -> String {
+    let cb = pick_cb(used, a);
+    let drive = SetReset::driving(b & 1 == 1);
+    let mutation = match kind % 12 {
+        0 => Mutation::SetLutTable {
+            cb,
+            table: b as u16,
+        },
+        1 => Mutation::SetInvertFfIn {
+            cb,
+            invert: b & 1 == 1,
+        },
+        2 => Mutation::SetLsrDrive { cb, drive },
+        3 => Mutation::PulseLsr { cb },
+        4 => Mutation::PulseGsr,
+        5 => Mutation::SetBramBit {
+            bram: BramId::from_index((b >> 8) as usize % 2),
+            addr: a as usize % 10,
+            bit: (b >> 1) % 3,
+            value: b & 1 == 1,
+        },
+        6 => Mutation::ReRandomiseFf { cb, drive },
+        7 => {
+            let drives: Vec<(CbCoord, SetReset)> = a
+                .to_le_bytes()
+                .iter()
+                .take(1 + b as usize % 4)
+                .map(|&k| (pick_cb(used, k as u32), SetReset::driving(k & 1 == 1)))
+                .collect();
+            return format!("{:?}", dev.bulk_set_lsr_drives(&drives));
+        }
+        8 => return format!("{:?}", dev.hold_lsr(cb)),
+        9 => return format!("{:?}", dev.readback_lut_table(cb)),
+        10 => return format!("{:?}", dev.readback_ff(cb)),
+        _ => {
+            let bram = BramId::from_index((b >> 8) as usize % 2);
+            return format!(
+                "{:?} {:?}",
+                dev.readback_bram_word(bram, a as usize % 10),
+                dev.readback_all_ffs()
+            );
+        }
+    };
+    format!(
+        "{:?}",
+        if a & 0x100 != 0 {
+            dev.apply_via_full_download(&mutation)
+        } else {
+            dev.apply(&mutation)
+        }
+    )
+}
+
+/// Drives a width-`W` lane engine and one scalar device per edge lane
+/// through the same steps — each step lands on one lane, so the lanes
+/// diverge from each other — and checks every tracked lane against its
+/// scalar twin each cycle: ports, state snapshot, configuration and
+/// state divergence, and ledger. Lane 0 must stay the golden run.
+fn lanes_track_scalar<const W: usize>(steps: &[(u8, u8, u32, u32)]) {
+    let (bs, used) = mixed_design();
+    let mut golden = Device::configure(bs.clone()).unwrap();
+    let mut batch = BatchDevice::<W>::new(&golden).unwrap();
+    let lanes: Vec<usize> = EDGE_LANES
+        .iter()
+        .copied()
+        .filter(|&l| l < BatchDevice::<W>::LANES)
+        .collect();
+    // Configuring charges a full download; lane ledgers start empty.
+    let mut twins: Vec<Device> = lanes
+        .iter()
+        .map(|_| {
+            let mut twin = Device::configure(bs.clone()).unwrap();
+            twin.clear_ledger();
+            twin
+        })
+        .collect();
+    for &(pick, kind, a, b) in steps {
+        if kind % 16 >= 12 {
+            // A few cycles, in lockstep.
+            for _ in 0..b % 5 {
+                batch.settle();
+                golden.settle();
+                for (twin, &lane) in twins.iter_mut().zip(&lanes) {
+                    twin.settle();
+                    for port in ["q", "d"] {
+                        assert_eq!(
+                            batch.output_u64_lane(port, lane).unwrap(),
+                            twin.output_u64(port).unwrap(),
+                            "W={W}, lane {lane}, port {port}"
+                        );
+                    }
+                }
+                for port in ["q", "d"] {
+                    assert_eq!(
+                        batch.output_u64_lane(port, 0).unwrap(),
+                        golden.output_u64(port).unwrap()
+                    );
+                }
+                batch.clock_edge();
+                golden.clock_edge();
+                for twin in &mut twins {
+                    twin.clock_edge();
+                }
+            }
+        } else {
+            let k = pick as usize % lanes.len();
+            let on_lane = perform_on(&mut batch.lane(lanes[k]), &used, (kind, a, b));
+            let on_twin = perform_on(&mut twins[k], &used, (kind, a, b));
+            assert_eq!(
+                on_lane, on_twin,
+                "W={W}, lane {}: step {kind} {a} {b}",
+                lanes[k]
+            );
+        }
+        let state = batch.state_divergence();
+        let config = batch.config_divergence();
+        for (twin, &lane) in twins.iter().zip(&lanes) {
+            assert_eq!(
+                batch.state_snapshot_lane(lane),
+                twin.state_snapshot(),
+                "W={W}, lane {lane}"
+            );
+            assert_eq!(
+                state.bit(lane),
+                twin.state_snapshot() != golden.state_snapshot(),
+                "W={W}, lane {lane}: state divergence"
+            );
+            assert_eq!(
+                config.bit(lane),
+                !twin.config_behaviourally_pristine(),
+                "W={W}, lane {lane}: config divergence"
+            );
+            assert_eq!(
+                batch.ledger(lane),
+                twin.ledger(),
+                "W={W}, lane {lane}: ledger"
+            );
+        }
+        assert_eq!(batch.state_snapshot_lane(0), golden.state_snapshot());
+        assert!(!config.bit(0) && !state.bit(0));
+    }
+}
+
+proptest! {
+    /// The lane engine at every word width is the scalar device, lane by
+    /// lane, on the lanes at the edges of its `u64` words — including
+    /// readbacks, ledgers and the divergence masks retirement reads.
+    #[test]
+    fn lane_words_track_the_scalar_device(
+        steps in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>()),
+            1..60,
+        ),
+    ) {
+        lanes_track_scalar::<1>(&steps);
+        lanes_track_scalar::<2>(&steps);
+        lanes_track_scalar::<4>(&steps);
     }
 }

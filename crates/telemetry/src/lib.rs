@@ -129,17 +129,24 @@ pub mod sim {
     /// Faulty-lane cycles executed by the bit-parallel lane engine
     /// (occupied lanes × batch cycles; the golden lane is not counted).
     pub static LANE_CYCLES: Counter = Counter::new();
-    /// Cycles executed by the lane engine (each advances all 64 lanes).
+    /// Cycles executed by the lane engine (each advances every lane of
+    /// its word).
     pub static BATCH_CYCLES: Counter = Counter::new();
+    /// Faulty-lane capacity summed over batch cycles: `64 * W - 1` per
+    /// cycle of a `W`-word engine. `LANE_CYCLES / LANE_SLOTS` is the mean
+    /// fill of the lane words, comparable across word widths.
+    pub static LANE_SLOTS: Counter = Counter::new();
     /// Lanes retired early after reconverging with the golden lane.
     pub static LANE_RETIREMENTS: Counter = Counter::new();
 
-    /// Records one batch cycle over `occupied` faulty lanes
-    /// (`LANE_CYCLES / BATCH_CYCLES` is the mean lane occupancy). Always
-    /// live — two adds per batch *cycle*, not per lane.
+    /// Records one batch cycle over `occupied` of `capacity` faulty lanes
+    /// (`LANE_CYCLES / BATCH_CYCLES` is the mean lane occupancy,
+    /// `LANE_CYCLES / LANE_SLOTS` the mean fill). Always live — three
+    /// adds per batch *cycle*, not per lane.
     #[inline(always)]
-    pub fn record_lane_cycle(occupied: u64) {
+    pub fn record_lane_cycle(occupied: u64, capacity: u64) {
         LANE_CYCLES.add(occupied);
+        LANE_SLOTS.add(capacity);
         BATCH_CYCLES.inc();
     }
 
@@ -170,6 +177,7 @@ pub mod sim {
         CELL_EVALS.reset();
         LANE_CYCLES.reset();
         BATCH_CYCLES.reset();
+        LANE_SLOTS.reset();
         LANE_RETIREMENTS.reset();
         EVALS_SKIPPED.reset();
         WARM_SKIPPED_CYCLES.reset();

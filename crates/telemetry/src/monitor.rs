@@ -246,8 +246,9 @@ pub struct WatchdogConfig {
     /// experiments (and at least 3 absolute) flag a `quarantine-rate`
     /// anomaly.
     pub max_quarantine_pct: f64,
-    /// Windowed lane occupancy below this fraction of its observed peak
-    /// (while batch cycles still advance) flags a
+    /// Windowed lane fill (occupied lanes over lane capacity, so a change
+    /// of lane-word width does not read as a change) below this fraction
+    /// of its observed peak, while batch cycles still advance, flags a
     /// `lane-occupancy-collapse` anomaly.
     pub occupancy_collapse: f64,
 }
@@ -340,11 +341,11 @@ fn watchdog_loop(cfg: WatchdogConfig, stop: &AtomicBool) {
     let deadline_us = cfg.deadline.as_micros() as u64;
     let mut stall_flagged = false;
     let mut quarantine_flagged = false;
-    let mut occupancy_flagged = false;
+    let mut occupancy = OccupancyWatch::default();
     let mut last_done = progress().done();
     let mut last_lane = crate::sim::LANE_CYCLES.get();
     let mut last_batch = crate::sim::BATCH_CYCLES.get();
-    let mut peak_window_occupancy = 0.0f64;
+    let mut last_slots = crate::sim::LANE_SLOTS.get();
 
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(cfg.interval);
@@ -396,29 +397,59 @@ fn watchdog_loop(cfg: WatchdogConfig, stop: &AtomicBool) {
         // have emptied out far below the peak of this run.
         let lane = crate::sim::LANE_CYCLES.get();
         let batch = crate::sim::BATCH_CYCLES.get();
-        let (d_lane, d_batch) = (lane - last_lane, batch - last_batch);
-        last_lane = lane;
-        last_batch = batch;
-        if d_batch > 0 {
-            let occupancy = d_lane as f64 / d_batch as f64;
-            if occupancy > peak_window_occupancy {
-                peak_window_occupancy = occupancy;
-                occupancy_flagged = false;
-            } else if !occupancy_flagged
-                && peak_window_occupancy >= 4.0
-                && occupancy < cfg.occupancy_collapse * peak_window_occupancy
-            {
-                report_anomaly(
-                    "lane-occupancy-collapse",
-                    &format!(
-                        "mean lane occupancy {occupancy:.1} fell below {:.0}% of peak {:.1}",
-                        cfg.occupancy_collapse * 100.0,
-                        peak_window_occupancy
-                    ),
-                );
-                occupancy_flagged = true;
-            }
+        let slots = crate::sim::LANE_SLOTS.get();
+        let window = (lane - last_lane, batch - last_batch, slots - last_slots);
+        (last_lane, last_batch, last_slots) = (lane, batch, slots);
+        if let Some(message) = occupancy.observe(window, cfg.occupancy_collapse) {
+            report_anomaly("lane-occupancy-collapse", &message);
         }
+    }
+}
+
+/// The lane-occupancy-collapse rule over successive sampling windows.
+///
+/// It judges *fill* — occupied lanes over lane capacity — not absolute
+/// lanes, because the campaign layer sizes the lane word to each cohort:
+/// a 255-lane cohort followed by a 63-lane shard, both full, is no
+/// collapse. Windows averaging fewer than 4 occupied lanes cannot set the
+/// peak, so a tiny campaign never flags.
+#[derive(Debug, Default)]
+struct OccupancyWatch {
+    peak_fill: f64,
+    flagged: bool,
+}
+
+impl OccupancyWatch {
+    /// Feeds one window's `(lane cycles, batch cycles, lane slots)`
+    /// deltas; returns the anomaly message when the window's fill fell
+    /// below `collapse` times the peak (once per peak).
+    fn observe(
+        &mut self,
+        (lanes, batches, slots): (u64, u64, u64),
+        collapse: f64,
+    ) -> Option<String> {
+        if batches == 0 || slots == 0 {
+            return None;
+        }
+        let fill = lanes as f64 / slots as f64;
+        if fill > self.peak_fill {
+            if lanes >= 4 * batches {
+                self.peak_fill = fill;
+                self.flagged = false;
+            }
+            return None;
+        }
+        if self.flagged || fill >= collapse * self.peak_fill {
+            return None;
+        }
+        self.flagged = true;
+        Some(format!(
+            "mean lane fill {:.1}% ({:.1} lanes) fell below {:.0}% of peak fill {:.1}%",
+            fill * 100.0,
+            lanes as f64 / batches as f64,
+            collapse * 100.0,
+            self.peak_fill * 100.0
+        ))
     }
 }
 
@@ -462,6 +493,31 @@ mod tests {
         }
         handle.stop();
         assert!(ANOMALIES.get() > before, "stall anomaly flagged");
+    }
+
+    #[test]
+    fn occupancy_watch_judges_fill_not_absolute_lanes() {
+        // 1000 batch cycles per window; a full 255-lane word, then full
+        // 63-lane words: absolute occupancy drops to 0.245 of the peak,
+        // which the old absolute rule flagged.
+        let window =
+            |lanes_per_cycle: u64, capacity: u64| (lanes_per_cycle * 1000, 1000, capacity * 1000);
+        let mut watch = OccupancyWatch::default();
+        assert_eq!(watch.observe(window(236, 255), 0.25), None);
+        assert_eq!(watch.observe(window(58, 63), 0.25), None);
+        assert_eq!(watch.observe(window(60, 63), 0.25), None);
+        // A real drop in fill on the same word width still flags, once.
+        let message = watch.observe(window(10, 63), 0.25);
+        assert!(message.is_some_and(|m| m.contains("fill")));
+        assert_eq!(watch.observe(window(9, 63), 0.25), None);
+        // So does a drop across a width change.
+        let mut watch = OccupancyWatch::default();
+        assert_eq!(watch.observe(window(250, 255), 0.25), None);
+        assert!(watch.observe(window(12, 63), 0.25).is_some());
+        // Windows under 4 lanes never set the peak.
+        let mut watch = OccupancyWatch::default();
+        assert_eq!(watch.observe(window(3, 63), 0.25), None);
+        assert_eq!(watch.observe(window(0, 63), 0.25), None);
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub fn snapshot() -> MetricsSnapshot {
             "fades_sim_batch_cycles_total",
             crate::sim::BATCH_CYCLES.get(),
         ),
+        ("fades_sim_lane_slots_total", crate::sim::LANE_SLOTS.get()),
         (
             "fades_sim_lane_retirements_total",
             crate::sim::LANE_RETIREMENTS.get(),

@@ -40,11 +40,13 @@ cargo test -q --release --offline -p fades-core --test batch_props
 
 # The scalar device (oracle, golden capture, routing-delay faults) is
 # printed beside the lane engine so a regression in either shows up as a
-# number. The offline criterion stand-in takes no filter, so one run
-# prints every bench and the relevant lines are picked out.
+# number; `settle_throughput/lane_settle_w{1,2,4}` time one lane-engine
+# settle sweep per lane-word width. The offline criterion stand-in takes
+# no filter, so one run prints every bench and the relevant lines are
+# picked out.
 echo "== scalar device and lane settle/batch throughput microbenches (release)"
 cargo bench -q --offline -p fades-bench --bench microbench 2>&1 \
-    | grep -E 'substrate/device_|settle_throughput|batch_throughput'
+    | grep -E 'substrate/device_|settle_throughput|lane_settle_w|batch_throughput'
 
 # The benchmark (fadesbench/) is a package of its own, outside the
 # workspace, so nothing above builds it. Build it and run its smoke test,
@@ -175,23 +177,29 @@ if ratio > 1.15:
 EOF
 
 # The lane engine's reason to exist is host wall-clock: with
-# golden-checkpoint warm-start on top of 63-wide lanes, the batched
-# 64-fault campaign must beat the scalar one by at least 4x, or the gate
-# fails.
-echo "== batched campaign must outrun the scalar campaign by >= 4x"
-FADES_FAULTS=64 cargo run -q --release --offline -p fades-experiments -- batch
-python3 - <<'EOF'
+# golden-checkpoint warm-start on top of bit-parallel lanes, the batched
+# campaign must beat the scalar one by at least 4x, or the gate fails.
+# 64 faults run on the 64-lane word (63 faulty lanes); 640 faults fill
+# the 256-lane word twice, which the campaign layer then selects. Both
+# ratios are printed.
+echo "== batched campaign must outrun the scalar campaign by >= 4x (64 and 640 faults)"
+for faults in 64 640; do
+    FADES_FAULTS=$faults cargo run -q --release --offline -p fades-experiments -- batch
+    FAULTS=$faults python3 - <<'EOF'
 import json
+import os
 
 with open("BENCH_campaign.json") as f:
     bench = json.load(f)
 rates = {c["campaign"]: c["faults_per_sec"] for c in bench["campaigns"]}
 scalar, batched = rates["ff-flip-scalar"], rates["ff-flip-batched"]
 ratio = batched / scalar if scalar else float("inf")
-print(f"scalar {scalar:.1f} faults/s, batched {batched:.1f} faults/s ({ratio:.1f}x)")
+faults = os.environ["FAULTS"]
+print(f"{faults} faults: scalar {scalar:.1f} faults/s, batched {batched:.1f} faults/s ({ratio:.1f}x)")
 if batched < scalar * 4:
-    raise SystemExit("FAIL: batched campaign is not >= 4x faster than scalar")
+    raise SystemExit(f"FAIL: the {faults}-fault batched campaign is not >= 4x faster than scalar")
 EOF
+done
 
 # Static-analysis gate. Three promises: the 8051 design lints clean
 # enough to campaign (no error-severity diagnostics, any load), the
