@@ -205,7 +205,29 @@ fn bench_settle_throughput(c: &mut Criterion) {
     lane_settle::<1>(&mut group, &dev);
     lane_settle::<2>(&mut group, &dev);
     lane_settle::<4>(&mut group, &dev);
+    // Building the lane engine from the configured device: every
+    // service shard and every `execute_batched` call pays it once.
+    group
+        .sample_size(31)
+        .throughput(Throughput::Elements(BUILDS));
+    batch_device_new::<1>(&mut group, &dev);
+    batch_device_new::<4>(&mut group, &dev);
     group.finish();
+}
+
+/// Engine builds per `batch_device_new_w*` iteration (reported per build).
+const BUILDS: u64 = 4;
+
+/// Benches `BatchDevice::<W>::new` over the placed 8051 as
+/// `batch_device_new_w{W}`.
+fn batch_device_new<const W: usize>(group: &mut criterion::BenchmarkGroup<'_>, dev: &Device) {
+    group.bench_function(&format!("batch_device_new_w{W}"), |b| {
+        b.iter(|| {
+            for _ in 0..BUILDS {
+                criterion::black_box(BatchDevice::<W>::new(dev).expect("lane-encodable"));
+            }
+        });
+    });
 }
 
 /// Settle sweeps per `lane_settle_w*` iteration (reported per sweep).

@@ -6,8 +6,10 @@
 //! `64 * W` lanes: lane `l` of a word is the value that element holds in
 //! *lane* `l`. Lane 0 (bit 0 of word 0) is reserved for the golden
 //! (fault-free) run; every other lane carries one independent
-//! fault-injection experiment. LUT evaluation becomes a branch-free mux
-//! tree over input words, flip-flop captures and block-RAM writes are
+//! fault-injection experiment. LUT evaluation becomes branch-free word
+//! arithmetic over input words (a few word operations for a LUT whose
+//! function falls in one of a handful of op classes, a mux tree
+//! otherwise), flip-flop captures and block-RAM writes are
 //! lane-masked word operations, and every reconfiguration a strategy
 //! performs goes through a [`LaneDevice`] facade that touches only its own
 //! lane's bit while charging that lane's own [`TransferLedger`].
@@ -169,13 +171,12 @@ struct LaneBram<const W: usize> {
 
 /// Evaluation descriptor of one combinational node, packed so the
 /// settle sweep streams one small record per node instead of gathering
-/// from several scattered arrays. For a LUT node: `target` is the LUT
-/// index, `table_off` its slice start in `compact_tables`, `arity`/`pins`
-/// the connected pin count and wires, `ctable` its pristine compact
-/// table, and `wide` is set while some lane overrides the table (only
-/// then does the sweep read the lane-word slice; otherwise every lane
-/// evaluates `ctable`). For a BRAM node (`is_bram != 0`): `target` is the
-/// BRAM index and the rest is unused.
+/// from several scattered arrays. `op` is the one byte the sweep
+/// dispatches on. For a LUT node: `target` is the LUT index, `table_off`
+/// its slice start in `compact_tables`, `arity`/`pins` the connected pin
+/// count and wires, `ctable` its pristine compact table and `pol` the
+/// polarity bits of its op class. For a BRAM node ([`Op::Bram`]):
+/// `target` is the BRAM index and the rest is unused.
 #[derive(Debug, Clone, Copy)]
 struct NodeDesc {
     target: u32,
@@ -184,8 +185,188 @@ struct NodeDesc {
     pins: [u32; 4],
     ctable: u16,
     arity: u8,
-    is_bram: u8,
-    wide: bool,
+    op: Op,
+    pol: u8,
+}
+
+impl NodeDesc {
+    /// Returns a LUT node to the op class of its pristine table.
+    fn set_pristine_op(&mut self) {
+        (self.op, self.pol) = classify(self.arity, self.ctable);
+    }
+}
+
+/// How the settle sweep evaluates one node.
+///
+/// A pristine LUT gets the class its compact table and arity fall in,
+/// evaluated with one to four word operations over its pin words; a LUT
+/// some lane overrides is [`Op::Wide`] until every lane is pristine
+/// again. The classes are parameterised by the node's polarity byte:
+/// bit `i` inverts pin `i`, bit [`POL_OUT`] inverts the output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Op {
+    /// Constant: the output polarity bit is the value.
+    Const,
+    /// AND of pin 0 (buffer or inverter).
+    And1,
+    /// AND of pins 0–1 (with polarities: OR, NAND, NOR, decodes).
+    And2,
+    /// AND of pins 0–2.
+    And3,
+    /// AND of pins 0–3.
+    And4,
+    /// XOR of pins 0–1.
+    Xor2,
+    /// XOR of pins 0–2.
+    Xor3,
+    /// `pin0 ? pin2 : pin1`.
+    MuxS0,
+    /// `pin1 ? pin2 : pin0`.
+    MuxS1,
+    /// `pin2 ? pin1 : pin0`.
+    MuxS2,
+    /// Majority of pins 0–2.
+    Maj3,
+    /// No class fits: the mux tree over the pristine compact table.
+    Generic,
+    /// Some lane overrides the table: the mux tree over the lane-word
+    /// compact table slice.
+    Wide,
+    /// A memory block's asynchronous read port.
+    Bram,
+}
+
+/// Polarity bit that inverts a class's output.
+const POL_OUT: u8 = 1 << 4;
+
+/// The classes a pristine LUT can be given, in classification order
+/// (the first that fits wins), with the arity each applies to (`None`:
+/// every arity).
+const CLASSES: [(Op, Option<u8>); 11] = [
+    (Op::Const, None),
+    (Op::And1, Some(1)),
+    (Op::And2, Some(2)),
+    (Op::And3, Some(3)),
+    (Op::And4, Some(4)),
+    (Op::Xor2, Some(2)),
+    (Op::Xor3, Some(3)),
+    (Op::MuxS0, Some(3)),
+    (Op::MuxS1, Some(3)),
+    (Op::MuxS2, Some(3)),
+    (Op::Maj3, Some(3)),
+];
+
+impl Op {
+    /// The name [`BatchDevice::lut_op_counts`] reports.
+    fn name(self) -> &'static str {
+        match self {
+            Op::Const => "const",
+            Op::And1 => "and1",
+            Op::And2 => "and2",
+            Op::And3 => "and3",
+            Op::And4 => "and4",
+            Op::Xor2 => "xor2",
+            Op::Xor3 => "xor3",
+            Op::MuxS0 => "mux_s0",
+            Op::MuxS1 => "mux_s1",
+            Op::MuxS2 => "mux_s2",
+            Op::Maj3 => "maj3",
+            Op::Generic => "generic",
+            Op::Wide => "wide",
+            Op::Bram => "bram",
+        }
+    }
+}
+
+/// Evaluates a LUT op class over its pin words `x(0..arity)`.
+#[inline(always)]
+fn eval_class<const W: usize>(op: Op, pol: u8, x: impl Fn(usize) -> Word<W>) -> Word<W> {
+    let p = |i: usize| x(i) ^ Word::splat((pol >> i) & 1 == 1);
+    let v = match op {
+        Op::Const => Word::ZERO,
+        Op::And1 => p(0),
+        Op::And2 => p(0) & p(1),
+        Op::And3 => p(0) & p(1) & p(2),
+        Op::And4 => p(0) & p(1) & p(2) & p(3),
+        Op::Xor2 => x(0) ^ x(1),
+        Op::Xor3 => x(0) ^ x(1) ^ x(2),
+        Op::MuxS0 => Word::mux(p(1), p(2), p(0)),
+        Op::MuxS1 => Word::mux(p(0), p(2), p(1)),
+        Op::MuxS2 => Word::mux(p(0), p(1), p(2)),
+        Op::Maj3 => {
+            let (a, b, c) = (p(0), p(1), p(2));
+            (a & b) | (c & (a | b))
+        }
+        Op::Generic | Op::Wide | Op::Bram => unreachable!("{op:?} is not a LUT op class"),
+    };
+    v ^ Word::splat(pol & POL_OUT != 0)
+}
+
+/// The compact truth table of an op class at `arity`: the class
+/// evaluated on the index patterns (pin `i` is index bit `i`).
+fn class_table(op: Op, pol: u8, arity: u8) -> u16 {
+    const INDEX_BITS: [u64; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+    let t = eval_class::<1>(op, pol, |i| Word([INDEX_BITS[i]])).0[0];
+    (t & arity_mask(arity)) as u16
+}
+
+/// The compact table bits an arity-`arity` LUT can reach.
+fn arity_mask(arity: u8) -> u64 {
+    (1u64 << (1u32 << arity)) - 1
+}
+
+/// The op class and polarity of a pristine LUT, [`Op::Generic`] when no
+/// class fits.
+///
+/// Every (class, polarity) candidate is evaluated once per process: for
+/// arities 0–3 into a table indexed by arity and compact table (278
+/// entries, which stay in L1 cache while a tape is classified), for
+/// arity 4 into a short list of the tables some candidate reaches.
+/// Classifying a whole tape then costs little next to building the
+/// engine.
+fn classify(arity: u8, ctable: u16) -> (Op, u8) {
+    use std::sync::OnceLock;
+    /// Where each arity's `2^(2^arity)` tables start in the dense table.
+    const OFFSET: [usize; 5] = [0, 2, 6, 22, 278];
+    type Classes = (Vec<(Op, u8)>, Vec<(u16, (Op, u8))>);
+    static CLASSES_BY_TABLE: OnceLock<Classes> = OnceLock::new();
+    let (dense, arity4) = CLASSES_BY_TABLE.get_or_init(|| {
+        let mut dense = vec![(Op::Generic, 0); OFFSET[4]];
+        let mut arity4: Vec<(u16, (Op, u8))> = Vec::new();
+        for arity in 0..=4u8 {
+            for &(op, at) in &CLASSES {
+                if at.is_some_and(|at| at != arity) {
+                    continue;
+                }
+                for pol in 0..2 * POL_OUT {
+                    // No polarity on a pin the LUT does not have.
+                    if pol & (0xF << arity) & 0xF != 0 {
+                        continue;
+                    }
+                    // The first candidate in `CLASSES` order wins a tie.
+                    let t = class_table(op, pol, arity);
+                    if arity < 4 {
+                        let slot = &mut dense[OFFSET[arity as usize] + t as usize];
+                        if slot.0 == Op::Generic {
+                            *slot = (op, pol);
+                        }
+                    } else if arity4.iter().all(|&(t4, _)| t4 != t) {
+                        arity4.push((t, (op, pol)));
+                    }
+                }
+            }
+        }
+        (dense, arity4)
+    });
+    if arity < 4 {
+        dense[OFFSET[arity as usize] + (u64::from(ctable) & arity_mask(arity)) as usize]
+    } else {
+        arity4
+            .iter()
+            .find(|&&(t, _)| t == ctable)
+            .map_or((Op::Generic, 0), |&(_, class)| class)
+    }
 }
 
 /// Adds `idx` to a memory block's dirty list unless it is already on it.
@@ -506,9 +687,10 @@ impl<const W: usize> BatchDevice<W> {
             .map(|f| cbs[f.cb_flat as usize].ff_init)
             .collect();
 
-        // The tape is arity-compacted (see `TapeOp`): each LUT evaluates
-        // a `2^arity`-word mux tree over its compact table slice, which
-        // starts out as the pristine table splat across every lane.
+        // The tape is arity-compacted (see `TapeOp`): each LUT's compact
+        // table slice, which a lane-overridden LUT evaluates as a
+        // `2^arity`-word mux tree, starts out as the pristine table splat
+        // across every lane.
         let mut lut_arity = Vec::with_capacity(dev.luts.len());
         let mut lut_cfull = Vec::with_capacity(dev.luts.len());
         let mut lut_cpristine = Vec::with_capacity(dev.luts.len());
@@ -565,15 +747,17 @@ impl<const W: usize> BatchDevice<W> {
             .map(|(pos, op)| match op.kind {
                 NodeKind::Lut => {
                     lut_node[op.target as usize] = pos as u32;
+                    let ctable = lut_cpristine[op.target as usize];
+                    let (class, pol) = classify(op.arity, ctable);
                     NodeDesc {
                         target: op.target,
                         out_wire: op.out_wire,
                         table_off: lut_coff[op.target as usize],
                         pins: op.pins,
-                        ctable: lut_cpristine[op.target as usize],
+                        ctable,
                         arity: op.arity,
-                        is_bram: 0,
-                        wide: false,
+                        op: class,
+                        pol,
                     }
                 }
                 NodeKind::Bram => NodeDesc {
@@ -583,8 +767,8 @@ impl<const W: usize> BatchDevice<W> {
                     pins: [0; 4],
                     ctable: 0,
                     arity: 0,
-                    is_bram: 1,
-                    wide: false,
+                    op: Op::Bram,
+                    pol: 0,
                 },
             })
             .collect();
@@ -656,7 +840,7 @@ impl<const W: usize> BatchDevice<W> {
                     *w = Word::splat((ct >> k) & 1 == 1);
                 }
                 self.lut_table_diff[li] = Word::ZERO;
-                self.node_descs[self.lut_node[li] as usize].wide = false;
+                self.node_descs[self.lut_node[li] as usize].set_pristine_op();
             }
             overrides.clear();
         }
@@ -810,22 +994,45 @@ impl<const W: usize> BatchDevice<W> {
         let tables = &self.compact_tables;
         let lv = &mut self.lut_values;
         for d in &self.node_descs {
-            if d.is_bram == 0 {
-                let v = if d.wide {
+            let v = match d.op {
+                Op::Bram => {
+                    self.brams[d.target as usize].read(wv);
+                    continue;
+                }
+                Op::Wide => {
                     let ct = &tables[d.table_off as usize..];
                     eval_lut_lanes(|k| ct[k], d, wv)
-                } else {
-                    eval_lut_lanes(|k| Word::splat((d.ctable >> k) & 1 == 1), d, wv)
-                };
-                if d.out_wire != NO_WIRE {
-                    wv[d.out_wire as usize] = v;
-                } else {
-                    lv[d.target as usize] = v;
                 }
+                Op::Generic => eval_lut_lanes(|k| Word::splat((d.ctable >> k) & 1 == 1), d, wv),
+                op => eval_class(op, d.pol, |i| wv[d.pins[i] as usize]),
+            };
+            if d.out_wire != NO_WIRE {
+                wv[d.out_wire as usize] = v;
             } else {
-                self.brams[d.target as usize].read(wv);
+                lv[d.target as usize] = v;
             }
         }
+    }
+
+    /// How many LUT nodes the settle sweep evaluates with each op class
+    /// right now, by class name in classification order, zero counts
+    /// left out. `"wide"` counts the LUTs some lane overrides and
+    /// `"generic"` the pristine LUTs no class fits; both evaluate the
+    /// full mux tree.
+    pub fn lut_op_counts(&self) -> Vec<(&'static str, usize)> {
+        let mut counts = [0usize; Op::Bram as usize];
+        for d in &self.node_descs {
+            if d.op != Op::Bram {
+                counts[d.op as usize] += 1;
+            }
+        }
+        CLASSES
+            .iter()
+            .map(|&(op, _)| op)
+            .chain([Op::Generic, Op::Wide])
+            .filter(|&op| counts[op as usize] > 0)
+            .map(|op| (op.name(), counts[op as usize]))
+            .collect()
     }
 
     /// Applies the clock edge on every lane: flip-flop captures (with the
@@ -1177,7 +1384,12 @@ impl<const W: usize> BatchDevice<W> {
         }
         if at.is_some() != now {
             self.lut_table_diff[li].set_bit(lane, now);
-            self.node_descs[self.lut_node[li] as usize].wide = !self.lut_table_diff[li].is_zero();
+            let d = &mut self.node_descs[self.lut_node[li] as usize];
+            if self.lut_table_diff[li].is_zero() {
+                d.set_pristine_op();
+            } else {
+                d.op = Op::Wide;
+            }
             self.note_config_diff(lane, now);
         }
     }
@@ -1633,6 +1845,88 @@ mod tests {
         lane_lut_rewrite::<1>(9);
         lane_lut_rewrite::<2>(64);
         lane_lut_rewrite::<4>(200);
+    }
+
+    /// A pseudo-random lane word (splitmix64 steps over `seed`).
+    fn random_word<const W: usize>(seed: &mut u64) -> Word<W> {
+        Word(std::array::from_fn(|_| {
+            *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }))
+    }
+
+    /// `classify(arity, ctable)` evaluates, on random pin words, exactly
+    /// like the generic mux tree over `ctable` at width `W`.
+    fn class_matches_tree<const W: usize>(arity: u8, ctable: u16, seed: &mut u64) {
+        let (op, pol) = classify(arity, ctable);
+        let d = NodeDesc {
+            target: 0,
+            out_wire: NO_WIRE,
+            table_off: 0,
+            pins: [0, 1, 2, 3],
+            ctable,
+            arity,
+            op,
+            pol,
+        };
+        for _ in 0..8 {
+            let wv: [Word<W>; 4] = std::array::from_fn(|_| random_word(seed));
+            let tree = eval_lut_lanes(|k| Word::splat((ctable >> k) & 1 == 1), &d, &wv);
+            if op != Op::Generic {
+                let class = eval_class(op, pol, |i| wv[i]);
+                assert_eq!(
+                    class, tree,
+                    "arity {arity}, table {ctable:#06x}: {op:?}/{pol:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn op_classes_match_the_generic_tree() {
+        let mut seed = 1;
+        let mut classified = 0;
+        // Every compact table of arity 0..=3.
+        for arity in 0..=3u8 {
+            for ctable in 0..1u16 << (1 << arity) {
+                class_matches_tree::<1>(arity, ctable, &mut seed);
+                class_matches_tree::<2>(arity, ctable, &mut seed);
+                class_matches_tree::<4>(arity, ctable, &mut seed);
+                if classify(arity, ctable).0 == Op::Generic {
+                    // No class at any polarity reaches a generic table.
+                    for &(op, at) in &CLASSES {
+                        if at.is_none_or(|at| at == arity) {
+                            for pol in 0..2 * POL_OUT {
+                                let mask = arity_mask(arity) as u16;
+                                assert_ne!(class_table(op, pol, arity) & mask, ctable);
+                            }
+                        }
+                    }
+                } else {
+                    classified += 1;
+                }
+            }
+        }
+        // Every (class, polarity) pair at arity 4 is found again and
+        // evaluates like the tree.
+        for &(op, at) in &CLASSES {
+            if at.is_none_or(|at| at == 4) {
+                for pol in 0..2 * POL_OUT {
+                    let ctable = class_table(op, pol, 4);
+                    assert_ne!(classify(4, ctable).0, Op::Generic, "{op:?}/{pol:#x}");
+                    class_matches_tree::<1>(4, ctable, &mut seed);
+                    class_matches_tree::<2>(4, ctable, &mut seed);
+                    class_matches_tree::<4>(4, ctable, &mut seed);
+                }
+            }
+        }
+        // 2 constants; BUF/NOT; 10 two-input tables (eight AND/OR
+        // forms, XOR, XNOR); at arity 3, 16 AND forms, XOR3/XNOR3, the
+        // 3 × 8 mux forms and 8 majority forms.
+        assert_eq!(classified, 2 + (2 + 2) + (2 + 10) + (2 + 16 + 2 + 24 + 8));
     }
 
     #[test]

@@ -113,11 +113,26 @@ fn reset_restores_pristine_configuration_after_any_mutation() {
     assert_eq!(dev.bitstream().cb(cb).unwrap().lut_table, 0x5555);
 }
 
+/// The full 16-entry truth table of a LUT whose connected pins are
+/// `pins` (ascending) and whose compact table (bit `j` of the index is
+/// the `j`-th connected pin) is `compact`.
+fn full_table(compact: u16, pins: &[u8]) -> u16 {
+    (0..16).fold(0, |table, i| {
+        let k = pins
+            .iter()
+            .enumerate()
+            .fold(0, |k, (j, &pin)| k | ((i >> pin) & 1) << j);
+        table | ((compact >> k) & 1) << i
+    })
+}
+
 /// A small sequential design in which every configuration cell a
 /// mutation can write matters: LUTs of arity 0 to 4 with flip-flop
 /// feedback, flip-flops fed through their LUT and directly, a writable
-/// memory block read by logic, and routed wires of varied delay. Returns
-/// the configuration and its used blocks.
+/// memory block read by logic, and routed wires of varied delay. Its
+/// pristine LUTs fall in every op class of the lane engine (see
+/// `mixed_design_reaches_every_op_class`). Returns the configuration and
+/// its used blocks.
 fn mixed_design() -> (Bitstream, Vec<CbCoord>) {
     let mut bs = Bitstream::new(ArchParams::small());
     let a = bs.add_input("a", 1)[0];
@@ -172,6 +187,42 @@ fn mixed_design() -> (Bitstream, Vec<CbCoord>) {
     let constant = CbCoord::new(14, 1);
     let one = bs.add_lut(constant, 0xFFFF, [None; 4]).unwrap();
     let q_const = bs.add_ff(constant, false, FfDSrc::Direct(one)).unwrap();
+    // One block per remaining op class, each LUT feeding its own
+    // flip-flop: (compact table, connected pins), some with gaps. The
+    // functions name the connected pins a, b, c, d in pin order.
+    let classed: [(u16, &[(u8, WireId)]); 9] = [
+        // a | !b
+        (0xB, &[(1, qs[1]), (3, qs[4])]),
+        // a & !b & c
+        (0x20, &[(0, qs[2]), (1, a), (2, qs[5])]),
+        // !a & b & c & !d
+        (0x40, &[(0, qs[0]), (1, qs[1]), (2, qs[2]), (3, qs[3])]),
+        // a ^ b
+        (0x6, &[(0, qs[4]), (3, a)]),
+        // !(a ^ b ^ c)
+        (0x69, &[(1, qs[0]), (2, qs[3]), (3, luts[2])]),
+        // a ? b : c
+        (0xD8, &[(0, qs[5]), (1, qs[1]), (2, qs[2])]),
+        // b ? a : c
+        (0xB8, &[(0, qs[3]), (2, a), (3, qs[0])]),
+        // c ? a : b
+        (0xAC, &[(0, qs[2]), (1, luts[5]), (3, qs[4])]),
+        // maj(!a, b, c)
+        (0xD4, &[(0, qs[1]), (1, qs[3]), (2, qs[5])]),
+    ];
+    let mut class_cbs = Vec::new();
+    let mut class_qs = Vec::new();
+    for (k, &(compact, pins)) in classed.iter().enumerate() {
+        let cb = CbCoord::new(1 + k as u16, 12);
+        let pin_ids: Vec<u8> = pins.iter().map(|&(pin, _)| pin).collect();
+        bs.place_lut(cb, full_table(compact, &pin_ids)).unwrap();
+        for &(pin, w) in pins {
+            bs.connect_lut_pin(cb, pin, w).unwrap();
+        }
+        class_qs.push(bs.place_ff(cb, k % 2 == 1).unwrap());
+        bs.connect_ff(cb, FfDSrc::LutOut).unwrap();
+        class_cbs.push(cb);
+    }
     for wi in 0..bs.wires().len() {
         let w = WireId::from_index(wi);
         bs.set_routing(w, (wi as u32 * 7) % 11, wi as u32 % 5, (0, 15))
@@ -179,11 +230,40 @@ fn mixed_design() -> (Bitstream, Vec<CbCoord>) {
     }
     let mut q = qs.clone();
     q.extend([q_reader, q_const]);
+    q.extend(class_qs);
     bs.add_output("q", &q).unwrap();
     bs.add_output("d", &dout).unwrap();
     let mut used = cbs;
     used.extend([reader, constant]);
+    used.extend(class_cbs);
     (bs, used)
+}
+
+/// The lane engine gives `mixed_design`'s pristine LUTs every op class,
+/// generic included, so the lane properties below exercise each one.
+#[test]
+fn mixed_design_reaches_every_op_class() {
+    let (bs, _) = mixed_design();
+    let dev = Device::configure(bs).unwrap();
+    let batch = BatchDevice::<1>::new(&dev).unwrap();
+    let classes: Vec<&str> = batch.lut_op_counts().iter().map(|&(c, _)| c).collect();
+    assert_eq!(
+        classes,
+        [
+            "const", "and1", "and2", "and3", "and4", "xor2", "xor3", "mux_s0", "mux_s1", "mux_s2",
+            "maj3", "generic"
+        ]
+    );
+}
+
+/// LUT nodes the lane engine evaluates on the wide (lane-word table)
+/// path.
+fn wide_luts<const W: usize>(batch: &BatchDevice<W>) -> usize {
+    batch
+        .lut_op_counts()
+        .iter()
+        .find(|&&(class, _)| class == "wide")
+        .map_or(0, |&(_, n)| n)
 }
 
 /// Block chosen by `k`: a used one, or (rarely) an unused block or a
@@ -475,6 +555,18 @@ fn lanes_track_scalar<const W: usize>(steps: &[(u8, u8, u32, u32)]) {
         }
         assert_eq!(batch.state_snapshot_lane(0), golden.state_snapshot());
         assert!(!config.bit(0) && !state.bit(0));
+        // Exactly the LUTs some lane overrides leave their op class for
+        // the wide path.
+        let overridden = used
+            .iter()
+            .filter(|&&cb| {
+                let pristine = bs.cb(cb).unwrap().lut_table;
+                twins
+                    .iter()
+                    .any(|t| t.bitstream().cb(cb).unwrap().lut_table != pristine)
+            })
+            .count();
+        assert_eq!(wide_luts(&batch), overridden, "W={W}: wide LUTs");
     }
 }
 

@@ -507,4 +507,107 @@ mod tests {
         let line = JsonObject::new().f64("x", f64::NAN).finish();
         assert_eq!(line, "{\"x\":null}");
     }
+
+    use proptest::prelude::*;
+    use proptest::test_runner::Prng;
+
+    /// Characters JSON text is made of, weighted towards the ones that
+    /// steer the parser, plus a multi-byte scalar.
+    const JSON_SOUP: &[char] = &[
+        '{', '}', '[', ']', '"', ':', ',', ' ', '\\', 'u', '0', '1', '9', '.', '-', '+', 'e', 'E',
+        't', 'r', 'u', 'e', 'f', 'a', 'l', 's', 'n', 'x', '\n', 'é',
+    ];
+
+    /// An arbitrary string: any Unicode scalar, with control characters,
+    /// quotes and backslashes over-represented.
+    fn random_string(rng: &mut Prng) -> String {
+        let len = rng.below(12);
+        (0..len)
+            .map(|_| match rng.below(4) {
+                0 => ['"', '\\', '\n', '\u{1}', '\u{1f}', '/'][rng.below(6) as usize],
+                1 => char::from_u32(rng.below(0x80) as u32).unwrap_or('?'),
+                _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    /// A random value tree at most `depth` containers deep. Numbers are
+    /// finite (the writer maps non-finite ones to `null`) and integers
+    /// span the whole `u64` range.
+    fn random_value(rng: &mut Prng, depth: u32) -> JsonValue {
+        let kinds = if depth == 0 { 5 } else { 7 };
+        match rng.below(kinds) {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.below(2) == 1),
+            2 => JsonValue::Integer(rng.next_u64() >> rng.below(64)),
+            3 => {
+                let f = f64::from_bits(rng.next_u64());
+                JsonValue::Number(if f.is_finite() { f } else { -0.5 })
+            }
+            4 => JsonValue::String(random_string(rng)),
+            5 => JsonValue::Array(
+                (0..rng.below(5))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Serializes a value tree with the module's writers.
+    fn write(v: &JsonValue) -> String {
+        match v {
+            JsonValue::Null => "null".to_string(),
+            JsonValue::Bool(b) => b.to_string(),
+            JsonValue::Integer(n) => n.to_string(),
+            JsonValue::Number(f) => number(*f),
+            JsonValue::String(s) => format!("\"{}\"", escape(s)),
+            JsonValue::Array(items) => array(&items.iter().map(write).collect::<Vec<_>>()),
+            JsonValue::Object(fields) => fields
+                .iter()
+                .fold(JsonObject::new(), |o, (k, v)| o.raw(k, &write(v)))
+                .finish(),
+        }
+    }
+
+    proptest! {
+        /// Arbitrary text up to a few KiB is parsed or refused, never a
+        /// panic: raw bytes (lossily decoded) and JSON-token soup.
+        #[test]
+        fn parse_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+            soup in proptest::collection::vec(0usize..JSON_SOUP.len(), 0..4096),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            let soup: String = soup.iter().map(|&k| JSON_SOUP[k]).collect();
+            let _ = parse(&soup);
+        }
+
+        /// Value trees written with `escape`, `number`, `array` and
+        /// `JsonObject` parse back to the same tree.
+        #[test]
+        fn written_values_round_trip(seed in any::<u64>()) {
+            let mut rng = Prng::new(seed);
+            let value = random_value(&mut rng, 4);
+            let text = write(&value);
+            prop_assert_eq!(parse(&text), Ok(value), "{}", text);
+        }
+
+        /// Integers above 2^53, where `f64` would round, come back exact,
+        /// alone and nested.
+        #[test]
+        fn integers_above_2_pow_53_are_exact(n in (1u64 << 53)..=u64::MAX) {
+            prop_assert_eq!(parse(&n.to_string()), Ok(JsonValue::Integer(n)));
+            let nested = parse(&format!("{{\"n\":[{n}]}}")).map_err(TestCaseError::fail)?;
+            let got = nested.get("n").map(|a| match a {
+                JsonValue::Array(items) => items.first().and_then(JsonValue::as_u64),
+                _ => None,
+            });
+            prop_assert_eq!(got, Some(Some(n)));
+        }
+    }
 }

@@ -26,7 +26,10 @@
 //!   individual `read` also carries a short timeout so the thread is
 //!   never parked);
 //! * request bodies are accepted only up to [`BODY_BUDGET`] declared
-//!   bytes; anything larger is a `413` and the body is not read.
+//!   bytes; anything larger is a `413` and the body is not read;
+//! * a `Content-Length` that is not a plain decimal number, or several
+//!   that disagree, is a `400`: the request is never served without the
+//!   body its client sent.
 //!
 //! [`MetricsServer`] is the classic campaign endpoint on top of it,
 //! activated by `FADES_METRICS_ADDR=<host:port>` (port `0` picks a free
@@ -259,23 +262,11 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
         }
     };
 
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.lines();
-    let mut request_line = lines.next().unwrap_or("").split_whitespace();
-    let method = request_line.next().unwrap_or("").to_string();
-    let path = request_line.next().unwrap_or("").to_string();
-    if method.is_empty() || path.is_empty() {
-        return Ok(ReadOutcome::Reject(400, "malformed request line"));
-    }
-
-    let content_length = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > BODY_BUDGET {
-        return Ok(ReadOutcome::Reject(413, "request body too large"));
-    }
+    let head = match parse_head(&buf[..head_end]) {
+        Ok(head) => head,
+        Err((status, msg)) => return Ok(ReadOutcome::Reject(status, msg)),
+    };
+    let content_length = head.content_length;
 
     // Body bytes already read past the head terminator, then the rest.
     let mut body = buf[head_end + 4..len].to_vec();
@@ -297,10 +288,64 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
     body.truncate(content_length);
 
     Ok(ReadOutcome::Request(HttpRequest {
-        method,
-        path,
+        method: head.method,
+        path: head.path,
         body: String::from_utf8_lossy(&body).into_owned(),
     }))
+}
+
+/// What the server needs from a request head.
+#[derive(Debug, PartialEq, Eq)]
+struct RequestHead {
+    method: String,
+    path: String,
+    /// Declared body length; 0 when no `Content-Length` is present.
+    content_length: usize,
+}
+
+/// Parses a request head (the bytes before the `\r\n\r\n`
+/// terminator). A request whose body length is unclear is refused
+/// rather than served without its body: a `Content-Length` that is not
+/// a plain decimal number, or several that disagree, is a `400`; one
+/// over [`BODY_BUDGET`] is a `413`.
+fn parse_head(head: &[u8]) -> Result<RequestHead, (u16, &'static str)> {
+    let head = String::from_utf8_lossy(head);
+    let mut lines = head.lines();
+    let mut request_line = lines.next().unwrap_or("").split_whitespace();
+    let method = request_line.next().unwrap_or("").to_string();
+    let path = request_line.next().unwrap_or("").to_string();
+    if method.is_empty() || path.is_empty() {
+        return Err((400, "malformed request line"));
+    }
+
+    let mut content_length = None;
+    for (_, value) in lines
+        .filter_map(|l| l.split_once(':'))
+        .filter(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
+    {
+        let value = value.trim();
+        // Digits only: `usize::from_str` would also take a leading `+`.
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err((400, "invalid Content-Length"));
+        }
+        // All digits, so a parse failure is an overflow.
+        let n = value
+            .parse::<usize>()
+            .map_err(|_| (413, "request body too large"))?;
+        if content_length.is_some_and(|c| c != n) {
+            return Err((400, "conflicting Content-Length headers"));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > BODY_BUDGET {
+        return Err((413, "request body too large"));
+    }
+    Ok(RequestHead {
+        method,
+        path,
+        content_length,
+    })
 }
 
 /// Byte offset of the `\r\n\r\n` head terminator, if present.
@@ -678,6 +723,124 @@ mod tests {
             "oversized body answered 413: {response}"
         );
         server.shutdown();
+    }
+
+    fn head(lines: &[&str]) -> Result<RequestHead, (u16, &'static str)> {
+        parse_head(lines.join("\r\n").as_bytes())
+    }
+
+    #[test]
+    fn head_parses_method_path_and_content_length() {
+        let parsed = head(&[
+            "POST /campaigns HTTP/1.1",
+            "Host: x",
+            "content-LENGTH:  12 ",
+        ]);
+        assert_eq!(
+            parsed,
+            Ok(RequestHead {
+                method: "POST".to_string(),
+                path: "/campaigns".to_string(),
+                content_length: 12,
+            })
+        );
+        assert_eq!(head(&["GET / HTTP/1.1"]).map(|h| h.content_length), Ok(0));
+        // Repeating the same length is not a conflict.
+        let repeated = head(&["POST / HTTP/1.1", "Content-Length: 5", "Content-Length: 5"]);
+        assert_eq!(repeated.map(|h| h.content_length), Ok(5));
+    }
+
+    #[test]
+    fn head_rejects_malformed_request_lines() {
+        assert_eq!(head(&[""]), Err((400, "malformed request line")));
+        assert_eq!(head(&["GET"]), Err((400, "malformed request line")));
+    }
+
+    #[test]
+    fn head_rejects_invalid_content_length_400() {
+        for bad in ["12x", "-1", "+5", "", "1 2", "0x10", "1e3", "½"] {
+            assert_eq!(
+                head(&["POST / HTTP/1.1", &format!("Content-Length: {bad}")]),
+                Err((400, "invalid Content-Length")),
+                "Content-Length: {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn head_rejects_conflicting_content_lengths_400() {
+        assert_eq!(
+            head(&["POST / HTTP/1.1", "Content-Length: 5", "Content-Length: 6"]),
+            Err((400, "conflicting Content-Length headers"))
+        );
+        // A valid length does not excuse an invalid duplicate.
+        assert_eq!(
+            head(&["POST / HTTP/1.1", "Content-Length: 5", "Content-Length: 5x"]),
+            Err((400, "invalid Content-Length"))
+        );
+    }
+
+    #[test]
+    fn head_rejects_oversized_content_length_413() {
+        let over = (BODY_BUDGET + 1).to_string();
+        let overflow = "9".repeat(40);
+        for len in [over.as_str(), overflow.as_str()] {
+            assert_eq!(
+                head(&["POST / HTTP/1.1", &format!("Content-Length: {len}")]),
+                Err((413, "request body too large"))
+            );
+        }
+        let at_budget = BODY_BUDGET.to_string();
+        let ok = head(&["POST / HTTP/1.1", &format!("Content-Length: {at_budget}")]);
+        assert_eq!(ok.map(|h| h.content_length), Ok(BODY_BUDGET));
+    }
+
+    #[test]
+    fn invalid_content_length_is_rejected_400_not_served() {
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            "test-content-length",
+            Arc::new(|_: &HttpRequest| HttpResponse::text(200, "served\n")),
+        )
+        .expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .write_all(b"POST /x HTTP/1.1\r\nContent-Length: 12x\r\n\r\nhello world!")
+            .expect("write");
+        stream.flush().expect("flush");
+        let mut response = String::new();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.read_to_string(&mut response).expect("read");
+        assert!(
+            response.starts_with("HTTP/1.1 400"),
+            "invalid Content-Length answered 400: {response}"
+        );
+        server.shutdown();
+    }
+
+    proptest::proptest! {
+        /// Arbitrary head bytes are parsed or refused, never a panic,
+        /// and an accepted head's body length is within budget.
+        #[test]
+        fn parse_head_never_panics(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            cl in proptest::collection::vec(0u8..16, 0..24),
+        ) {
+            if let Ok(parsed) = parse_head(&bytes) {
+                proptest::prop_assert!(parsed.content_length <= BODY_BUDGET);
+            }
+            // The same bytes behind a request line, with a header made
+            // of digits and noise, reach the Content-Length path.
+            let value: String = cl.iter().map(|&k| b"0123456789 +-x\t,"[k as usize] as char).collect();
+            let mut framed = format!("POST / HTTP/1.1\r\nContent-Length:{value}\r\n").into_bytes();
+            framed.extend_from_slice(&bytes);
+            match parse_head(&framed) {
+                Ok(parsed) => proptest::prop_assert!(parsed.content_length <= BODY_BUDGET),
+                Err((status, _)) => proptest::prop_assert!(status == 400 || status == 413),
+            }
+        }
     }
 
     #[test]
