@@ -205,6 +205,7 @@ fn bench_settle_throughput(c: &mut Criterion) {
     lane_settle::<1>(&mut group, &dev);
     lane_settle::<2>(&mut group, &dev);
     lane_settle::<4>(&mut group, &dev);
+    lane_settle::<8>(&mut group, &dev);
     // Building the lane engine from the configured device: every
     // service shard and every `execute_batched` call pays it once.
     group
@@ -212,6 +213,7 @@ fn bench_settle_throughput(c: &mut Criterion) {
         .throughput(Throughput::Elements(BUILDS));
     batch_device_new::<1>(&mut group, &dev);
     batch_device_new::<4>(&mut group, &dev);
+    batch_device_new::<8>(&mut group, &dev);
     group.finish();
 }
 

@@ -37,7 +37,7 @@ use rand::SeedableRng;
 
 use crate::classify::Outcome;
 use crate::error::CoreError;
-use crate::experiment::ExperimentResult;
+use crate::experiment::{ExperimentResult, FaultSchedule};
 use crate::golden::GoldenRun;
 use crate::location::ResolvedFault;
 use crate::plan::{ChaosPanic, PlannedExperiment};
@@ -95,9 +95,18 @@ pub(crate) fn lane_prologue<const W: usize>(
 
 /// The cohort's shared wall clock: charges elapsed intervals evenly
 /// across the lanes occupied over them.
+///
+/// The charges are kept as one running per-lane share: each charge point
+/// adds the interval since the previous one divided by the lanes occupied
+/// over it, and a lane's wall is the share accrued between its load and
+/// its retirement. That is the sum charging every occupied lane at every
+/// charge point would give, without walking the occupied lanes.
 struct CohortClock {
     started: Instant,
     marked_us: f64,
+    /// Wall charged so far to a lane occupied since the clock started
+    /// (µs).
+    share_us: f64,
 }
 
 impl CohortClock {
@@ -105,26 +114,100 @@ impl CohortClock {
         CohortClock {
             started: Instant::now(),
             marked_us: 0.0,
+            share_us: 0.0,
         }
     }
 
     /// Charges the clock advanced since the last charge point to the
-    /// occupied lanes `occ`, one equal share each. Call *before* removing
-    /// a retiring lane — it was occupied over the interval.
-    fn charge<const W: usize>(&mut self, slots: &mut [Option<LaneSlot<'_>>], occ: Word<W>) {
+    /// `occupied` lanes, one equal share each. Call *before* a retiring
+    /// lane leaves — it was occupied over the interval — and before its
+    /// successor is loaded.
+    fn charge(&mut self, occupied: u32) {
         let now_us = self.started.elapsed().as_secs_f64() * 1e6;
         let delta = now_us - self.marked_us;
         self.marked_us = now_us;
-        let occupied = occ.count_ones();
-        if occupied == 0 {
-            return;
+        if occupied > 0 {
+            self.share_us += delta / f64::from(occupied);
         }
-        let share = delta / f64::from(occupied);
-        for lane in occ.ones() {
-            if let Some(slot) = &mut slots[lane] {
-                slot.charged_us += share;
-            }
+    }
+}
+
+/// What a lane event does at the cycle it is filed under.
+#[derive(Debug, Clone, Copy)]
+enum LaneEvent {
+    /// The strategy injects before the settle.
+    Inject,
+    /// The strategy removes the fault after the edge.
+    Remove,
+    /// The fault is gone from the top of the cycle on: the lane may
+    /// retire.
+    Inert,
+}
+
+/// The lane events of one pass, filed by cycle when a lane is loaded.
+///
+/// Each (cycle, event) bucket is a singly linked list of lanes threaded
+/// through one array, so filing and reading an event costs O(1) and the
+/// pass allocates nothing per cycle. Events filed outside the pass's
+/// cycles never fire.
+struct LaneSchedule {
+    first: u64,
+    heads: Vec<[u32; 3]>,
+    /// `(lane, next)`; `next` is [`LaneSchedule::NIL`] at a list's end.
+    links: Vec<(u32, u32)>,
+}
+
+impl LaneSchedule {
+    const NIL: u32 = u32::MAX;
+
+    fn new(first: u64, end: u64) -> Self {
+        LaneSchedule {
+            first,
+            heads: vec![[Self::NIL; 3]; end.saturating_sub(first) as usize],
+            links: Vec::new(),
         }
+    }
+
+    /// The bucket of `cycle`, if the pass runs it.
+    fn bucket(&self, cycle: u64) -> Option<usize> {
+        let i = usize::try_from(cycle.checked_sub(self.first)?).ok()?;
+        (i < self.heads.len()).then_some(i)
+    }
+
+    fn file(&mut self, cycle: u64, event: LaneEvent, lane: usize) {
+        let Some(i) = self.bucket(cycle) else { return };
+        let head = &mut self.heads[i][event as usize];
+        self.links.push((lane as u32, *head));
+        *head = (self.links.len() - 1) as u32;
+    }
+
+    /// Files the events of the experiment `lane` takes at cycle `now`:
+    /// its injection, its removal after the edge of the cycle before its
+    /// fault is gone, and the cycle it turns inert. A lane loaded by a
+    /// refill is first checked for retirement at the next cycle.
+    fn load(&mut self, lane: usize, schedule: &FaultSchedule, now: u64, refill: bool) {
+        self.file(schedule.inject_at, LaneEvent::Inject, lane);
+        let gone = schedule.gone_at();
+        if gone > now {
+            self.file(gone - 1, LaneEvent::Remove, lane);
+        }
+        let first_check = if refill { now + 1 } else { now };
+        self.file(gone.max(first_check), LaneEvent::Inert, lane);
+    }
+
+    /// The lanes with `event` at `cycle`, as a lane mask.
+    fn lanes<const W: usize>(&self, cycle: u64, event: LaneEvent) -> Word<W> {
+        let mut mask = Word::ZERO;
+        let Some(i) = self.bucket(cycle) else {
+            return mask;
+        };
+        let mut at = self.heads[i][event as usize];
+        while at != Self::NIL {
+            let (lane, next) = self.links[at as usize];
+            mask.set_bit(lane as usize, true);
+            at = next;
+        }
+        mask
     }
 }
 
@@ -133,19 +216,17 @@ struct LaneSlot<'p> {
     planned: &'p PlannedExperiment,
     strategy: Box<dyn InjectionStrategy>,
     rng: StdRng,
-    diverged: bool,
-    /// Share of the cohort wall clock charged to this lane so far (µs).
-    charged_us: f64,
+    /// The cohort clock's per-lane share when this lane was loaded (µs).
+    loaded_share_us: f64,
 }
 
 impl<'p> LaneSlot<'p> {
-    fn new(planned: &'p PlannedExperiment, sub_cycle: bool) -> Self {
+    fn new(planned: &'p PlannedExperiment, sub_cycle: bool, clock: &CohortClock) -> Self {
         LaneSlot {
             planned,
             strategy: strategy_for(&planned.fault, sub_cycle),
             rng: StdRng::seed_from_u64(planned.seed),
-            diverged: false,
-            charged_us: 0.0,
+            loaded_share_us: clock.share_us,
         }
     }
 
@@ -155,6 +236,7 @@ impl<'p> LaneSlot<'p> {
         lane: usize,
         outcome: Outcome,
         early_stop_cycles: u64,
+        clock: &CohortClock,
     ) -> (u64, ExperimentResult) {
         (
             self.planned.index,
@@ -164,7 +246,7 @@ impl<'p> LaneSlot<'p> {
                 outcome,
                 traffic: LedgerSummary::from(batch.ledger(lane)),
                 strategy: self.strategy.name(),
-                wall_us: self.charged_us.round() as u64,
+                wall_us: (clock.share_us - self.loaded_share_us).round() as u64,
                 skipped_cycles: 0,
                 early_stop_cycles,
             },
@@ -175,7 +257,7 @@ impl<'p> LaneSlot<'p> {
 /// Deposits the per-experiment telemetry a lane retirement owes: the
 /// `experiment` phase histogram entry and — when Chrome tracing is on —
 /// a completed span of the lane's charged wall ending now. Lane spans
-/// overlap on one thread (the word runs up to 255 experiments at once),
+/// overlap on one thread (the word runs up to 511 experiments at once),
 /// which the trace renders faithfully.
 fn trace_retirement(phase: &Histogram, index: u64, wall_us: u64) {
     phase.record(wall_us);
@@ -188,15 +270,16 @@ fn trace_retirement(phase: &Histogram, index: u64, wall_us: u64) {
 }
 
 /// The lane-word width, in `u64`s, for a cohort of `n` lane entries: the
-/// widest `W` ∈ {1, 2, 4} whose `64 * W - 1` faulty lanes the cohort
+/// widest `W` ∈ {1, 2, 4, 8} whose `64 * W - 1` faulty lanes the cohort
 /// fills at least twice over.
 ///
-/// A sweep of a wider word costs more (measured per batch cycle: W=2
-/// ~1.1×, W=4 ~1.6× the W=1 cost), and it pays only while the extra lanes
-/// stay occupied. A small cohort on a wide word would sweep mostly empty
-/// lanes, so shards of a few dozen faults stay on the 64-lane word.
+/// A sweep of a wider word costs more (a settle sweep of the 8051 on a
+/// quiet host: W=2 ~1.2×, W=4 ~1.4×, W=8 ~1.9× the W=1 cost), and it pays
+/// only while the extra lanes stay occupied. A small cohort on a wide word
+/// would sweep mostly empty lanes, so shards of a few dozen faults stay on
+/// the 64-lane word.
 pub(crate) fn lane_word_width(n: usize) -> usize {
-    [4, 2]
+    [8, 4, 2]
         .into_iter()
         .find(|&w| n >= 2 * (64 * w - 1))
         .unwrap_or(1)
@@ -218,8 +301,9 @@ pub(crate) fn lane_word_width(n: usize) -> usize {
 /// instant had already passed when a lane freed up, plus everything
 /// beyond the last refill. The caller loops until the return is empty.
 ///
-/// Per-cycle bookkeeping walks the occupancy mask `occ`, so its cost
-/// follows the occupied lanes, not the width of the word.
+/// Per-cycle bookkeeping reads the lane events filed for the cycle and a
+/// few persistent lane masks, so its cost follows the events, not the
+/// occupied lanes or the width of the word.
 pub(crate) fn run_one_cohort<'p, const W: usize>(
     batch: &mut BatchDevice<W>,
     golden: &GoldenRun,
@@ -257,13 +341,16 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     let capacity = (lanes - 1) as u64;
     let mut clock = CohortClock::start();
     let mut slots: Vec<Option<LaneSlot<'p>>> = (0..lanes).map(|_| None).collect();
-    // Occupied lanes; never includes the golden lane 0.
+    let mut events = LaneSchedule::new(start_cycle, run_cycles);
+    // Persistent lane masks, none of which includes the golden lane 0:
+    // the occupied lanes; those whose fault is gone (they may retire);
+    // those whose installed fault ticks this cycle (set at injection,
+    // cleared at removal, so a permanent fault ticks to the end); and
+    // those whose observed ports have diverged from the golden run.
     let mut occ = Word::<W>::ZERO;
-    // Per lane: the injection cycle and the cycle its fault is gone by
-    // (`FaultSchedule::inert_at`; `u64::MAX` for a permanent fault),
-    // dense so the per-cycle scans stay in cache.
-    let mut times = vec![(0u64, u64::MAX); lanes];
-    let lane_times = |e: &PlannedExperiment| (e.schedule.inject_at, e.schedule.gone_at());
+    let mut inert = Word::<W>::ZERO;
+    let mut ticking = Word::<W>::ZERO;
+    let mut failed = Word::<W>::ZERO;
     let experiment_phase = fades_telemetry::span_phase("experiment");
     let mut cursor = 0usize;
     let mut leftovers: Vec<&'p PlannedExperiment> = Vec::new();
@@ -273,8 +360,8 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         };
         cursor += 1;
         loaded.push(planned);
-        *slot = Some(LaneSlot::new(planned, sub_cycle));
-        times[lane] = lane_times(planned);
+        *slot = Some(LaneSlot::new(planned, sub_cycle, &clock));
+        events.load(lane, &planned.schedule, start_cycle, false);
         occ.set_bit(lane, true);
     }
 
@@ -282,13 +369,9 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         // Retire reconverged lanes at the top of the cycle (the batch
         // analogue of the scalar early-stop hash check, by true
         // equality — equal state and pristine config imply the hash
-        // check passes too).
-        let mut inert = Word::<W>::ZERO;
-        for lane in occ.ones() {
-            if times[lane].1 <= cycle {
-                inert.set_bit(lane, true);
-            }
-        }
+        // check passes too). A lane retires only once inert, after all
+        // of its events have fired, so none reaches its successor.
+        inert |= events.lanes(cycle, LaneEvent::Inert);
         if !inert.is_zero() {
             let conf = batch.config_divergence();
             // Decided-lane shortcut: a port-diverged lane's outcome is
@@ -298,29 +381,33 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             // fixed. Snap it onto the golden trajectory so the ordinary
             // reconvergence retirement below fires right now instead of
             // dragging a hard-diverged machine to the end of the pass.
-            for lane in (inert & !conf).ones() {
-                if slots[lane].as_ref().is_some_and(|s| s.diverged) {
-                    batch.snap_lane_to_golden(lane);
-                }
+            for lane in (inert & !conf & failed).ones() {
+                batch.snap_lane_to_golden(lane);
             }
             let seq = batch.seq_divergence();
             let will_retire = inert & !seq & !conf;
             if !will_retire.is_zero() {
                 // Charge the shared clock before the retiring lanes
                 // leave — they were occupied over the elapsed interval.
-                clock.charge(&mut slots, occ);
+                clock.charge(occ.count_ones());
                 for lane in will_retire.ones() {
                     let Some(slot) = slots[lane].take() else {
                         continue; // the retire mask is a subset of `occ`
                     };
-                    occ.set_bit(lane, false);
-                    let outcome = if slot.diverged {
+                    let outcome = if failed.bit(lane) {
                         Outcome::Failure
                     } else {
                         Outcome::Silent
                     };
+                    // An inert lane's removal has fired, so it no
+                    // longer ticks.
+                    debug_assert!(!ticking.bit(lane), "lane {lane} retires ticking");
+                    for mask in [&mut occ, &mut inert, &mut failed] {
+                        mask.set_bit(lane, false);
+                    }
                     fades_telemetry::sim::record_lane_retirement();
-                    let (index, result) = slot.finish(batch, lane, outcome, run_cycles - cycle);
+                    let (index, result) =
+                        slot.finish(batch, lane, outcome, run_cycles - cycle, &clock);
                     trace_retirement(&experiment_phase, index, result.wall_us);
                     sink(index, result);
                     // Refill: skip entries whose injection instant has
@@ -336,8 +423,8 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
                         cursor += 1;
                         batch.refill_lane(lane);
                         loaded.push(planned);
-                        slots[lane] = Some(LaneSlot::new(planned, sub_cycle));
-                        times[lane] = lane_times(planned);
+                        slots[lane] = Some(LaneSlot::new(planned, sub_cycle, &clock));
+                        events.load(lane, &planned.schedule, cycle, true);
                         occ.set_bit(lane, true);
                     }
                 }
@@ -346,35 +433,34 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         if occ.is_zero() {
             break;
         }
-        // This cycle's strategy calls: injections, ticks of installed
-        // faults, and removals after the edge (`FaultSchedule::active`
-        // and `expires_after` over the dense times).
-        let (mut inject, mut tick, mut remove) =
-            (Word::<W>::ZERO, Word::<W>::ZERO, Word::<W>::ZERO);
-        for lane in occ.ones() {
-            let (start, end) = times[lane];
-            if start == cycle {
+        // This cycle's strategy calls: injections, then ticks of
+        // installed faults. A zero-duration fault is inert at its own
+        // injection instant and may retire before its injection fires,
+        // so an injection event counts only for the experiment that
+        // filed it.
+        let mut inject = Word::<W>::ZERO;
+        for lane in events.lanes::<W>(cycle, LaneEvent::Inject).ones() {
+            if slots[lane]
+                .as_ref()
+                .is_some_and(|s| s.planned.schedule.inject_at == cycle)
+            {
                 inject.set_bit(lane, true);
-            } else if start < cycle && cycle < end {
-                tick.set_bit(lane, true);
-            }
-            if cycle + 1 == end {
-                remove.set_bit(lane, true);
             }
         }
-        for lane in (inject | tick).ones() {
+        for lane in (inject | ticking).ones() {
             let Some(s) = &mut slots[lane] else { continue };
             if inject.bit(lane) {
                 if let Some(c) = chaos {
                     c.maybe_panic(s.planned.index, 0);
                 }
                 s.strategy.inject(&mut batch.lane(lane), &mut s.rng)?;
+                ticking.set_bit(lane, cycle + 1 < s.planned.schedule.gone_at());
             } else {
                 s.strategy.tick(&mut batch.lane(lane), &mut s.rng)?;
             }
         }
         batch.settle();
-        let diverged = match golden.trace().row(cycle as usize) {
+        failed |= match golden.trace().row(cycle as usize) {
             Some(row) => {
                 let mut diff = Word::<W>::ZERO;
                 for (wires, &g) in port_wires.iter().zip(row) {
@@ -384,15 +470,11 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             }
             None => occ,
         };
-        for lane in diverged.ones() {
-            if let Some(s) = &mut slots[lane] {
-                s.diverged = true;
-            }
-        }
         batch.clock_edge();
         fades_telemetry::sim::record_lane_cycle(u64::from(occ.count_ones()), capacity);
-        for lane in remove.ones() {
+        for lane in events.lanes::<W>(cycle, LaneEvent::Remove).ones() {
             if let Some(s) = &mut slots[lane] {
+                ticking.set_bit(lane, false);
                 s.strategy.remove(&mut batch.lane(lane))?;
             }
         }
@@ -403,7 +485,7 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     // belongs to this experiment's ledger, exactly as in the scalar
     // flow), then classify against the golden final state.
     if !occ.is_zero() {
-        clock.charge(&mut slots, occ);
+        clock.charge(occ.count_ones());
     }
     // Latent classification compares each lane's final state with the
     // golden run's. Lane 0 ran the golden trajectory, so once its state
@@ -426,14 +508,14 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         } else {
             batch.state_snapshot_lane(lane).as_slice() != golden.final_state()
         };
-        let outcome = if slot.diverged {
+        let outcome = if failed.bit(lane) {
             Outcome::Failure
         } else if latent {
             Outcome::Latent
         } else {
             Outcome::Silent
         };
-        let (index, result) = slot.finish(batch, lane, outcome, 0);
+        let (index, result) = slot.finish(batch, lane, outcome, 0, &clock);
         trace_retirement(&experiment_phase, index, result.wall_us);
         sink(index, result);
     }
@@ -547,7 +629,9 @@ mod tests {
             (254, 2),
             (509, 2),
             (510, 4),
-            (3000, 4),
+            (1021, 4),
+            (1022, 8),
+            (3000, 8),
         ] {
             assert_eq!(lane_word_width(n), w, "{n} lane entries");
         }
@@ -582,7 +666,7 @@ mod tests {
 
     /// The word width is a host-side packing choice: one plan per
     /// lane-expressible fault type gives the same results, traffic
-    /// included, on 64-, 128- and 256-lane words.
+    /// included, on 64-, 128-, 256- and 512-lane words.
     #[test]
     fn every_word_width_gives_identical_results() {
         use fades_mcu8051::{build_soc, workloads, OBSERVED_PORTS};
@@ -665,9 +749,14 @@ mod tests {
                 .iter()
                 .map(observable)
                 .collect();
+            let w8: Vec<String> = run_width::<8>(&campaign, plan.sub_cycle, &entries)
+                .iter()
+                .map(observable)
+                .collect();
             assert_eq!(w1.len(), entries.len(), "{kind}");
             assert_eq!(w1, w2, "{kind}: 128-lane word");
             assert_eq!(w1, w4, "{kind}: 256-lane word");
+            assert_eq!(w1, w8, "{kind}: 512-lane word");
         }
     }
 }

@@ -34,7 +34,7 @@ pub struct CampaignConfig {
     /// emulation time are identical to the full-simulation path.
     pub fastpath: bool,
     /// Whether the batched entry points use the bit-parallel lane engine
-    /// (up to 255 experiments plus the golden run per lane word, the word
+    /// (up to 511 experiments plus the golden run per lane word, the word
     /// sized to the plan). Like
     /// [`fastpath`](CampaignConfig::fastpath), a host-side shortcut only:
     /// outcomes, traffic and modelled emulation time are bit-identical to
@@ -226,6 +226,9 @@ pub struct Campaign<'n> {
     device: Device,
     time_model: TimeModel,
     config: CampaignConfig,
+    /// Structural lint findings over the implementation, computed on
+    /// first use (see [`lint`](Campaign::lint)).
+    lint: std::sync::OnceLock<Vec<fades_analysis::Diagnostic>>,
 }
 
 impl<'n> Campaign<'n> {
@@ -279,6 +282,7 @@ impl<'n> Campaign<'n> {
             device,
             time_model,
             config,
+            lint: std::sync::OnceLock::new(),
         })
     }
 
@@ -297,6 +301,16 @@ impl<'n> Campaign<'n> {
     /// The implementation under test.
     pub fn implementation(&self) -> &Implementation {
         &self.implementation
+    }
+
+    /// The structural lint findings over the implemented design
+    /// ([`fades_analysis::lint`] of its bitstream), computed on the first
+    /// call and shared by every later one: the implementation never
+    /// changes, so every shard and admission check of this campaign
+    /// reads the same findings without linting again.
+    pub fn lint(&self) -> &[fades_analysis::Diagnostic] {
+        self.lint
+            .get_or_init(|| fades_analysis::lint(&self.implementation.bitstream))
     }
 
     /// The netlist under test.
@@ -458,6 +472,7 @@ impl<'n> Campaign<'n> {
             return self.execute(plan, recorder);
         }
         match crate::batch::lane_word_width(self.lane_entry_count(plan)) {
+            8 => self.execute_batched_on::<8>(plan, recorder),
             4 => self.execute_batched_on::<4>(plan, recorder),
             2 => self.execute_batched_on::<2>(plan, recorder),
             _ => self.execute_batched_on::<1>(plan, recorder),
@@ -755,7 +770,7 @@ impl<'n> Campaign<'n> {
     }
 
     /// The lane engine under the isolation contract: lane-expressible
-    /// experiments run up to 255 per lane word, everything else (and every
+    /// experiments run up to 511 per lane word, everything else (and every
     /// fallback) goes through [`execute_isolated`](Self::execute_isolated)
     /// — same retry/quarantine semantics, same verdict shapes, outcomes
     /// and modelled seconds bit-identical to the scalar isolated path.
@@ -792,6 +807,7 @@ impl<'n> Campaign<'n> {
             return self.execute_isolated(plan, retries, recorder, observer);
         }
         match crate::batch::lane_word_width(self.lane_entry_count(plan)) {
+            8 => self.execute_batched_isolated_on::<8>(plan, retries, recorder, observer),
             4 => self.execute_batched_isolated_on::<4>(plan, retries, recorder, observer),
             2 => self.execute_batched_isolated_on::<2>(plan, retries, recorder, observer),
             _ => self.execute_batched_isolated_on::<1>(plan, retries, recorder, observer),

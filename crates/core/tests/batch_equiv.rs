@@ -3,8 +3,8 @@
 //!
 //! The lane engine is a host-side shortcut: each faulty machine still
 //! executes the full workload and its strategy issues the same
-//! reconfigurations in the same order, just up to 255 machines per lane
-//! word (63 per `u64`, with 1, 2 or 4 `u64`s sized to the plan).
+//! reconfigurations in the same order, just up to 511 machines per lane
+//! word (63 per `u64`, with 1, 2, 4 or 8 `u64`s sized to the plan).
 //! These tests pin that down for every fault load — identical seeds must
 //! give identical faults, outcomes, configuration traffic and
 //! (bit-for-bit) modelled emulation time on both paths, including for
@@ -23,6 +23,12 @@ use fades_rtl::RtlBuilder;
 
 /// The campaign-test LFSR (same fixture shape as `fastpath.rs`).
 fn lfsr_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
+    lfsr_observing(8)
+}
+
+/// The campaign-test LFSR with only its top `width` bits on the observed
+/// port `q`: a fault in a lower bit stays unobserved until it shifts up.
+fn lfsr_observing(width: usize) -> (fades_netlist::Netlist, fades_pnr::Implementation) {
     let mut b = RtlBuilder::new("lfsr");
     b.set_unit(UnitTag::Registers);
     let r = b.reg("lfsr", 8, 1);
@@ -36,7 +42,8 @@ fn lfsr_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
     b.set_unit(UnitTag::Registers);
     let next = fades_rtl::Signal::from_bits(bits);
     b.connect(r, &next);
-    b.output("q", &q);
+    let observed = fades_rtl::Signal::from_bits((8 - width..8).map(|i| q.bit(i)).collect());
+    b.output("q", &observed);
     let netlist = b.finish().unwrap();
     let imp = implement(&netlist, fades_fpga::ArchParams::small()).unwrap();
     (netlist, imp)
@@ -292,6 +299,111 @@ fn wide_lane_words_match_scalar_path() {
     assert_equivalent(&nl, &imp, &["q"], 150, &flips, 254, 223);
     let pulses = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
     assert_equivalent(&nl, &imp, &["q"], 150, &pulses, 510, 224);
+}
+
+#[test]
+fn widest_lane_word_matches_its_shards_and_the_scalar_path() {
+    // 1022 lane entries fill a 511-lane word twice and select it; its
+    // results must equal the scalar oracle's, cold and warm-started.
+    let (nl, imp) = lfsr_design();
+    let flips = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
+    assert_equivalent(&nl, &imp, &["q"], 150, &flips, 1022, 225);
+    // And the same verdicts as its three shards, each small enough
+    // (367 entries) to run on a 127-lane word: the word width is a
+    // packing choice only.
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+    let pulses = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    let plan = campaign.plan(&pulses, 1100, 226).unwrap();
+    let whole = campaign
+        .execute_batched_isolated(&plan, 1, None, None)
+        .unwrap();
+    let mut sharded = Vec::new();
+    for shard in 0..3 {
+        let sub = plan.shard(shard, 3);
+        sharded.extend(
+            campaign
+                .execute_batched_isolated(&sub, 1, None, None)
+                .unwrap(),
+        );
+    }
+    sharded.sort_by_key(fades_core::ExperimentVerdict::index);
+    assert_verdicts_equivalent(&whole, &sharded);
+}
+
+/// One plan mixing every shape of lane schedule: one-cycle faults
+/// (injection and removal in the same cycle), multi-cycle faults,
+/// permanent faults that tick every cycle, stuck-at flip-flops held for
+/// a few cycles (ticks that cost traffic, then stop at removal), faults
+/// that outlive the run, and — four times as many entries as a 64-lane
+/// word holds, injected in a window of six cycles — injections that fall
+/// on the cycles lanes are refilled.
+fn mixed_schedule_plan(campaign: &Campaign<'_>) -> CampaignPlan {
+    let run_cycles = campaign.run_cycles();
+    let loads = [
+        FaultLoad::indeterminations(TargetClass::AllFfs, DurationRange::SHORT, false),
+        FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT),
+        FaultLoad::permanent(PermanentFault::StuckAt, TargetClass::AllFfs),
+        FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT),
+    ];
+    let mut experiments = Vec::new();
+    for (k, load) in loads.iter().enumerate() {
+        experiments.extend(campaign.plan(load, 64, 230 + k as u64).unwrap().experiments);
+    }
+    for (i, e) in experiments.iter_mut().enumerate() {
+        let i = i as u64;
+        e.index = i;
+        let outliving = i % 7 == 3;
+        e.schedule.inject_at = if outliving {
+            run_cycles - 1 - i % 4
+        } else {
+            40 + i % 6
+        };
+        // Every other stuck-at flip-flop is held for a while only.
+        let held = e.schedule.duration.is_none() && (i / 2).is_multiple_of(2);
+        if e.schedule.duration.is_some() || held {
+            e.schedule.duration = Some(match (i / 6) % 3 {
+                _ if outliving => 5 + i % 3,
+                0 => 1,
+                1 => 2 + i % 9,
+                _ => 12,
+            });
+        }
+    }
+    CampaignPlan {
+        target: "mixed schedules".into(),
+        sub_cycle: false,
+        seed: 230,
+        n_total: experiments.len(),
+        experiments,
+    }
+}
+
+#[test]
+fn every_lane_schedule_shape_matches_scalar_path() {
+    // Observed in full, a diverged lane fails at once and is snapped and
+    // retired as soon as its fault is gone; observed through the top
+    // bit only, it lingers unobserved for a few cycles after its fault
+    // is gone.
+    for bits in [8, 1] {
+        let (nl, imp) = lfsr_observing(bits);
+        let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+        let plan = mixed_schedule_plan(&campaign);
+        let run_cycles = campaign.run_cycles();
+        let s = |e: &fades_core::PlannedExperiment| e.schedule;
+        assert!(plan.experiments.iter().any(|e| s(e).duration == Some(1)));
+        assert!(plan.experiments.iter().any(|e| s(e).duration.is_none()));
+        assert!(plan
+            .experiments
+            .iter()
+            .any(|e| s(e).duration.is_some() && s(e).outlives(run_cycles)));
+        let what = format!("mixed schedules, {bits} observed bit(s)");
+        assert_plan_equivalent(&campaign, &plan, &what);
+        let batched = campaign
+            .execute_batched_isolated(&plan, 1, None, None)
+            .unwrap();
+        let scalar = campaign.execute_isolated(&plan, 1, None, None).unwrap();
+        assert_verdicts_equivalent(&batched, &scalar);
+    }
 }
 
 #[test]

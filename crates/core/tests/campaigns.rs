@@ -47,6 +47,18 @@ fn bit_flip_into_lfsr_always_fails() {
 }
 
 #[test]
+fn campaign_lints_its_design_once() {
+    // The findings are the linter's over the implemented bitstream, and
+    // every later call reads the same memoised list.
+    let (nl, imp) = lfsr_campaign();
+    let expected = fades_analysis::lint_quiet(&imp.bitstream);
+    let campaign = Campaign::new(&nl, imp, &["q"], 100).unwrap();
+    let first = campaign.lint();
+    assert_eq!(first, expected.as_slice());
+    assert!(std::ptr::eq(first, campaign.lint()));
+}
+
+#[test]
 fn empty_campaign_yields_zeroed_stats() {
     // Regression: n_faults = 0 used to panic in the executor's work
     // partitioning (`chunks(0)`); it must simply produce empty stats.

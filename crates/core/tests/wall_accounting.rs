@@ -1,6 +1,6 @@
 //! Wall-clock attribution invariants of the lane engine.
 //!
-//! The cohort's host clock is shared by up to 255 concurrent lanes; each
+//! The cohort's host clock is shared by up to 511 concurrent lanes; each
 //! retirement charges the elapsed interval *divided* across the occupied
 //! lanes. These tests pin down the consequences:
 //!

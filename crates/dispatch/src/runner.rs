@@ -24,7 +24,7 @@ pub struct ShardOptions {
     /// while executing.
     pub with_recorder: bool,
     /// Whether to run lane-expressible experiments on the bit-parallel
-    /// lane engine (up to 255 per lane word) via
+    /// lane engine (up to 511 per lane word) via
     /// [`Campaign::execute_batched_isolated`]. Outcomes, modelled
     /// seconds and journal contents are bit-identical to the scalar
     /// isolated path — this changes host wall-clock only. Defaults to
@@ -89,10 +89,19 @@ pub struct ShardOutcome {
 ///
 /// [`DispatchError::Lint`] carrying the error-severity diagnostics.
 pub fn lint_gate(bitstream: &fades_fpga::Bitstream) -> Result<(), DispatchError> {
-    let mut diagnostics = fades_analysis::lint(bitstream);
-    if fades_analysis::worst(&diagnostics) == Some(fades_analysis::Severity::Error) {
-        diagnostics.retain(|d| d.severity == fades_analysis::Severity::Error);
-        return Err(DispatchError::Lint(diagnostics));
+    gate_on(&fades_analysis::lint(bitstream))
+}
+
+/// [`lint_gate`]'s verdict over findings already computed.
+fn gate_on(diagnostics: &[fades_analysis::Diagnostic]) -> Result<(), DispatchError> {
+    if fades_analysis::worst(diagnostics) == Some(fades_analysis::Severity::Error) {
+        return Err(DispatchError::Lint(
+            diagnostics
+                .iter()
+                .filter(|d| d.severity == fades_analysis::Severity::Error)
+                .cloned()
+                .collect(),
+        ));
     }
     Ok(())
 }
@@ -121,9 +130,10 @@ pub fn lint_gate(bitstream: &fades_fpga::Bitstream) -> Result<(), DispatchError>
 ///
 /// # Errors
 ///
-/// A design with `Error`-severity lint diagnostics is rejected by
-/// [`lint_gate`] as [`DispatchError::Lint`] before any journal is
-/// touched. Other
+/// A design with `Error`-severity lint diagnostics is rejected as
+/// [`lint_gate`] rejects it, with [`DispatchError::Lint`], before any
+/// journal is touched; the findings are [`Campaign::lint`]'s, computed
+/// once per campaign. Other
 /// failures: invalid shard geometry (`count == 0` or `shard >= count`,
 /// surfaced as [`CoreError::ShardGeometry`](fades_core::CoreError)
 /// before any journal is touched), journal I/O or header mismatches, or
@@ -138,8 +148,9 @@ pub fn run_shard(
     opts: &ShardOptions,
 ) -> Result<ShardOutcome, DispatchError> {
     // Pre-campaign gate: runs before any journal I/O so a rejected
-    // shard leaves nothing on disk to resume from.
-    lint_gate(&campaign.implementation().bitstream)?;
+    // shard leaves nothing on disk to resume from. The campaign lints
+    // its design once; every later shard reads the memoised findings.
+    gate_on(campaign.lint())?;
 
     let header = JournalHeader {
         campaign: plan.target.clone(),

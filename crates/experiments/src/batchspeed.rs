@@ -1,7 +1,7 @@
 //! Lane-engine speed-up: the same single-threaded FF bit-flip campaign
-//! executed scalar (one faulty machine at a time) and batched (up to 255
+//! executed scalar (one faulty machine at a time) and batched (up to 511
 //! faulty machines plus golden per lane word, the word sized to the
-//! campaign: 63 lanes at 64 faults, 255 from 510).
+//! campaign: 63 lanes at 64 faults, 255 from 510, 511 from 1022).
 //!
 //! Both runs feed the telemetry recorder under distinct labels, so
 //! `BENCH_campaign.json` reports `faults_per_sec` for each and the ratio

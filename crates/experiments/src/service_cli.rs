@@ -96,10 +96,6 @@ fn standard_setup() -> Result<&'static StandardSetup, Box<dyn Error>> {
 pub struct ExperimentBackend {
     campaign: Campaign<'static>,
     workload: &'static Workload,
-    /// Structural lint findings over the implemented design, computed
-    /// once at construction. Admission rejects every job while an
-    /// `Error`-severity finding is present.
-    diagnostics: Vec<fades_analysis::Diagnostic>,
 }
 
 impl ExperimentBackend {
@@ -124,20 +120,21 @@ impl ExperimentBackend {
             &OBSERVED_PORTS,
             setup.workload_cycles,
         )?;
-        let diagnostics = fades_analysis::lint(&campaign.implementation().bitstream);
-        for d in &diagnostics {
+        for d in campaign.lint() {
             fades_telemetry::log_raw_line(&d.to_runlog_json("8051-bubblesort"));
         }
         Ok(ExperimentBackend {
             campaign,
             workload: &setup.workload,
-            diagnostics,
         })
     }
 
-    /// The lint findings computed at construction.
+    /// The lint findings over the implemented design, computed once at
+    /// construction ([`Campaign::lint`]) and shared with every shard the
+    /// backend runs. Admission rejects every job while an
+    /// `Error`-severity finding is present.
     pub fn diagnostics(&self) -> &[fades_analysis::Diagnostic] {
-        &self.diagnostics
+        self.campaign.lint()
     }
 
     fn memory_targets(&self) -> fades_core::TargetClass {
@@ -151,9 +148,9 @@ impl ExperimentBackend {
 
 impl CampaignBackend for ExperimentBackend {
     fn validate(&self, spec: &JobSpec) -> Result<(), String> {
-        if fades_analysis::worst(&self.diagnostics) == Some(fades_analysis::Severity::Error) {
+        if fades_analysis::worst(self.diagnostics()) == Some(fades_analysis::Severity::Error) {
             let errors: Vec<String> = self
-                .diagnostics
+                .diagnostics()
                 .iter()
                 .filter(|d| d.severity == fades_analysis::Severity::Error)
                 .map(ToString::to_string)

@@ -47,7 +47,7 @@ use crate::word::Word;
 /// [`LaneDevice`] implements it against one lane of a [`BatchDevice`].
 /// Fault-injection strategies are written against this trait, which is
 /// what lets the same strategy code run one experiment on a scalar device
-/// or up to 255 at once on the lane engine.
+/// or up to 511 at once on the lane engine.
 pub trait ConfigAccess {
     /// Reads back the state of one flip-flop (one capture frame).
     ///
@@ -402,26 +402,31 @@ impl<const W: usize> LaneBram<W> {
     /// Drives the read port's output wires from the current address
     /// words (asynchronous read).
     ///
-    /// Every lane reads the golden lane's address as whole words; only
-    /// the lanes whose address differs from it are then patched one by
-    /// one, so the cost follows the address-diverged lanes, not the
-    /// width of the word.
+    /// Every lane reads the golden lane's address as whole words; the
+    /// lanes whose address differs from it are then served one distinct
+    /// address at a time, as whole words under the mask of the lanes
+    /// sharing it, so the cost follows the distinct diverged addresses,
+    /// not the diverged lanes or the width of the word.
     fn read(&self, wv: &mut [Word<W>]) {
-        let (golden, odd) = golden_address(self.addr_wires.iter().map(|&w| wv[w as usize]));
+        let (golden, mut odd) = golden_address(self.addr_wires.iter().map(|&w| wv[w as usize]));
         let base = golden * self.width;
         for (bit, dw) in self.dout_wires.iter().enumerate() {
             if let Some(w) = dw {
                 wv[*w as usize] = self.contents[base + bit];
             }
         }
-        for lane in odd.ones() {
-            let addr = lane_address(self.addr_wires.iter().map(|&w| wv[w as usize]), lane);
+        while let Some(lane) = odd.ones().next() {
+            let bus = || self.addr_wires.iter().map(|&w| wv[w as usize]);
+            let addr = lane_address(bus(), lane);
+            let at = odd & lanes_at(bus(), addr);
+            let base = addr * self.width;
             for (bit, dw) in self.dout_wires.iter().enumerate() {
                 if let Some(w) = dw {
-                    let v = self.contents[addr * self.width + bit].bit(lane);
-                    wv[*w as usize].set_bit(lane, v);
+                    let out = &mut wv[*w as usize];
+                    *out = Word::mux(*out, self.contents[base + bit], at);
                 }
             }
+            odd &= !at;
         }
     }
 }
@@ -444,6 +449,14 @@ fn golden_address<const W: usize>(bus: impl Iterator<Item = Word<W>>) -> (usize,
 fn lane_address<const W: usize>(bus: impl Iterator<Item = Word<W>>, lane: usize) -> usize {
     bus.enumerate()
         .fold(0, |addr, (k, w)| addr | usize::from(w.bit(lane)) << k)
+}
+
+/// The lanes whose address on a bus of lane words (LSB first) is `addr`.
+#[inline]
+fn lanes_at<const W: usize>(bus: impl Iterator<Item = Word<W>>, addr: usize) -> Word<W> {
+    bus.enumerate().fold(Word::ONES, |at, (k, w)| {
+        at & (w ^ Word::splat((addr >> k) & 1 == 0))
+    })
 }
 
 /// A lane-parallel replica of one configured [`Device`]: `64 * W` copies
@@ -1085,16 +1098,17 @@ impl<const W: usize> BatchDevice<W> {
             let (contents, dirty, is_dirty) = (&mut b.contents, &mut b.dirty, &mut b.is_dirty);
             let width = b.width;
             // Lanes agreeing with the golden lane on enable and address
-            // write (or not) as whole words; the rest, one by one.
+            // write (or not) as whole words; the rest one distinct
+            // address at a time, as whole words under the mask of the
+            // writing lanes that share it.
             let (golden, odd) = golden_address(addr_eff.iter().copied());
             let odd = odd | (we_eff ^ we_eff.splat_lane0());
-            if we_eff.0[0] & 1 == 1 {
-                let agree = !odd;
-                let base = golden * width;
+            let mut write = |addr: usize, lanes: Word<W>| {
+                let base = addr * width;
                 for bit in 0..width {
                     let din = din_eff.get(bit).copied().unwrap_or(Word::ZERO);
                     let idx = base + bit;
-                    let new = Word::mux(contents[idx], din, agree);
+                    let new = Word::mux(contents[idx], din, lanes);
                     if contents[idx] != new {
                         contents[idx] = new;
                         if !new.is_uniform() {
@@ -1102,20 +1116,16 @@ impl<const W: usize> BatchDevice<W> {
                         }
                     }
                 }
+            };
+            if we_eff.0[0] & 1 == 1 {
+                write(golden, !odd);
             }
-            for lane in (odd & we_eff).ones() {
-                let base = lane_address(addr_eff.iter().copied(), lane) * width;
-                for bit in 0..width {
-                    let v = din_eff.get(bit).is_some_and(|w| w.bit(lane));
-                    let idx = base + bit;
-                    let cell = &mut contents[idx];
-                    if cell.bit(lane) != v {
-                        cell.set_bit(lane, v);
-                        if !cell.is_uniform() {
-                            mark_dirty(dirty, is_dirty, idx);
-                        }
-                    }
-                }
+            let mut rest = odd & we_eff;
+            while let Some(lane) = rest.ones().next() {
+                let addr = lane_address(addr_eff.iter().copied(), lane);
+                let at = rest & lanes_at(addr_eff.iter().copied(), addr);
+                write(addr, at);
+                rest &= !at;
             }
             b.prev_we = we_now;
             std::mem::swap(&mut b.prev_addr, &mut b.now_addr);
@@ -1743,6 +1753,7 @@ mod tests {
         all_lanes_track::<1>();
         all_lanes_track::<2>();
         all_lanes_track::<4>();
+        all_lanes_track::<8>();
     }
 
     fn lane_pulse<const W: usize>(l: usize) {
@@ -1788,6 +1799,8 @@ mod tests {
         lane_pulse::<2>(127);
         lane_pulse::<4>(128);
         lane_pulse::<4>(255);
+        lane_pulse::<8>(256);
+        lane_pulse::<8>(511);
     }
 
     fn lane_lut_rewrite<const W: usize>(l: usize) {
@@ -1845,6 +1858,7 @@ mod tests {
         lane_lut_rewrite::<1>(9);
         lane_lut_rewrite::<2>(64);
         lane_lut_rewrite::<4>(200);
+        lane_lut_rewrite::<8>(400);
     }
 
     /// A pseudo-random lane word (splitmix64 steps over `seed`).
@@ -1895,6 +1909,7 @@ mod tests {
                 class_matches_tree::<1>(arity, ctable, &mut seed);
                 class_matches_tree::<2>(arity, ctable, &mut seed);
                 class_matches_tree::<4>(arity, ctable, &mut seed);
+                class_matches_tree::<8>(arity, ctable, &mut seed);
                 if classify(arity, ctable).0 == Op::Generic {
                     // No class at any polarity reaches a generic table.
                     for &(op, at) in &CLASSES {
@@ -1934,6 +1949,11 @@ mod tests {
         assert_eq!(BatchDevice::<1>::GOLDEN_LANE_MASK, Word([1]));
         assert_eq!(BatchDevice::<4>::GOLDEN_LANE_MASK, Word([1, 0, 0, 0]));
         assert_eq!(BatchDevice::<4>::LANES, 256);
+        assert_eq!(
+            BatchDevice::<8>::GOLDEN_LANE_MASK,
+            Word([1, 0, 0, 0, 0, 0, 0, 0])
+        );
+        assert_eq!(BatchDevice::<8>::LANES, 512);
     }
 
     #[test]

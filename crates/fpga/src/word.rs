@@ -169,6 +169,15 @@ mod tests {
             w.set_bit(lane, true);
             assert_eq!(w, Word::ONES);
         }
+        for lane in [255, 256, 511] {
+            let m = Word::<8>::lane(lane);
+            assert!(m.bit(lane) && !m.bit(lane - 1));
+            assert_eq!(m.count_ones(), 1);
+            assert_eq!(m.ones().collect::<Vec<_>>(), vec![lane]);
+            let mut w = Word::<8>::ONES;
+            w.set_bit(lane, false);
+            assert_eq!(w, !m);
+        }
     }
 
     #[test]
@@ -180,6 +189,12 @@ mod tests {
         assert_eq!(w.splat_lane0(), Word::ONES);
         assert!(!Word::<2>([u64::MAX, 0]).is_uniform());
         assert!(Word::<2>([u64::MAX, u64::MAX]).is_uniform());
+        let mut w = Word::<8>::ZERO;
+        w.set_bit(511, true);
+        assert_eq!(w.splat_lane0(), Word::ZERO);
+        assert!(!w.is_uniform());
+        w.set_bit(0, true);
+        assert_eq!(w.splat_lane0(), Word::ONES);
     }
 
     #[test]
@@ -187,5 +202,10 @@ mod tests {
         let w = Word::<4>([0b101, 0, 1 << 63, 1]);
         assert_eq!(w.ones().collect::<Vec<_>>(), vec![0, 2, 191, 192]);
         assert_eq!(Word::<1>::ZERO.ones().count(), 0);
+        let mut w = Word::<8>::ZERO;
+        for lane in [1, 256, 300, 511] {
+            w.set_bit(lane, true);
+        }
+        assert_eq!(w.ones().collect::<Vec<_>>(), vec![1, 256, 300, 511]);
     }
 }

@@ -404,7 +404,7 @@ proptest! {
 
 /// Lanes on the edges of the `u64` words a lane word spans; a width-`W`
 /// engine uses those below `64 * W`.
-const EDGE_LANES: [usize; 6] = [1, 63, 64, 127, 128, 255];
+const EDGE_LANES: [usize; 8] = [1, 63, 64, 127, 128, 255, 256, 511];
 
 /// Decodes one random step `(kind, a, b)` for the lane engine and its
 /// scalar twin: every mutation a lane can express (routing mutations
@@ -584,5 +584,118 @@ proptest! {
         lanes_track_scalar::<1>(&steps);
         lanes_track_scalar::<2>(&steps);
         lanes_track_scalar::<4>(&steps);
+        lanes_track_scalar::<8>(&steps);
     }
+}
+
+/// A memory block whose write enable, address and data come from
+/// flip-flops that hold their value (one data bit toggles every cycle
+/// instead), so each lane's read and write address is whatever its
+/// flip-flops were set to. Returns the configuration, the enable and
+/// address flip-flops (address LSB first) and the held data flip-flop.
+fn held_port_memory() -> (Bitstream, CbCoord, Vec<CbCoord>, CbCoord) {
+    let mut bs = Bitstream::new(ArchParams::small());
+    let hold = |bs: &mut Bitstream, cb: CbCoord, init: bool| {
+        let q = bs.place_ff(cb, init).unwrap();
+        bs.connect_ff(cb, FfDSrc::Direct(q)).unwrap();
+        q
+    };
+    let we_cb = CbCoord::new(0, 0);
+    let we = hold(&mut bs, we_cb, true);
+    let addr_cbs: Vec<CbCoord> = (0..4).map(|i| CbCoord::new(1 + i, 0)).collect();
+    let addr: Vec<WireId> = addr_cbs
+        .iter()
+        .map(|&cb| hold(&mut bs, cb, false))
+        .collect();
+    let din_cb = CbCoord::new(5, 0);
+    let held_din = hold(&mut bs, din_cb, false);
+    let toggle_cb = CbCoord::new(6, 0);
+    bs.place_lut(toggle_cb, 0x5555).unwrap();
+    let toggle = bs.place_ff(toggle_cb, false).unwrap();
+    bs.connect_lut_pin(toggle_cb, 0, toggle).unwrap();
+    bs.connect_ff(toggle_cb, FfDSrc::LutOut).unwrap();
+    let contents: Vec<u64> = (0..16).map(|k| k % 4).collect();
+    let dout = bs
+        .add_bram("m", &addr, &[toggle, held_din], Some(we), 2, &contents)
+        .unwrap();
+    bs.add_output("d", &dout).unwrap();
+    let mut q = vec![we, held_din, toggle];
+    q.extend(&addr);
+    bs.add_output("q", &q).unwrap();
+    (bs, we_cb, addr_cbs, din_cb)
+}
+
+/// Sets one flip-flop's state through the set/reset line.
+fn force_ff(dev: &mut dyn ConfigAccess, cb: CbCoord, value: bool) {
+    dev.apply(&Mutation::SetLsrDrive {
+        cb,
+        drive: SetReset::driving(value),
+    })
+    .unwrap();
+    dev.apply(&Mutation::PulseLsr { cb }).unwrap();
+}
+
+/// Every lane of a width-`W` engine against its own scalar device, with
+/// most lanes reading and writing one of a few shared addresses that
+/// differ from the golden lane's, some on the golden address with a
+/// different write enable, and three lanes on addresses no other lane
+/// uses. Compares ports each cycle and state snapshots after each edge.
+fn shared_memory_addresses_track_the_scalar_device<const W: usize>() {
+    let (bs, we_cb, addr_cbs, din_cb) = held_port_memory();
+    let lanes = BatchDevice::<W>::LANES;
+    let unique = [(33, 7), (lanes / 2 - 1, 10), (lanes - 1, 2)];
+    let mut batch = BatchDevice::<W>::new(&Device::configure(bs.clone()).unwrap()).unwrap();
+    let mut twins: Vec<Device> = (0..lanes)
+        .map(|_| {
+            let mut twin = Device::configure(bs.clone()).unwrap();
+            twin.clear_ledger();
+            twin
+        })
+        .collect();
+    for (lane, twin) in twins.iter_mut().enumerate().skip(1) {
+        let addr = unique
+            .iter()
+            .find(|&&(l, _)| l == lane)
+            .map_or([3, 11, 6, 14, 0][lane % 5], |&(_, a)| a);
+        let mut sets = vec![(we_cb, lane % 3 != 0), (din_cb, lane % 2 == 1)];
+        sets.extend(
+            addr_cbs
+                .iter()
+                .enumerate()
+                .map(|(k, &cb)| (cb, (addr >> k) & 1 == 1)),
+        );
+        for (cb, value) in sets {
+            force_ff(&mut batch.lane(lane), cb, value);
+            force_ff(twin, cb, value);
+        }
+    }
+    for cycle in 0..6 {
+        batch.settle();
+        for (lane, twin) in twins.iter_mut().enumerate() {
+            twin.settle();
+            for port in ["d", "q"] {
+                assert_eq!(
+                    batch.output_u64_lane(port, lane).unwrap(),
+                    twin.output_u64(port).unwrap(),
+                    "W={W}, cycle {cycle}, lane {lane}, port {port}"
+                );
+            }
+        }
+        batch.clock_edge();
+        for (lane, twin) in twins.iter_mut().enumerate() {
+            twin.clock_edge();
+            assert_eq!(
+                batch.state_snapshot_lane(lane),
+                twin.state_snapshot(),
+                "W={W}, cycle {cycle}, lane {lane}: state"
+            );
+            assert_eq!(batch.ledger(lane), twin.ledger(), "W={W}, lane {lane}");
+        }
+    }
+}
+
+#[test]
+fn lanes_sharing_diverged_memory_addresses_track_the_scalar_device() {
+    shared_memory_addresses_track_the_scalar_device::<1>();
+    shared_memory_addresses_track_the_scalar_device::<8>();
 }

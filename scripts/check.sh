@@ -40,8 +40,8 @@ cargo test -q --release --offline -p fades-core --test batch_props
 
 # The scalar device (oracle, golden capture, routing-delay faults) is
 # printed beside the lane engine so a regression in either shows up as a
-# number; `settle_throughput/lane_settle_w{1,2,4}` time one lane-engine
-# settle sweep per lane-word width, and `batch_device_new_w{1,4}` one
+# number; `settle_throughput/lane_settle_w{1,2,4,8}` time one lane-engine
+# settle sweep per lane-word width, and `batch_device_new_w{1,4,8}` one
 # lane-engine build (the fixed cost every shard and every batched
 # execution pays). The offline criterion stand-in takes
 # no filter, so one run prints every bench and the relevant lines are
