@@ -279,11 +279,21 @@ fn trace_retirement(phase: &Histogram, index: u64, wall_us: u64) {
 /// would sweep mostly empty lanes, so shards of a few dozen faults stay on
 /// the 64-lane word.
 pub(crate) fn lane_word_width(n: usize) -> usize {
-    [8, 4, 2]
+    [WIDEST_WORD, 4, 2]
         .into_iter()
         .find(|&w| n >= 2 * (64 * w - 1))
         .unwrap_or(1)
 }
+
+/// The widest lane word, in `u64`s.
+const WIDEST_WORD: usize = 8;
+
+/// The smallest cohort the lane engine runs on its widest word: that
+/// word's `64 * W - 1` faulty lanes filled twice (1022 entries). A caller
+/// that splits work into cohorts should not cut them smaller than this,
+/// or a cohort that would fill the widest word splits into a full pass
+/// plus a nearly empty one.
+pub const WIDEST_WORD_COHORT: usize = 2 * (64 * WIDEST_WORD - 1);
 
 /// Runs *one* pass of the lane engine over `pending`: fills the lanes in
 /// order, retires and refills until the run length is exhausted, and
@@ -635,6 +645,8 @@ mod tests {
         ] {
             assert_eq!(lane_word_width(n), w, "{n} lane entries");
         }
+        assert_eq!(lane_word_width(WIDEST_WORD_COHORT), WIDEST_WORD);
+        assert!(lane_word_width(WIDEST_WORD_COHORT - 1) < WIDEST_WORD);
     }
 
     /// Runs `entries` through `run_lane_cohorts` on a width-`W` word.

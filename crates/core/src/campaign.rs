@@ -600,14 +600,21 @@ impl<'n> Campaign<'n> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the target class resolves to nothing or the
-    /// fault model cannot be sampled from the resolved pool.
+    /// Returns an error if the load's duration range is empty or
+    /// includes zero cycles ([`CoreError::InvalidDuration`]), if the
+    /// target class resolves to nothing, or if the fault model cannot be
+    /// sampled from the resolved pool.
     pub fn plan(
         &self,
         load: &FaultLoad,
         n_faults: usize,
         seed: u64,
     ) -> Result<CampaignPlan, CoreError> {
+        if let DurationRange::Cycles(lo, hi) = load.duration {
+            if lo == 0 || lo > hi {
+                return Err(CoreError::InvalidDuration { lo, hi });
+            }
+        }
         let sites = resolve_targets(
             self.netlist,
             &self.implementation.map,

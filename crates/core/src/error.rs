@@ -20,6 +20,16 @@ pub enum CoreError {
         /// Experiment run length.
         run_cycles: u64,
     },
+    /// A fault load's duration range is empty (`lo > hi`) or admits
+    /// zero-cycle faults (`lo == 0`), which the scalar and lane engines
+    /// would not agree on. Raised by `Campaign::plan` before any fault is
+    /// sampled.
+    InvalidDuration {
+        /// Shortest duration asked for, in cycles.
+        lo: u64,
+        /// Longest duration asked for, in cycles.
+        hi: u64,
+    },
     /// A shard request names an impossible geometry: zero shards, or a
     /// shard index at or beyond the count. Catching this before
     /// execution prevents both the panic (`index >= count`) and the
@@ -70,6 +80,10 @@ impl fmt::Display for CoreError {
                     "injection at cycle {at} outside run of {run_cycles} cycles"
                 )
             }
+            CoreError::InvalidDuration { lo, hi } => write!(
+                f,
+                "invalid fault duration range {lo}..={hi} cycles (need 1 <= lo <= hi)"
+            ),
             CoreError::ShardGeometry { index, count } => {
                 write!(f, "invalid shard geometry: shard {index} of {count}")
             }

@@ -59,6 +59,34 @@ fn campaign_lints_its_design_once() {
 }
 
 #[test]
+fn plan_rejects_empty_and_zero_cycle_duration_ranges() {
+    // An inverted range would panic inside the sampler, and a zero-cycle
+    // fault is one the scalar and lane engines disagree on: both are a
+    // typed error before any fault is sampled.
+    let (nl, imp) = lfsr_campaign();
+    let campaign = Campaign::new(&nl, imp, &["q"], 100).unwrap();
+    for (lo, hi) in [(5, 2), (0, 3)] {
+        let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::Cycles(lo, hi));
+        match campaign.plan(&load, 4, 1) {
+            Err(fades_core::CoreError::InvalidDuration { lo: l, hi: h }) => {
+                assert_eq!((l, h), (lo, hi));
+            }
+            other => panic!("Cycles({lo}, {hi}): expected InvalidDuration, got {other:?}"),
+        }
+    }
+    for duration in [
+        DurationRange::SHORT,
+        DurationRange::MEDIUM,
+        DurationRange::Cycles(3, 3),
+        DurationRange::SubCycle,
+        DurationRange::Permanent,
+    ] {
+        let load = FaultLoad::pulses(TargetClass::AllLuts, duration);
+        assert_eq!(campaign.plan(&load, 4, 1).unwrap().len(), 4, "{duration:?}");
+    }
+}
+
+#[test]
 fn empty_campaign_yields_zeroed_stats() {
     // Regression: n_faults = 0 used to panic in the executor's work
     // partitioning (`chunks(0)`); it must simply produce empty stats.

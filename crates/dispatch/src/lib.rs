@@ -17,7 +17,9 @@
 //! * **Journaling** — [`run_shard`] appends one JSONL line per finished
 //!   experiment (atomic single-write appends) to a [`journal`]; after a
 //!   crash or kill, re-running the same command resumes, skipping every
-//!   journaled experiment.
+//!   journaled experiment. [`run_shards`] runs several shards of one
+//!   plan in one executor pass, each verdict journaled to its own
+//!   shard's journal.
 //! * **Quarantine** — experiments run under `catch_unwind`; a panicking
 //!   or erroring experiment is retried on a pristine device and, if it
 //!   keeps failing, recorded as `quarantined` in the journal while the
@@ -55,7 +57,7 @@ pub use discover::{discover_journals, expand_journal_args};
 pub use error::DispatchError;
 pub use journal::{Journal, JournalHeader, JournalRecord, JournalReplay};
 pub use merge::{merge, merge_replays, MergeReport};
-pub use runner::{lint_gate, run_shard, ShardOptions, ShardOutcome};
+pub use runner::{lint_gate, run_shard, run_shards, ShardOptions, ShardOutcome, MAX_OPEN_JOURNALS};
 pub use status::{
     campaign_status, expected_for_shard, latest_activity_ms, ShardStatus, ShardStatusReport,
 };

@@ -3,10 +3,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use fades_core::{Campaign, DurationRange, FaultLoad, TargetClass};
-use fades_dispatch::{merge, run_shard, CancelToken, DispatchError, Journal, ShardOptions};
+use fades_dispatch::{
+    merge, run_shard, run_shards, CancelToken, DispatchError, Journal, ShardOptions,
+};
 use fades_fpga::ArchParams;
 use fades_netlist::UnitTag;
 use fades_pnr::implement;
@@ -338,5 +341,306 @@ fn merge_reports_missing_experiments_of_unrun_shards() {
         vec![0, 2, 3, 5, 6, 8],
         "everything outside shard 1 of 3 is missing"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A journal's `shard_complete` line without its write-time stamp, if
+/// it has one.
+fn shard_complete_line(path: &Path) -> Option<String> {
+    let text = fs::read_to_string(path).unwrap();
+    text.lines()
+        .find(|l| l.contains("\"type\":\"shard_complete\""))
+        .map(|l| l.split(",\"at_ms\"").next().unwrap().to_string())
+}
+
+/// The merged tallies of a journal set, `emulation_seconds` as bits.
+fn merged_bits(journals: &[PathBuf]) -> (fades_core::OutcomeStats, u64, u64) {
+    let report = merge(journals).unwrap();
+    assert!(report.is_complete(), "{report:?}");
+    (
+        report.stats.outcomes,
+        report.completed,
+        report.stats.emulation_seconds.to_bits(),
+    )
+}
+
+#[test]
+fn run_shards_matches_one_run_shard_call_per_shard() {
+    // k shards in one call write the records, `shard_complete` lines and
+    // merge bits that k separate calls write — on both engines, and for
+    // subsets given in any order.
+    let (nl, imp) = lfsr_campaign();
+    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    let plan = campaign.plan(&load, 30, 11).unwrap();
+    let count = 4u32;
+    let dir = scratch_dir("runshards");
+
+    for batch in [false, true] {
+        let engine = if batch { "lane" } else { "scalar" };
+        let path = |side: &str, shard: u32| dir.join(format!("{engine}-{side}-s{shard}.jsonl"));
+        let separate: Vec<_> = (0..count)
+            .map(|shard| {
+                run_shard(
+                    &campaign,
+                    &plan,
+                    shard,
+                    count,
+                    &path("separate", shard),
+                    &opts_batch(batch),
+                )
+                .unwrap()
+            })
+            .collect();
+
+        let mut together = Vec::new();
+        for subset in [[3u32, 1], [0, 2]] {
+            let shards: Vec<(u32, PathBuf)> =
+                subset.iter().map(|&s| (s, path("together", s))).collect();
+            let outcomes =
+                run_shards(&campaign, &plan, &shards, count, &opts_batch(batch)).unwrap();
+            assert_eq!(outcomes.len(), subset.len());
+            for (outcome, &shard) in outcomes.into_iter().zip(&subset) {
+                assert_eq!(
+                    outcome.header.shard, shard,
+                    "{engine}: outcomes follow the given order"
+                );
+                together.push(outcome);
+            }
+        }
+        together.sort_by_key(|o| o.header.shard);
+
+        for (shard, (a, b)) in separate.iter().zip(&together).enumerate() {
+            let shard = shard as u32;
+            assert_eq!(a.header, b.header, "{engine} shard {shard}");
+            assert_eq!(
+                (a.executed, a.skipped, a.completed),
+                (b.executed, b.skipped, b.completed),
+                "{engine} shard {shard}"
+            );
+            assert_eq!(a.stats.outcomes, b.stats.outcomes, "{engine} shard {shard}");
+            assert_eq!(
+                a.stats.emulation_seconds.to_bits(),
+                b.stats.emulation_seconds.to_bits(),
+                "{engine} shard {shard}"
+            );
+            let (ra, rb) = (
+                Journal::load(&path("separate", shard)).unwrap(),
+                Journal::load(&path("together", shard)).unwrap(),
+            );
+            assert_eq!(
+                ra.completed, rb.completed,
+                "{engine} shard {shard}: records"
+            );
+            assert_eq!(ra.quarantined, rb.quarantined, "{engine} shard {shard}");
+            assert!(
+                rb.completed
+                    .keys()
+                    .all(|i| i % u64::from(count) == u64::from(shard)),
+                "{engine} shard {shard}: every record belongs to its shard"
+            );
+            let line = shard_complete_line(&path("together", shard));
+            assert!(line.is_some(), "{engine} shard {shard} is complete");
+            assert_eq!(shard_complete_line(&path("separate", shard)), line);
+        }
+        let paths = |side: &str| (0..count).map(|s| path(side, s)).collect::<Vec<_>>();
+        assert_eq!(
+            merged_bits(&paths("separate")),
+            merged_bits(&paths("together")),
+            "{engine}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_shards_resumes_a_torn_journal_among_fresh_ones() {
+    let (nl, imp) = lfsr_campaign();
+    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
+    let (n, seed, count) = (24, 4, 3u32);
+    let plan = campaign.plan(&load, n, seed).unwrap();
+    let dir = scratch_dir("runshards-torn");
+    let path = |shard: u32| dir.join(format!("s{shard}.jsonl"));
+
+    // Shard 1 was killed mid-append after 3 experiments; shards 0 and 2
+    // never started.
+    let donor = dir.join("donor.jsonl");
+    run_shard(&campaign, &plan, 1, count, &donor, &opts()).unwrap();
+    let text = fs::read_to_string(&donor).unwrap();
+    let keep: Vec<&str> = text.lines().take(4).collect();
+    fs::write(path(1), format!("{}\n{{\"type\":\"exp", keep.join("\n"))).unwrap();
+
+    let shards: Vec<(u32, PathBuf)> = (0..count).map(|s| (s, path(s))).collect();
+    let outcomes = run_shards(&campaign, &plan, &shards, count, &opts()).unwrap();
+    let skipped: Vec<u64> = outcomes.iter().map(|o| o.skipped).collect();
+    let executed: Vec<u64> = outcomes.iter().map(|o| o.executed).collect();
+    assert_eq!(skipped, vec![0, 3, 0]);
+    assert_eq!(executed, vec![8, 5, 8]);
+    for (shard, outcome) in outcomes.iter().enumerate() {
+        assert_eq!(outcome.completed, 8, "shard {shard}");
+        let replay = Journal::load(&path(shard as u32)).unwrap();
+        assert!(replay.shard_complete, "shard {shard}");
+        let indices: Vec<u64> = replay.settled_indices().into_iter().collect();
+        assert_eq!(
+            indices,
+            (0..n as u64)
+                .filter(|i| i % 3 == shard as u64)
+                .collect::<Vec<_>>()
+        );
+    }
+    let monolithic = campaign.run(&load, n, seed).unwrap();
+    let (outcomes, completed, bits) =
+        merged_bits(&shards.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>());
+    assert_eq!(outcomes, monolithic.outcomes);
+    assert_eq!(completed, n as u64);
+    assert_eq!(bits, monolithic.emulation_seconds.to_bits());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_shards_header_mismatch_fails_before_touching_any_journal() {
+    let (nl, imp) = lfsr_campaign();
+    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
+    let count = 3u32;
+    let plan = campaign.plan(&load, 12, 1).unwrap();
+    let dir = scratch_dir("runshards-mismatch");
+    let path = |shard: u32| dir.join(format!("s{shard}.jsonl"));
+
+    // Shard 0 is a valid partial journal (cancelled before any work),
+    // shard 1 belongs to another seed, shard 2 does not exist yet.
+    let fired = CancelToken::new();
+    fired.cancel();
+    let cancelled = ShardOptions {
+        cancel: Some(fired),
+        ..opts()
+    };
+    run_shard(&campaign, &plan, 0, count, &path(0), &cancelled).unwrap();
+    let other = campaign.plan(&load, 12, 2).unwrap();
+    run_shard(&campaign, &other, 1, count, &path(1), &opts()).unwrap();
+    let before = fs::read(path(0)).unwrap();
+
+    let shards: Vec<(u32, PathBuf)> = (0..count).map(|s| (s, path(s))).collect();
+    let err = run_shards(&campaign, &plan, &shards, count, &opts()).unwrap_err();
+    assert!(matches!(err, DispatchError::Mismatch(_)), "{err}");
+    assert_eq!(
+        fs::read(path(0)).unwrap(),
+        before,
+        "shard 0 gained no record"
+    );
+    assert!(!path(2).exists(), "shard 2 was not created");
+
+    // A shard listed twice is refused the same way.
+    let twice = [(0, path(0)), (0, path(2))];
+    let err = run_shards(&campaign, &plan, &twice, count, &opts()).unwrap_err();
+    assert!(matches!(err, DispatchError::Mismatch(_)), "{err}");
+    assert!(!path(2).exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_shards_under_a_fired_token_leaves_every_journal_resumable() {
+    let (nl, imp) = lfsr_campaign();
+    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
+    let (n, seed, count) = (15, 6, 3u32);
+    let plan = campaign.plan(&load, n, seed).unwrap();
+    let dir = scratch_dir("runshards-cancel");
+    let shards: Vec<(u32, PathBuf)> = (0..count)
+        .map(|s| (s, dir.join(format!("s{s}.jsonl"))))
+        .collect();
+
+    let fired = CancelToken::new();
+    fired.cancel();
+    let cancelled = ShardOptions {
+        cancel: Some(fired),
+        ..opts()
+    };
+    for outcome in run_shards(&campaign, &plan, &shards, count, &cancelled).unwrap() {
+        assert!(outcome.cancelled);
+        assert_eq!((outcome.executed, outcome.completed), (0, 0));
+    }
+    for (shard, path) in &shards {
+        let replay = Journal::load(path).unwrap();
+        assert_eq!(replay.header.shard, *shard);
+        assert!(!replay.shard_complete, "shard {shard} is not complete");
+    }
+
+    let live = ShardOptions {
+        cancel: Some(CancelToken::new()),
+        ..opts()
+    };
+    for outcome in run_shards(&campaign, &plan, &shards, count, &live).unwrap() {
+        assert!(!outcome.cancelled);
+        assert_eq!(outcome.completed, 5);
+    }
+    let monolithic = campaign.run(&load, n, seed).unwrap();
+    let (outcomes, _, bits) =
+        merged_bits(&shards.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>());
+    assert_eq!(outcomes, monolithic.outcomes);
+    assert_eq!(bits, monolithic.emulation_seconds.to_bits());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_shards_over_more_shards_than_the_open_file_limit_keeps_few_open() {
+    // One fault per shard, more shards than the common open-file limit
+    // (1024): the call must settle them all while holding at most
+    // MAX_OPEN_JOURNALS journals open at once.
+    let (nl, imp) = lfsr_campaign();
+    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    let (n, seed) = (1100usize, 8);
+    let count = n as u32;
+    let plan = campaign.plan(&load, n, seed).unwrap();
+    let dir = scratch_dir("runshards-many");
+    let shards: Vec<(u32, PathBuf)> = (0..count)
+        .map(|s| (s, dir.join(format!("s{s:04}.jsonl"))))
+        .collect();
+    let live = ShardOptions {
+        cancel: Some(CancelToken::new()),
+        ..opts()
+    };
+
+    // Sample this process's open descriptors while the call runs (where
+    // the platform lists them).
+    let fd_dir = Path::new("/proc/self/fd");
+    let done = AtomicBool::new(false);
+    let (outcomes, peak) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::Relaxed) {
+                if let Ok(entries) = fs::read_dir(fd_dir) {
+                    peak = peak.max(entries.count());
+                }
+                std::thread::yield_now();
+            }
+            peak
+        });
+        let outcomes = run_shards(&campaign, &plan, &shards, count, &live);
+        done.store(true, Ordering::Relaxed);
+        (outcomes, sampler.join().unwrap())
+    });
+    let outcomes = outcomes.unwrap();
+    if fd_dir.exists() {
+        // `MAX_OPEN_JOURNALS` (256) journals, plus headroom for the standard
+        // streams, the harness and concurrent tests; a call holding every
+        // journal open would pass 1100.
+        assert!(peak < 512, "{peak} descriptors open at once");
+    }
+
+    assert_eq!(outcomes.len(), n);
+    for (shard, outcome) in outcomes.iter().enumerate() {
+        assert_eq!(outcome.header.shard, shard as u32);
+        assert_eq!((outcome.executed, outcome.completed), (1, 1));
+        assert!(!outcome.cancelled);
+    }
+    let monolithic = campaign.run(&load, n, seed).unwrap();
+    let (tallies, completed, bits) =
+        merged_bits(&shards.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>());
+    assert_eq!(tallies, monolithic.outcomes);
+    assert_eq!(completed, n as u64);
+    assert_eq!(bits, monolithic.emulation_seconds.to_bits());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -39,7 +39,9 @@ use fades_dispatch::{CancelToken, ShardOptions};
 use fades_mcu8051::workloads::Workload;
 use fades_mcu8051::{Soc, OBSERVED_PORTS};
 use fades_pnr::Implementation;
-use fades_service::{api, CampaignBackend, JobSpec, Service, ServiceConfig, ShardRun};
+use fades_service::{
+    api, shard_journal_name, CampaignBackend, JobSpec, Service, ServiceConfig, ShardRun,
+};
 use fades_telemetry::json::{self, JsonObject};
 use fades_telemetry::{http_get, http_post};
 
@@ -91,8 +93,20 @@ fn standard_setup() -> Result<&'static StandardSetup, Box<dyn Error>> {
 /// subcommand runs, so service jobs and CLI shards produce
 /// bit-identical journals.
 ///
+/// A job runs in one lane pass, not one per shard. The call for shard 0
+/// of a job whose journal carries the service's name
+/// ([`shard_journal_name`]) settles every shard of the job, through
+/// [`fades_dispatch::run_shards`], into the sibling journals of its job
+/// directory; service-named calls for the other shards return at once.
+/// The service queues every shard of an admitted job, shard 0 included,
+/// and finalizes the job only once every call has returned, so the job
+/// is settled by then. A journal under any other name runs exactly its
+/// own shard.
+///
 /// Admission rejects unknown loads, zero faults and more than
 /// [`MAX_JOB_FAULTS`] faults.
+///
+/// [`run_shard`]: CampaignBackend::run_shard
 pub struct ExperimentBackend {
     campaign: Campaign<'static>,
     workload: &'static Workload,
@@ -187,6 +201,18 @@ impl CampaignBackend for ExperimentBackend {
         journal: &Path,
         cancel: &CancelToken,
     ) -> Result<ShardRun, String> {
+        // A service-named journal's shard 0 settles the whole job; its
+        // siblings have nothing left to do. Checked before planning, so
+        // sibling calls return at once.
+        let service_named = journal.file_name() == Some(shard_journal_name(shard).as_ref());
+        let journals: Vec<(u32, PathBuf)> = match (service_named, shard) {
+            (true, 0) => (0..spec.shards)
+                .map(|s| (s, journal.with_file_name(shard_journal_name(s))))
+                .collect(),
+            (true, _) => return Ok(ShardRun { cancelled: false }),
+            (false, _) => vec![(shard, journal.to_path_buf())],
+        };
+
         let load = named_load_for(&spec.load, || self.memory_targets())
             .ok_or_else(|| format!("unknown fault load `{}`", spec.load))?;
         let plan = self
@@ -200,11 +226,11 @@ impl CampaignBackend for ExperimentBackend {
             batch: fades_core::batch_default(),
             cancel: Some(cancel.clone()),
         };
-        let outcome =
-            fades_dispatch::run_shard(&self.campaign, &plan, shard, spec.shards, journal, &opts)
+        let outcomes =
+            fades_dispatch::run_shards(&self.campaign, &plan, &journals, spec.shards, &opts)
                 .map_err(|e| e.to_string())?;
         Ok(ShardRun {
-            cancelled: outcome.cancelled,
+            cancelled: outcomes.iter().any(|o| o.cancelled),
         })
     }
 }

@@ -48,4 +48,4 @@ mod store;
 
 pub use service::{CampaignBackend, JobView, Service, ServiceConfig, ShardRun, SubmitError};
 pub use spec::{JobSpec, JobState};
-pub use store::{now_ms, JobStore, ScannedJob};
+pub use store::{now_ms, shard_journal_name, JobStore, ScannedJob};

@@ -51,7 +51,7 @@ pub struct ShardRun {
     pub cancelled: bool,
 }
 
-/// Executes one shard of one job. Implemented by `fades-experiments`
+/// Executes the shards of a job. Implemented by `fades-experiments`
 /// over the real SoC campaign; tests use lightweight mocks.
 ///
 /// Implementations must be resumable: `run_shard` against an existing
@@ -68,6 +68,19 @@ pub trait CampaignBackend: Send + Sync + 'static {
     fn validate(&self, spec: &JobSpec) -> Result<(), String>;
 
     /// Runs (or resumes) shard `shard` of the job into `journal`.
+    ///
+    /// A call may also settle the job's other shards, into their
+    /// service-named journals next to `journal` (see
+    /// [`shard_journal_name`](crate::shard_journal_name)), and the calls
+    /// for those shards may then return at once. The service queues a
+    /// call for every shard of an admitted job, shard 0 included, on
+    /// every admission, so a rule naming one shard's call as the one
+    /// that settles the rest always finds it called. A call that
+    /// settles other shards must not return before they are settled (or
+    /// stopped on `cancel`), and its result then speaks for them too:
+    /// the service finalizes a job only once every shard call has
+    /// returned, so the journals are quiescent by then, and a
+    /// `cancelled` or `Err` result is the job's.
     ///
     /// # Errors
     ///

@@ -29,6 +29,13 @@ use fades_telemetry::atomic_write;
 
 use crate::spec::{JobSpec, JobState};
 
+/// The file name of shard `shard`'s journal inside its job directory
+/// (`shard-003.jsonl`). A backend that settles a job's sibling shards
+/// finds their journals next to the one it was handed under this name.
+pub fn shard_journal_name(shard: u32) -> String {
+    format!("shard-{shard:03}.jsonl")
+}
+
 /// Handle on the queue root directory.
 #[derive(Debug)]
 pub struct JobStore {
@@ -78,7 +85,7 @@ impl JobStore {
 
     /// The journal path of one shard of a job.
     pub fn journal_path(&self, id: &str, shard: u32) -> PathBuf {
-        self.job_dir(id).join(format!("shard-{shard:03}.jsonl"))
+        self.job_dir(id).join(shard_journal_name(shard))
     }
 
     /// The shard journals of `spec` that exist on disk right now (in

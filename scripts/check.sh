@@ -125,20 +125,33 @@ if run_exp submit pulse-luts --faults 1000000000000000 --addr "$addr" >"$svc_dir
 fi
 grep -q 'HTTP 400' "$svc_dir/huge.txt" \
     || { echo "FAIL: oversized job not refused with a 400"; cat "$svc_dir/huge.txt" "$svc_dir/serve.log"; exit 1; }
-run_exp submit pulse-luts --faults 400 --seed 11 --shards 2 --addr "$addr" \
-    | tee "$svc_dir/submit.txt"
-job=$(grep -o 'job-[0-9]*' "$svc_dir/submit.txt" | head -1)
-[ -n "$job" ] || { echo "FAIL: submit printed no job id"; exit 1; }
-for _ in $(seq 1 600); do
-    run_exp jobs --addr "$addr" >"$svc_dir/jobs.txt"
-    grep -q "$job \[completed\]" "$svc_dir/jobs.txt" && break
-    sleep 0.2
+# The same job with 2 and with 4 shards: one call settles every shard of
+# a job, and the merge must not depend on how many shards that call ran.
+for shards in 2 4; do
+    run_exp submit pulse-luts --faults 400 --seed 11 --shards "$shards" --addr "$addr" \
+        | tee "$svc_dir/submit.txt"
+    job=$(grep -o 'job-[0-9]*' "$svc_dir/submit.txt" | head -1)
+    [ -n "$job" ] || { echo "FAIL: submit printed no job id"; exit 1; }
+    for _ in $(seq 1 600); do
+        run_exp jobs --addr "$addr" >"$svc_dir/jobs.txt"
+        grep -q "$job \[completed\]" "$svc_dir/jobs.txt" && break
+        sleep 0.2
+    done
+    grep -q "$job \[completed\]" "$svc_dir/jobs.txt" \
+        || { echo "FAIL: $job never completed"; cat "$svc_dir/jobs.txt" "$svc_dir/serve.log"; exit 1; }
+    run_exp results "$job" --addr "$addr" | tee "$svc_dir/results-$shards.txt"
+    grep -q 'bit-identical' "$svc_dir/results-$shards.txt" \
+        || { echo "FAIL: $job results are not a complete merge"; exit 1; }
 done
-grep -q "$job \[completed\]" "$svc_dir/jobs.txt" \
-    || { echo "FAIL: $job never completed"; cat "$svc_dir/jobs.txt" "$svc_dir/serve.log"; exit 1; }
-run_exp results "$job" --addr "$addr" | tee "$svc_dir/results.txt"
-grep -q 'bit-identical' "$svc_dir/results.txt" \
-    || { echo "FAIL: $job results are not a complete merge"; exit 1; }
+for pattern in 'outcomes: .*' 'total ([0-9a-f]*)'; do
+    got2=$(grep -o "$pattern" "$svc_dir/results-2.txt")
+    got4=$(grep -o "$pattern" "$svc_dir/results-4.txt")
+    echo "2-shard results: $got2; 4-shard results: $got4"
+    if [ -z "$got2" ] || [ "$got2" != "$got4" ]; then
+        echo "FAIL: the 4-shard job's results differ from the 2-shard job's"
+        exit 1
+    fi
+done
 run_exp shutdown --addr "$addr"
 # A graceful shutdown must let the process exit cleanly on its own; the
 # watchdog SIGKILL only fires (and fails the wait) if it hangs.
