@@ -3,13 +3,23 @@
 //!
 //! The campaign layer groups lane-expressible plan entries into cohorts
 //! and runs each cohort on one [`BatchDevice`]: lane 0 replays the golden
-//! run, every other lane carries one experiment. A lane whose
-//! configuration has returned to pristine *and* whose sequential state
-//! has reconverged with lane 0 is provably golden for every remaining
-//! cycle, so it retires immediately — outcome decided — and is refilled
-//! from the pending plan if an experiment with a not-yet-passed injection
-//! instant remains. Entries whose injection instant has already passed
-//! when a lane frees up wait for the next pass.
+//! run, every other lane carries one experiment. A lane frees up before
+//! the end of the pass in two ways, and is then refilled from the pending
+//! plan if an experiment with a not-yet-passed injection instant remains
+//! (entries whose instant has already passed wait for the next pass):
+//!
+//! * **Retirement.** A lane whose configuration has returned to pristine
+//!   *and* whose sequential state has reconverged with lane 0 is provably
+//!   golden for every remaining cycle, so it retires immediately, outcome
+//!   decided.
+//! * **Merging.** Two lanes whose faults are inert, whose configuration
+//!   is behaviourally pristine, which have not failed and whose
+//!   sequential state is bit-identical evolve identically for every
+//!   remaining cycle. One of them (the leader) carries both: the other's
+//!   experiment becomes its follower, decided with the leader's outcome
+//!   and early stop, and keeping its own traffic (final once its fault is
+//!   inert) and its wall share up to the merge. A follower's lane snaps
+//!   to golden and retires like a reconverged one.
 //!
 //! The choreography per lane is cycle-for-cycle the scalar
 //! [`run_experiment`](crate::experiment::run_experiment) flow — same
@@ -65,23 +75,17 @@ pub(crate) fn lane_expressible(fault: &ResolvedFault) -> bool {
     )
 }
 
-/// Validates the entries against the golden run length and resolves the
-/// observed ports to lane-engine wire lists — the shared prologue of
-/// every cohort loop.
+/// Validates the entries' schedules against the golden run length (see
+/// [`FaultSchedule::check`]) and resolves the observed ports to
+/// lane-engine wire lists — the shared prologue of every cohort loop.
 pub(crate) fn lane_prologue<const W: usize>(
     batch: &BatchDevice<W>,
     golden: &GoldenRun,
     ports: &[String],
     entries: &[&PlannedExperiment],
 ) -> Result<Vec<Vec<u32>>, CoreError> {
-    let run_cycles = golden.cycles();
     for e in entries {
-        if e.schedule.inject_at >= run_cycles {
-            return Err(CoreError::BadSchedule {
-                at: e.schedule.inject_at,
-                run_cycles,
-            });
-        }
+        e.schedule.check(golden.cycles())?;
     }
     ports
         .iter()
@@ -218,6 +222,10 @@ struct LaneSlot<'p> {
     rng: StdRng,
     /// The cohort clock's per-lane share when this lane was loaded (µs).
     loaded_share_us: f64,
+    /// The experiments of the lanes merged into this one, their results
+    /// complete but for the outcome and early stop, which are this
+    /// lane's.
+    followers: Vec<(u64, ExperimentResult)>,
 }
 
 impl<'p> LaneSlot<'p> {
@@ -227,11 +235,15 @@ impl<'p> LaneSlot<'p> {
             strategy: strategy_for(&planned.fault, sub_cycle),
             rng: StdRng::seed_from_u64(planned.seed),
             loaded_share_us: clock.share_us,
+            followers: Vec::new(),
         }
     }
 
-    fn finish<const W: usize>(
-        self,
+    /// This lane's result with `outcome`, its traffic as the lane's
+    /// ledger holds it now and its wall share up to the clock's last
+    /// charge.
+    fn result<const W: usize>(
+        &self,
         batch: &BatchDevice<W>,
         lane: usize,
         outcome: Outcome,
@@ -251,6 +263,49 @@ impl<'p> LaneSlot<'p> {
                 early_stop_cycles,
             },
         )
+    }
+
+    /// Merges this lane into `leader`, whose machine has reached the same
+    /// state: this experiment and its followers become the leader's
+    /// followers, to be decided with it.
+    fn merge_into<const W: usize>(
+        mut self,
+        leader: &mut LaneSlot<'p>,
+        batch: &BatchDevice<W>,
+        lane: usize,
+        clock: &CohortClock,
+        phase: &Histogram,
+    ) {
+        // The outcome is a placeholder until the leader is decided.
+        let (index, result) = self.result(batch, lane, Outcome::Silent, 0, clock);
+        trace_retirement(phase, index, result.wall_us);
+        leader.followers.push((index, result));
+        leader.followers.append(&mut self.followers);
+        fades_telemetry::sim::record_lane_merge();
+    }
+
+    /// Hands this lane's decided experiment, then its followers', to
+    /// `sink`; returns how many experiments that was.
+    fn decide<const W: usize>(
+        self,
+        batch: &BatchDevice<W>,
+        lane: usize,
+        outcome: Outcome,
+        early_stop_cycles: u64,
+        clock: &CohortClock,
+        phase: &Histogram,
+        sink: &mut dyn FnMut(u64, ExperimentResult),
+    ) -> u64 {
+        let (index, result) = self.result(batch, lane, outcome, early_stop_cycles, clock);
+        trace_retirement(phase, index, result.wall_us);
+        sink(index, result);
+        let decided = 1 + self.followers.len() as u64;
+        for (index, mut result) in self.followers {
+            result.outcome = outcome;
+            result.early_stop_cycles = early_stop_cycles;
+            sink(index, result);
+        }
+        decided
     }
 }
 
@@ -295,17 +350,42 @@ const WIDEST_WORD: usize = 8;
 /// plus a nearly empty one.
 pub const WIDEST_WORD_COHORT: usize = 2 * (64 * WIDEST_WORD - 1);
 
+/// How often, in cycles, a pass looks for lanes to merge.
+const MERGE_PERIOD: u64 = 16;
+
+/// The most sequential-state bits a lane may differ from the golden lane
+/// in and still be compared for merging. Lanes that differ in more rarely
+/// match another; the bound keeps the comparison to a few ids per lane.
+const MERGE_MAX_BITS: usize = 2;
+
+/// Groups the `candidates` by sequential state: `(lane, leader)` for
+/// every candidate whose state equals that of a lower candidate, the
+/// lowest lane of each group leading it.
+fn find_merges<const W: usize>(batch: &BatchDevice<W>, candidates: Word<W>) -> Vec<(usize, usize)> {
+    if candidates.count_ones() < 2 {
+        return Vec::new();
+    }
+    let mut keyed = batch.divergence_keys::<MERGE_MAX_BITS>(candidates);
+    keyed.sort_unstable_by(|(la, ka), (lb, kb)| ka.cmp(kb).then(la.cmp(lb)));
+    keyed
+        .chunk_by(|(_, a), (_, b)| a == b)
+        .flat_map(|group| group[1..].iter().map(|&(lane, _)| (lane, group[0].0)))
+        .collect()
+}
+
 /// Runs *one* pass of the lane engine over `pending`: fills the lanes in
-/// order, retires and refills until the run length is exhausted, and
-/// hands each decided experiment to `sink` at the moment its lane
-/// retires (not at cohort end — under the isolation contract the sink
-/// journals, so a kill forfeits at most the in-flight word).
+/// order, retires, merges and refills until the run length is exhausted,
+/// and hands each decided experiment to `sink` at the moment it is
+/// decided — when its lane retires, or the lane it was merged into does
+/// (not at cohort end — under the isolation contract the sink journals,
+/// so a kill forfeits at most the in-flight word and the experiments
+/// merged into it).
 ///
 /// Every entry taken from `pending` is pushed to `loaded` *before* it
 /// can influence the device — `loaded` is caller-owned so that when this
 /// function panics (a poisoned fault, or the chaos hook), the caller
-/// knows exactly which experiments were aboard the word and can replay
-/// them scalar-isolated.
+/// knows exactly which experiments were aboard the word, merged ones
+/// included, and can replay the undecided ones scalar-isolated.
 ///
 /// Returns the entries this pass could not take: those whose injection
 /// instant had already passed when a lane freed up, plus everything
@@ -394,32 +474,64 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             for lane in (inert & !conf & failed).ones() {
                 batch.snap_lane_to_golden(lane);
             }
-            let seq = batch.seq_divergence();
+            let mut seq = batch.seq_divergence();
+            // Lane merging: two inert, behaviourally pristine lanes
+            // that have not failed and hold the same sequential state
+            // evolve identically from here on, so one lane can carry
+            // both. The merged-away lane snaps to golden and retires
+            // below like a reconverged one; its experiment is decided
+            // with the lane that carries it. A freed lane pays only if
+            // a pending entry can still take it.
+            let merges = if cycle % MERGE_PERIOD == 0
+                && pending[cursor..]
+                    .last()
+                    .is_some_and(|e| e.schedule.inject_at >= cycle)
+            {
+                find_merges(batch, inert & !conf & !failed & seq)
+            } else {
+                Vec::new()
+            };
+            for &(lane, _) in &merges {
+                batch.snap_lane_to_golden(lane);
+                seq.set_bit(lane, false);
+            }
             let will_retire = inert & !seq & !conf;
             if !will_retire.is_zero() {
                 // Charge the shared clock before the retiring lanes
                 // leave — they were occupied over the elapsed interval.
                 clock.charge(occ.count_ones());
-                for lane in will_retire.ones() {
-                    let Some(slot) = slots[lane].take() else {
-                        continue; // the retire mask is a subset of `occ`
+                for &(lane, leader) in &merges {
+                    let (Some(slot), Some(leader)) = (slots[lane].take(), slots[leader].as_mut())
+                    else {
+                        unreachable!("merged lanes are occupied");
                     };
+                    slot.merge_into(leader, batch, lane, &clock, &experiment_phase);
+                }
+                for lane in will_retire.ones() {
+                    // An inert lane's removal has fired, so it no
+                    // longer ticks.
+                    debug_assert!(!ticking.bit(lane), "lane {lane} retires ticking");
                     let outcome = if failed.bit(lane) {
                         Outcome::Failure
                     } else {
                         Outcome::Silent
                     };
-                    // An inert lane's removal has fired, so it no
-                    // longer ticks.
-                    debug_assert!(!ticking.bit(lane), "lane {lane} retires ticking");
                     for mask in [&mut occ, &mut inert, &mut failed] {
                         mask.set_bit(lane, false);
                     }
-                    fades_telemetry::sim::record_lane_retirement();
-                    let (index, result) =
-                        slot.finish(batch, lane, outcome, run_cycles - cycle, &clock);
-                    trace_retirement(&experiment_phase, index, result.wall_us);
-                    sink(index, result);
+                    // A merged-away lane's experiment went to its leader.
+                    if let Some(slot) = slots[lane].take() {
+                        let decided = slot.decide(
+                            batch,
+                            lane,
+                            outcome,
+                            run_cycles - cycle,
+                            &clock,
+                            &experiment_phase,
+                            sink,
+                        );
+                        fades_telemetry::sim::record_lane_retirement(decided);
+                    }
                     // Refill: skip entries whose injection instant has
                     // already passed (they wait for the next pass).
                     while pending
@@ -444,22 +556,14 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             break;
         }
         // This cycle's strategy calls: injections, then ticks of
-        // installed faults. A zero-duration fault is inert at its own
-        // injection instant and may retire before its injection fires,
-        // so an injection event counts only for the experiment that
-        // filed it.
-        let mut inject = Word::<W>::ZERO;
-        for lane in events.lanes::<W>(cycle, LaneEvent::Inject).ones() {
-            if slots[lane]
-                .as_ref()
-                .is_some_and(|s| s.planned.schedule.inject_at == cycle)
-            {
-                inject.set_bit(lane, true);
-            }
-        }
+        // installed faults. Every fault lasts at least a cycle
+        // (`lane_prologue`), so a lane turns inert only after its
+        // injection has fired, and no event reaches a successor.
+        let inject = events.lanes::<W>(cycle, LaneEvent::Inject);
         for lane in (inject | ticking).ones() {
             let Some(s) = &mut slots[lane] else { continue };
             if inject.bit(lane) {
+                debug_assert_eq!(s.planned.schedule.inject_at, cycle, "lane {lane}");
                 if let Some(c) = chaos {
                     c.maybe_panic(s.planned.index, 0);
                 }
@@ -525,9 +629,7 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         } else {
             Outcome::Silent
         };
-        let (index, result) = slot.finish(batch, lane, outcome, 0, &clock);
-        trace_retirement(&experiment_phase, index, result.wall_us);
-        sink(index, result);
+        slot.decide(batch, lane, outcome, 0, &clock, &experiment_phase, sink);
     }
 
     leftovers.extend_from_slice(&pending[cursor..]);
@@ -736,39 +838,61 @@ mod tests {
             // More entries than a 64-lane word holds, so the widths split
             // the plan into different cohorts and refills.
             let plan = campaign.plan(&load, 150, 31).expect("plan");
-            let entries: Vec<&PlannedExperiment> = plan
-                .experiments
-                .iter()
-                .filter(|e| lane_expressible(&e.fault))
-                .collect();
-            assert_eq!(entries.len(), plan.experiments.len(), "{kind}");
-            assert!(
-                entries
-                    .iter()
-                    .all(|e| format!("{:?}", e.fault).starts_with(kind)),
-                "{kind}: the load resolves to {:?}",
-                entries[0].fault
-            );
-            let w1: Vec<String> = run_width::<1>(&campaign, plan.sub_cycle, &entries)
-                .iter()
-                .map(observable)
-                .collect();
-            let w2: Vec<String> = run_width::<2>(&campaign, plan.sub_cycle, &entries)
-                .iter()
-                .map(observable)
-                .collect();
-            let w4: Vec<String> = run_width::<4>(&campaign, plan.sub_cycle, &entries)
-                .iter()
-                .map(observable)
-                .collect();
-            let w8: Vec<String> = run_width::<8>(&campaign, plan.sub_cycle, &entries)
-                .iter()
-                .map(observable)
-                .collect();
-            assert_eq!(w1.len(), entries.len(), "{kind}");
-            assert_eq!(w1, w2, "{kind}: 128-lane word");
-            assert_eq!(w1, w4, "{kind}: 256-lane word");
-            assert_eq!(w1, w8, "{kind}: 512-lane word");
+            assert_widths_agree(&campaign, kind, &plan);
         }
+        // Enough memory flips that entries still wait for a lane on every
+        // width while lanes reach the same state: lanes merge, each width
+        // at its own cycles and into its own leaders.
+        let merges = fades_telemetry::sim::LANE_MERGES.get();
+        let memory = TargetClass::MemoryBits {
+            name: "iram".into(),
+            lo: w.data_range.0 as usize,
+            hi: w.data_range.1 as usize,
+        };
+        let load = FaultLoad::bit_flips(memory, DurationRange::SubCycle);
+        let plan = campaign.plan(&load, 700, 32).expect("plan");
+        assert_widths_agree(&campaign, "MemBitFlip", &plan);
+        assert!(
+            fades_telemetry::sim::LANE_MERGES.get() > merges,
+            "no lane was merged"
+        );
+    }
+
+    /// Runs `plan` on 64-, 128-, 256- and 512-lane words and asserts every
+    /// result agrees, traffic and early stop included.
+    fn assert_widths_agree(campaign: &Campaign<'_>, kind: &str, plan: &crate::CampaignPlan) {
+        let entries: Vec<&PlannedExperiment> = plan
+            .experiments
+            .iter()
+            .filter(|e| lane_expressible(&e.fault))
+            .collect();
+        assert_eq!(entries.len(), plan.experiments.len(), "{kind}");
+        assert!(
+            entries
+                .iter()
+                .all(|e| format!("{:?}", e.fault).starts_with(kind)),
+            "{kind}: the load resolves to {:?}",
+            entries[0].fault
+        );
+        let w1: Vec<String> = run_width::<1>(campaign, plan.sub_cycle, &entries)
+            .iter()
+            .map(observable)
+            .collect();
+        let w2: Vec<String> = run_width::<2>(campaign, plan.sub_cycle, &entries)
+            .iter()
+            .map(observable)
+            .collect();
+        let w4: Vec<String> = run_width::<4>(campaign, plan.sub_cycle, &entries)
+            .iter()
+            .map(observable)
+            .collect();
+        let w8: Vec<String> = run_width::<8>(campaign, plan.sub_cycle, &entries)
+            .iter()
+            .map(observable)
+            .collect();
+        assert_eq!(w1.len(), entries.len(), "{kind}");
+        assert_eq!(w1, w2, "{kind}: 128-lane word");
+        assert_eq!(w1, w4, "{kind}: 256-lane word");
+        assert_eq!(w1, w8, "{kind}: 512-lane word");
     }
 }

@@ -23,7 +23,8 @@ pub enum CoreError {
     /// A fault load's duration range is empty (`lo > hi`) or admits
     /// zero-cycle faults (`lo == 0`), which the scalar and lane engines
     /// would not agree on. Raised by `Campaign::plan` before any fault is
-    /// sampled.
+    /// sampled, and as `0..=0` by every engine for a hand-built schedule
+    /// of zero cycles.
     InvalidDuration {
         /// Shortest duration asked for, in cycles.
         lo: u64,

@@ -22,6 +22,26 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
+    /// Checks the schedule against a run of `run_cycles` cycles, as every
+    /// engine does before it simulates anything: the injection instant
+    /// must fall inside the run ([`CoreError::BadSchedule`]), and a fault
+    /// must last at least one cycle. A zero-cycle fault would be gone
+    /// before it is installed, which neither engine defines, so it is
+    /// refused as the duration range `0..=0`
+    /// ([`CoreError::InvalidDuration`]).
+    pub(crate) fn check(&self, run_cycles: u64) -> Result<(), CoreError> {
+        if self.inject_at >= run_cycles {
+            return Err(CoreError::BadSchedule {
+                at: self.inject_at,
+                run_cycles,
+            });
+        }
+        if self.duration == Some(0) {
+            return Err(CoreError::InvalidDuration { lo: 0, hi: 0 });
+        }
+        Ok(())
+    }
+
     pub(crate) fn active(&self, cycle: u64) -> bool {
         cycle >= self.inject_at
             && match self.duration {
@@ -104,7 +124,8 @@ pub struct ExperimentResult {
 /// # Errors
 ///
 /// Returns [`CoreError::BadSchedule`] for an injection instant outside
-/// the run, or propagates strategy errors — the same failure surface as
+/// the run, [`CoreError::InvalidDuration`] for a zero-cycle fault, or
+/// propagates strategy errors — the same failure surface as
 /// [`run_experiment`].
 pub(crate) fn replay_static_silent(
     dev: &mut Device,
@@ -117,12 +138,7 @@ pub(crate) fn replay_static_silent(
     let started = std::time::Instant::now();
     let strategy_name = strategy.name();
     let run_cycles = golden.cycles();
-    if schedule.inject_at >= run_cycles {
-        return Err(CoreError::BadSchedule {
-            at: schedule.inject_at,
-            run_cycles,
-        });
-    }
+    schedule.check(run_cycles)?;
     dev.reset();
     dev.clear_ledger();
     for cycle in schedule.inject_at..run_cycles {
@@ -192,7 +208,8 @@ pub(crate) fn resolve_ports(dev: &Device, ports: &[String]) -> Result<Vec<Vec<u3
 /// # Errors
 ///
 /// Returns [`CoreError::BadSchedule`] for an injection instant outside
-/// the run, or propagates strategy errors.
+/// the run, [`CoreError::InvalidDuration`] for a zero-cycle fault, or
+/// propagates strategy errors.
 pub fn run_experiment(
     dev: &mut Device,
     golden: &GoldenRun,
@@ -206,12 +223,7 @@ pub fn run_experiment(
     let started = std::time::Instant::now();
     let strategy_name = strategy.name();
     let run_cycles = golden.cycles();
-    if schedule.inject_at >= run_cycles {
-        return Err(CoreError::BadSchedule {
-            at: schedule.inject_at,
-            run_cycles,
-        });
-    }
+    schedule.check(run_cycles)?;
     dev.reset();
     dev.clear_ledger();
     let port_wires = resolve_ports(dev, ports)?;

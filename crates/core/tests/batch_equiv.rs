@@ -140,6 +140,13 @@ fn assert_plan_equivalent(campaign: &Campaign<'_>, plan: &CampaignPlan, what: &s
             b.fault
         );
         assert_eq!(b.strategy, s.strategy, "{what}");
+        let seconds = |r: &ExperimentResult| {
+            campaign
+                .time_model()
+                .experiment_seconds(&r.traffic, campaign.run_cycles())
+                .to_bits()
+        };
+        assert_eq!(seconds(b), seconds(s), "{what}: fault {:?}", b.fault);
     }
     let fold = |results: &[ExperimentResult]| {
         let mut stats = CampaignStats::default();
@@ -573,6 +580,10 @@ fn dead_logic_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
     (nl, imp)
 }
 
+/// Held by the tests that read the process-wide `sim` counters, so that
+/// one test's reset cannot land between another's run and its reading.
+static SIM_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn silent_faults_retire_lanes_early() {
     // Guard against the differential suite silently passing because the
@@ -582,6 +593,9 @@ fn silent_faults_retire_lanes_early() {
     let (nl, imp) = dead_logic_design();
     let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    let _counters = SIM_COUNTERS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     fades_telemetry::sim::reset();
     let batched = campaign.run_batched_detailed(&load, 20, 17).unwrap();
     assert!(
@@ -667,4 +681,84 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
         os.emulation_seconds.to_bits(),
         "modelled time must not depend on the thread count"
     );
+}
+
+/// Runs `n` faults of each load on the 8051 running Bubblesort for its
+/// full length, implemented for `arch`, on the lane engine and on the
+/// scalar oracle, asserts every experiment matches, and asserts the lane
+/// engine merged lanes on every load.
+fn assert_merges_match_scalar(arch: fades_fpga::ArchParams, loads: &[&str], n: usize, seed: u64) {
+    use fades_mcu8051::{build_soc, workloads, Iss, OBSERVED_PORTS};
+    let w = workloads::bubblesort();
+    let soc = build_soc(&w.rom).unwrap();
+    let imp = implement(&soc.netlist, arch).unwrap();
+    let cycles = Iss::new(w.rom.clone())
+        .run_to_completion(100_000)
+        .unwrap()
+        .cycles;
+    let campaign =
+        Campaign::with_config(&soc.netlist, imp, &OBSERVED_PORTS, cycles, config(true)).unwrap();
+    for (k, &name) in loads.iter().enumerate() {
+        let load = match name {
+            "bitflip-mem" => FaultLoad::bit_flips(
+                TargetClass::MemoryBits {
+                    name: "iram".into(),
+                    lo: w.data_range.0 as usize,
+                    hi: w.data_range.1 as usize,
+                },
+                DurationRange::SubCycle,
+            ),
+            "bitflip-ffs" => FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle),
+            "indet-ffs" => {
+                FaultLoad::indeterminations(TargetClass::AllFfs, DurationRange::SHORT, false)
+            }
+            other => unreachable!("no load {other}"),
+        };
+        let plan = campaign.plan(&load, n, seed + k as u64).unwrap();
+        {
+            let _counters = SIM_COUNTERS
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let merges = fades_telemetry::sim::LANE_MERGES.get();
+            campaign.execute_batched(&plan, None).unwrap();
+            assert!(
+                fades_telemetry::sim::LANE_MERGES.get() > merges,
+                "{name}: no lane was merged, so the merge path went untested"
+            );
+        }
+        assert_plan_equivalent(&campaign, &plan, name);
+    }
+}
+
+#[test]
+fn merged_lanes_match_the_scalar_path_on_the_8051() {
+    // The paper's campaign design and loads. Memory flips mostly fail
+    // late, flip-flop flips and indeterminations often stay latent, so
+    // many lanes reach the same state as another and are merged while
+    // later entries wait for a lane. Every experiment must still match
+    // the scalar oracle: outcome, traffic, strategy and modelled seconds
+    // to the bit.
+    assert_merges_match_scalar(
+        fades_fpga::ArchParams::virtex1000_like(),
+        &["bitflip-mem", "bitflip-ffs", "indet-ffs"],
+        600,
+        231,
+    );
+}
+
+#[test]
+fn merged_lanes_match_the_scalar_path_on_a_marginally_timed_8051() {
+    // At a 66 ns clock 17 flip-flops and the memory block's write port
+    // miss some captures and take their previous operands instead, as a
+    // delayed data path does (paper §4.3). The previous-D and write-port
+    // shadows then decide a lane's future, so two lanes with equal
+    // flip-flops and memory but different shadows must not merge (on
+    // this plan, a key without the previous-D shadows gives wrong
+    // outcomes). At the paper's 80 ns clock nothing misses and the
+    // shadows never matter.
+    let arch = fades_fpga::ArchParams {
+        clock_period_ns: 66.0,
+        ..fades_fpga::ArchParams::virtex1000_like()
+    };
+    assert_merges_match_scalar(arch, &["indet-ffs", "bitflip-ffs", "bitflip-mem"], 600, 241);
 }

@@ -87,6 +87,46 @@ fn plan_rejects_empty_and_zero_cycle_duration_ranges() {
 }
 
 #[test]
+fn every_engine_rejects_a_hand_built_zero_cycle_schedule() {
+    // `plan` never samples a zero-cycle fault, but a plan is plain data:
+    // a hand-built `duration: Some(0)` must be the same typed error on
+    // every engine instead of reaching one undefined.
+    let (nl, imp) = lfsr_campaign();
+    let config = fades_core::CampaignConfig {
+        threads: 1,
+        batch: true,
+        static_preclassify: false,
+        ..fades_core::CampaignConfig::default()
+    };
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 100, config).unwrap();
+    let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    let mut plan = campaign.plan(&load, 6, 3).unwrap();
+    plan.experiments[2].schedule.duration = Some(0);
+    let zero = fades_core::CoreError::InvalidDuration { lo: 0, hi: 0 };
+    assert_eq!(campaign.execute(&plan, None).unwrap_err(), zero);
+    assert_eq!(campaign.execute_batched(&plan, None).unwrap_err(), zero);
+    // The lane engine checks a plan's schedules before any cohort runs,
+    // so under isolation a bad schedule is an infrastructure error ...
+    assert_eq!(
+        campaign
+            .execute_batched_isolated(&plan, 1, None, None)
+            .unwrap_err(),
+        zero
+    );
+    // ... while the scalar isolated path quarantines just that entry.
+    let verdicts = campaign.execute_isolated(&plan, 1, None, None).unwrap();
+    assert_eq!(verdicts.len(), 6);
+    for v in &verdicts {
+        match v {
+            fades_core::ExperimentVerdict::Quarantined { index, error, .. } => {
+                assert_eq!((*index, error.as_str()), (2, zero.to_string().as_str()));
+            }
+            fades_core::ExperimentVerdict::Completed { index, .. } => assert_ne!(*index, 2),
+        }
+    }
+}
+
+#[test]
 fn empty_campaign_yields_zeroed_stats() {
     // Regression: n_faults = 0 used to panic in the executor's work
     // partitioning (`chunks(0)`); it must simply produce empty stats.

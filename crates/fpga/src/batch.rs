@@ -1220,6 +1220,74 @@ impl<const W: usize> BatchDevice<W> {
         d
     }
 
+    /// The sequential-state bits of each lane in `lanes` that differ from
+    /// lane 0, as ascending bit ids padded with `u32::MAX`, for the lanes
+    /// that differ in at most `K` bits (lanes that differ in more are
+    /// left out), ascending by lane.
+    ///
+    /// The state is the one [`seq_divergence`](Self::seq_divergence)
+    /// compares: flip-flops and their previous-D shadows, each memory
+    /// block's write-port shadows and its contents. A bit's id depends
+    /// only on the device, so two listed lanes hold bit-identical state
+    /// exactly when their keys are equal — no hash, no collision.
+    ///
+    /// One pass visits each flip-flop, shadow and dirty memory word once,
+    /// as whole words, and records a differing bit only for a lane still
+    /// within the bound; a lane's `K + 1`-th bit drops it. The scan
+    /// allocates only its result and one fixed-size key per lane.
+    pub fn divergence_keys<const K: usize>(&self, lanes: Word<W>) -> Vec<(usize, [u32; K])> {
+        let mut keys = vec![([u32::MAX; K], 0usize); Self::LANES];
+        let mut within = lanes;
+        self.for_each_state_diff(|id, x| {
+            for lane in (x & within).ones() {
+                let (key, len) = &mut keys[lane];
+                if *len == K {
+                    within.set_bit(lane, false);
+                } else {
+                    key[*len] = id;
+                    *len += 1;
+                }
+            }
+        });
+        within
+            .ones()
+            .map(|lane| {
+                let mut key = keys[lane].0;
+                // Dirty memory words are visited in write order.
+                key.sort_unstable();
+                (lane, key)
+            })
+            .collect()
+    }
+
+    /// Calls `f(id, lanes)` for every sequential-state word that may
+    /// differ across lanes, with the lanes where it differs from lane 0.
+    /// Ids number flip-flop states, then previous-D shadows, then per
+    /// memory block its write-enable, address and data shadows and its
+    /// content cells; only dirty content words are visited (the others
+    /// are uniform).
+    fn for_each_state_diff(&self, mut f: impl FnMut(u32, Word<W>)) {
+        let diff = |w: Word<W>| w ^ w.splat_lane0();
+        let mut id = 0u32;
+        for &w in self.ff_state.iter().chain(&self.ff_prev_d) {
+            f(id, diff(w));
+            id += 1;
+        }
+        for b in &self.brams {
+            for &w in std::iter::once(&b.prev_we)
+                .chain(&b.prev_addr)
+                .chain(&b.prev_din)
+            {
+                f(id, diff(w));
+                id += 1;
+            }
+            for &idx in &b.dirty {
+                f(id + idx, diff(b.contents[idx as usize]));
+            }
+            id += b.contents.len() as u32;
+        }
+    }
+
     /// Lanes (bit set) whose behaviour-affecting configuration differs
     /// from pristine (LUT tables and FF-input inverters; `lsr_drive` is
     /// deliberately excluded, matching
@@ -1965,5 +2033,143 @@ mod tests {
             extra: 3,
         });
         assert_eq!(err, Err(FpgaError::LaneUnsupported("routing mutation")));
+    }
+
+    /// A memory block whose write enable, data bit 1 and address bits 1-2
+    /// come from flip-flops whose D is their own Q (they hold whatever a
+    /// lane sets; the enable starts off, so only lanes that set it
+    /// write); data bit 0 comes from a toggling flip-flop, and address
+    /// bit 0 from a flip-flop that copies held flip-flop 1, so its value
+    /// at an edge survives only in the write-port shadow. Held flip-flop
+    /// 5 drives nothing, so its value at an edge survives only in its
+    /// previous-D shadow. Returns the configuration and the flip-flops a
+    /// lane may flip: the six held ones, then the copying one.
+    fn held_port_memory() -> (Bitstream, Vec<CbCoord>) {
+        let mut bs = Bitstream::new(ArchParams::small());
+        let mut sites: Vec<CbCoord> = (0..6).map(|i| CbCoord::new(i, 0)).collect();
+        let mut q = Vec::new();
+        for &cb in &sites {
+            let w = bs.place_ff(cb, false).unwrap();
+            bs.connect_ff(cb, FfDSrc::Direct(w)).unwrap();
+            q.push(w);
+        }
+        let copy_cb = CbCoord::new(6, 0);
+        let copy = bs.place_ff(copy_cb, false).unwrap();
+        bs.connect_ff(copy_cb, FfDSrc::Direct(q[1])).unwrap();
+        sites.push(copy_cb);
+        let toggle_cb = CbCoord::new(7, 0);
+        bs.place_lut(toggle_cb, 0x5555).unwrap();
+        let toggle = bs.place_ff(toggle_cb, false).unwrap();
+        bs.connect_lut_pin(toggle_cb, 0, toggle).unwrap();
+        bs.connect_ff(toggle_cb, FfDSrc::LutOut).unwrap();
+        let contents: Vec<u64> = (0..8).map(|k| k % 4).collect();
+        let addr = [copy, q[2], q[3]];
+        let dout = bs
+            .add_bram("m", &addr, &[toggle, q[4]], Some(q[0]), 2, &contents)
+            .unwrap();
+        bs.add_output("d", &dout).unwrap();
+        (bs, sites)
+    }
+
+    /// Everything a lane's future depends on, read straight from the
+    /// engine's words: the state snapshot, the previous-D shadows and
+    /// the memory write-port shadows.
+    fn full_state<const W: usize>(batch: &BatchDevice<W>, lane: usize) -> Vec<bool> {
+        let mut bits: Vec<bool> = batch
+            .state_snapshot_lane(lane)
+            .iter()
+            .flat_map(|w| (0..64).map(move |k| (w >> k) & 1 == 1))
+            .collect();
+        bits.extend(batch.ff_prev_d.iter().map(|w| w.bit(lane)));
+        for b in &batch.brams {
+            let shadows = std::iter::once(&b.prev_we)
+                .chain(&b.prev_addr)
+                .chain(&b.prev_din);
+            bits.extend(shadows.map(|w| w.bit(lane)));
+        }
+        bits
+    }
+
+    proptest::proptest! {
+        /// Two lanes' divergence keys are equal exactly when their state
+        /// snapshots, previous-D shadows and write-port shadows are, and
+        /// a bounded scan lists exactly the lanes within its bound, with
+        /// the same keys.
+        #[test]
+        fn divergence_keys_name_exactly_the_differing_state(
+            shared in proptest::collection::vec(
+                (0usize..8, 0u8..11, 0u8..4, proptest::prelude::any::<bool>()),
+                0..24,
+            ),
+            extra in proptest::collection::vec(
+                (1usize..64, 0u8..11, 0u8..4, proptest::prelude::any::<bool>()),
+                0..16,
+            ),
+            cycles in 1u8..4,
+        ) {
+            let (bs, ffs) = held_port_memory();
+            let mut batch = BatchDevice::<1>::new(&Device::configure(bs).unwrap()).unwrap();
+            // Lane `l` takes the `shared` flips of pattern `l % 8` and its
+            // own `extra` ones, so many lanes agree but for a flip or two.
+            // Sites 0-6 flip a flip-flop, 7-10 one memory bit. A flip lands
+            // before the edge of cycle `when`, or after the last edge; an
+            // `undo` flip is flipped back after the last edge, so it may
+            // survive only in a shadow.
+            let flips: Vec<(usize, u8, u8, bool)> = (1..64)
+                .flat_map(|lane| {
+                    let own = shared
+                        .iter()
+                        .filter(move |f| f.0 == lane % 8)
+                        .chain(extra.iter().filter(move |f| f.0 == lane));
+                    own.map(move |&(_, site, when, undo)| (lane, site, when, undo))
+                })
+                .collect();
+            let flip = |batch: &mut BatchDevice<1>, lane: usize, site: u8| {
+                let mut dev = batch.lane(lane);
+                let site = usize::from(site);
+                if let Some(&cb) = ffs.get(site) {
+                    let value = !dev.dev.peek_ff_lane(cb, lane).unwrap();
+                    dev.apply(&Mutation::SetLsrDrive { cb, drive: SetReset::driving(value) })
+                        .unwrap();
+                    dev.apply(&Mutation::PulseLsr { cb }).unwrap();
+                } else {
+                    let (addr, bit) = ((site - ffs.len()) * 2 % 8, (site as u32) % 2);
+                    let value = dev.readback_bram_word(BramId(0), addr).unwrap() >> bit & 1 == 0;
+                    dev.apply(&Mutation::SetBramBit { bram: BramId(0), addr, bit, value })
+                        .unwrap();
+                }
+            };
+            for cycle in 0..=cycles {
+                for &(lane, site, when, undo) in &flips {
+                    if when == cycle || (undo && when < cycles && cycle == cycles) {
+                        flip(&mut batch, lane, site);
+                    }
+                }
+                if cycle < cycles {
+                    batch.step();
+                }
+            }
+            let lanes = Word::<1>::ONES;
+            let keys = batch.divergence_keys::<64>(lanes);
+            proptest::prop_assert_eq!(keys.len(), 64);
+            let states: Vec<Vec<bool>> = (0..64).map(|l| full_state(&batch, l)).collect();
+            for (a, ka) in &keys {
+                proptest::prop_assert_eq!(ka[0] == u32::MAX, states[*a] == states[0], "lane {}", a);
+                for (b, kb) in &keys {
+                    proptest::prop_assert_eq!(ka == kb, states[*a] == states[*b], "lanes {} and {}", a, b);
+                }
+            }
+            let bounded: Vec<(usize, Vec<u32>)> = batch
+                .divergence_keys::<2>(lanes)
+                .iter()
+                .map(|(lane, key)| (*lane, key.to_vec()))
+                .collect();
+            let within: Vec<(usize, Vec<u32>)> = keys
+                .iter()
+                .filter(|(_, key)| key[2] == u32::MAX)
+                .map(|(lane, key)| (*lane, key[..2].to_vec()))
+                .collect();
+            proptest::prop_assert_eq!(bounded, within);
+        }
     }
 }

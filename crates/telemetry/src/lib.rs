@@ -136,8 +136,14 @@ pub mod sim {
     /// cycle of a `W`-word engine. `LANE_CYCLES / LANE_SLOTS` is the mean
     /// fill of the lane words, comparable across word widths.
     pub static LANE_SLOTS: Counter = Counter::new();
-    /// Lanes retired early after reconverging with the golden lane.
+    /// Experiments decided early, before the end of their pass: their
+    /// lane reconverged with the golden lane, or the lane they were
+    /// merged into did.
     pub static LANE_RETIREMENTS: Counter = Counter::new();
+    /// Lanes merged into another lane whose machine reached the same
+    /// state: the other lane carries both experiments from then on, and
+    /// the merged lane is freed for a pending one.
+    pub static LANE_MERGES: Counter = Counter::new();
 
     /// Records one batch cycle over `occupied` of `capacity` faulty lanes
     /// (`LANE_CYCLES / BATCH_CYCLES` is the mean lane occupancy,
@@ -150,10 +156,18 @@ pub mod sim {
         BATCH_CYCLES.inc();
     }
 
-    /// Records one lane retiring early on golden reconvergence.
+    /// Records `experiments` decided by one lane retiring early on golden
+    /// reconvergence: the lane's own and those merged into it.
     #[inline(always)]
-    pub fn record_lane_retirement() {
-        LANE_RETIREMENTS.inc();
+    pub fn record_lane_retirement(experiments: u64) {
+        LANE_RETIREMENTS.add(experiments);
+    }
+
+    /// Records one lane merged into another. Always live — one add per
+    /// merge.
+    #[inline(always)]
+    pub fn record_lane_merge() {
+        LANE_MERGES.inc();
     }
 
     /// Always 0: the lane engine's settle evaluates every combinational
@@ -179,6 +193,7 @@ pub mod sim {
         BATCH_CYCLES.reset();
         LANE_SLOTS.reset();
         LANE_RETIREMENTS.reset();
+        LANE_MERGES.reset();
         EVALS_SKIPPED.reset();
         WARM_SKIPPED_CYCLES.reset();
     }

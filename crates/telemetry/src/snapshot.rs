@@ -78,6 +78,7 @@ pub fn snapshot() -> MetricsSnapshot {
             "fades_sim_lane_retirements_total",
             crate::sim::LANE_RETIREMENTS.get(),
         ),
+        ("fades_sim_lane_merges_total", crate::sim::LANE_MERGES.get()),
         (
             "fades_sim_warm_skipped_cycles_total",
             crate::sim::WARM_SKIPPED_CYCLES.get(),
