@@ -328,11 +328,12 @@ fn trace_retirement(phase: &Histogram, index: u64, wall_us: u64) {
 /// widest `W` ∈ {1, 2, 4, 8} whose `64 * W - 1` faulty lanes the cohort
 /// fills at least twice over.
 ///
-/// A sweep of a wider word costs more (a settle sweep of the 8051 on a
-/// quiet host: W=2 ~1.2×, W=4 ~1.4×, W=8 ~1.9× the W=1 cost), and it pays
-/// only while the extra lanes stay occupied. A small cohort on a wide word
-/// would sweep mostly empty lanes, so shards of a few dozen faults stay on
-/// the 64-lane word.
+/// A sweep of a wider word costs more (a settle sweep of the 8051, each
+/// width at its `fades_fpga::LaneKernel` level on an AVX-512 host: W=2
+/// ~1.2×, W=4 ~1.25×, W=8 ~1.4× the W=1 cost; ~1.9× for W=8 on the
+/// baseline), and it pays only while the extra lanes stay occupied. A
+/// small cohort on a wide word would sweep mostly empty lanes, so shards
+/// of a few dozen faults stay on the 64-lane word.
 pub(crate) fn lane_word_width(n: usize) -> usize {
     [WIDEST_WORD, 4, 2]
         .into_iter()

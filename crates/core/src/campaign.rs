@@ -801,8 +801,9 @@ impl<'n> Campaign<'n> {
     ///
     /// # Errors
     ///
-    /// Only infrastructure failures (unknown observed port, invalid plan
-    /// schedule) surface here; per-experiment faults are quarantined.
+    /// Only infrastructure failures (an unknown observed port) surface
+    /// here; per-experiment faults, invalid schedules included, are
+    /// quarantined.
     pub fn execute_batched_isolated(
         &self,
         plan: &CampaignPlan,
@@ -839,7 +840,12 @@ impl<'n> Campaign<'n> {
 
         // As in `execute_batched`: statically-Silent experiments take the
         // scalar isolated path, where `execute_mode` replays their ledger.
-        let on_lane = |e: &PlannedExperiment| self.runs_on_lane(e);
+        // So does an entry whose schedule fails `FaultSchedule::check`,
+        // which the scalar isolated path quarantines on its own, as it
+        // would without the lane engine.
+        let run_cycles = self.golden.cycles();
+        let on_lane =
+            |e: &PlannedExperiment| self.runs_on_lane(e) && e.schedule.check(run_cycles).is_ok();
         let lane_entries: Vec<&PlannedExperiment> =
             plan.experiments.iter().filter(|e| on_lane(e)).collect();
         let scalar_plan = CampaignPlan {

@@ -86,11 +86,36 @@ fn plan_rejects_empty_and_zero_cycle_duration_ranges() {
     }
 }
 
+/// What two engines must agree on in a verdict: plan index, outcome,
+/// traffic and modelled-seconds bits, or the quarantine error and
+/// attempts (host wall clock left out).
+fn verdict_key(v: &fades_core::ExperimentVerdict) -> String {
+    match v {
+        fades_core::ExperimentVerdict::Completed {
+            index,
+            modelled_seconds,
+            result,
+            ..
+        } => format!(
+            "{index}: {:?} {:?} {:#x}",
+            result.outcome,
+            result.traffic,
+            modelled_seconds.to_bits()
+        ),
+        fades_core::ExperimentVerdict::Quarantined {
+            index,
+            error,
+            attempts,
+        } => format!("{index}: quarantined after {attempts}: {error}"),
+    }
+}
+
 #[test]
 fn every_engine_rejects_a_hand_built_zero_cycle_schedule() {
-    // `plan` never samples a zero-cycle fault, but a plan is plain data:
-    // a hand-built `duration: Some(0)` must be the same typed error on
-    // every engine instead of reaching one undefined.
+    // `plan` never samples a zero-cycle fault or an injection outside the
+    // run, but a plan is plain data: a hand-built bad schedule must be
+    // the same typed error on every engine instead of reaching one
+    // undefined.
     let (nl, imp) = lfsr_campaign();
     let config = fades_core::CampaignConfig {
         threads: 1,
@@ -100,28 +125,48 @@ fn every_engine_rejects_a_hand_built_zero_cycle_schedule() {
     };
     let campaign = Campaign::with_config(&nl, imp, &["q"], 100, config).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
+    let zero = fades_core::CoreError::InvalidDuration { lo: 0, hi: 0 };
+    let run = campaign.run_cycles();
+    let outside = fades_core::CoreError::BadSchedule {
+        at: run,
+        run_cycles: run,
+    };
+    let mut bad_plans = Vec::new();
     let mut plan = campaign.plan(&load, 6, 3).unwrap();
     plan.experiments[2].schedule.duration = Some(0);
-    let zero = fades_core::CoreError::InvalidDuration { lo: 0, hi: 0 };
-    assert_eq!(campaign.execute(&plan, None).unwrap_err(), zero);
-    assert_eq!(campaign.execute_batched(&plan, None).unwrap_err(), zero);
-    // The lane engine checks a plan's schedules before any cohort runs,
-    // so under isolation a bad schedule is an infrastructure error ...
-    assert_eq!(
-        campaign
-            .execute_batched_isolated(&plan, 1, None, None)
-            .unwrap_err(),
-        zero
-    );
-    // ... while the scalar isolated path quarantines just that entry.
-    let verdicts = campaign.execute_isolated(&plan, 1, None, None).unwrap();
-    assert_eq!(verdicts.len(), 6);
-    for v in &verdicts {
-        match v {
-            fades_core::ExperimentVerdict::Quarantined { index, error, .. } => {
-                assert_eq!((*index, error.as_str()), (2, zero.to_string().as_str()));
+    bad_plans.push((plan, zero));
+    let mut plan = campaign.plan(&load, 6, 3).unwrap();
+    plan.experiments[4].schedule.inject_at = run;
+    bad_plans.push((plan, outside));
+    for (plan, error) in &bad_plans {
+        let bad = plan
+            .experiments
+            .iter()
+            .position(|e| e.schedule.duration == Some(0) || e.schedule.inject_at >= run)
+            .unwrap() as u64;
+        assert_eq!(&campaign.execute(plan, None).unwrap_err(), error);
+        assert_eq!(&campaign.execute_batched(plan, None).unwrap_err(), error);
+        // Under isolation both engines quarantine just that entry and
+        // return the same verdicts.
+        let verdicts = campaign.execute_isolated(plan, 1, None, None).unwrap();
+        let batched = campaign
+            .execute_batched_isolated(plan, 1, None, None)
+            .unwrap();
+        assert_eq!(
+            batched.iter().map(verdict_key).collect::<Vec<_>>(),
+            verdicts.iter().map(verdict_key).collect::<Vec<_>>(),
+            "{error}"
+        );
+        assert_eq!(verdicts.len(), 6);
+        for v in &verdicts {
+            match v {
+                fades_core::ExperimentVerdict::Quarantined {
+                    index, error: e, ..
+                } => {
+                    assert_eq!((*index, e.as_str()), (bad, error.to_string().as_str()));
+                }
+                fades_core::ExperimentVerdict::Completed { index, .. } => assert_ne!(*index, bad),
             }
-            fades_core::ExperimentVerdict::Completed { index, .. } => assert_ne!(*index, 2),
         }
     }
 }

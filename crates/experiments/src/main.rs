@@ -305,4 +305,17 @@ fn print_setup(ctx: &ExperimentContext, n: usize, seed: u64) {
         ctx.workload_cycles()
     );
     println!("  faults per campaign: {n} (paper: 3000), seed {seed}");
+    let by_word: Vec<String> = [64, 128, 256, 512]
+        .map(|lanes| {
+            format!(
+                "{lanes}: {}",
+                fades_fpga::LaneKernel::for_lanes(lanes).name()
+            )
+        })
+        .into();
+    println!(
+        "  lane kernel: {}; by lane word {}",
+        fades_fpga::LaneKernel::detect(),
+        by_word.join(", ")
+    );
 }

@@ -39,7 +39,7 @@ use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
 use crate::reconfig::Mutation;
 use crate::state::DeviceState;
-use crate::word::Word;
+use crate::word::{lane_kernel, LaneKernel, Word};
 
 /// The readback/reconfigure surface injection strategies drive.
 ///
@@ -380,6 +380,7 @@ fn mark_dirty(dirty: &mut Vec<u32>, is_dirty: &mut [bool], idx: usize) {
 impl<const W: usize> LaneBram<W> {
     /// Splats one scalar memory image (and write-port shadow) across
     /// every lane and empties the dirty list.
+    #[inline(always)]
     fn load_broadcast(&mut self, words: &[u64], (we, addr, din): (bool, usize, u64)) {
         for (cells, &w) in self.contents.chunks_mut(self.width.max(1)).zip(words) {
             for (bit, cell) in cells.iter_mut().enumerate() {
@@ -407,6 +408,7 @@ impl<const W: usize> LaneBram<W> {
     /// address at a time, as whole words under the mask of the lanes
     /// sharing it, so the cost follows the distinct diverged addresses,
     /// not the diverged lanes or the width of the word.
+    #[inline(always)]
     fn read(&self, wv: &mut [Word<W>]) {
         let (golden, mut odd) = golden_address(self.addr_wires.iter().map(|&w| wv[w as usize]));
         let base = golden * self.width;
@@ -431,9 +433,38 @@ impl<const W: usize> LaneBram<W> {
     }
 }
 
+/// The content cells of one memory block, borrowed apart from its
+/// write-port words for the clock edge's writes.
+struct BramCells<'a, const W: usize> {
+    contents: &'a mut [Word<W>],
+    dirty: &'a mut Vec<u32>,
+    is_dirty: &'a mut [bool],
+    width: usize,
+}
+
+impl<const W: usize> BramCells<'_, W> {
+    /// Writes the data words `din` (LSB first, missing bits 0) to word
+    /// `addr` in the `lanes`, keeping the dirty list's invariant.
+    #[inline(always)]
+    fn write(&mut self, addr: usize, din: &[Word<W>], lanes: Word<W>) {
+        let base = addr * self.width;
+        for bit in 0..self.width {
+            let din = din.get(bit).copied().unwrap_or(Word::ZERO);
+            let idx = base + bit;
+            let new = Word::mux(self.contents[idx], din, lanes);
+            if self.contents[idx] != new {
+                self.contents[idx] = new;
+                if !new.is_uniform() {
+                    mark_dirty(self.dirty, self.is_dirty, idx);
+                }
+            }
+        }
+    }
+}
+
 /// The golden lane's address on a bus of lane words (LSB first), and
 /// the lanes whose address differs from it.
-#[inline]
+#[inline(always)]
 fn golden_address<const W: usize>(bus: impl Iterator<Item = Word<W>>) -> (usize, Word<W>) {
     let mut addr = 0usize;
     let mut odd = Word::ZERO;
@@ -445,14 +476,14 @@ fn golden_address<const W: usize>(bus: impl Iterator<Item = Word<W>>) -> (usize,
 }
 
 /// One lane's address on a bus of lane words (LSB first).
-#[inline]
+#[inline(always)]
 fn lane_address<const W: usize>(bus: impl Iterator<Item = Word<W>>, lane: usize) -> usize {
     bus.enumerate()
         .fold(0, |addr, (k, w)| addr | usize::from(w.bit(lane)) << k)
 }
 
 /// The lanes whose address on a bus of lane words (LSB first) is `addr`.
-#[inline]
+#[inline(always)]
 fn lanes_at<const W: usize>(bus: impl Iterator<Item = Word<W>>, addr: usize) -> Word<W> {
     bus.enumerate().fold(Word::ONES, |at, (k, w)| {
         at & (w ^ Word::splat((addr >> k) & 1 == 0))
@@ -547,6 +578,9 @@ pub struct BatchDevice<const W: usize> {
     /// A set/reset pulse mutated `ff_state` after the last edge, so the
     /// cached `seq_div_ff` fold may be stale.
     ff_touched_since_edge: bool,
+    /// The instruction-set level the per-cycle loops run at, chosen once
+    /// in [`new`](Self::new).
+    kernel: LaneKernel,
 }
 
 /// One reason a pristine configuration cannot be represented bit-exactly
@@ -823,7 +857,9 @@ impl<const W: usize> BatchDevice<W> {
             seq_div_ff: Word::ZERO,
             seq_div_shadow: Word::ZERO,
             ff_touched_since_edge: false,
+            kernel: LaneKernel::for_lanes(Self::LANES),
         };
+        fades_telemetry::sim::LANE_KERNEL_BITS.set(u64::from(engine.kernel.vector_bits()));
         engine.reset();
         Some(engine)
     }
@@ -842,6 +878,7 @@ impl<const W: usize> BatchDevice<W> {
     /// compact table slices of the LUTs some lane overrode, restores the
     /// inverter and set/reset-mux words, and clears the divergence
     /// bookkeeping and all lane ledgers.
+    #[inline(always)]
     fn restore_pristine_config(&mut self) {
         for overrides in &mut self.lut_overrides {
             for &(li, _) in overrides.iter() {
@@ -892,24 +929,30 @@ impl<const W: usize> BatchDevice<W> {
         self.cycle = 0;
     }
 
-    /// Splat-loads every lane from one scalar golden-run snapshot:
-    /// configuration back to pristine (exactly as [`reset`](Self::reset)
-    /// does), runtime state broadcast from the snapshot, ledgers cleared,
-    /// and the cycle counter set to the snapshot's cycle.
-    ///
-    /// This is the warm-start primitive: a cohort whose earliest
-    /// injection instant is `c` can restore the nearest golden checkpoint
-    /// at or before `c` and skip re-simulating the pristine prefix, and
-    /// the result is bit-identical by construction — every lane's state
-    /// is exactly what replaying the prefix would have produced, because
-    /// until its injection a lane *is* the golden run.
-    ///
-    /// Checkpoints are captured post-edge, pre-settle: the snapshot's
-    /// wire and LUT values are the fixpoint of the *previous* cycle's
-    /// presentation, stale against its `ff_state` and memory contents.
-    /// That is harmless because every [`settle`](Self::settle) recomputes
-    /// every combinational word from the sequential state.
-    pub fn restore_broadcast(&mut self, snap: &DeviceState) {
+    lane_kernel! {
+        /// Splat-loads every lane from one scalar golden-run snapshot:
+        /// configuration back to pristine (exactly as [`reset`](Self::reset)
+        /// does), runtime state broadcast from the snapshot, ledgers cleared,
+        /// and the cycle counter set to the snapshot's cycle.
+        ///
+        /// This is the warm-start primitive: a cohort whose earliest
+        /// injection instant is `c` can restore the nearest golden checkpoint
+        /// at or before `c` and skip re-simulating the pristine prefix, and
+        /// the result is bit-identical by construction — every lane's state
+        /// is exactly what replaying the prefix would have produced, because
+        /// until its injection a lane *is* the golden run.
+        ///
+        /// Checkpoints are captured post-edge, pre-settle: the snapshot's
+        /// wire and LUT values are the fixpoint of the *previous* cycle's
+        /// presentation, stale against its `ff_state` and memory contents.
+        /// That is harmless because every [`settle`](Self::settle) recomputes
+        /// every combinational word from the sequential state.
+        pub fn restore_broadcast(&mut self, snap: &DeviceState) = restore_broadcast_body,
+            restore_broadcast_avx2, restore_broadcast_avx512;
+    }
+
+    #[inline(always)]
+    fn restore_broadcast_body(&mut self, snap: &DeviceState) {
         self.restore_pristine_config();
         for i in 0..self.ffs.len() {
             self.ff_state[i] = Word::splat(snap.ff_state[i]);
@@ -968,11 +1011,17 @@ impl<const W: usize> BatchDevice<W> {
         Ok(port.wires.iter().map(|w| w.index() as u32).collect())
     }
 
-    /// Lanes (bit set) whose value on the given port wires differs from
-    /// the expected golden value; call after [`settle`](Self::settle).
-    /// Only the first 64 wires are compared, mirroring
-    /// [`Device::output_u64`].
-    pub fn port_divergence(&self, wires: &[u32], golden: u64) -> Word<W> {
+    lane_kernel! {
+        /// Lanes (bit set) whose value on the given port wires differs from
+        /// the expected golden value; call after [`settle`](Self::settle).
+        /// Only the first 64 wires are compared, mirroring
+        /// [`Device::output_u64`].
+        pub fn port_divergence(&self, wires: &[u32], golden: u64) -> Word<W> = port_divergence_body,
+            port_divergence_avx2, port_divergence_avx512;
+    }
+
+    #[inline(always)]
+    fn port_divergence_body(&self, wires: &[u32], golden: u64) -> Word<W> {
         let mut d = Word::ZERO;
         for (bit, &w) in wires.iter().enumerate().take(64) {
             d |= self.wire_values[w as usize] ^ Word::splat((golden >> bit) & 1 == 1);
@@ -994,10 +1043,15 @@ impl<const W: usize> BatchDevice<W> {
         Ok(v)
     }
 
-    /// Propagates values through the combinational fabric, all lanes at
-    /// once: presents every flip-flop's state word on its output wire,
-    /// then evaluates every combinational node in topological order.
-    pub fn settle(&mut self) {
+    lane_kernel! {
+        /// Propagates values through the combinational fabric, all lanes at
+        /// once: presents every flip-flop's state word on its output wire,
+        /// then evaluates every combinational node in topological order.
+        pub fn settle(&mut self) = settle_body, settle_avx2, settle_avx512;
+    }
+
+    #[inline(always)]
+    fn settle_body(&mut self) {
         let wv = &mut self.wire_values;
         for (ff, &q) in self.ffs.iter().zip(&self.ff_state) {
             if let Some(w) = ff.out_wire {
@@ -1048,10 +1102,15 @@ impl<const W: usize> BatchDevice<W> {
             .collect()
     }
 
-    /// Applies the clock edge on every lane: flip-flop captures (with the
-    /// same deterministic setup-violation model as the scalar device) and
-    /// lane-masked memory writes.
-    pub fn clock_edge(&mut self) {
+    lane_kernel! {
+        /// Applies the clock edge on every lane: flip-flop captures (with the
+        /// same deterministic setup-violation model as the scalar device) and
+        /// lane-masked memory writes.
+        pub fn clock_edge(&mut self) = clock_edge_body, clock_edge_avx2, clock_edge_avx512;
+    }
+
+    #[inline(always)]
+    fn clock_edge_body(&mut self) {
         // Fold the flip-flop and capture-shadow components of the
         // retirement divergence mask while the words are already in hand,
         // so `seq_divergence` does not rescan them per cycle.
@@ -1103,28 +1162,20 @@ impl<const W: usize> BatchDevice<W> {
             // writing lanes that share it.
             let (golden, odd) = golden_address(addr_eff.iter().copied());
             let odd = odd | (we_eff ^ we_eff.splat_lane0());
-            let mut write = |addr: usize, lanes: Word<W>| {
-                let base = addr * width;
-                for bit in 0..width {
-                    let din = din_eff.get(bit).copied().unwrap_or(Word::ZERO);
-                    let idx = base + bit;
-                    let new = Word::mux(contents[idx], din, lanes);
-                    if contents[idx] != new {
-                        contents[idx] = new;
-                        if !new.is_uniform() {
-                            mark_dirty(dirty, is_dirty, idx);
-                        }
-                    }
-                }
+            let mut cells = BramCells {
+                contents,
+                dirty,
+                is_dirty,
+                width,
             };
             if we_eff.0[0] & 1 == 1 {
-                write(golden, !odd);
+                cells.write(golden, din_eff, !odd);
             }
             let mut rest = odd & we_eff;
             while let Some(lane) = rest.ones().next() {
                 let addr = lane_address(addr_eff.iter().copied(), lane);
                 let at = rest & lanes_at(addr_eff.iter().copied(), addr);
-                write(addr, at);
+                cells.write(addr, din_eff, at);
                 rest &= !at;
             }
             b.prev_we = we_now;
@@ -1147,25 +1198,31 @@ impl<const W: usize> BatchDevice<W> {
         self.clock_edge();
     }
 
-    /// Lanes (bit set) whose sequential state — flip-flops, previous-D
-    /// shadows, pending memory captures, memory contents — differs from
-    /// lane 0. A lane with a clear bit here *and* in
-    /// [`config_divergence`](Self::config_divergence) evolves identically
-    /// to the golden lane forever (the batch analogue of the scalar
-    /// early-stop hash check, but by true equality).
-    ///
-    /// Takes `&mut self` to lazily sweep reconverged memory words off the
-    /// dirty list.
-    ///
-    /// The flip-flop and capture-shadow components are incremental: they
-    /// were folded while [`clock_edge`](Self::clock_edge) rewrote the
-    /// words, so the per-cycle cost here is the (divergence-proportional)
-    /// memory dirty-list sweep plus two cached words. A set/reset pulse
-    /// that mutates `ff_state` between edges flips
-    /// `ff_touched_since_edge`, and the flip-flop component is then
-    /// recomputed directly (the shadow words are only ever written at the
-    /// edge, so their fold cannot go stale).
-    pub fn seq_divergence(&mut self) -> Word<W> {
+    lane_kernel! {
+        /// Lanes (bit set) whose sequential state — flip-flops, previous-D
+        /// shadows, pending memory captures, memory contents — differs from
+        /// lane 0. A lane with a clear bit here *and* in
+        /// [`config_divergence`](Self::config_divergence) evolves identically
+        /// to the golden lane forever (the batch analogue of the scalar
+        /// early-stop hash check, but by true equality).
+        ///
+        /// Takes `&mut self` to lazily sweep reconverged memory words off the
+        /// dirty list.
+        ///
+        /// The flip-flop and capture-shadow components are incremental: they
+        /// were folded while [`clock_edge`](Self::clock_edge) rewrote the
+        /// words, so the per-cycle cost here is the (divergence-proportional)
+        /// memory dirty-list sweep plus two cached words. A set/reset pulse
+        /// that mutates `ff_state` between edges flips
+        /// `ff_touched_since_edge`, and the flip-flop component is then
+        /// recomputed directly (the shadow words are only ever written at the
+        /// edge, so their fold cannot go stale).
+        pub fn seq_divergence(&mut self) -> Word<W> = seq_divergence_body, seq_divergence_avx2,
+            seq_divergence_avx512;
+    }
+
+    #[inline(always)]
+    fn seq_divergence_body(&mut self) -> Word<W> {
         let ff_part = if self.ff_touched_since_edge {
             let mut d = Word::ZERO;
             for &w in &self.ff_state {
@@ -1220,22 +1277,28 @@ impl<const W: usize> BatchDevice<W> {
         d
     }
 
-    /// The sequential-state bits of each lane in `lanes` that differ from
-    /// lane 0, as ascending bit ids padded with `u32::MAX`, for the lanes
-    /// that differ in at most `K` bits (lanes that differ in more are
-    /// left out), ascending by lane.
-    ///
-    /// The state is the one [`seq_divergence`](Self::seq_divergence)
-    /// compares: flip-flops and their previous-D shadows, each memory
-    /// block's write-port shadows and its contents. A bit's id depends
-    /// only on the device, so two listed lanes hold bit-identical state
-    /// exactly when their keys are equal — no hash, no collision.
-    ///
-    /// One pass visits each flip-flop, shadow and dirty memory word once,
-    /// as whole words, and records a differing bit only for a lane still
-    /// within the bound; a lane's `K + 1`-th bit drops it. The scan
-    /// allocates only its result and one fixed-size key per lane.
-    pub fn divergence_keys<const K: usize>(&self, lanes: Word<W>) -> Vec<(usize, [u32; K])> {
+    lane_kernel! {
+        /// The sequential-state bits of each lane in `lanes` that differ from
+        /// lane 0, as ascending bit ids padded with `u32::MAX`, for the lanes
+        /// that differ in at most `K` bits (lanes that differ in more are
+        /// left out), ascending by lane.
+        ///
+        /// The state is the one [`seq_divergence`](Self::seq_divergence)
+        /// compares: flip-flops and their previous-D shadows, each memory
+        /// block's write-port shadows and its contents. A bit's id depends
+        /// only on the device, so two listed lanes hold bit-identical state
+        /// exactly when their keys are equal — no hash, no collision.
+        ///
+        /// One pass visits each flip-flop, shadow and dirty memory word once,
+        /// as whole words, and records a differing bit only for a lane still
+        /// within the bound; a lane's `K + 1`-th bit drops it. The scan
+        /// allocates only its result and one fixed-size key per lane.
+        pub fn divergence_keys[const K: usize](&self, lanes: Word<W>) -> Vec<(usize, [u32; K])> =
+            divergence_keys_body, divergence_keys_avx2, divergence_keys_avx512;
+    }
+
+    #[inline(always)]
+    fn divergence_keys_body<const K: usize>(&self, lanes: Word<W>) -> Vec<(usize, [u32; K])> {
         let mut keys = vec![([u32::MAX; K], 0usize); Self::LANES];
         let mut within = lanes;
         self.for_each_state_diff(|id, x| {
@@ -1266,6 +1329,7 @@ impl<const W: usize> BatchDevice<W> {
     /// memory block its write-enable, address and data shadows and its
     /// content cells; only dirty content words are visited (the others
     /// are uniform).
+    #[inline(always)]
     fn for_each_state_diff(&self, mut f: impl FnMut(u32, Word<W>)) {
         let diff = |w: Word<W>| w ^ w.splat_lane0();
         let mut id = 0u32;
@@ -1320,11 +1384,17 @@ impl<const W: usize> BatchDevice<W> {
         snap
     }
 
-    /// Lanes (bit set) whose [`state_snapshot_lane`](Self::state_snapshot_lane)
-    /// differs from lane 0's: flip-flop state and memory contents, the
-    /// shadows excluded. One pass over the flip-flop words and the memory
-    /// dirty lists answers for every lane at once.
-    pub fn state_divergence(&self) -> Word<W> {
+    lane_kernel! {
+        /// Lanes (bit set) whose [`state_snapshot_lane`](Self::state_snapshot_lane)
+        /// differs from lane 0's: flip-flop state and memory contents, the
+        /// shadows excluded. One pass over the flip-flop words and the memory
+        /// dirty lists answers for every lane at once.
+        pub fn state_divergence(&self) -> Word<W> = state_divergence_body, state_divergence_avx2,
+            state_divergence_avx512;
+    }
+
+    #[inline(always)]
+    fn state_divergence_body(&self) -> Word<W> {
         let mut d = Word::ZERO;
         for &w in &self.ff_state {
             d |= w ^ w.splat_lane0();
@@ -1349,28 +1419,34 @@ impl<const W: usize> BatchDevice<W> {
         self.ledgers[lane].clear();
     }
 
-    /// Rewrites one lane's sequential state — flip-flops, capture
-    /// shadows, memory contents and write-port shadows — to the golden
-    /// lane's bits.
-    ///
-    /// This is the decided-lane shortcut: once an experiment's outcome
-    /// is locked (observed-port divergence ⇒ Failure), its fault is
-    /// inert (all reconfiguration traffic already issued) and its
-    /// configuration is pristine, the lane's further evolution cannot
-    /// influence anything observable — outcome, ledger and modelled
-    /// emulation time are fixed. Snapping the lane onto the golden
-    /// trajectory therefore keeps results bit-identical while letting
-    /// the ordinary reconvergence retirement fire immediately, which
-    /// frees the lane for the next pending experiment instead of
-    /// carrying a hard-diverged machine to the end of the pass.
-    ///
-    /// Only sequential state is touched; the next
-    /// [`settle`](Self::settle) recomputes the combinational words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is 0 (the golden lane) or out of range.
-    pub fn snap_lane_to_golden(&mut self, lane: usize) {
+    lane_kernel! {
+        /// Rewrites one lane's sequential state — flip-flops, capture
+        /// shadows, memory contents and write-port shadows — to the golden
+        /// lane's bits.
+        ///
+        /// This is the decided-lane shortcut: once an experiment's outcome
+        /// is locked (observed-port divergence ⇒ Failure), its fault is
+        /// inert (all reconfiguration traffic already issued) and its
+        /// configuration is pristine, the lane's further evolution cannot
+        /// influence anything observable — outcome, ledger and modelled
+        /// emulation time are fixed. Snapping the lane onto the golden
+        /// trajectory therefore keeps results bit-identical while letting
+        /// the ordinary reconvergence retirement fire immediately, which
+        /// frees the lane for the next pending experiment instead of
+        /// carrying a hard-diverged machine to the end of the pass.
+        ///
+        /// Only sequential state is touched; the next
+        /// [`settle`](Self::settle) recomputes the combinational words.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `lane` is 0 (the golden lane) or out of range.
+        pub fn snap_lane_to_golden(&mut self, lane: usize) = snap_lane_to_golden_body,
+            snap_lane_to_golden_avx2, snap_lane_to_golden_avx512;
+    }
+
+    #[inline(always)]
+    fn snap_lane_to_golden_body(&mut self, lane: usize) {
         assert!((1..Self::LANES).contains(&lane), "lane {lane} out of range");
         let snap = |w: &mut Word<W>| w.set_bit(lane, w.0[0] & 1 == 1);
         self.ff_state.iter_mut().for_each(snap);
@@ -1512,31 +1588,36 @@ fn eval_lut_lanes<const W: usize>(
     wv: &[Word<W>],
 ) -> Word<W> {
     let mux = Word::mux;
+    let pin = |i: usize| wv[d.pins[i] as usize];
     match d.arity {
         0 => ct(0),
-        1 => mux(ct(0), ct(1), wv[d.pins[0] as usize]),
-        2 => {
-            let a = wv[d.pins[0] as usize];
-            let b = wv[d.pins[1] as usize];
-            mux(mux(ct(0), ct(1), a), mux(ct(2), ct(3), a), b)
-        }
+        1 => mux(ct(0), ct(1), pin(0)),
+        2 => quad(&ct, 0, pin(0), pin(1)),
         3 => {
-            let a = wv[d.pins[0] as usize];
-            let b = wv[d.pins[1] as usize];
-            let c = wv[d.pins[2] as usize];
-            let n0 = mux(mux(ct(0), ct(1), a), mux(ct(2), ct(3), a), b);
-            let n1 = mux(mux(ct(4), ct(5), a), mux(ct(6), ct(7), a), b);
-            mux(n0, n1, c)
+            let (a, b) = (pin(0), pin(1));
+            mux(quad(&ct, 0, a, b), quad(&ct, 4, a, b), pin(2))
         }
         _ => {
-            let a = wv[d.pins[0] as usize];
-            let b = wv[d.pins[1] as usize];
-            let c = wv[d.pins[2] as usize];
-            let e = wv[d.pins[3] as usize];
-            let quad = |j: usize| mux(mux(ct(j), ct(j + 1), a), mux(ct(j + 2), ct(j + 3), a), b);
-            mux(mux(quad(0), quad(4), c), mux(quad(8), quad(12), c), e)
+            let (a, b, c) = (pin(0), pin(1), pin(2));
+            let lo = mux(quad(&ct, 0, a, b), quad(&ct, 4, a, b), c);
+            let hi = mux(quad(&ct, 8, a, b), quad(&ct, 12, a, b), c);
+            mux(lo, hi, pin(3))
         }
     }
+}
+
+/// The two-pin mux tree over compact table entries `j..j + 4`, selected
+/// by pin words `a` (low index bit) and `b`. A function rather than a
+/// closure so that it always inlines into the kernel level it runs at.
+#[inline(always)]
+fn quad<const W: usize>(
+    ct: &impl Fn(usize) -> Word<W>,
+    j: usize,
+    a: Word<W>,
+    b: Word<W>,
+) -> Word<W> {
+    let mux = Word::mux;
+    mux(mux(ct(j), ct(j + 1), a), mux(ct(j + 2), ct(j + 3), a), b)
 }
 
 /// One lane of a [`BatchDevice`], presented through [`ConfigAccess`] so
@@ -1782,6 +1863,7 @@ mod tests {
     use super::*;
     use crate::bitstream::Bitstream;
     use crate::cb::FfDSrc;
+    use crate::coords::WireId;
     use crate::routing::WireSink;
 
     /// Toggle FF: LUT inverts the FF's own output, FF registers the LUT.
@@ -2088,6 +2170,207 @@ mod tests {
             bits.extend(shadows.map(|w| w.bit(lane)));
         }
         bits
+    }
+
+    /// A circuit that reaches every settle path: 40 blocks whose LUTs
+    /// read flip-flops, a memory block's outputs and earlier LUTs, with
+    /// tables drawn from the op classes and at random (so some LUTs are
+    /// generic), and a memory block addressed by flip-flops, so a flipped
+    /// flip-flop diverges a lane's read and write addresses.
+    fn mixed_device(seed: &mut u64) -> (Device, Vec<CbCoord>) {
+        const CLASS_TABLES: [u16; 8] = [0x5555, 0x8888, 0xEEEE, 0x6666, 0x9696, 0xCACA, 0xE8E8, 0];
+        let mut bs = Bitstream::new(ArchParams::small());
+        let mut next = || random_word::<1>(seed).0[0];
+        let cbs: Vec<CbCoord> = (0..40u16).map(|i| CbCoord::new(i % 16, i / 16)).collect();
+        let q: Vec<WireId> = cbs
+            .iter()
+            .map(|&cb| bs.place_ff(cb, next() & 1 == 1).unwrap())
+            .collect();
+        let contents: Vec<u64> = (0..8).map(|_| next() & 0xF).collect();
+        let (bram, dout) = bs.place_bram("m", 3, 4, &contents).unwrap();
+        let mut pool: Vec<WireId> = q.iter().chain(&dout).copied().collect();
+        let mut luts = Vec::new();
+        for &cb in &cbs {
+            let r = next();
+            let table = if r & 1 == 0 {
+                CLASS_TABLES[(r >> 1) as usize % CLASS_TABLES.len()]
+            } else {
+                (r >> 16) as u16
+            };
+            let out = bs.place_lut(cb, table).unwrap();
+            for pin in 0..(r >> 8) as u8 % 5 {
+                let w = pool[(next() % pool.len() as u64) as usize];
+                bs.connect_lut_pin(cb, pin, w).unwrap();
+            }
+            pool.push(out);
+            luts.push(out);
+        }
+        for (i, &cb) in cbs.iter().enumerate() {
+            let src = if i % 5 == 4 {
+                FfDSrc::Direct(pool[(next() % pool.len() as u64) as usize])
+            } else {
+                FfDSrc::LutOut
+            };
+            bs.connect_ff(cb, src).unwrap();
+        }
+        bs.connect_bram(bram, &q[..3], &luts[30..34], Some(luts[34]))
+            .unwrap();
+        let observed: Vec<WireId> = q[..8].iter().chain(&dout).copied().collect();
+        bs.add_output("y", &observed).unwrap();
+        (Device::configure(bs).unwrap(), cbs)
+    }
+
+    /// Asserts that two engines hold the same words everywhere the
+    /// per-cycle loops write.
+    fn assert_same_words<const W: usize>(a: &BatchDevice<W>, b: &BatchDevice<W>, at: &str) {
+        assert_eq!(a.wire_values, b.wire_values, "{at}: wires");
+        assert_eq!(a.lut_values, b.lut_values, "{at}: LUT values");
+        assert_eq!(a.ff_state, b.ff_state, "{at}: flip-flops");
+        assert_eq!(a.ff_prev_d, b.ff_prev_d, "{at}: previous-D shadows");
+        assert_eq!(a.compact_tables, b.compact_tables, "{at}: tables");
+        assert_eq!(
+            (a.seq_div_ff, a.seq_div_shadow),
+            (b.seq_div_ff, b.seq_div_shadow),
+            "{at}: retirement folds"
+        );
+        for (x, y) in a.brams.iter().zip(&b.brams) {
+            assert_eq!(x.contents, y.contents, "{at}: memory contents");
+            assert_eq!(x.dirty, y.dirty, "{at}: memory dirty list");
+            assert_eq!(
+                (x.prev_we, &x.prev_addr, &x.prev_din),
+                (y.prev_we, &y.prev_addr, &y.prev_din),
+                "{at}: write-port shadows"
+            );
+        }
+    }
+
+    /// Drives a baseline engine and one at `level` through the same
+    /// per-lane faults — LUT overrides (the wide path) that come and go,
+    /// flip-flop flips that diverge memory addresses, memory bit flips,
+    /// snaps to golden and a warm-start restore — and compares every word
+    /// and every mask after each step.
+    fn level_matches_baseline<const W: usize>(level: LaneKernel, seed: u64) {
+        let mut seed = seed;
+        let (mut dev, cbs) = mixed_device(&mut seed);
+        let mut base = BatchDevice::<W>::new(&dev).unwrap();
+        base.kernel = LaneKernel::Baseline;
+        let mut other = base.clone();
+        other.kernel = level;
+        let wires = base.output_wires("y").unwrap();
+        let lanes = BatchDevice::<W>::LANES;
+        dev.reset();
+        let (mut saw_wide, mut saw_odd_address) = (false, false);
+        for cycle in 0..40 {
+            if cycle == 20 {
+                // Warm start from the scalar device's state.
+                let snap = dev.save_state();
+                base.restore_broadcast(&snap);
+                other.restore_broadcast(&snap);
+                assert_same_words(&base, &other, "restore");
+            }
+            for _ in 0..6 {
+                let r = random_word::<1>(&mut seed).0[0];
+                let lane = 1 + (r >> 8) as usize % (lanes - 1);
+                let cb = cbs[(r >> 20) as usize % cbs.len()];
+                let mutations = match r % 4 {
+                    0 => vec![Mutation::SetLutTable {
+                        cb,
+                        table: (r >> 32) as u16,
+                    }],
+                    1 => vec![Mutation::SetLutTable {
+                        cb,
+                        table: base.pristine_tables[base.lut_of_cb[cb.flat_index(16)] as usize],
+                    }],
+                    2 => vec![
+                        Mutation::SetLsrDrive {
+                            cb,
+                            drive: SetReset::driving(r & 1 << 40 != 0),
+                        },
+                        Mutation::PulseLsr { cb },
+                    ],
+                    _ => vec![Mutation::SetBramBit {
+                        bram: BramId(0),
+                        addr: (r >> 32) as usize % 8,
+                        bit: (r >> 40) as u32 % 4,
+                        value: r & 1 << 48 != 0,
+                    }],
+                };
+                for m in &mutations {
+                    base.lane(lane).apply(m).unwrap();
+                    other.lane(lane).apply(m).unwrap();
+                }
+            }
+            let at = format!("{level:?} W={W} cycle {cycle}");
+            saw_wide |= base.lut_op_counts().iter().any(|&(op, _)| op == "wide");
+            base.settle();
+            other.settle();
+            assert_same_words(&base, &other, &format!("{at} settle"));
+            dev.settle();
+            let golden = dev.output_u64("y").unwrap();
+            assert_eq!(
+                base.port_divergence(&wires, golden),
+                other.port_divergence(&wires, golden),
+                "{at}"
+            );
+            base.clock_edge();
+            other.clock_edge();
+            dev.clock_edge();
+            assert_same_words(&base, &other, &format!("{at} edge"));
+            saw_odd_address |= base.brams[0]
+                .prev_addr
+                .iter()
+                .any(|w| *w != w.splat_lane0());
+            assert_eq!(base.seq_divergence(), other.seq_divergence(), "{at}");
+            assert_eq!(base.state_divergence(), other.state_divergence(), "{at}");
+            let all = !BatchDevice::<W>::GOLDEN_LANE_MASK;
+            assert_eq!(
+                base.divergence_keys::<2>(all),
+                other.divergence_keys::<2>(all),
+                "{at}"
+            );
+            assert_eq!(
+                base.divergence_keys::<6>(all),
+                other.divergence_keys::<6>(all),
+                "{at}"
+            );
+            if cycle % 7 == 3 {
+                let lane = 1 + cycle % (lanes - 1);
+                base.snap_lane_to_golden(lane);
+                other.snap_lane_to_golden(lane);
+                assert_same_words(&base, &other, &format!("{at} snap"));
+            }
+        }
+        // The faults reached the paths under test.
+        assert!(saw_wide && saw_odd_address, "W={W} seed {seed}");
+        assert!(base.lut_op_counts().iter().any(|&(op, _)| op == "generic"));
+        assert!(base.brams[0].dirty.len() > 1);
+    }
+
+    #[test]
+    fn every_kernel_level_matches_the_baseline_bit_for_bit() {
+        let best = LaneKernel::detect();
+        let dev = toggle_device();
+        let by_width = [
+            BatchDevice::<1>::new(&dev).unwrap().kernel,
+            BatchDevice::<2>::new(&dev).unwrap().kernel,
+            BatchDevice::<4>::new(&dev).unwrap().kernel,
+            BatchDevice::<8>::new(&dev).unwrap().kernel,
+        ];
+        assert_eq!(by_width, [64, 128, 256, 512].map(LaneKernel::for_lanes));
+        assert!(by_width.iter().all(|&k| k <= best));
+        assert_eq!(by_width[0], LaneKernel::Baseline);
+        for &level in LaneKernel::ALL {
+            if level > best {
+                eprintln!("lane kernel {level}: not supported by this host, skipped");
+                continue;
+            }
+            for seed in [1, 2, 3] {
+                level_matches_baseline::<1>(level, seed);
+                level_matches_baseline::<2>(level, seed);
+                level_matches_baseline::<4>(level, seed);
+                level_matches_baseline::<8>(level, seed);
+            }
+        }
     }
 
     proptest::proptest! {

@@ -84,4 +84,4 @@ pub use reconfig::Mutation;
 pub use routing::{WireConfig, WireDriver, WireSink};
 pub use state::DeviceState;
 pub use timing::TimingReport;
-pub use word::{Ones, Word};
+pub use word::{LaneKernel, Ones, Word};

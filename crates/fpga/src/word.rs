@@ -3,11 +3,178 @@
 //!
 //! Lane `l` lives in bit `l % 64` of `u64` number `l / 64`. Lane 0 (bit 0
 //! of word 0) is the golden lane. Every operation is a plain loop over the
-//! `W` words, which the compiler unrolls and, on the SSE2 baseline,
-//! vectorises; `W = 1` compiles to the single-`u64` operations it
+//! `W` words, which the compiler unrolls and vectorises to the vector unit
+//! it compiles for; `W = 1` compiles to the single-`u64` operations it
 //! replaces.
+//!
+//! The lane engine's per-cycle loops are compiled once per
+//! [`LaneKernel`] level with [`lane_kernel!`]: the target's baseline
+//! (SSE2 on `x86_64`, so a `Word<8>` operation is four 128-bit ops) and,
+//! on `x86_64`, AVX2 and AVX-512F (two and one ops). An engine picks its
+//! level once, when it is built, from run-time feature detection and its
+//! word width ([`LaneKernel::for_lanes`]). The `unsafe` this takes is
+//! confined to the calls [`lane_kernel!`] generates, each justified by
+//! that detection.
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+
+/// The instruction-set level the lane engine's per-cycle word loops run
+/// at.
+///
+/// Every level runs the same Rust source, compiled for a different vector
+/// unit, so every level yields the same words bit for bit; only the speed
+/// differs. [`for_lanes`](Self::for_lanes) picks an engine's level from
+/// what [`detect`](Self::detect) finds and the engine's word width;
+/// nothing else can select one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LaneKernel {
+    /// The target's baseline instruction set (SSE2 on `x86_64`).
+    Baseline,
+    /// AVX2 with POPCNT, BMI1 and BMI2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512F on top of the AVX2 level.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl LaneKernel {
+    /// The widest level this host supports.
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("popcnt")
+                && is_x86_feature_detected!("bmi1")
+                && is_x86_feature_detected!("bmi2");
+            if avx2 && is_x86_feature_detected!("avx512f") {
+                return LaneKernel::Avx512;
+            }
+            if avx2 {
+                return LaneKernel::Avx2;
+            }
+        }
+        LaneKernel::Baseline
+    }
+
+    /// The level an engine on a word of `lanes` lanes runs at: the widest
+    /// level the host supports whose vector registers the word fills. A
+    /// narrower word has no vector work for the wider registers, and its
+    /// settle measured slower with them (EXPERIMENTS.md), so 64- and
+    /// 128-lane words run the baseline and 256-lane words AVX2.
+    pub fn for_lanes(lanes: usize) -> Self {
+        let best = Self::detect();
+        Self::ALL
+            .iter()
+            .copied()
+            .filter(|&k| k <= best && k.vector_bits() as usize <= lanes)
+            .max()
+            .unwrap_or(LaneKernel::Baseline)
+    }
+
+    /// The level's name: `baseline`, `avx2` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            LaneKernel::Baseline => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            LaneKernel::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            LaneKernel::Avx512 => "avx512",
+        }
+    }
+
+    /// The width of the level's vector registers in bits (the baseline
+    /// counts as 128, the SSE2 and NEON width).
+    pub fn vector_bits(self) -> u32 {
+        match self {
+            LaneKernel::Baseline => 128,
+            #[cfg(target_arch = "x86_64")]
+            LaneKernel::Avx2 => 256,
+            #[cfg(target_arch = "x86_64")]
+            LaneKernel::Avx512 => 512,
+        }
+    }
+
+    /// Every level this target builds, narrowest first.
+    pub(crate) const ALL: &'static [LaneKernel] = &[
+        LaneKernel::Baseline,
+        #[cfg(target_arch = "x86_64")]
+        LaneKernel::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        LaneKernel::Avx512,
+    ];
+}
+
+impl std::fmt::Display for LaneKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ({}-bit)", self.name(), self.vector_bits())
+    }
+}
+
+/// Defines a method that runs the `#[inline(always)]` method `$body` at the
+/// [`LaneKernel`] level held in `self.kernel`, plus the wrappers
+/// `$avx2` and `$avx512` that compile `$body` for AVX2 and AVX-512F. The
+/// body is the one source of the loop; each wrapper is only its
+/// `#[target_feature]` instantiation. Off `x86_64` only the baseline is
+/// built.
+///
+/// ```text
+/// lane_kernel! {
+///     /// Docs of `settle`.
+///     pub fn settle(&mut self) = settle_body, settle_avx2, settle_avx512;
+/// }
+/// ```
+///
+/// Const generics go in brackets after the name
+/// (`fn keys[const K: usize](&self) -> ...`).
+macro_rules! lane_kernel {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident $([$($gen:tt)*])?
+        (&mut self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?
+        = $body:ident, $avx2:ident, $avx512:ident;) => {
+        lane_kernel!(@ [mut] $(#[$attr])* $vis fn $name $([$($gen)*])? ($($arg: $ty),*)
+            $(-> $ret)? = $body, $avx2, $avx512;);
+    };
+    ($(#[$attr:meta])* $vis:vis fn $name:ident $([$($gen:tt)*])?
+        (&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?
+        = $body:ident, $avx2:ident, $avx512:ident;) => {
+        lane_kernel!(@ [] $(#[$attr])* $vis fn $name $([$($gen)*])? ($($arg: $ty),*)
+            $(-> $ret)? = $body, $avx2, $avx512;);
+    };
+    (@ [$($m:tt)*] $(#[$attr:meta])* $vis:vis fn $name:ident $([$($gen:tt)*])?
+        ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?
+        = $body:ident, $avx2:ident, $avx512:ident;) => {
+        $(#[$attr])*
+        #[allow(unsafe_code)]
+        $vis fn $name $(<$($gen)*>)? (&$($m)* self $(, $arg: $ty)*) $(-> $ret)? {
+            match self.kernel {
+                $crate::word::LaneKernel::Baseline => self.$body($($arg),*),
+                // SAFETY: `kernel` is set only from `LaneKernel::for_lanes`,
+                // which returns `Avx2` only if `LaneKernel::detect` found
+                // AVX2, POPCNT, BMI1 and BMI2 on this host (the kernel test
+                // forces only levels `detect` found).
+                #[cfg(target_arch = "x86_64")]
+                $crate::word::LaneKernel::Avx2 => unsafe { self.$avx2($($arg),*) },
+                // SAFETY: as above, `Avx512` only if `LaneKernel::detect`
+                // found AVX-512F as well as the AVX2 level on this host.
+                #[cfg(target_arch = "x86_64")]
+                $crate::word::LaneKernel::Avx512 => unsafe { self.$avx512($($arg),*) },
+            }
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2,popcnt,bmi1,bmi2")]
+        fn $avx2 $(<$($gen)*>)? (&$($m)* self $(, $arg: $ty)*) $(-> $ret)? {
+            self.$body($($arg),*)
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,avx2,popcnt,bmi1,bmi2")]
+        fn $avx512 $(<$($gen)*>)? (&$($m)* self $(, $arg: $ty)*) $(-> $ret)? {
+            self.$body($($arg),*)
+        }
+    };
+}
+pub(crate) use lane_kernel;
 
 /// One value per lane: bit `l % 64` of `self.0[l / 64]` is lane `l`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -102,7 +102,7 @@ pub fn enabled() -> bool {
 /// hundreds of LUTs (verified by `crates/bench`'s
 /// `telemetry_overhead` microbench).
 pub mod sim {
-    use super::Counter;
+    use super::{Counter, Gauge};
 
     /// Clock cycles executed by netlist simulators.
     pub static CYCLES: Counter = Counter::new();
@@ -144,6 +144,11 @@ pub mod sim {
     /// state: the other lane carries both experiments from then on, and
     /// the merged lane is freed for a pending one.
     pub static LANE_MERGES: Counter = Counter::new();
+    /// Vector width in bits of the instruction-set level the last lane
+    /// engine built runs its per-cycle loops at (128, 256 or 512; it
+    /// depends on the host and the engine's word width); 0 until one is
+    /// built.
+    pub static LANE_KERNEL_BITS: Gauge = Gauge::new();
 
     /// Records one batch cycle over `occupied` of `capacity` faulty lanes
     /// (`LANE_CYCLES / BATCH_CYCLES` is the mean lane occupancy,

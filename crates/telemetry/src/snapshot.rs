@@ -138,6 +138,10 @@ pub fn snapshot() -> MetricsSnapshot {
         ("fades_campaigns", progress.campaigns()),
         ("fades_experiments_total", progress.total()),
         ("fades_experiments_done", progress.done()),
+        (
+            "fades_sim_lane_kernel_bits",
+            crate::sim::LANE_KERNEL_BITS.get(),
+        ),
     ]
     .into_iter()
     .map(|(n, v)| (n.to_string(), v))
@@ -271,6 +275,7 @@ mod tests {
         assert!(get(&s.counters, "fades_test_extra_total").unwrap() >= 7);
         assert_eq!(get(&s.gauges, "fades_test_extra_gauge"), Some(3));
         assert!(get(&s.gauges, "fades_experiments_done").is_some());
+        assert!(get(&s.gauges, "fades_sim_lane_kernel_bits").is_some());
     }
 
     #[test]

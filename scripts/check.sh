@@ -48,6 +48,10 @@ cargo test -q --release --offline -p fades-core --test batch_props
 # no filter, so one run prints every bench and the relevant lines are
 # picked out.
 echo "== scalar device, lane settle/build and batch throughput microbenches (release)"
+# Each lane word width runs its per-cycle loops at the instruction-set
+# level this line names (`fades_fpga::LaneKernel`); the lane readings
+# below are at those levels.
+cargo run -q --release --offline -p fades-experiments -- setup | grep 'lane kernel:'
 cargo bench -q --offline -p fades-bench --bench microbench 2>&1 \
     | grep -E 'substrate/device_|settle_throughput|lane_settle_w|lane_merge_scan_w|batch_device_new_w|batch_throughput'
 
