@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fades_fpga::{ArchParams, BatchDevice, ConfigAccess, Device, Mutation, SetReset, Word};
+use fades_fpga::{ArchParams, BatchDevice, Device, Mutation};
 use fades_mcu8051::{build_soc, workloads};
 use fades_netlist::Simulator;
 use fades_pnr::implement;
@@ -196,20 +196,11 @@ fn bench_settle_throughput(c: &mut Criterion) {
         });
     });
 
-    // One lane-engine settle sweep of the placed 8051 per lane-word
-    // width: the cost the campaign layer trades against lanes per word
-    // when it sizes the word to a cohort.
+    // The lane engine's settle sweep, clock edge and merge scan per word
+    // width are timed by `fades-experiments kernels` (the fastest of many
+    // interleaved timings, which ranks builds where a mean cannot).
     let imp = implement(&soc.netlist, ArchParams::virtex1000_like()).expect("implements");
     let dev = Device::configure(imp.bitstream).expect("configures");
-    group.throughput(Throughput::Elements(SWEEPS));
-    lane_settle::<1>(&mut group, &dev);
-    lane_settle::<2>(&mut group, &dev);
-    lane_settle::<4>(&mut group, &dev);
-    lane_settle::<8>(&mut group, &dev);
-    // The state-key scan a cohort runs every 16 cycles to find lanes to
-    // merge, on the widest word with a few hundred diverged lanes.
-    group.throughput(Throughput::Elements(SCANS));
-    lane_merge_scan(&mut group, &dev);
     // Building the lane engine from the configured device: every
     // service shard and every `execute_batched` call pays it once.
     group
@@ -231,74 +222,6 @@ fn batch_device_new<const W: usize>(group: &mut criterion::BenchmarkGroup<'_>, d
         b.iter(|| {
             for _ in 0..BUILDS {
                 criterion::black_box(BatchDevice::<W>::new(dev).expect("lane-encodable"));
-            }
-        });
-    });
-}
-
-/// Settle sweeps per `lane_settle_w*` iteration (reported per sweep).
-const SWEEPS: u64 = 256;
-
-/// Benches `BatchDevice::<W>::settle` as `lane_settle_w{W}`, from the
-/// state 64 cycles into the run.
-fn lane_settle<const W: usize>(group: &mut criterion::BenchmarkGroup<'_>, dev: &Device) {
-    let mut batch = BatchDevice::<W>::new(dev).expect("lane-encodable");
-    for _ in 0..64 {
-        batch.step();
-    }
-    group.bench_function(&format!("lane_settle_w{W}"), |b| {
-        b.iter(|| {
-            for _ in 0..SWEEPS {
-                batch.settle();
-            }
-        });
-    });
-}
-
-/// Key scans per `lane_merge_scan_w8` iteration (reported per scan).
-const SCANS: u64 = 64;
-
-/// Benches one `BatchDevice::divergence_keys` scan of every faulty lane
-/// of a 512-lane word, bounded at 2 differing bits as the cohort bounds
-/// it, as `lane_merge_scan_w8`: from the state 64 cycles into the run,
-/// lanes 1–300 get one or two flip-flops flipped and run 16 more cycles;
-/// the other lanes stay golden.
-fn lane_merge_scan(group: &mut criterion::BenchmarkGroup<'_>, dev: &Device) {
-    let mut batch = BatchDevice::<8>::new(dev).expect("lane-encodable");
-    for _ in 0..64 {
-        batch.step();
-    }
-    let ffs: Vec<_> = batch
-        .lane(1)
-        .readback_all_ffs()
-        .into_iter()
-        .map(|(cb, _)| cb)
-        .collect();
-    for lane in 1..=300 {
-        for k in 0..1 + lane % 2 {
-            let cb = ffs[(lane * 7 + k * 13) % ffs.len()];
-            let value = !batch.peek_ff_lane(cb, lane).expect("a flip-flop");
-            let mut dev = batch.lane(lane);
-            dev.apply(&Mutation::SetLsrDrive {
-                cb,
-                drive: SetReset::driving(value),
-            })
-            .expect("lane mutation");
-            dev.apply(&Mutation::PulseLsr { cb })
-                .expect("lane mutation");
-        }
-    }
-    for _ in 0..16 {
-        batch.step();
-    }
-    let mut faulty = Word::<8>::ZERO;
-    for lane in 1..BatchDevice::<8>::LANES {
-        faulty.set_bit(lane, true);
-    }
-    group.bench_function("lane_merge_scan_w8", |b| {
-        b.iter(|| {
-            for _ in 0..SCANS {
-                criterion::black_box(batch.divergence_keys::<2>(faulty));
             }
         });
     });

@@ -136,6 +136,92 @@ impl CohortClock {
     }
 }
 
+/// The phases of a lane pass, in the order a batch cycle runs them.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Retirement, merging and refill at the top of a cycle, and the
+    /// pass's warm start and first fill.
+    Refill,
+    /// The strategies' injections and ticks.
+    Inject,
+    /// The settle sweep.
+    Settle,
+    /// The observed ports against the golden trace.
+    Compare,
+    /// The clock edge.
+    Edge,
+    /// The strategies' removals after the edge.
+    Remove,
+    /// End of pass: the remaining clock charge, removals of outliving
+    /// faults and the classification of the lanes still occupied.
+    Classify,
+}
+
+/// The phase histograms a lane pass feeds (µs per pass), exported on
+/// `/metrics` as `fades_phase_us{phase="lane_..."}`, in the order a
+/// batch cycle runs them.
+/// A pass's phases tile it: they add up to its [`PASS_TOTAL`].
+pub const PASS_PHASES: [&str; 7] = [
+    "lane.refill",
+    "lane.inject",
+    "lane.settle",
+    "lane.compare",
+    "lane.edge",
+    "lane.remove",
+    "lane.classify",
+];
+
+/// The histogram of whole lane passes (µs per pass), timed from entry to
+/// return of the pass by its own clock, apart from the phases'.
+pub const PASS_TOTAL: &str = "lane.pass";
+
+/// Where a lane pass's wall clock went. While telemetry is enabled each
+/// phase boundary takes one `Instant` and adds the time since the last
+/// one to the phase that just ended, so the phases tile the pass; the
+/// totals are recorded once, when the pass ends. Disabled, a lap is one
+/// branch.
+struct PhaseClock {
+    last: Option<Instant>,
+    ns: [u64; PASS_PHASES.len()],
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        PhaseClock {
+            last: fades_telemetry::enabled().then(Instant::now),
+            ns: [0; PASS_PHASES.len()],
+        }
+    }
+
+    /// Ends `phase` now.
+    #[inline(always)]
+    fn lap(&mut self, phase: Phase) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.ns[phase as usize] += (now - *last).as_nanos() as u64;
+            *last = now;
+        }
+    }
+
+    /// Ends the pass, its last phase ([`Phase::Classify`]) with it, and
+    /// records each phase's total in its histogram, in µs. The phase
+    /// boundaries are rounded, not each phase, so the phases' µs add up
+    /// to the pass's.
+    fn finish(mut self) {
+        self.lap(Phase::Classify);
+        if self.last.is_none() {
+            return;
+        }
+        let us = |ns: u64| (ns + 500) / 1000;
+        let (mut at_ns, mut at_us) = (0, 0);
+        for (name, &ns) in PASS_PHASES.iter().zip(&self.ns) {
+            at_ns += ns;
+            fades_telemetry::span_phase(name).record(us(at_ns) - at_us);
+            at_us = us(at_ns);
+        }
+    }
+}
+
 /// What a lane event does at the cycle it is filed under.
 #[derive(Debug, Clone, Copy)]
 enum LaneEvent {
@@ -329,9 +415,9 @@ fn trace_retirement(phase: &Histogram, index: u64, wall_us: u64) {
 /// fills at least twice over.
 ///
 /// A sweep of a wider word costs more (a settle sweep of the 8051, each
-/// width at its `fades_fpga::LaneKernel` level on an AVX-512 host: W=2
-/// ~1.2×, W=4 ~1.25×, W=8 ~1.4× the W=1 cost; ~1.9× for W=8 on the
-/// baseline), and it pays only while the extra lanes stay occupied. A
+/// width at its `fades_fpga::LaneKernel` level on an AVX-512 host, by
+/// `fades-experiments kernels`: W=2 ~1.2×, W=4 ~1.3×, W=8 ~1.5× the W=1
+/// cost), and it pays only while the extra lanes stay occupied. A
 /// small cohort on a wide word would sweep mostly empty lanes, so shards
 /// of a few dozen faults stay on the 64-lane word.
 pub(crate) fn lane_word_width(n: usize) -> usize {
@@ -405,7 +491,9 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     loaded: &mut Vec<&'p PlannedExperiment>,
     sink: &mut dyn FnMut(u64, ExperimentResult),
 ) -> Result<Vec<&'p PlannedExperiment>, CoreError> {
+    let entered = fades_telemetry::enabled().then(Instant::now);
     let run_cycles = golden.cycles();
+    let mut phases = PhaseClock::start();
     // Warm start: until its injection instant every lane *is* the golden
     // run, and `pending` arrives sorted by injection instant, so the
     // whole word can splat-restore the nearest golden checkpoint at or
@@ -553,6 +641,7 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
                 }
             }
         }
+        phases.lap(Phase::Refill);
         if occ.is_zero() {
             break;
         }
@@ -574,7 +663,9 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
                 s.strategy.tick(&mut batch.lane(lane), &mut s.rng)?;
             }
         }
+        phases.lap(Phase::Inject);
         batch.settle();
+        phases.lap(Phase::Settle);
         failed |= match golden.trace().row(cycle as usize) {
             Some(row) => {
                 let mut diff = Word::<W>::ZERO;
@@ -585,14 +676,17 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             }
             None => occ,
         };
+        phases.lap(Phase::Compare);
         batch.clock_edge();
         fades_telemetry::sim::record_lane_cycle(u64::from(occ.count_ones()), capacity);
+        phases.lap(Phase::Edge);
         for lane in events.lanes::<W>(cycle, LaneEvent::Remove).ones() {
             if let Some(s) = &mut slots[lane] {
                 ticking.set_bit(lane, false);
                 s.strategy.remove(&mut batch.lane(lane))?;
             }
         }
+        phases.lap(Phase::Remove);
     }
 
     // Lanes still occupied at the end of the pass: charge the remaining
@@ -632,8 +726,12 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         };
         slot.decide(batch, lane, outcome, 0, &clock, &experiment_phase, sink);
     }
+    phases.finish();
 
     leftovers.extend_from_slice(&pending[cursor..]);
+    if let Some(entered) = entered {
+        fades_telemetry::span_phase(PASS_TOTAL).record(entered.elapsed().as_micros() as u64);
+    }
     Ok(leftovers)
 }
 

@@ -60,7 +60,7 @@ mod plan;
 pub mod strategies;
 mod timing;
 
-pub use batch::WIDEST_WORD_COHORT;
+pub use batch::{PASS_PHASES, PASS_TOTAL, WIDEST_WORD_COHORT};
 pub use campaign::{
     batch_default, fastpath_default, static_default, worker_threads, Campaign, CampaignConfig,
     CampaignStats,

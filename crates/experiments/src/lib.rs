@@ -19,6 +19,7 @@
 //! | [`scaling`] | §7.1 | speed-up vs workload length |
 //! | [`techniques`] | §7.3 | RTR vs CTR vs simulation |
 //! | [`batchspeed`] | §7 extension | scalar vs bit-parallel lane engine |
+//! | [`kernels`] | host timings | lane-engine settle, edge and merge scan per word width |
 //!
 //! Runners take an [`ExperimentContext`] (the implemented 8051 running
 //! Bubblesort) and a fault count; the `fades-experiments` binary renders
@@ -42,6 +43,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
+pub mod kernels;
 pub mod per_unit;
 pub mod permanent;
 pub mod scaling;

@@ -4,6 +4,8 @@
 //! fades-experiments [table1|fig10|table2|fig11|fig12|fig13|fig14|fig15|table3|table4|permanent|techniques|scaling|batch|setup|all]
 //! fades-experiments batch [--n N] [--threads T]        # lane-engine speed section
 //!                                                      # (T > 1 adds a multi-thread row)
+//! fades-experiments kernels                            # fastest settle/edge/merge-scan
+//!                                                      # timings per lane-word width
 //! fades-experiments analyze [load|all] [--json]        # lint + static pre-classification
 //! fades-experiments shard I/N <journal.jsonl> [load]   # run one shard, journaled
 //! fades-experiments resume <journal.jsonl>             # finish a journaled shard
@@ -39,11 +41,11 @@ use std::error::Error;
 use std::time::Instant;
 
 use fades_experiments::{
-    batchspeed, fault_count_from_env, fig10, fig11, fig12, fig13, fig14, fig15, permanent, scaling,
-    seed_from_env, table1, table2, table3, table4, techniques, ExperimentContext,
+    batchspeed, fault_count_from_env, fig10, fig11, fig12, fig13, fig14, fig15, kernels, permanent,
+    scaling, seed_from_env, table1, table2, table3, table4, techniques, ExperimentContext,
 };
 
-const KNOWN: [&str; 16] = [
+const KNOWN: [&str; 17] = [
     "setup",
     "table1",
     "fig10",
@@ -59,6 +61,7 @@ const KNOWN: [&str; 16] = [
     "techniques",
     "scaling",
     "batch",
+    "kernels",
     "all",
 ];
 
@@ -149,6 +152,16 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
 
     let t0 = Instant::now();
     let ctx = ExperimentContext::new()?;
+    if which == "kernels" {
+        let timings = kernels::run(&ctx)?;
+        println!(
+            "Lane-engine kernels on the placed 8051 ({}), fastest of {} interleaved rounds:\n",
+            timings.shape,
+            kernels::ROUNDS
+        );
+        print!("{}", timings.table());
+        return Ok(());
+    }
     print_setup(&ctx, n, seed);
     let all = which == "all";
 

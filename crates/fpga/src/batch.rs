@@ -33,13 +33,14 @@ use crate::arch::ArchParams;
 use crate::bitstream::Bitstream;
 use crate::cb::SetReset;
 use crate::coords::{BramId, CbCoord};
-use crate::device::{capture_misses, compact_table, Device, FfData, FfNode, NodeKind, NO_WIRE};
+use crate::device::{capture_misses, compact_table, Device, FfNode};
 use crate::error::FpgaError;
 use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
 use crate::reconfig::Mutation;
 use crate::state::DeviceState;
-use crate::word::{lane_kernel, LaneKernel, Word};
+use crate::sweep::{Op, Sweep, SweepShape, CLASSES};
+use crate::word::{lane_kernel, LaneBuf, LaneKernel, Word};
 
 /// The readback/reconfigure surface injection strategies drive.
 ///
@@ -152,7 +153,7 @@ struct LaneBram<const W: usize> {
     width: usize,
     depth: usize,
     /// `contents[addr * width + bit]` is the lane word of that bit.
-    contents: Vec<Word<W>>,
+    contents: LaneBuf<W>,
     /// Scalar pristine words, for broadcast reset.
     pristine_words: Vec<u64>,
     /// Indices into `contents` that may differ across lanes. Lazily swept
@@ -167,206 +168,6 @@ struct LaneBram<const W: usize> {
     /// `prev_*` after the edge, so no operand is ever copied.
     now_addr: Vec<Word<W>>,
     now_din: Vec<Word<W>>,
-}
-
-/// Evaluation descriptor of one combinational node, packed so the
-/// settle sweep streams one small record per node instead of gathering
-/// from several scattered arrays. `op` is the one byte the sweep
-/// dispatches on. For a LUT node: `target` is the LUT index, `table_off`
-/// its slice start in `compact_tables`, `arity`/`pins` the connected pin
-/// count and wires, `ctable` its pristine compact table and `pol` the
-/// polarity bits of its op class. For a BRAM node ([`Op::Bram`]):
-/// `target` is the BRAM index and the rest is unused.
-#[derive(Debug, Clone, Copy)]
-struct NodeDesc {
-    target: u32,
-    out_wire: u32,
-    table_off: u32,
-    pins: [u32; 4],
-    ctable: u16,
-    arity: u8,
-    op: Op,
-    pol: u8,
-}
-
-impl NodeDesc {
-    /// Returns a LUT node to the op class of its pristine table.
-    fn set_pristine_op(&mut self) {
-        (self.op, self.pol) = classify(self.arity, self.ctable);
-    }
-}
-
-/// How the settle sweep evaluates one node.
-///
-/// A pristine LUT gets the class its compact table and arity fall in,
-/// evaluated with one to four word operations over its pin words; a LUT
-/// some lane overrides is [`Op::Wide`] until every lane is pristine
-/// again. The classes are parameterised by the node's polarity byte:
-/// bit `i` inverts pin `i`, bit [`POL_OUT`] inverts the output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Op {
-    /// Constant: the output polarity bit is the value.
-    Const,
-    /// AND of pin 0 (buffer or inverter).
-    And1,
-    /// AND of pins 0–1 (with polarities: OR, NAND, NOR, decodes).
-    And2,
-    /// AND of pins 0–2.
-    And3,
-    /// AND of pins 0–3.
-    And4,
-    /// XOR of pins 0–1.
-    Xor2,
-    /// XOR of pins 0–2.
-    Xor3,
-    /// `pin0 ? pin2 : pin1`.
-    MuxS0,
-    /// `pin1 ? pin2 : pin0`.
-    MuxS1,
-    /// `pin2 ? pin1 : pin0`.
-    MuxS2,
-    /// Majority of pins 0–2.
-    Maj3,
-    /// No class fits: the mux tree over the pristine compact table.
-    Generic,
-    /// Some lane overrides the table: the mux tree over the lane-word
-    /// compact table slice.
-    Wide,
-    /// A memory block's asynchronous read port.
-    Bram,
-}
-
-/// Polarity bit that inverts a class's output.
-const POL_OUT: u8 = 1 << 4;
-
-/// The classes a pristine LUT can be given, in classification order
-/// (the first that fits wins), with the arity each applies to (`None`:
-/// every arity).
-const CLASSES: [(Op, Option<u8>); 11] = [
-    (Op::Const, None),
-    (Op::And1, Some(1)),
-    (Op::And2, Some(2)),
-    (Op::And3, Some(3)),
-    (Op::And4, Some(4)),
-    (Op::Xor2, Some(2)),
-    (Op::Xor3, Some(3)),
-    (Op::MuxS0, Some(3)),
-    (Op::MuxS1, Some(3)),
-    (Op::MuxS2, Some(3)),
-    (Op::Maj3, Some(3)),
-];
-
-impl Op {
-    /// The name [`BatchDevice::lut_op_counts`] reports.
-    fn name(self) -> &'static str {
-        match self {
-            Op::Const => "const",
-            Op::And1 => "and1",
-            Op::And2 => "and2",
-            Op::And3 => "and3",
-            Op::And4 => "and4",
-            Op::Xor2 => "xor2",
-            Op::Xor3 => "xor3",
-            Op::MuxS0 => "mux_s0",
-            Op::MuxS1 => "mux_s1",
-            Op::MuxS2 => "mux_s2",
-            Op::Maj3 => "maj3",
-            Op::Generic => "generic",
-            Op::Wide => "wide",
-            Op::Bram => "bram",
-        }
-    }
-}
-
-/// Evaluates a LUT op class over its pin words `x(0..arity)`.
-#[inline(always)]
-fn eval_class<const W: usize>(op: Op, pol: u8, x: impl Fn(usize) -> Word<W>) -> Word<W> {
-    let p = |i: usize| x(i) ^ Word::splat((pol >> i) & 1 == 1);
-    let v = match op {
-        Op::Const => Word::ZERO,
-        Op::And1 => p(0),
-        Op::And2 => p(0) & p(1),
-        Op::And3 => p(0) & p(1) & p(2),
-        Op::And4 => p(0) & p(1) & p(2) & p(3),
-        Op::Xor2 => x(0) ^ x(1),
-        Op::Xor3 => x(0) ^ x(1) ^ x(2),
-        Op::MuxS0 => Word::mux(p(1), p(2), p(0)),
-        Op::MuxS1 => Word::mux(p(0), p(2), p(1)),
-        Op::MuxS2 => Word::mux(p(0), p(1), p(2)),
-        Op::Maj3 => {
-            let (a, b, c) = (p(0), p(1), p(2));
-            (a & b) | (c & (a | b))
-        }
-        Op::Generic | Op::Wide | Op::Bram => unreachable!("{op:?} is not a LUT op class"),
-    };
-    v ^ Word::splat(pol & POL_OUT != 0)
-}
-
-/// The compact truth table of an op class at `arity`: the class
-/// evaluated on the index patterns (pin `i` is index bit `i`).
-fn class_table(op: Op, pol: u8, arity: u8) -> u16 {
-    const INDEX_BITS: [u64; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
-    let t = eval_class::<1>(op, pol, |i| Word([INDEX_BITS[i]])).0[0];
-    (t & arity_mask(arity)) as u16
-}
-
-/// The compact table bits an arity-`arity` LUT can reach.
-fn arity_mask(arity: u8) -> u64 {
-    (1u64 << (1u32 << arity)) - 1
-}
-
-/// The op class and polarity of a pristine LUT, [`Op::Generic`] when no
-/// class fits.
-///
-/// Every (class, polarity) candidate is evaluated once per process: for
-/// arities 0–3 into a table indexed by arity and compact table (278
-/// entries, which stay in L1 cache while a tape is classified), for
-/// arity 4 into a short list of the tables some candidate reaches.
-/// Classifying a whole tape then costs little next to building the
-/// engine.
-fn classify(arity: u8, ctable: u16) -> (Op, u8) {
-    use std::sync::OnceLock;
-    /// Where each arity's `2^(2^arity)` tables start in the dense table.
-    const OFFSET: [usize; 5] = [0, 2, 6, 22, 278];
-    type Classes = (Vec<(Op, u8)>, Vec<(u16, (Op, u8))>);
-    static CLASSES_BY_TABLE: OnceLock<Classes> = OnceLock::new();
-    let (dense, arity4) = CLASSES_BY_TABLE.get_or_init(|| {
-        let mut dense = vec![(Op::Generic, 0); OFFSET[4]];
-        let mut arity4: Vec<(u16, (Op, u8))> = Vec::new();
-        for arity in 0..=4u8 {
-            for &(op, at) in &CLASSES {
-                if at.is_some_and(|at| at != arity) {
-                    continue;
-                }
-                for pol in 0..2 * POL_OUT {
-                    // No polarity on a pin the LUT does not have.
-                    if pol & (0xF << arity) & 0xF != 0 {
-                        continue;
-                    }
-                    // The first candidate in `CLASSES` order wins a tie.
-                    let t = class_table(op, pol, arity);
-                    if arity < 4 {
-                        let slot = &mut dense[OFFSET[arity as usize] + t as usize];
-                        if slot.0 == Op::Generic {
-                            *slot = (op, pol);
-                        }
-                    } else if arity4.iter().all(|&(t4, _)| t4 != t) {
-                        arity4.push((t, (op, pol)));
-                    }
-                }
-            }
-        }
-        (dense, arity4)
-    });
-    if arity < 4 {
-        dense[OFFSET[arity as usize] + (u64::from(ctable) & arity_mask(arity)) as usize]
-    } else {
-        arity4
-            .iter()
-            .find(|&&(t, _)| t == ctable)
-            .map_or((Op::Generic, 0), |&(_, class)| class)
-    }
 }
 
 /// Adds `idx` to a memory block's dirty list unless it is already on it.
@@ -533,7 +334,7 @@ pub struct BatchDevice<const W: usize> {
     /// restricting the mux tree to them is exact for pristine *and*
     /// mutated tables. A LUT's slice differs from the pristine splat only
     /// in lanes that hold an override for it in `lut_overrides`.
-    compact_tables: Vec<Word<W>>,
+    compact_tables: LaneBuf<W>,
     /// Per lane: `(lut, table)` for every LUT whose full truth table in
     /// that lane differs from pristine. Readback answers from here (else
     /// from `pristine_tables`), and reset re-splats only the slices
@@ -555,20 +356,18 @@ pub struct BatchDevice<const W: usize> {
 
     // Lane runtime state.
     cycle: u64,
-    wire_values: Vec<Word<W>>,
-    /// LUT output words, kept only for LUTs without an output wire (the
-    /// others are read from their wire).
-    lut_values: Vec<Word<W>>,
-    ff_state: Vec<Word<W>>,
-    ff_prev_d: Vec<Word<W>>,
+    /// One word per sweep slot: the wires, then the output of each LUT
+    /// without an output wire.
+    wire_values: LaneBuf<W>,
+    ff_state: LaneBuf<W>,
+    ff_prev_d: LaneBuf<W>,
     brams: Vec<LaneBram<W>>,
     ledgers: Vec<TransferLedger>,
 
-    /// Per-tape-position evaluation descriptor, in topological
-    /// order: the settle sweep walks this array front to back.
-    node_descs: Vec<NodeDesc>,
-    /// Position of each LUT's descriptor in `node_descs`.
-    lut_node: Vec<u32>,
+    /// The levelized settle sweep over the compiled tape.
+    sweep: Sweep,
+    /// The slot each flip-flop's data input reads.
+    ff_d: Vec<u32>,
 
     // Incremental retirement mask (see `seq_divergence`): the flip-flop
     // and capture-shadow components are folded during `clock_edge`, so
@@ -692,29 +491,7 @@ impl<const W: usize> BatchDevice<W> {
         }
         let arch = *pristine.arch();
         let timing = dev.static_timing(pristine);
-        // A flip-flop fed by its LUT reads the LUT's output wire when it
-        // has one (the same word after settle), so the sweep stores a LUT
-        // word only for LUTs without an output wire.
-        let mut lut_out = vec![NO_WIRE; dev.luts.len()];
-        for op in &dev.tape {
-            if op.kind == NodeKind::Lut {
-                lut_out[op.target as usize] = op.out_wire;
-            }
-        }
-        let ffs: Vec<FfNode> = dev
-            .ffs
-            .iter()
-            .map(|f| {
-                let mut f = f.clone();
-                if let FfData::LutInternal(li) = f.data {
-                    if lut_out[li as usize] != NO_WIRE {
-                        f.data = FfData::Wire(lut_out[li as usize]);
-                    }
-                }
-                f
-            })
-            .collect();
-
+        let ffs = dev.ffs.clone();
         let cbs = pristine.cbs();
         let pristine_tables: Vec<u16> = dev
             .luts
@@ -742,7 +519,7 @@ impl<const W: usize> BatchDevice<W> {
         let mut lut_cfull = Vec::with_capacity(dev.luts.len());
         let mut lut_cpristine = Vec::with_capacity(dev.luts.len());
         let mut lut_coff = Vec::with_capacity(dev.luts.len());
-        let mut compact_tables = Vec::new();
+        let mut compact_tables: Vec<Word<W>> = Vec::new();
         for (l, &table) in dev.luts.iter().zip(&pristine_tables) {
             let arity = dev.tape[l.tape as usize].arity;
             let ct = compact_table(table, &l.cfull);
@@ -768,7 +545,7 @@ impl<const W: usize> BatchDevice<W> {
                     dout_wires: douts.clone(),
                     width,
                     depth,
-                    contents: vec![Word::ZERO; depth * width],
+                    contents: LaneBuf::new(depth * width, Word::ZERO),
                     pristine_words: cfg.contents.clone(),
                     dirty: Vec::new(),
                     is_dirty: vec![false; depth * width],
@@ -781,44 +558,13 @@ impl<const W: usize> BatchDevice<W> {
             })
             .collect();
 
-        let n_wires = pristine.wires().len();
         let ff_columns = pristine.ff_columns();
         let n_luts = dev.luts.len();
         let n_ffs = ffs.len();
 
-        let mut lut_node = vec![0u32; n_luts];
-        let node_descs: Vec<NodeDesc> = dev
-            .tape
-            .iter()
-            .enumerate()
-            .map(|(pos, op)| match op.kind {
-                NodeKind::Lut => {
-                    lut_node[op.target as usize] = pos as u32;
-                    let ctable = lut_cpristine[op.target as usize];
-                    let (class, pol) = classify(op.arity, ctable);
-                    NodeDesc {
-                        target: op.target,
-                        out_wire: op.out_wire,
-                        table_off: lut_coff[op.target as usize],
-                        pins: op.pins,
-                        ctable,
-                        arity: op.arity,
-                        op: class,
-                        pol,
-                    }
-                }
-                NodeKind::Bram => NodeDesc {
-                    target: op.target,
-                    out_wire: NO_WIRE,
-                    table_off: 0,
-                    pins: [0; 4],
-                    ctable: 0,
-                    arity: 0,
-                    op: Op::Bram,
-                    pol: 0,
-                },
-            })
-            .collect();
+        let sweep = Sweep::new(dev, &lut_coff, &lut_cpristine);
+        let ff_d = ffs.iter().map(|f| sweep.ff_slot(f.data)).collect();
+        let n_slots = sweep.slots();
 
         let mut engine = BatchDevice {
             arch,
@@ -837,7 +583,7 @@ impl<const W: usize> BatchDevice<W> {
             lut_cfull,
             lut_cpristine,
             lut_coff,
-            compact_tables,
+            compact_tables: LaneBuf::from_slice(&compact_tables),
             lut_overrides: vec![Vec::new(); Self::LANES],
             lut_table_diff: vec![Word::ZERO; n_luts],
             invert_ff_in: vec![Word::ZERO; n_ffs],
@@ -846,14 +592,13 @@ impl<const W: usize> BatchDevice<W> {
             config_diff_count: vec![0; Self::LANES],
             config_div: Word::ZERO,
             cycle: 0,
-            wire_values: vec![Word::ZERO; n_wires],
-            lut_values: vec![Word::ZERO; n_luts],
-            ff_state: vec![Word::ZERO; n_ffs],
-            ff_prev_d: vec![Word::ZERO; n_ffs],
+            wire_values: LaneBuf::new(n_slots, Word::ZERO),
+            ff_state: LaneBuf::new(n_ffs, Word::ZERO),
+            ff_prev_d: LaneBuf::new(n_ffs, Word::ZERO),
             brams,
             ledgers: vec![TransferLedger::new(); Self::LANES],
-            node_descs,
-            lut_node,
+            sweep,
+            ff_d,
             seq_div_ff: Word::ZERO,
             seq_div_shadow: Word::ZERO,
             ff_touched_since_edge: false,
@@ -890,7 +635,7 @@ impl<const W: usize> BatchDevice<W> {
                     *w = Word::splat((ct >> k) & 1 == 1);
                 }
                 self.lut_table_diff[li] = Word::ZERO;
-                self.node_descs[self.lut_node[li] as usize].set_pristine_op();
+                self.sweep.set_overridden(li, false);
             }
             overrides.clear();
         }
@@ -920,7 +665,6 @@ impl<const W: usize> BatchDevice<W> {
             self.ff_prev_d[i] = init;
         }
         self.wire_values.fill(Word::ZERO);
-        self.lut_values.fill(Word::ZERO);
         for b in self.brams.iter_mut() {
             let words = std::mem::take(&mut b.pristine_words);
             b.load_broadcast(&words, (false, 0, 0));
@@ -961,8 +705,14 @@ impl<const W: usize> BatchDevice<W> {
         for (w, &v) in self.wire_values.iter_mut().zip(&snap.wire_values) {
             *w = Word::splat(v);
         }
-        for (w, &v) in self.lut_values.iter_mut().zip(&snap.lut_values) {
-            *w = Word::splat(v);
+        // A LUT without an output wire holds its word in a slot past the
+        // wires.
+        let n_wires = snap.wire_values.len();
+        for (li, &v) in snap.lut_values.iter().enumerate() {
+            let slot = self.sweep.lut_out(li) as usize;
+            if slot >= n_wires {
+                self.wire_values[slot] = Word::splat(v);
+            }
         }
         for (bi, b) in self.brams.iter_mut().enumerate() {
             b.load_broadcast(&snap.bram_contents[bi], snap.bram_prev_write[bi]);
@@ -1046,60 +796,56 @@ impl<const W: usize> BatchDevice<W> {
     lane_kernel! {
         /// Propagates values through the combinational fabric, all lanes at
         /// once: presents every flip-flop's state word on its output wire,
-        /// then evaluates every combinational node in topological order.
+        /// then evaluates the combinational nodes level by level, one loop
+        /// per run of LUTs that share an op class and polarity (see
+        /// DESIGN.md §5, *Settle sweep*).
         pub fn settle(&mut self) = settle_body, settle_avx2, settle_avx512;
     }
 
     #[inline(always)]
     fn settle_body(&mut self) {
         let wv = &mut self.wire_values;
-        for (ff, &q) in self.ffs.iter().zip(&self.ff_state) {
+        for (ff, &q) in self.ffs.iter().zip(self.ff_state.iter()) {
             if let Some(w) = ff.out_wire {
                 wv[w as usize] = q;
             }
         }
-        let tables = &self.compact_tables;
-        let lv = &mut self.lut_values;
-        for d in &self.node_descs {
-            let v = match d.op {
-                Op::Bram => {
-                    self.brams[d.target as usize].read(wv);
-                    continue;
-                }
-                Op::Wide => {
-                    let ct = &tables[d.table_off as usize..];
-                    eval_lut_lanes(|k| ct[k], d, wv)
-                }
-                Op::Generic => eval_lut_lanes(|k| Word::splat((d.ctable >> k) & 1 == 1), d, wv),
-                op => eval_class(op, d.pol, |i| wv[d.pins[i] as usize]),
-            };
-            if d.out_wire != NO_WIRE {
-                wv[d.out_wire as usize] = v;
-            } else {
-                lv[d.target as usize] = v;
-            }
-        }
+        let brams = &self.brams;
+        self.sweep
+            .eval(wv, &self.compact_tables, |b, wv| brams[b].read(wv));
     }
 
-    /// How many LUT nodes the settle sweep evaluates with each op class
-    /// right now, by class name in classification order, zero counts
-    /// left out. `"wide"` counts the LUTs some lane overrides and
-    /// `"generic"` the pristine LUTs no class fits; both evaluate the
-    /// full mux tree.
+    /// How many LUTs have each op class right now, by class name in
+    /// classification order, zero counts left out. A LUT is counted in
+    /// the class of the pins its pristine table reads (so an arity-2 LUT
+    /// that passes one pin through is `"and1"`). `"wide"` counts the LUTs
+    /// some lane overrides and `"generic"` the pristine LUTs no class
+    /// fits; both evaluate the full mux tree.
     pub fn lut_op_counts(&self) -> Vec<(&'static str, usize)> {
-        let mut counts = [0usize; Op::Bram as usize];
-        for d in &self.node_descs {
-            if d.op != Op::Bram {
-                counts[d.op as usize] += 1;
+        let mut counts = [0usize; Op::Generic as usize + 1];
+        let mut wide = 0;
+        for li in 0..self.lut_arity.len() {
+            if self.sweep.overridden(li) {
+                wide += 1;
+            } else {
+                counts[self.sweep.lut_class(li) as usize] += 1;
             }
         }
         CLASSES
             .iter()
-            .map(|&(op, _)| op)
-            .chain([Op::Generic, Op::Wide])
-            .filter(|&op| counts[op as usize] > 0)
-            .map(|op| (op.name(), counts[op as usize]))
+            .map(|&(op, _)| (op.name(), counts[op as usize]))
+            .chain([
+                (Op::Generic.name(), counts[Op::Generic as usize]),
+                ("wide", wide),
+            ])
+            .filter(|&(_, n)| n > 0)
             .collect()
+    }
+
+    /// The shape of the settle sweep: combinational nodes, levels and
+    /// runs.
+    pub fn sweep_shape(&self) -> SweepShape {
+        self.sweep.shape(self.brams.len())
     }
 
     lane_kernel! {
@@ -1117,12 +863,8 @@ impl<const W: usize> BatchDevice<W> {
         let mut div_ff = Word::ZERO;
         let mut div_shadow = Word::ZERO;
         let spread = self.arch.arrival_spread_ns;
-        for (i, ff) in self.ffs.iter().enumerate() {
-            let raw = match ff.data {
-                FfData::LutInternal(li) => self.lut_values[li as usize],
-                FfData::Wire(w) => self.wire_values[w as usize],
-            };
-            let d = raw ^ self.invert_ff_in[i];
+        for (i, &slot) in self.ff_d.iter().enumerate() {
+            let d = self.wire_values[slot as usize] ^ self.invert_ff_in[i];
             let overshoot = self.ff_overshoot_ns.get(i).copied().unwrap_or(0.0);
             // Timing is pristine and lane-invariant (lanes cannot touch
             // routing), so the miss decision is one whole-word select.
@@ -1538,12 +1280,8 @@ impl<const W: usize> BatchDevice<W> {
         }
         if at.is_some() != now {
             self.lut_table_diff[li].set_bit(lane, now);
-            let d = &mut self.node_descs[self.lut_node[li] as usize];
-            if self.lut_table_diff[li].is_zero() {
-                d.set_pristine_op();
-            } else {
-                d.op = Op::Wide;
-            }
+            let overridden = !self.lut_table_diff[li].is_zero();
+            self.sweep.set_overridden(li, overridden);
             self.note_config_diff(lane, now);
         }
     }
@@ -1573,51 +1311,6 @@ impl<const W: usize> BatchDevice<W> {
             self.note_config_diff(lane, now);
         }
     }
-}
-
-/// Evaluates one LUT over all lanes with a mux tree sized to its
-/// connected-pin count. Bit-identical to the full 4-variable tree:
-/// unconnected pins present constant-0 words, so the full tree only
-/// ever selects the table entries the compact tree holds.
-///
-/// `ct(k)` is compact table entry `k` as a lane word.
-#[inline(always)]
-fn eval_lut_lanes<const W: usize>(
-    ct: impl Fn(usize) -> Word<W>,
-    d: &NodeDesc,
-    wv: &[Word<W>],
-) -> Word<W> {
-    let mux = Word::mux;
-    let pin = |i: usize| wv[d.pins[i] as usize];
-    match d.arity {
-        0 => ct(0),
-        1 => mux(ct(0), ct(1), pin(0)),
-        2 => quad(&ct, 0, pin(0), pin(1)),
-        3 => {
-            let (a, b) = (pin(0), pin(1));
-            mux(quad(&ct, 0, a, b), quad(&ct, 4, a, b), pin(2))
-        }
-        _ => {
-            let (a, b, c) = (pin(0), pin(1), pin(2));
-            let lo = mux(quad(&ct, 0, a, b), quad(&ct, 4, a, b), c);
-            let hi = mux(quad(&ct, 8, a, b), quad(&ct, 12, a, b), c);
-            mux(lo, hi, pin(3))
-        }
-    }
-}
-
-/// The two-pin mux tree over compact table entries `j..j + 4`, selected
-/// by pin words `a` (low index bit) and `b`. A function rather than a
-/// closure so that it always inlines into the kernel level it runs at.
-#[inline(always)]
-fn quad<const W: usize>(
-    ct: &impl Fn(usize) -> Word<W>,
-    j: usize,
-    a: Word<W>,
-    b: Word<W>,
-) -> Word<W> {
-    let mux = Word::mux;
-    mux(mux(ct(j), ct(j + 1), a), mux(ct(j + 2), ct(j + 3), a), b)
 }
 
 /// One lane of a [`BatchDevice`], presented through [`ConfigAccess`] so
@@ -1865,6 +1558,7 @@ mod tests {
     use crate::cb::FfDSrc;
     use crate::coords::WireId;
     use crate::routing::WireSink;
+    use crate::sweep::{arity_mask, class_table, classify, eval_class, eval_lut_lanes, POL_OUT};
 
     /// Toggle FF: LUT inverts the FF's own output, FF registers the LUT.
     fn toggle_device() -> Device {
@@ -2026,19 +1720,14 @@ mod tests {
     /// like the generic mux tree over `ctable` at width `W`.
     fn class_matches_tree<const W: usize>(arity: u8, ctable: u16, seed: &mut u64) {
         let (op, pol) = classify(arity, ctable);
-        let d = NodeDesc {
-            target: 0,
-            out_wire: NO_WIRE,
-            table_off: 0,
-            pins: [0, 1, 2, 3],
-            ctable,
-            arity,
-            op,
-            pol,
-        };
         for _ in 0..8 {
             let wv: [Word<W>; 4] = std::array::from_fn(|_| random_word(seed));
-            let tree = eval_lut_lanes(|k| Word::splat((ctable >> k) & 1 == 1), &d, &wv);
+            let tree = eval_lut_lanes(
+                |k| Word::splat((ctable >> k) & 1 == 1),
+                arity,
+                &[0, 1, 2, 3],
+                &wv,
+            );
             if op != Op::Generic {
                 let class = eval_class(op, pol, |i| wv[i]);
                 assert_eq!(
@@ -2176,8 +1865,12 @@ mod tests {
     /// read flip-flops, a memory block's outputs and earlier LUTs, with
     /// tables drawn from the op classes and at random (so some LUTs are
     /// generic), and a memory block addressed by flip-flops, so a flipped
-    /// flip-flop diverges a lane's read and write addresses.
-    fn mixed_device(seed: &mut u64) -> (Device, Vec<CbCoord>) {
+    /// flip-flop diverges a lane's read and write addresses. Before them,
+    /// 8 blocks without a flip-flop hold BUF/NOT LUTs (some of arity 2
+    /// reading one pin, some reading another such LUT), which the sweep
+    /// runs as AND1. Returns the device, the 40 blocks and the 8 BUF/NOT
+    /// blocks.
+    fn mixed_device(seed: &mut u64) -> (Device, Vec<CbCoord>, Vec<CbCoord>) {
         const CLASS_TABLES: [u16; 8] = [0x5555, 0x8888, 0xEEEE, 0x6666, 0x9696, 0xCACA, 0xE8E8, 0];
         let mut bs = Bitstream::new(ArchParams::small());
         let mut next = || random_word::<1>(seed).0[0];
@@ -2189,6 +1882,18 @@ mod tests {
         let contents: Vec<u64> = (0..8).map(|_| next() & 0xF).collect();
         let (bram, dout) = bs.place_bram("m", 3, 4, &contents).unwrap();
         let mut pool: Vec<WireId> = q.iter().chain(&dout).copied().collect();
+        let buffers: Vec<CbCoord> = (40..48u16).map(|i| CbCoord::new(i % 16, i / 16)).collect();
+        for &cb in &buffers {
+            let r = next();
+            let out = bs
+                .place_lut(cb, [0x5555, 0xAAAA, 0x3333, 0xCCCC][r as usize % 4])
+                .unwrap();
+            for pin in 0..1 + (r >> 8) as u8 % 2 {
+                let w = pool[(next() % pool.len() as u64) as usize];
+                bs.connect_lut_pin(cb, pin, w).unwrap();
+            }
+            pool.push(out);
+        }
         let mut luts = Vec::new();
         for &cb in &cbs {
             let r = next();
@@ -2217,14 +1922,13 @@ mod tests {
             .unwrap();
         let observed: Vec<WireId> = q[..8].iter().chain(&dout).copied().collect();
         bs.add_output("y", &observed).unwrap();
-        (Device::configure(bs).unwrap(), cbs)
+        (Device::configure(bs).unwrap(), cbs, buffers)
     }
 
     /// Asserts that two engines hold the same words everywhere the
     /// per-cycle loops write.
     fn assert_same_words<const W: usize>(a: &BatchDevice<W>, b: &BatchDevice<W>, at: &str) {
-        assert_eq!(a.wire_values, b.wire_values, "{at}: wires");
-        assert_eq!(a.lut_values, b.lut_values, "{at}: LUT values");
+        assert_eq!(a.wire_values, b.wire_values, "{at}: wires and LUT slots");
         assert_eq!(a.ff_state, b.ff_state, "{at}: flip-flops");
         assert_eq!(a.ff_prev_d, b.ff_prev_d, "{at}: previous-D shadows");
         assert_eq!(a.compact_tables, b.compact_tables, "{at}: tables");
@@ -2251,7 +1955,7 @@ mod tests {
     /// and every mask after each step.
     fn level_matches_baseline<const W: usize>(level: LaneKernel, seed: u64) {
         let mut seed = seed;
-        let (mut dev, cbs) = mixed_device(&mut seed);
+        let (mut dev, cbs, buffers) = mixed_device(&mut seed);
         let mut base = BatchDevice::<W>::new(&dev).unwrap();
         base.kernel = LaneKernel::Baseline;
         let mut other = base.clone();
@@ -2259,7 +1963,11 @@ mod tests {
         let wires = base.output_wires("y").unwrap();
         let lanes = BatchDevice::<W>::LANES;
         dev.reset();
-        let (mut saw_wide, mut saw_odd_address) = (false, false);
+        let (mut saw_wide, mut saw_odd_address, mut saw_buffer_wide) = (false, false, false);
+        let buffer_luts: Vec<usize> = buffers
+            .iter()
+            .map(|cb| base.lut_of_cb[cb.flat_index(16)] as usize)
+            .collect();
         for cycle in 0..40 {
             if cycle == 20 {
                 // Warm start from the scalar device's state.
@@ -2272,14 +1980,20 @@ mod tests {
                 let r = random_word::<1>(&mut seed).0[0];
                 let lane = 1 + (r >> 8) as usize % (lanes - 1);
                 let cb = cbs[(r >> 20) as usize % cbs.len()];
+                // LUT faults land on the BUF/NOT blocks too.
+                let lut_cb = if r & 1 << 50 != 0 {
+                    buffers[(r >> 20) as usize % buffers.len()]
+                } else {
+                    cb
+                };
                 let mutations = match r % 4 {
                     0 => vec![Mutation::SetLutTable {
-                        cb,
+                        cb: lut_cb,
                         table: (r >> 32) as u16,
                     }],
                     1 => vec![Mutation::SetLutTable {
-                        cb,
-                        table: base.pristine_tables[base.lut_of_cb[cb.flat_index(16)] as usize],
+                        cb: lut_cb,
+                        table: base.pristine_tables[base.lut_of_cb[lut_cb.flat_index(16)] as usize],
                     }],
                     2 => vec![
                         Mutation::SetLsrDrive {
@@ -2302,6 +2016,7 @@ mod tests {
             }
             let at = format!("{level:?} W={W} cycle {cycle}");
             saw_wide |= base.lut_op_counts().iter().any(|&(op, _)| op == "wide");
+            saw_buffer_wide |= buffer_luts.iter().any(|&li| base.sweep.overridden(li));
             base.settle();
             other.settle();
             assert_same_words(&base, &other, &format!("{at} settle"));
@@ -2342,6 +2057,7 @@ mod tests {
         }
         // The faults reached the paths under test.
         assert!(saw_wide && saw_odd_address, "W={W} seed {seed}");
+        assert!(saw_buffer_wide, "W={W} seed {seed}");
         assert!(base.lut_op_counts().iter().any(|&(op, _)| op == "generic"));
         assert!(base.brams[0].dirty.len() > 1);
     }
@@ -2370,6 +2086,177 @@ mod tests {
                 level_matches_baseline::<4>(level, seed);
                 level_matches_baseline::<8>(level, seed);
             }
+        }
+    }
+
+    /// The sweep of `batch`: every evaluation it can make runs after the
+    /// evaluations writing the slots it reads, and each slot has one
+    /// writer, whether the class runs, a memory read or a fix-up writes
+    /// it.
+    fn assert_levelized<const W: usize>(batch: &BatchDevice<W>) {
+        let bram_wires: Vec<(Vec<u32>, Vec<u32>)> = batch
+            .brams
+            .iter()
+            .map(|b| {
+                let douts = b.dout_wires.iter().flatten().copied().collect();
+                (douts, b.addr_wires.clone())
+            })
+            .collect();
+        let schedule = batch.sweep.schedule(&bram_wires);
+        let mut written_at = std::collections::HashMap::new();
+        for (level, outs, _) in &schedule {
+            for &o in outs {
+                let at = *written_at.entry(o).or_insert(*level);
+                assert_eq!(
+                    at, *level,
+                    "slot {o} has writers at levels {at} and {level}"
+                );
+            }
+        }
+        for (level, outs, ins) in &schedule {
+            for i in ins {
+                if let Some(&at) = written_at.get(i) {
+                    assert!(
+                        at < *level,
+                        "{outs:?} at level {level} reads slot {i} of level {at}"
+                    );
+                }
+            }
+        }
+        // Every LUT and memory read is scheduled.
+        let luts = batch.lut_arity.len();
+        assert_eq!(batch.sweep_shape().nodes, luts + batch.brams.len());
+        for li in 0..luts {
+            assert!(
+                written_at.contains_key(&batch.sweep.lut_out(li)),
+                "LUT {li}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_node_of_the_levelized_tape_runs_after_its_drivers() {
+        assert_levelized(&BatchDevice::<1>::new(&toggle_device()).unwrap());
+        let (bs, _) = held_port_memory();
+        assert_levelized(&BatchDevice::<2>::new(&Device::configure(bs).unwrap()).unwrap());
+        for seed in 0..16 {
+            let (dev, _, _) = mixed_device(&mut { seed });
+            assert_levelized(&BatchDevice::<1>::new(&dev).unwrap());
+        }
+    }
+
+    /// Drives a width-`W` engine and one scalar device per lane through
+    /// the same steps — LUT overrides on any block, the BUF/NOT ones
+    /// included, that come and go, flip-flop flips and memory bit flips,
+    /// each on one lane — and compares every lane of every wire, LUT slot
+    /// and flip-flop with its scalar device after each settle and edge.
+    fn lanes_match_scalar_devices<const W: usize>(seed: u64, steps: &[(u16, u16, u32)]) {
+        let (dev, cbs, buffers) = mixed_device(&mut { seed });
+        let mut batch = BatchDevice::<W>::new(&dev).unwrap();
+        let lanes = BatchDevice::<W>::LANES;
+        let mut scalars: Vec<Device> = (0..lanes).map(|_| dev.clone()).collect();
+        for s in &mut scalars {
+            s.reset();
+        }
+        let lut_cbs: Vec<CbCoord> = cbs.iter().chain(&buffers).copied().collect();
+        let compare = |batch: &BatchDevice<W>, scalars: &[Device], at: &str| {
+            for (lane, s) in scalars.iter().enumerate() {
+                let state = s.save_state();
+                for (w, &v) in state.wire_values.iter().enumerate() {
+                    assert_eq!(
+                        batch.wire_values[w].bit(lane),
+                        v,
+                        "{at}: lane {lane}, wire {w}"
+                    );
+                }
+                for (li, &v) in state.lut_values.iter().enumerate() {
+                    let slot = batch.sweep.lut_out(li);
+                    if slot as usize >= state.wire_values.len() {
+                        assert_eq!(
+                            batch.wire_values[slot as usize].bit(lane),
+                            v,
+                            "{at}: LUT {li}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    batch.state_snapshot_lane(lane),
+                    s.state_snapshot(),
+                    "{at}: lane {lane}"
+                );
+            }
+        };
+        for (k, &(lane, kind, r)) in steps.iter().enumerate() {
+            let lane = 1 + lane as usize % (lanes - 1);
+            let cb = cbs[r as usize % cbs.len()];
+            let lut_cb = lut_cbs[r as usize % lut_cbs.len()];
+            let pristine = batch.pristine_tables[batch.lut_of_cb[lut_cb.flat_index(16)] as usize];
+            let mutations = match kind % 5 {
+                0 | 1 => vec![Mutation::SetLutTable {
+                    cb: lut_cb,
+                    table: (r >> 8) as u16,
+                }],
+                2 => vec![Mutation::SetLutTable {
+                    cb: lut_cb,
+                    table: pristine,
+                }],
+                3 => vec![
+                    Mutation::SetLsrDrive {
+                        cb,
+                        drive: SetReset::driving(r & 1 << 20 != 0),
+                    },
+                    Mutation::PulseLsr { cb },
+                ],
+                _ => vec![Mutation::SetBramBit {
+                    bram: BramId(0),
+                    addr: (r >> 8) as usize % 8,
+                    bit: (r >> 12) % 4,
+                    value: r & 1 << 20 != 0,
+                }],
+            };
+            for m in &mutations {
+                batch.lane(lane).apply(m).unwrap();
+                scalars[lane].apply(m).unwrap();
+            }
+            if kind & 0x100 == 0 {
+                continue;
+            }
+            batch.settle();
+            for s in &mut scalars {
+                s.settle();
+            }
+            compare(
+                &batch,
+                &scalars,
+                &format!("seed {seed} W={W} step {k} settle"),
+            );
+            batch.clock_edge();
+            for s in &mut scalars {
+                s.clock_edge();
+            }
+            compare(
+                &batch,
+                &scalars,
+                &format!("seed {seed} W={W} step {k} edge"),
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Every lane of the lane engine is the scalar device while LUT
+        /// overrides come and go mid-run, moving LUTs (the BUF/NOT ones
+        /// included) onto and off the fix-up path.
+        #[test]
+        fn every_lane_matches_the_scalar_device_as_overrides_come_and_go(
+            seed in 0u64..1 << 32,
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>(),
+                 proptest::prelude::any::<u32>()),
+                1..40,
+            ),
+        ) {
+            lanes_match_scalar_devices::<1>(seed, &steps);
+            lanes_match_scalar_devices::<2>(seed, &steps);
         }
     }
 

@@ -372,7 +372,7 @@ impl Device {
 
     /// Combinational input wires of a tape node. BRAM reads depend
     /// combinationally on the address only.
-    fn node_inputs<'a>(&'a self, op: &'a TapeOp) -> &'a [u32] {
+    pub(crate) fn node_inputs<'a>(&'a self, op: &'a TapeOp) -> &'a [u32] {
         match op.kind {
             NodeKind::Lut => &op.pins[..op.arity as usize],
             NodeKind::Bram => &self.bram_write_ports[op.target as usize].addr,
@@ -380,7 +380,7 @@ impl Device {
     }
 
     /// Wires a tape node drives.
-    fn node_outputs<'a>(&'a self, op: &'a TapeOp) -> impl Iterator<Item = u32> + 'a {
+    pub(crate) fn node_outputs<'a>(&'a self, op: &'a TapeOp) -> impl Iterator<Item = u32> + 'a {
         let douts: &[Option<u32>] = match op.kind {
             NodeKind::Lut => &[],
             NodeKind::Bram => &self.bram_dout_wires[op.target as usize],

@@ -67,6 +67,7 @@ mod ledger;
 mod reconfig;
 mod routing;
 mod state;
+mod sweep;
 mod timing;
 mod word;
 
@@ -83,5 +84,6 @@ pub use ledger::{TransferKind, TransferLedger, TransferOp};
 pub use reconfig::Mutation;
 pub use routing::{WireConfig, WireDriver, WireSink};
 pub use state::DeviceState;
+pub use sweep::SweepShape;
 pub use timing::TimingReport;
 pub use word::{LaneKernel, Ones, Word};

@@ -5,7 +5,8 @@
 //! of word 0) is the golden lane. Every operation is a plain loop over the
 //! `W` words, which the compiler unrolls and vectorises to the vector unit
 //! it compiles for; `W = 1` compiles to the single-`u64` operations it
-//! replaces.
+//! replaces. The engine keeps its word arrays in [`LaneBuf`]s, which start
+//! every word on a boundary of its own size.
 //!
 //! The lane engine's per-cycle loops are compiled once per
 //! [`LaneKernel`] level with [`lane_kernel!`]: the target's baseline
@@ -16,7 +17,9 @@
 //! confined to the calls [`lane_kernel!`] generates, each justified by
 //! that detection.
 
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+use std::ops::{
+    BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Deref, DerefMut, Not,
+};
 
 /// The instruction-set level the lane engine's per-cycle word loops run
 /// at.
@@ -178,6 +181,7 @@ pub(crate) use lane_kernel;
 
 /// One value per lane: bit `l % 64` of `self.0[l / 64]` is lane `l`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct Word<const W: usize>(pub(crate) [u64; W]);
 
 impl<const W: usize> Word<W> {
@@ -242,6 +246,127 @@ impl<const W: usize> Word<W> {
             out.0[i] = (lo.0[i] & !s.0[i]) | (hi.0[i] & s.0[i]);
         }
         out
+    }
+}
+
+/// A fixed-length array of lane words whose every word starts on an
+/// `8 * W`-byte boundary, its own size: a 512-lane word is one cache line
+/// and a 256-lane word half of one, so no word load or store straddles two
+/// lines. A `Vec<Word<W>>` only guarantees the 8-byte alignment of `u64`
+/// (the allocator hands out 16), so most 512-bit words would straddle.
+/// Narrower words are not padded: a 64-lane word padded to a cache line
+/// made a settle sweep 1.7× slower (EXPERIMENTS.md).
+///
+/// The words live in a plain `u64` buffer with up to `W - 1` spare `u64`s
+/// in front, skipped so that the first word lands on the boundary. An
+/// allocation aligned by the allocator instead (`Layout` alignment 64)
+/// raised the benchmark's peak RSS by ~20% on glibc.
+///
+/// The length is fixed when the array is made, which is what lets the
+/// settle sweep check its indices against it once, when the engine is
+/// built, instead of once per access.
+pub(crate) struct LaneBuf<const W: usize> {
+    buf: Vec<u64>,
+    /// `u64`s skipped at the front of `buf`.
+    skip: usize,
+    /// Words.
+    len: usize,
+}
+
+impl<const W: usize> LaneBuf<W> {
+    /// `len` copies of `value`.
+    pub(crate) fn new(len: usize, value: Word<W>) -> Self {
+        let mut buf = Self::alloc(len);
+        buf.fill(value);
+        buf
+    }
+
+    /// A copy of `words`.
+    pub(crate) fn from_slice(words: &[Word<W>]) -> Self {
+        let mut buf = Self::alloc(words.len());
+        buf.copy_from_slice(words);
+        buf
+    }
+
+    /// Room for `len` zero words.
+    fn alloc(len: usize) -> Self {
+        let size = len
+            .checked_mul(W)
+            .and_then(|n| n.checked_add(W - 1))
+            .unwrap_or_else(|| panic!("{len} lane words overflow the address space"));
+        let buf = vec![0u64; size];
+        // `u64`s to skip so the first word starts on an `8 * W`-byte
+        // boundary (8 when `8 * W` is not a power of two).
+        let align = if (8 * W).is_power_of_two() { 8 * W } else { 8 };
+        let skip = (align - buf.as_ptr() as usize % align) % align / 8;
+        LaneBuf { buf, skip, len }
+    }
+}
+
+impl<const W: usize> Deref for LaneBuf<W> {
+    type Target = [Word<W>];
+
+    #[inline(always)]
+    fn deref(&self) -> &[Word<W>] {
+        // SAFETY: `alloc` made `buf` `len * W + W - 1` long with
+        // `skip <= W - 1`, and nothing resizes it, so the `len * W` `u64`s
+        // from `skip` on are in `buf`. `Word<W>` is `repr(transparent)`
+        // over `[u64; W]`, so they are `len` words, with the alignment a
+        // word needs (that of `u64`).
+        #[allow(unsafe_code)]
+        unsafe {
+            std::slice::from_raw_parts(self.buf.as_ptr().add(self.skip).cast::<Word<W>>(), self.len)
+        }
+    }
+}
+
+impl<const W: usize> DerefMut for LaneBuf<W> {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut [Word<W>] {
+        // SAFETY: as in `deref`, and `&mut self` borrows `buf` uniquely.
+        #[allow(unsafe_code)]
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.buf.as_mut_ptr().add(self.skip).cast::<Word<W>>(),
+                self.len,
+            )
+        }
+    }
+}
+
+impl<'a, const W: usize> IntoIterator for &'a LaneBuf<W> {
+    type Item = &'a Word<W>;
+    type IntoIter = std::slice::Iter<'a, Word<W>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a, const W: usize> IntoIterator for &'a mut LaneBuf<W> {
+    type Item = &'a mut Word<W>;
+    type IntoIter = std::slice::IterMut<'a, Word<W>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl<const W: usize> Clone for LaneBuf<W> {
+    fn clone(&self) -> Self {
+        Self::from_slice(self)
+    }
+}
+
+impl<const W: usize> PartialEq for LaneBuf<W> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const W: usize> std::fmt::Debug for LaneBuf<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -362,6 +487,30 @@ mod tests {
         assert!(!w.is_uniform());
         w.set_bit(0, true);
         assert_eq!(w.splat_lane0(), Word::ONES);
+    }
+
+    fn aligned_to_the_word<const W: usize>() {
+        for len in [0, 1, 3, 100] {
+            let mut buf = LaneBuf::<W>::new(len, Word::ONES);
+            assert_eq!(buf.len(), len);
+            assert!(buf.iter().all(|&w| w == Word::ONES));
+            if len > 0 {
+                buf[len - 1] = Word::ZERO;
+            }
+            let copy = buf.clone();
+            assert_eq!(copy, buf);
+            for w in copy.iter() {
+                assert_eq!(std::ptr::from_ref(w) as usize % (8 * W), 0, "W={W}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_bufs_align_each_word_to_its_size() {
+        aligned_to_the_word::<1>();
+        aligned_to_the_word::<2>();
+        aligned_to_the_word::<4>();
+        aligned_to_the_word::<8>();
     }
 
     #[test]

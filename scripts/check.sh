@@ -40,20 +40,21 @@ cargo test -q --release --offline -p fades-core --test batch_props
 
 # The scalar device (oracle, golden capture, routing-delay faults) is
 # printed beside the lane engine so a regression in either shows up as a
-# number; `settle_throughput/lane_settle_w{1,2,4,8}` time one lane-engine
-# settle sweep per lane-word width, `lane_merge_scan_w8` one scan for
-# lanes to merge (a cohort runs one every 16 cycles), and
-# `batch_device_new_w{1,4,8}` one lane-engine build (the fixed cost
-# every shard and every batched execution pays). The offline criterion stand-in takes
-# no filter, so one run prints every bench and the relevant lines are
-# picked out.
-echo "== scalar device, lane settle/build and batch throughput microbenches (release)"
-# Each lane word width runs its per-cycle loops at the instruction-set
-# level this line names (`fades_fpga::LaneKernel`); the lane readings
-# below are at those levels.
-cargo run -q --release --offline -p fades-experiments -- setup | grep 'lane kernel:'
+# number; `batch_device_new_w{1,4,8}` time one lane-engine build (the
+# fixed cost every shard and every batched execution pays). The offline
+# criterion stand-in takes no filter, so one run prints every bench and
+# the relevant lines are picked out.
+echo "== scalar device, lane build and batch throughput microbenches (release)"
 cargo bench -q --offline -p fades-bench --bench microbench 2>&1 \
-    | grep -E 'substrate/device_|settle_throughput|lane_settle_w|lane_merge_scan_w|batch_device_new_w|batch_throughput'
+    | grep -E 'substrate/device_|settle_throughput|batch_device_new_w|batch_throughput'
+# The lane engine's kernels per word width: one settle sweep (with ns per
+# combinational node), one clock edge and one scan for lanes to merge (a
+# cohort runs one every 16 cycles), each the fastest of 400 interleaved
+# timings, which ranks two builds where a criterion mean of a few samples
+# cannot. The level column is the instruction-set level each width runs
+# at (`fades_fpga::LaneKernel`).
+echo "== lane-engine kernel timings (release)"
+cargo run -q --release --offline -p fades-experiments -- kernels
 
 # The benchmark (fadesbench/) is a package of its own, outside the
 # workspace, so nothing above builds it. Build it and run its smoke test,
