@@ -75,18 +75,11 @@ pub(crate) fn lane_expressible(fault: &ResolvedFault) -> bool {
     )
 }
 
-/// Validates the entries' schedules against the golden run length (see
-/// [`FaultSchedule::check`]) and resolves the observed ports to
-/// lane-engine wire lists — the shared prologue of every cohort loop.
-pub(crate) fn lane_prologue<const W: usize>(
+/// Resolves the observed ports to lane-engine wire lists.
+pub(crate) fn port_wires<const W: usize>(
     batch: &BatchDevice<W>,
-    golden: &GoldenRun,
     ports: &[String],
-    entries: &[&PlannedExperiment],
 ) -> Result<Vec<Vec<u32>>, CoreError> {
-    for e in entries {
-        e.schedule.check(golden.cycles())?;
-    }
     ports
         .iter()
         .map(|p| {
@@ -95,6 +88,16 @@ pub(crate) fn lane_prologue<const W: usize>(
                 .map_err(|_| CoreError::UnknownPort(p.clone()))
         })
         .collect()
+}
+
+/// A plan entry the lane engine runs, with its position in the plan,
+/// where its verdict goes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneEntry<'p> {
+    /// Position in the plan's experiments.
+    pub(crate) pos: usize,
+    /// The experiment.
+    pub(crate) planned: &'p PlannedExperiment,
 }
 
 /// The cohort's shared wall clock: charges elapsed intervals evenly
@@ -303,7 +306,7 @@ impl LaneSchedule {
 
 /// One occupied lane: the experiment it carries and its execution state.
 struct LaneSlot<'p> {
-    planned: &'p PlannedExperiment,
+    entry: LaneEntry<'p>,
     strategy: Box<dyn InjectionStrategy>,
     rng: StdRng,
     /// The cohort clock's per-lane share when this lane was loaded (µs).
@@ -311,15 +314,15 @@ struct LaneSlot<'p> {
     /// The experiments of the lanes merged into this one, their results
     /// complete but for the outcome and early stop, which are this
     /// lane's.
-    followers: Vec<(u64, ExperimentResult)>,
+    followers: Vec<(LaneEntry<'p>, ExperimentResult)>,
 }
 
 impl<'p> LaneSlot<'p> {
-    fn new(planned: &'p PlannedExperiment, sub_cycle: bool, clock: &CohortClock) -> Self {
+    fn new(entry: LaneEntry<'p>, sub_cycle: bool, clock: &CohortClock) -> Self {
         LaneSlot {
-            planned,
-            strategy: strategy_for(&planned.fault, sub_cycle),
-            rng: StdRng::seed_from_u64(planned.seed),
+            entry,
+            strategy: strategy_for(&entry.planned.fault, sub_cycle),
+            rng: StdRng::seed_from_u64(entry.planned.seed),
             loaded_share_us: clock.share_us,
             followers: Vec::new(),
         }
@@ -335,12 +338,12 @@ impl<'p> LaneSlot<'p> {
         outcome: Outcome,
         early_stop_cycles: u64,
         clock: &CohortClock,
-    ) -> (u64, ExperimentResult) {
+    ) -> (LaneEntry<'p>, ExperimentResult) {
         (
-            self.planned.index,
+            self.entry,
             ExperimentResult {
-                fault: self.planned.fault.clone(),
-                schedule: self.planned.schedule,
+                fault: self.entry.planned.fault.clone(),
+                schedule: self.entry.planned.schedule,
                 outcome,
                 traffic: LedgerSummary::from(batch.ledger(lane)),
                 strategy: self.strategy.name(),
@@ -363,9 +366,9 @@ impl<'p> LaneSlot<'p> {
         phase: &Histogram,
     ) {
         // The outcome is a placeholder until the leader is decided.
-        let (index, result) = self.result(batch, lane, Outcome::Silent, 0, clock);
-        trace_retirement(phase, index, result.wall_us);
-        leader.followers.push((index, result));
+        let (entry, result) = self.result(batch, lane, Outcome::Silent, 0, clock);
+        trace_retirement(phase, entry.planned.index, result.wall_us);
+        leader.followers.push((entry, result));
         leader.followers.append(&mut self.followers);
         fades_telemetry::sim::record_lane_merge();
     }
@@ -380,16 +383,16 @@ impl<'p> LaneSlot<'p> {
         early_stop_cycles: u64,
         clock: &CohortClock,
         phase: &Histogram,
-        sink: &mut dyn FnMut(u64, ExperimentResult),
+        sink: &mut dyn FnMut(LaneEntry<'p>, ExperimentResult),
     ) -> u64 {
-        let (index, result) = self.result(batch, lane, outcome, early_stop_cycles, clock);
-        trace_retirement(phase, index, result.wall_us);
-        sink(index, result);
+        let (entry, result) = self.result(batch, lane, outcome, early_stop_cycles, clock);
+        trace_retirement(phase, entry.planned.index, result.wall_us);
+        sink(entry, result);
         let decided = 1 + self.followers.len() as u64;
-        for (index, mut result) in self.followers {
+        for (entry, mut result) in self.followers {
             result.outcome = outcome;
             result.early_stop_cycles = early_stop_cycles;
-            sink(index, result);
+            sink(entry, result);
         }
         decided
     }
@@ -486,11 +489,11 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     golden: &GoldenRun,
     port_wires: &[Vec<u32>],
     sub_cycle: bool,
-    pending: &[&'p PlannedExperiment],
+    pending: &[LaneEntry<'p>],
     chaos: Option<ChaosPanic>,
-    loaded: &mut Vec<&'p PlannedExperiment>,
-    sink: &mut dyn FnMut(u64, ExperimentResult),
-) -> Result<Vec<&'p PlannedExperiment>, CoreError> {
+    loaded: &mut Vec<LaneEntry<'p>>,
+    sink: &mut dyn FnMut(LaneEntry<'p>, ExperimentResult),
+) -> Result<Vec<LaneEntry<'p>>, CoreError> {
     let entered = fades_telemetry::enabled().then(Instant::now);
     let run_cycles = golden.cycles();
     let mut phases = PhaseClock::start();
@@ -503,7 +506,7 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     // pass starts cold from `reset`.
     let checkpoint = pending
         .first()
-        .and_then(|e| golden.checkpoint_at_or_before(e.schedule.inject_at))
+        .and_then(|e| golden.checkpoint_at_or_before(e.planned.schedule.inject_at))
         .filter(|cp| cp.cycle() > 0);
     let start_cycle = match checkpoint {
         Some(cp) => {
@@ -532,15 +535,15 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     let mut failed = Word::<W>::ZERO;
     let experiment_phase = fades_telemetry::span_phase("experiment");
     let mut cursor = 0usize;
-    let mut leftovers: Vec<&'p PlannedExperiment> = Vec::new();
+    let mut leftovers: Vec<LaneEntry<'p>> = Vec::new();
     for (lane, slot) in slots.iter_mut().enumerate().skip(1) {
-        let Some(&planned) = pending.get(cursor) else {
+        let Some(&entry) = pending.get(cursor) else {
             break;
         };
         cursor += 1;
-        loaded.push(planned);
-        *slot = Some(LaneSlot::new(planned, sub_cycle, &clock));
-        events.load(lane, &planned.schedule, start_cycle, false);
+        loaded.push(entry);
+        *slot = Some(LaneSlot::new(entry, sub_cycle, &clock));
+        events.load(lane, &entry.planned.schedule, start_cycle, false);
         occ.set_bit(lane, true);
     }
 
@@ -574,7 +577,7 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             let merges = if cycle % MERGE_PERIOD == 0
                 && pending[cursor..]
                     .last()
-                    .is_some_and(|e| e.schedule.inject_at >= cycle)
+                    .is_some_and(|e| e.planned.schedule.inject_at >= cycle)
             {
                 find_merges(batch, inert & !conf & !failed & seq)
             } else {
@@ -625,17 +628,17 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
                     // already passed (they wait for the next pass).
                     while pending
                         .get(cursor)
-                        .is_some_and(|e| e.schedule.inject_at < cycle)
+                        .is_some_and(|e| e.planned.schedule.inject_at < cycle)
                     {
                         leftovers.push(pending[cursor]);
                         cursor += 1;
                     }
-                    if let Some(&planned) = pending.get(cursor) {
+                    if let Some(&entry) = pending.get(cursor) {
                         cursor += 1;
                         batch.refill_lane(lane);
-                        loaded.push(planned);
-                        slots[lane] = Some(LaneSlot::new(planned, sub_cycle, &clock));
-                        events.load(lane, &planned.schedule, cycle, true);
+                        loaded.push(entry);
+                        slots[lane] = Some(LaneSlot::new(entry, sub_cycle, &clock));
+                        events.load(lane, &entry.planned.schedule, cycle, true);
                         occ.set_bit(lane, true);
                     }
                 }
@@ -646,19 +649,21 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
             break;
         }
         // This cycle's strategy calls: injections, then ticks of
-        // installed faults. Every fault lasts at least a cycle
-        // (`lane_prologue`), so a lane turns inert only after its
-        // injection has fired, and no event reaches a successor.
+        // installed faults. Every fault lasts at least a cycle (an
+        // entry whose schedule fails `FaultSchedule::check` never takes
+        // a lane), so a lane turns inert only after its injection has
+        // fired, and no event reaches a successor.
         let inject = events.lanes::<W>(cycle, LaneEvent::Inject);
         for lane in (inject | ticking).ones() {
             let Some(s) = &mut slots[lane] else { continue };
             if inject.bit(lane) {
-                debug_assert_eq!(s.planned.schedule.inject_at, cycle, "lane {lane}");
+                let planned = s.entry.planned;
+                debug_assert_eq!(planned.schedule.inject_at, cycle, "lane {lane}");
                 if let Some(c) = chaos {
-                    c.maybe_panic(s.planned.index, 0);
+                    c.maybe_panic(planned.index, 0);
                 }
                 s.strategy.inject(&mut batch.lane(lane), &mut s.rng)?;
-                ticking.set_bit(lane, cycle + 1 < s.planned.schedule.gone_at());
+                ticking.set_bit(lane, cycle + 1 < planned.schedule.gone_at());
             } else {
                 s.strategy.tick(&mut batch.lane(lane), &mut s.rng)?;
             }
@@ -708,7 +713,7 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
         let Some(mut slot) = slots[lane].take() else {
             continue;
         };
-        if slot.planned.schedule.outlives(run_cycles) {
+        if slot.entry.planned.schedule.outlives(run_cycles) {
             slot.strategy.remove(&mut batch.lane(lane))?;
             state_div = batch.state_divergence();
         }
@@ -735,97 +740,6 @@ pub(crate) fn run_one_cohort<'p, const W: usize>(
     Ok(leftovers)
 }
 
-/// Runs every entry of `entries` through the lane engine, one experiment
-/// per lane, over as many passes as refilling requires. Returns
-/// `(plan index, result)` pairs in ascending plan-index order.
-///
-/// With `threads > 1` the sorted plan is split into contiguous chunks,
-/// each run on its own clone of the engine. Per-experiment results are
-/// independent of cohort composition (lanes interact only with the
-/// golden lane, and timing draws are lane-invariant), so the merged
-/// results are bit-identical to the single-threaded run — the same
-/// property the sharded-dispatch suite already pins down — and to a run
-/// on a word of any other width.
-pub(crate) fn run_lane_cohorts<'p, const W: usize>(
-    batch: &mut BatchDevice<W>,
-    golden: &GoldenRun,
-    ports: &[String],
-    sub_cycle: bool,
-    entries: &[&'p PlannedExperiment],
-    threads: usize,
-) -> Result<Vec<(u64, ExperimentResult)>, CoreError> {
-    let port_wires = lane_prologue(batch, golden, ports, entries)?;
-
-    // Ascending injection instants maximise refills: a freed lane can
-    // only take an entry whose injection instant has not yet passed.
-    let mut pending: Vec<&'p PlannedExperiment> = entries.to_vec();
-    pending.sort_by_key(|e| (e.schedule.inject_at, e.index));
-
-    // No point spinning up a word for fewer entries than a word holds.
-    let faulty_lanes = BatchDevice::<W>::LANES - 1;
-    let threads = threads.clamp(1, pending.len().div_ceil(faulty_lanes).max(1));
-    let mut results: Vec<(u64, ExperimentResult)> = Vec::with_capacity(entries.len());
-    if threads <= 1 {
-        while !pending.is_empty() {
-            let mut loaded = Vec::new();
-            pending = run_one_cohort(
-                batch,
-                golden,
-                &port_wires,
-                sub_cycle,
-                &pending,
-                None,
-                &mut loaded,
-                &mut |index, result| results.push((index, result)),
-            )?;
-        }
-    } else {
-        let chunk_len = pending.len().div_ceil(threads);
-        let port_wires = &port_wires;
-        let chunk_results = crossbeam::thread::scope(
-            |scope| -> Vec<Result<Vec<(u64, ExperimentResult)>, CoreError>> {
-                let handles: Vec<_> = pending
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        let mut engine = batch.clone();
-                        scope.spawn(
-                            move |_| -> Result<Vec<(u64, ExperimentResult)>, CoreError> {
-                                let mut out = Vec::with_capacity(chunk.len());
-                                let mut rest: Vec<&'p PlannedExperiment> = chunk.to_vec();
-                                while !rest.is_empty() {
-                                    let mut loaded = Vec::new();
-                                    rest = run_one_cohort(
-                                        &mut engine,
-                                        golden,
-                                        port_wires,
-                                        sub_cycle,
-                                        &rest,
-                                        None,
-                                        &mut loaded,
-                                        &mut |index, result| out.push((index, result)),
-                                    )?;
-                                }
-                                Ok(out)
-                            },
-                        )
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            },
-        )
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        for r in chunk_results {
-            results.extend(r?);
-        }
-    }
-
-    results.sort_by_key(|(index, _)| *index);
-    Ok(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,23 +764,26 @@ mod tests {
         assert!(lane_word_width(WIDEST_WORD_COHORT - 1) < WIDEST_WORD);
     }
 
-    /// Runs `entries` through `run_lane_cohorts` on a width-`W` word.
+    /// Runs `plan` through the campaign's lane driver on a width-`W`
+    /// word.
     fn run_width<const W: usize>(
         campaign: &Campaign<'_>,
-        sub_cycle: bool,
-        entries: &[&PlannedExperiment],
-    ) -> Vec<(u64, ExperimentResult)> {
-        let (device, ports) = campaign.lane_parts();
-        let mut batch = BatchDevice::<W>::new(device).expect("lane-encodable");
-        run_lane_cohorts(&mut batch, campaign.golden(), ports, sub_cycle, entries, 1)
+        plan: &crate::CampaignPlan,
+    ) -> Vec<String> {
+        campaign
+            .execute_lanes::<W>(plan, None, crate::campaign::ExecMode::FailFast)
             .expect("lane run")
+            .iter()
+            .map(observable)
+            .collect()
     }
 
-    /// Everything of a result except its wall-clock share.
-    fn observable(r: &(u64, ExperimentResult)) -> String {
-        let (index, e) = r;
+    /// Everything of a verdict except its wall-clock share.
+    fn observable(v: &crate::ExperimentVerdict) -> String {
+        let e = v.result().expect("fail-fast runs complete");
         format!(
-            "{index} {:?} {:?} {:?} {:?} {} {} {}",
+            "{} {:?} {:?} {:?} {:?} {} {} {}",
+            v.index(),
             e.fault,
             e.schedule,
             e.outcome,
@@ -960,38 +877,21 @@ mod tests {
     /// Runs `plan` on 64-, 128-, 256- and 512-lane words and asserts every
     /// result agrees, traffic and early stop included.
     fn assert_widths_agree(campaign: &Campaign<'_>, kind: &str, plan: &crate::CampaignPlan) {
-        let entries: Vec<&PlannedExperiment> = plan
-            .experiments
-            .iter()
-            .filter(|e| lane_expressible(&e.fault))
-            .collect();
-        assert_eq!(entries.len(), plan.experiments.len(), "{kind}");
         assert!(
-            entries
+            plan.experiments.iter().all(|e| lane_expressible(&e.fault)),
+            "{kind}"
+        );
+        assert!(
+            plan.experiments
                 .iter()
                 .all(|e| format!("{:?}", e.fault).starts_with(kind)),
             "{kind}: the load resolves to {:?}",
-            entries[0].fault
+            plan.experiments[0].fault
         );
-        let w1: Vec<String> = run_width::<1>(campaign, plan.sub_cycle, &entries)
-            .iter()
-            .map(observable)
-            .collect();
-        let w2: Vec<String> = run_width::<2>(campaign, plan.sub_cycle, &entries)
-            .iter()
-            .map(observable)
-            .collect();
-        let w4: Vec<String> = run_width::<4>(campaign, plan.sub_cycle, &entries)
-            .iter()
-            .map(observable)
-            .collect();
-        let w8: Vec<String> = run_width::<8>(campaign, plan.sub_cycle, &entries)
-            .iter()
-            .map(observable)
-            .collect();
-        assert_eq!(w1.len(), entries.len(), "{kind}");
-        assert_eq!(w1, w2, "{kind}: 128-lane word");
-        assert_eq!(w1, w4, "{kind}: 256-lane word");
-        assert_eq!(w1, w8, "{kind}: 512-lane word");
+        let w1 = run_width::<1>(campaign, plan);
+        assert_eq!(w1.len(), plan.len(), "{kind}");
+        assert_eq!(w1, run_width::<2>(campaign, plan), "{kind}: 128-lane word");
+        assert_eq!(w1, run_width::<4>(campaign, plan), "{kind}: 256-lane word");
+        assert_eq!(w1, run_width::<8>(campaign, plan), "{kind}: 512-lane word");
     }
 }

@@ -2,14 +2,16 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use fades_fpga::{CbCoord, Device};
+use fades_fpga::{BatchDevice, CbCoord, Device};
 use fades_netlist::Netlist;
 use fades_pnr::Implementation;
 use fades_telemetry::{ExperimentRecord, Recorder, RecorderHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::batch::LaneEntry;
 use crate::classify::{Outcome, OutcomeStats};
 use crate::error::CoreError;
 use crate::experiment::{run_experiment, ExperimentResult, FaultSchedule};
@@ -33,14 +35,6 @@ pub struct CampaignConfig {
     /// shortcuts change host wall-clock only — outcomes and modelled
     /// emulation time are identical to the full-simulation path.
     pub fastpath: bool,
-    /// Whether the batched entry points use the bit-parallel lane engine
-    /// (up to 511 experiments plus the golden run per lane word, the word
-    /// sized to the plan). Like
-    /// [`fastpath`](CampaignConfig::fastpath), a host-side shortcut only:
-    /// outcomes, traffic and modelled emulation time are bit-identical to
-    /// the scalar path. With this off, [`Campaign::run_batched`] falls
-    /// back to the scalar executor wholesale.
-    pub batch: bool,
     /// Whether executors honour the plan's static pre-classification:
     /// experiments the cone-of-influence analysis proved Silent replay
     /// their reconfiguration ledger without simulating a single workload
@@ -57,7 +51,6 @@ impl Default for CampaignConfig {
             threads: worker_threads(),
             margin_cycles: 64,
             fastpath: fastpath_default(),
-            batch: batch_default(),
             static_preclassify: static_default(),
         }
     }
@@ -71,16 +64,6 @@ impl Default for CampaignConfig {
 /// both paths (the equivalence test relies on this).
 pub fn fastpath_default() -> bool {
     !matches!(std::env::var("FADES_NO_FASTPATH"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Default for [`CampaignConfig::batch`]: enabled unless the
-/// `FADES_NO_BATCH` escape hatch is set to a non-empty value other than
-/// `0` (kept available for equivalence testing and debugging).
-///
-/// Read per call — not cached — so one process can construct configs on
-/// both paths (the differential test relies on this).
-pub fn batch_default() -> bool {
-    !matches!(std::env::var("FADES_NO_BATCH"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 /// Default for [`CampaignConfig::static_preclassify`]: enabled unless the
@@ -157,9 +140,10 @@ impl CampaignStats {
 }
 
 /// How the executor responds to a failing experiment.
-enum ExecMode<'a> {
-    /// Propagate the first error; let panics unwind the worker (they are
-    /// converted to [`CoreError::ExperimentPanic`] at join time).
+#[derive(Clone, Copy)]
+pub(crate) enum ExecMode<'a> {
+    /// Propagate the first error; a panicking experiment becomes
+    /// [`CoreError::ExperimentPanic`] naming its global index.
     FailFast,
     /// Contain panics and errors per experiment: retry `retries` times on
     /// a pristine device, then quarantine. `observer` sees every verdict
@@ -168,6 +152,59 @@ enum ExecMode<'a> {
         retries: u32,
         observer: Option<&'a (dyn Fn(&ExperimentVerdict) + Sync)>,
     },
+}
+
+/// The results of a fail-fast run, which never quarantines.
+fn completed(verdicts: Vec<ExperimentVerdict>) -> Vec<ExperimentResult> {
+    verdicts
+        .into_iter()
+        .map(|v| match v {
+            ExperimentVerdict::Completed { result, .. } => result,
+            ExperimentVerdict::Quarantined { .. } => {
+                unreachable!("fail-fast execution never quarantines")
+            }
+        })
+        .collect()
+}
+
+/// Hands a decided verdict to the telemetry recorder and, under
+/// isolation, to the observer.
+fn report(
+    verdict: &ExperimentVerdict,
+    target: &str,
+    recorder: Option<&RecorderHandle>,
+    mode: ExecMode<'_>,
+) {
+    if let (
+        Some(h),
+        ExperimentVerdict::Completed {
+            index,
+            result,
+            modelled_seconds,
+            attempts,
+        },
+    ) = (recorder, verdict)
+    {
+        h.record(record_of(
+            *index,
+            target,
+            result,
+            *modelled_seconds,
+            *attempts,
+        ));
+    }
+    if let ExecMode::Isolated {
+        observer: Some(f), ..
+    } = mode
+    {
+        f(verdict);
+    }
+}
+
+/// Puts a verdict in its plan slot.
+fn decide(slot: &OnceLock<ExperimentVerdict>, verdict: ExperimentVerdict) {
+    let fresh = slot.set(verdict).is_ok();
+    debug_assert!(fresh, "a plan entry was decided twice");
 }
 
 /// Renders a panic payload for error reports (string payloads pass
@@ -228,7 +265,7 @@ pub struct Campaign<'n> {
     config: CampaignConfig,
     /// Structural lint findings over the implementation, computed on
     /// first use (see [`lint`](Campaign::lint)).
-    lint: std::sync::OnceLock<Vec<fades_analysis::Diagnostic>>,
+    lint: OnceLock<Vec<fades_analysis::Diagnostic>>,
 }
 
 impl<'n> Campaign<'n> {
@@ -282,20 +319,13 @@ impl<'n> Campaign<'n> {
             device,
             time_model,
             config,
-            lint: std::sync::OnceLock::new(),
+            lint: OnceLock::new(),
         })
     }
 
     /// The golden run this campaign classifies against.
     pub fn golden(&self) -> &GoldenRun {
         &self.golden
-    }
-
-    /// The pristine device and observed ports the lane engine is built
-    /// from.
-    #[cfg(test)]
-    pub(crate) fn lane_parts(&self) -> (&Device, &[String]) {
-        (&self.device, &self.ports)
     }
 
     /// The implementation under test.
@@ -380,213 +410,6 @@ impl<'n> Campaign<'n> {
         }
         recorder.finish();
         Ok(stats)
-    }
-
-    /// [`run`](Campaign::run) through the bit-parallel lane engine: plan
-    /// entries are grouped into cohorts of up to `64 * W - 1` and
-    /// emulated simultaneously, one per lane of a `W`-`u64` word (`W` is
-    /// 1, 2 or 4, sized to the number of lane entries), with lane 0
-    /// replaying the golden run. Outcomes, configuration traffic and modelled emulation
-    /// seconds are bit-identical to [`run`](Campaign::run) — the engine
-    /// changes host wall-clock only.
-    ///
-    /// Faults the lane engine cannot express (routing delays, oscillating
-    /// indeterminations) automatically run on the scalar per-experiment
-    /// path, as does the whole plan when [`CampaignConfig::batch`] is off
-    /// or the design cannot be lane-encoded.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Campaign::run).
-    pub fn run_batched(
-        &self,
-        load: &FaultLoad,
-        n_faults: usize,
-        seed: u64,
-    ) -> Result<CampaignStats, CoreError> {
-        let label = load.target.to_string();
-        self.run_batched_named(&label, load, n_faults, seed)
-    }
-
-    /// [`run_batched`](Campaign::run_batched) with an explicit campaign
-    /// label for the telemetry sinks.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Campaign::run).
-    pub fn run_batched_named(
-        &self,
-        label: &str,
-        load: &FaultLoad,
-        n_faults: usize,
-        seed: u64,
-    ) -> Result<CampaignStats, CoreError> {
-        let plan = self.plan(load, n_faults, seed)?;
-        let threads = self.config.threads.max(1).min(n_faults.max(1));
-        let recorder = Recorder::new(label, n_faults, threads);
-        let results = self.execute_batched(&plan, Some(&recorder))?;
-        let mut stats = CampaignStats::default();
-        for result in &results {
-            stats.accumulate(
-                result.outcome,
-                self.time_model
-                    .experiment_seconds(&result.traffic, self.golden.cycles()),
-            );
-        }
-        recorder.finish();
-        Ok(stats)
-    }
-
-    /// Like [`run_batched`](Campaign::run_batched), returning every
-    /// per-experiment result (in plan order) without feeding the
-    /// telemetry sinks.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Campaign::run).
-    pub fn run_batched_detailed(
-        &self,
-        load: &FaultLoad,
-        n_faults: usize,
-        seed: u64,
-    ) -> Result<Vec<ExperimentResult>, CoreError> {
-        let plan = self.plan(load, n_faults, seed)?;
-        self.execute_batched(&plan, None)
-    }
-
-    /// Executes every experiment of `plan` with lane-cohort batching,
-    /// failing fast on the first experiment error. Results come back in
-    /// plan order. Accepts any plan — including a
-    /// [shard](CampaignPlan::shard), which is how batched execution
-    /// composes with `fades-dispatch`'s sharded runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first experiment error.
-    pub fn execute_batched(
-        &self,
-        plan: &CampaignPlan,
-        recorder: Option<&Recorder>,
-    ) -> Result<Vec<ExperimentResult>, CoreError> {
-        if !self.config.batch {
-            return self.execute(plan, recorder);
-        }
-        match crate::batch::lane_word_width(self.lane_entry_count(plan)) {
-            8 => self.execute_batched_on::<8>(plan, recorder),
-            4 => self.execute_batched_on::<4>(plan, recorder),
-            2 => self.execute_batched_on::<2>(plan, recorder),
-            _ => self.execute_batched_on::<1>(plan, recorder),
-        }
-    }
-
-    /// Whether `e` runs on the lane engine: lane-expressible, and not a
-    /// statically-Silent entry the skip sends to the scalar side (so
-    /// `execute_mode` stays the single place that replays them; a lane
-    /// would simulate them for nothing).
-    fn runs_on_lane(&self, e: &PlannedExperiment) -> bool {
-        crate::batch::lane_expressible(&e.fault)
-            && !(self.config.static_preclassify
-                && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
-    }
-
-    /// Number of `plan` entries the lane engine takes, which sizes its
-    /// word.
-    fn lane_entry_count(&self, plan: &CampaignPlan) -> usize {
-        plan.experiments
-            .iter()
-            .filter(|e| self.runs_on_lane(e))
-            .count()
-    }
-
-    /// [`execute_batched`](Self::execute_batched) on a lane word of `W`
-    /// `u64`s.
-    fn execute_batched_on<const W: usize>(
-        &self,
-        plan: &CampaignPlan,
-        recorder: Option<&Recorder>,
-    ) -> Result<Vec<ExperimentResult>, CoreError> {
-        let Some(mut engine) = fades_fpga::BatchDevice::<W>::new(&self.device) else {
-            // The design is not lane-encodable (pristine memory contents
-            // carry bits beyond their declared width, or a word is wider
-            // than 64 bits): run everything scalar.
-            return self.execute(plan, recorder);
-        };
-        if plan.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        let on_lane = |e: &PlannedExperiment| self.runs_on_lane(e);
-        let lane_entries: Vec<&PlannedExperiment> =
-            plan.experiments.iter().filter(|e| on_lane(e)).collect();
-        let scalar_plan = CampaignPlan {
-            target: plan.target.clone(),
-            sub_cycle: plan.sub_cycle,
-            seed: plan.seed,
-            n_total: plan.n_total,
-            experiments: plan
-                .experiments
-                .iter()
-                .filter(|e| !on_lane(e))
-                .cloned()
-                .collect(),
-        };
-        let scalar_results = if scalar_plan.is_empty() {
-            Vec::new()
-        } else {
-            self.execute(&scalar_plan, recorder)?
-        };
-
-        let lane_results = crate::batch::run_lane_cohorts(
-            &mut engine,
-            &self.golden,
-            &self.ports,
-            plan.sub_cycle,
-            &lane_entries,
-            self.config.threads,
-        )?;
-        if let Some(recorder) = recorder {
-            let handle = recorder.handle();
-            for (index, result) in &lane_results {
-                let modelled_s = self
-                    .time_model
-                    .experiment_seconds(&result.traffic, self.golden.cycles());
-                handle.record(record_of(*index, &plan.target, result, modelled_s, 1));
-            }
-        }
-
-        // Stitch the two result streams back into plan order (float
-        // accumulation order is part of the bit-identical contract).
-        let mut by_index: std::collections::HashMap<u64, ExperimentResult> =
-            lane_results.into_iter().collect();
-        for (e, r) in scalar_plan.experiments.iter().zip(scalar_results) {
-            by_index.insert(e.index, r);
-        }
-        Ok(plan
-            .experiments
-            .iter()
-            .map(|e| {
-                by_index
-                    .remove(&e.index)
-                    .unwrap_or_else(|| unreachable!("every plan entry was executed"))
-            })
-            .collect())
-    }
-
-    /// Like [`run`](Campaign::run), returning every per-experiment result.
-    /// Does not feed the telemetry sinks (screening passes call this in a
-    /// tight loop and would drown the run log).
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Campaign::run).
-    pub fn run_detailed(
-        &self,
-        load: &FaultLoad,
-        n_faults: usize,
-        seed: u64,
-    ) -> Result<Vec<ExperimentResult>, CoreError> {
-        let plan = self.plan(load, n_faults, seed)?;
-        self.execute(&plan, None)
     }
 
     /// Samples the campaign's complete fault list deterministically up
@@ -733,16 +556,11 @@ impl<'n> Campaign<'n> {
         plan: &CampaignPlan,
         recorder: Option<&Recorder>,
     ) -> Result<Vec<ExperimentResult>, CoreError> {
-        let verdicts = self.execute_mode(plan, recorder, ExecMode::FailFast)?;
-        Ok(verdicts
-            .into_iter()
-            .map(|v| match v {
-                ExperimentVerdict::Completed { result, .. } => result,
-                ExperimentVerdict::Quarantined { .. } => {
-                    unreachable!("fail-fast execution never quarantines")
-                }
-            })
-            .collect())
+        Ok(completed(self.execute_mode(
+            plan,
+            recorder,
+            ExecMode::FailFast,
+        )?))
     }
 
     /// Executes `plan` with per-experiment fault containment: each
@@ -776,28 +594,56 @@ impl<'n> Campaign<'n> {
         self.execute_mode(plan, recorder, ExecMode::Isolated { retries, observer })
     }
 
-    /// The lane engine under the isolation contract: lane-expressible
-    /// experiments run up to 511 per lane word, everything else (and every
-    /// fallback) goes through [`execute_isolated`](Self::execute_isolated)
-    /// — same retry/quarantine semantics, same verdict shapes, outcomes
+    /// [`execute`](Self::execute) on the bit-parallel lane engine:
+    /// lane-expressible entries run up to `64 * W - 1` per lane word of
+    /// `W` `u64`s (`W` ∈ {1, 2, 4, 8}, sized to the number of lane
+    /// entries), with lane 0 replaying the golden run, on
+    /// [`CampaignConfig::threads`] workers. Outcomes, configuration
+    /// traffic and modelled emulation seconds are bit-identical to
+    /// [`execute`](Self::execute) — the engine changes host wall-clock
+    /// only.
+    ///
+    /// Faults the lane engine cannot express (routing delays, oscillating
+    /// indeterminations), statically-Silent entries and entries whose
+    /// schedule is invalid run on the scalar engine, as does the whole
+    /// plan when the design cannot be lane-encoded. Results come back in
+    /// plan order. Accepts any plan — including a
+    /// [shard](CampaignPlan::shard).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first experiment error; a panicking lane pass
+    /// surfaces as [`CoreError::ExperimentPanic`] naming the lowest
+    /// global index aboard its word that was not yet decided.
+    pub fn execute_batched(
+        &self,
+        plan: &CampaignPlan,
+        recorder: Option<&Recorder>,
+    ) -> Result<Vec<ExperimentResult>, CoreError> {
+        Ok(completed(self.execute_lanes_sized(
+            plan,
+            recorder,
+            ExecMode::FailFast,
+        )?))
+    }
+
+    /// [`execute_isolated`](Self::execute_isolated) on the lane engine,
+    /// partitioned and threaded as [`execute_batched`](Self::execute_batched)
+    /// is: same retry/quarantine semantics, same verdict shapes, outcomes
     /// and modelled seconds bit-identical to the scalar isolated path.
     ///
     /// `observer` is invoked at lane *retirement* — the moment a lane's
     /// outcome is decided, not when the whole cohort finishes — so a
-    /// journaling observer forfeits at most the in-flight word on a kill.
+    /// journaling observer forfeits at most the in-flight words on a kill.
     ///
     /// A panicking or erroring cohort is contained, not propagated: the
-    /// experiments that were aboard the word and not yet retired are
-    /// replayed on the scalar isolated path, where the existing
-    /// per-experiment retry (`retries` attempts on a pristine device) and
-    /// quarantine machinery isolates the actual offender. One poisoned
-    /// fault therefore costs one scalar cohort replay, never the shard.
-    /// Experiments never loaded into the poisoned word stay on the
-    /// batched path (the engine is rebuilt from the pristine device).
-    ///
-    /// Falls back to [`execute_isolated`](Self::execute_isolated)
-    /// wholesale when [`CampaignConfig::batch`] is off or the design is
-    /// not lane-encodable. Verdicts come back in plan order.
+    /// experiments that were aboard the word and not yet decided are
+    /// replayed on the scalar isolated path, where the per-experiment
+    /// retry (`retries` attempts on a pristine device) and quarantine
+    /// isolate the actual offender. One poisoned fault therefore costs
+    /// one scalar cohort replay, never the shard. Experiments never
+    /// loaded into the poisoned word stay on the lane engine (rebuilt
+    /// from the pristine device). Verdicts come back in plan order.
     ///
     /// # Errors
     ///
@@ -811,191 +657,227 @@ impl<'n> Campaign<'n> {
         recorder: Option<&Recorder>,
         observer: Option<&(dyn Fn(&ExperimentVerdict) + Sync)>,
     ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        if !self.config.batch {
-            return self.execute_isolated(plan, retries, recorder, observer);
-        }
-        match crate::batch::lane_word_width(self.lane_entry_count(plan)) {
-            8 => self.execute_batched_isolated_on::<8>(plan, retries, recorder, observer),
-            4 => self.execute_batched_isolated_on::<4>(plan, retries, recorder, observer),
-            2 => self.execute_batched_isolated_on::<2>(plan, retries, recorder, observer),
-            _ => self.execute_batched_isolated_on::<1>(plan, retries, recorder, observer),
+        self.execute_lanes_sized(plan, recorder, ExecMode::Isolated { retries, observer })
+    }
+
+    /// Whether `e` runs on the lane engine: lane-expressible, with a
+    /// valid schedule, and not a statically-Silent entry the skip replays
+    /// (`execute_mode` stays the single place that replays them, and
+    /// quarantines or rejects an invalid schedule as it would without the
+    /// lane engine).
+    fn runs_on_lane(&self, e: &PlannedExperiment) -> bool {
+        crate::batch::lane_expressible(&e.fault)
+            && !(self.config.static_preclassify
+                && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
+            && e.schedule.check(self.golden.cycles()).is_ok()
+    }
+
+    /// [`execute_lanes`](Self::execute_lanes) on the word the plan's lane
+    /// entries fill.
+    fn execute_lanes_sized(
+        &self,
+        plan: &CampaignPlan,
+        recorder: Option<&Recorder>,
+        mode: ExecMode<'_>,
+    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
+        let lane_entries = plan
+            .experiments
+            .iter()
+            .filter(|e| self.runs_on_lane(e))
+            .count();
+        match crate::batch::lane_word_width(lane_entries) {
+            8 => self.execute_lanes::<8>(plan, recorder, mode),
+            4 => self.execute_lanes::<4>(plan, recorder, mode),
+            2 => self.execute_lanes::<2>(plan, recorder, mode),
+            _ => self.execute_lanes::<1>(plan, recorder, mode),
         }
     }
 
-    /// [`execute_batched_isolated`](Self::execute_batched_isolated) on a
-    /// lane word of `W` `u64`s.
-    fn execute_batched_isolated_on<const W: usize>(
+    /// The lane engine's driver, for both execution modes, on a word of
+    /// `W` `u64`s. Partitions `plan` by
+    /// [`runs_on_lane`](Self::runs_on_lane), runs the scalar side through
+    /// [`execute_mode`](Self::execute_mode), and splits the lane entries,
+    /// sorted by injection instant, into contiguous chunks, one per
+    /// worker, each on its own engine clone (one worker runs inline).
+    /// Every verdict goes straight into its plan position.
+    ///
+    /// Per-experiment results are independent of cohort composition
+    /// (lanes interact only with the golden lane, and timing draws are
+    /// lane-invariant), so they are bit-identical whatever the thread
+    /// count or word width.
+    pub(crate) fn execute_lanes<const W: usize>(
         &self,
         plan: &CampaignPlan,
-        retries: u32,
         recorder: Option<&Recorder>,
-        observer: Option<&(dyn Fn(&ExperimentVerdict) + Sync)>,
+        mode: ExecMode<'_>,
     ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        let Some(mut engine) = fades_fpga::BatchDevice::<W>::new(&self.device) else {
-            return self.execute_isolated(plan, retries, recorder, observer);
-        };
-        if plan.is_empty() {
-            return Ok(Vec::new());
+        let (mut lane, mut scalar) = (Vec::new(), Vec::new());
+        for (pos, planned) in plan.experiments.iter().enumerate() {
+            if self.runs_on_lane(planned) {
+                lane.push(LaneEntry { pos, planned });
+            } else {
+                scalar.push(pos);
+            }
         }
-
-        // As in `execute_batched`: statically-Silent experiments take the
-        // scalar isolated path, where `execute_mode` replays their ledger.
-        // So does an entry whose schedule fails `FaultSchedule::check`,
-        // which the scalar isolated path quarantines on its own, as it
-        // would without the lane engine.
-        let run_cycles = self.golden.cycles();
-        let on_lane =
-            |e: &PlannedExperiment| self.runs_on_lane(e) && e.schedule.check(run_cycles).is_ok();
-        let lane_entries: Vec<&PlannedExperiment> =
-            plan.experiments.iter().filter(|e| on_lane(e)).collect();
-        let scalar_plan = CampaignPlan {
-            target: plan.target.clone(),
-            sub_cycle: plan.sub_cycle,
-            seed: plan.seed,
-            n_total: plan.n_total,
-            experiments: plan
-                .experiments
-                .iter()
-                .filter(|e| !on_lane(e))
-                .cloned()
-                .collect(),
-        };
-        let mut verdicts: Vec<ExperimentVerdict> = if scalar_plan.is_empty() {
-            Vec::new()
+        // With no lane entries, or a design that is not lane-encodable
+        // (pristine memory contents carry bits beyond their declared
+        // width, or a word is wider than 64 bits), everything runs scalar.
+        let engine = if lane.is_empty() {
+            None
         } else {
-            self.execute_isolated(&scalar_plan, retries, recorder, observer)?
+            BatchDevice::<W>::new(&self.device)
         };
+        let Some(engine) = engine else {
+            return self.execute_mode(plan, recorder, mode);
+        };
+        let verdicts: Vec<OnceLock<ExperimentVerdict>> =
+            plan.experiments.iter().map(|_| OnceLock::new()).collect();
+        self.execute_scalar_at(plan, &scalar, recorder, mode, &verdicts)?;
 
-        let port_wires =
-            crate::batch::lane_prologue(&engine, &self.golden, &self.ports, &lane_entries)?;
+        let port_wires = crate::batch::port_wires(&engine, &self.ports)?;
         let chaos = ChaosPanic::from_env();
-        let handle: Option<RecorderHandle> = recorder.map(Recorder::handle);
-
-        let mut pending: Vec<&PlannedExperiment> = lane_entries;
-        pending.sort_by_key(|e| (e.schedule.inject_at, e.index));
-        // Experiments evicted from the batched path by a poisoned cohort,
-        // replayed scalar-isolated after the lane loop.
-        let mut fallback: Vec<PlannedExperiment> = Vec::new();
-
-        while !pending.is_empty() {
-            let mut loaded: Vec<&PlannedExperiment> = Vec::new();
-            let mut retired: Vec<ExperimentVerdict> = Vec::new();
-            let outcome = {
-                let engine = &mut engine;
-                let loaded = &mut loaded;
-                let retired = &mut retired;
-                let pending = &pending;
-                catch_unwind(AssertUnwindSafe(|| {
+        // Ascending injection instants maximise refills: a freed lane can
+        // only take an entry whose injection instant has not yet passed.
+        lane.sort_by_key(|e| (e.planned.schedule.inject_at, e.planned.index));
+        // One worker's pass after pass over `pending`. Returns the
+        // entries a poisoned pass leaves to the scalar isolated path.
+        let work = |mut engine: BatchDevice<W>,
+                    mut pending: Vec<LaneEntry<'_>>,
+                    handle: Option<RecorderHandle>|
+         -> Result<Vec<usize>, CoreError> {
+            let mut replay = Vec::new();
+            while !pending.is_empty() {
+                let mut loaded = Vec::new();
+                let pass = catch_unwind(AssertUnwindSafe(|| {
                     crate::batch::run_one_cohort(
-                        engine,
+                        &mut engine,
                         &self.golden,
                         &port_wires,
                         plan.sub_cycle,
-                        pending,
+                        &pending,
                         chaos,
-                        loaded,
-                        &mut |index, result| {
+                        &mut loaded,
+                        &mut |entry, result| {
                             let verdict = ExperimentVerdict::Completed {
-                                index,
+                                index: entry.planned.index,
                                 modelled_seconds: self
                                     .time_model
                                     .experiment_seconds(&result.traffic, self.golden.cycles()),
                                 attempts: 1,
                                 result,
                             };
-                            if let (
-                                Some(h),
-                                ExperimentVerdict::Completed {
-                                    result,
-                                    modelled_seconds,
-                                    ..
-                                },
-                            ) = (&handle, &verdict)
-                            {
-                                h.record(record_of(
-                                    index,
-                                    &plan.target,
-                                    result,
-                                    *modelled_seconds,
-                                    1,
-                                ));
-                            }
-                            if let Some(f) = observer {
-                                f(&verdict);
-                            }
-                            retired.push(verdict);
+                            report(&verdict, &plan.target, handle.as_ref(), mode);
+                            decide(&verdicts[entry.pos], verdict);
                         },
                     )
-                }))
-            };
-            match outcome {
-                Ok(Ok(leftovers)) => {
-                    verdicts.append(&mut retired);
-                    pending = leftovers;
+                }));
+                let failure = match pass {
+                    Ok(Ok(leftovers)) => {
+                        pending = leftovers;
+                        continue;
+                    }
+                    Ok(Err(e)) => Err(e),
+                    Err(payload) => Ok(panic_message(payload.as_ref())),
+                };
+                // The pass died. Lanes decided before the failure stay
+                // decided (and observed); the rest of the word is not.
+                let undecided = loaded.iter().filter(|e| verdicts[e.pos].get().is_none());
+                if let ExecMode::FailFast = mode {
+                    return Err(match failure {
+                        Err(e) => e,
+                        Ok(message) => CoreError::ExperimentPanic {
+                            index: undecided.map(|e| e.planned.index).min().unwrap_or(u64::MAX),
+                            message,
+                        },
+                    });
                 }
-                Ok(Err(_)) | Err(_) => {
-                    // The cohort died mid-pass. Lanes that retired before
-                    // the failure are decided (and already observed);
-                    // everything else that was aboard the word replays on
-                    // the scalar isolated path, which retries and
-                    // quarantines the actual offender per experiment.
-                    let decided: std::collections::HashSet<u64> =
-                        retired.iter().map(ExperimentVerdict::index).collect();
-                    verdicts.append(&mut retired);
-                    fallback.extend(
-                        loaded
-                            .iter()
-                            .filter(|e| !decided.contains(&e.index))
-                            .map(|e| (*e).clone()),
-                    );
-                    if loaded.is_empty() {
-                        // Died before taking any work: batched progress is
-                        // impossible, hand the rest to the scalar path.
-                        fallback.extend(pending.iter().map(|e| (*e).clone()));
-                        pending.clear();
-                    } else {
-                        let aboard: std::collections::HashSet<u64> =
-                            loaded.iter().map(|e| e.index).collect();
-                        pending.retain(|e| !aboard.contains(&e.index));
+                replay.extend(undecided.map(|e| e.pos));
+                // `loaded` is a subsequence of `pending` (the pass takes
+                // entries in order), so one walk drops it.
+                let mut aboard = loaded.iter().peekable();
+                pending.retain(|e| {
+                    let taken = aboard.peek().is_some_and(|l| l.pos == e.pos);
+                    if taken {
+                        aboard.next();
                     }
-                    // The word may hold a half-installed fault; rebuild
-                    // the engine from the pristine device.
-                    match fades_fpga::BatchDevice::<W>::new(&self.device) {
-                        Some(rebuilt) => engine = rebuilt,
-                        None => {
-                            fallback.extend(pending.iter().map(|e| (*e).clone()));
-                            pending.clear();
-                        }
-                    }
+                    !taken
+                });
+                // The word may hold a half-installed fault; rebuild the
+                // engine from the pristine device. A pass that died
+                // before taking any work can make no progress: the rest
+                // replays too.
+                match BatchDevice::<W>::new(&self.device) {
+                    Some(rebuilt) if !loaded.is_empty() => engine = rebuilt,
+                    _ => replay.extend(pending.drain(..).map(|e| e.pos)),
                 }
             }
-        }
-
-        if !fallback.is_empty() {
-            fallback.sort_by_key(|e| e.index);
-            let fallback_plan = CampaignPlan {
-                target: plan.target.clone(),
-                sub_cycle: plan.sub_cycle,
-                seed: plan.seed,
-                n_total: plan.n_total,
-                experiments: fallback,
-            };
-            verdicts.extend(self.execute_isolated(&fallback_plan, retries, recorder, observer)?);
-        }
-
-        // Stitch back into plan order (float accumulation order is part
-        // of the bit-identical contract).
-        let mut by_index: std::collections::HashMap<u64, ExperimentVerdict> =
-            verdicts.into_iter().map(|v| (v.index(), v)).collect();
-        Ok(plan
-            .experiments
-            .iter()
-            .map(|e| {
-                by_index
-                    .remove(&e.index)
+            Ok(replay)
+        };
+        // No point spinning up a word for fewer entries than a word holds.
+        let threads = self
+            .config
+            .threads
+            .clamp(1, lane.len().div_ceil(BatchDevice::<W>::LANES - 1));
+        let mut replay = if threads == 1 {
+            work(engine, lane, recorder.map(Recorder::handle))?
+        } else {
+            let work = &work;
+            let chunk = lane.len().div_ceil(threads);
+            crossbeam::thread::scope(|scope| {
+                let workers: Vec<_> = lane
+                    .chunks(chunk)
+                    .map(|part| {
+                        let (engine, handle) = (engine.clone(), recorder.map(Recorder::handle));
+                        scope.spawn(move |_| work(engine, part.to_vec(), handle))
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect::<Result<Vec<_>, CoreError>>()
+            })
+            .unwrap_or_else(|p| std::panic::resume_unwind(p))?
+            .concat()
+        };
+        replay.sort_unstable();
+        self.execute_scalar_at(plan, &replay, recorder, mode, &verdicts)?;
+        Ok(verdicts
+            .into_iter()
+            .map(|v| {
+                v.into_inner()
                     .unwrap_or_else(|| unreachable!("every plan entry was decided"))
             })
             .collect())
+    }
+
+    /// Runs the `plan` entries at positions `at` (ascending) through
+    /// [`execute_mode`](Self::execute_mode) and puts each verdict in its
+    /// plan position.
+    fn execute_scalar_at(
+        &self,
+        plan: &CampaignPlan,
+        at: &[usize],
+        recorder: Option<&Recorder>,
+        mode: ExecMode<'_>,
+        verdicts: &[OnceLock<ExperimentVerdict>],
+    ) -> Result<(), CoreError> {
+        if at.is_empty() {
+            return Ok(());
+        }
+        let part = CampaignPlan {
+            target: plan.target.clone(),
+            sub_cycle: plan.sub_cycle,
+            seed: plan.seed,
+            n_total: plan.n_total,
+            experiments: at
+                .iter()
+                .map(|&pos| plan.experiments[pos].clone())
+                .collect(),
+        };
+        for (&pos, verdict) in at.iter().zip(self.execute_mode(&part, recorder, mode)?) {
+            decide(&verdicts[pos], verdict);
+        }
+        Ok(())
     }
 
     fn execute_mode(
@@ -1017,7 +899,6 @@ impl<'n> Campaign<'n> {
         // Every worker publishes the global index it is about to run, so
         // a panic escaping the fail-fast path can be attributed.
         let in_flight: Vec<AtomicU64> = (0..n_chunks).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let mode = &mode;
 
         crossbeam::thread::scope(|scope| -> Result<(), CoreError> {
             let mut handles = Vec::new();
@@ -1117,7 +998,7 @@ impl<'n> Campaign<'n> {
                             // it from the pristine configuration.
                             dev = pristine.clone();
                             let retries = match mode {
-                                ExecMode::Isolated { retries, .. } => *retries,
+                                ExecMode::Isolated { retries, .. } => retries,
                                 ExecMode::FailFast => 0,
                             };
                             if attempt >= retries {
@@ -1131,30 +1012,7 @@ impl<'n> Campaign<'n> {
                             fades_telemetry::dispatch::RETRIES.inc();
                             attempt += 1;
                         };
-                        if let (
-                            Some(h),
-                            ExperimentVerdict::Completed {
-                                result,
-                                modelled_seconds,
-                                attempts,
-                                ..
-                            },
-                        ) = (&rec, &verdict)
-                        {
-                            h.record(record_of(
-                                planned.index,
-                                target,
-                                result,
-                                *modelled_seconds,
-                                *attempts,
-                            ));
-                        }
-                        if let ExecMode::Isolated {
-                            observer: Some(f), ..
-                        } = mode
-                        {
-                            f(&verdict);
-                        }
+                        report(&verdict, target, rec.as_ref(), mode);
                         *out = Some(verdict);
                     }
                     fades_telemetry::trace::clear_current_experiment();
@@ -1200,7 +1058,8 @@ impl<'n> Campaign<'n> {
         for (i, &cb) in all.iter().enumerate() {
             let load =
                 FaultLoad::bit_flips(TargetClass::FfSites(vec![cb]), DurationRange::SubCycle);
-            let results = self.run_detailed(&load, per_ff, seed ^ ((i as u64 + 1) << 20))?;
+            let plan = self.plan(&load, per_ff, seed ^ ((i as u64 + 1) << 20))?;
+            let results = self.execute(&plan, None)?;
             if results.iter().any(|r| r.outcome == crate::Outcome::Failure) {
                 sensitive.push(cb);
             }

@@ -62,8 +62,7 @@ mod timing;
 
 pub use batch::{PASS_PHASES, PASS_TOTAL, WIDEST_WORD_COHORT};
 pub use campaign::{
-    batch_default, fastpath_default, static_default, worker_threads, Campaign, CampaignConfig,
-    CampaignStats,
+    fastpath_default, static_default, worker_threads, Campaign, CampaignConfig, CampaignStats,
 };
 pub use classify::{classify, Outcome, OutcomeStats};
 pub use error::CoreError;

@@ -49,12 +49,11 @@ fn lfsr_observing(width: usize) -> (fades_netlist::Netlist, fades_pnr::Implement
     (netlist, imp)
 }
 
-fn config(batch: bool) -> CampaignConfig {
+fn config() -> CampaignConfig {
     CampaignConfig {
         threads: 1,
         margin_cycles: 64,
         fastpath: true,
-        batch,
         // Off: the equivalence suite must exercise the engines for real.
         static_preclassify: false,
     }
@@ -79,14 +78,17 @@ fn assert_equivalent(
     n: usize,
     seed: u64,
 ) {
-    let campaign = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(true))
-        .expect("campaign");
+    let campaign =
+        Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config()).expect("campaign");
     let plan = campaign.plan(load, n, seed).expect("plan");
     assert_plan_equivalent(&campaign, &plan, &format!("{load:?}"));
-    // The stats entry points fold the same results: the modelled
+    // The stats entry point folds the same results: the modelled
     // campaign time — the paper's reported quantity — must agree to the
     // bit, not just approximately.
-    let bs = campaign.run_batched(load, n, seed).expect("batched stats");
+    let bs = fold(
+        &campaign,
+        &campaign.execute_batched(&plan, None).expect("batched"),
+    );
     let ss = campaign.run(load, n, seed).expect("scalar stats");
     assert_eq!(bs.outcomes, ss.outcomes, "{load:?}");
     assert_eq!(
@@ -112,6 +114,18 @@ fn assert_equivalent(
         &late,
         &format!("{load:?}, after the last checkpoint"),
     );
+}
+
+/// The stats a campaign run folds from `results`, in plan order.
+fn fold(campaign: &Campaign<'_>, results: &[ExperimentResult]) -> CampaignStats {
+    let mut stats = CampaignStats::default();
+    for r in results {
+        let seconds = campaign
+            .time_model()
+            .experiment_seconds(&r.traffic, campaign.run_cycles());
+        stats.accumulate(r.outcome, seconds);
+    }
+    stats
 }
 
 /// `plan` with every injection instant mapped through `at`.
@@ -148,17 +162,7 @@ fn assert_plan_equivalent(campaign: &Campaign<'_>, plan: &CampaignPlan, what: &s
         };
         assert_eq!(seconds(b), seconds(s), "{what}: fault {:?}", b.fault);
     }
-    let fold = |results: &[ExperimentResult]| {
-        let mut stats = CampaignStats::default();
-        for r in results {
-            let seconds = campaign
-                .time_model()
-                .experiment_seconds(&r.traffic, campaign.run_cycles());
-            stats.accumulate(r.outcome, seconds);
-        }
-        stats
-    };
-    let (bs, ss) = (fold(&batched), fold(&scalar));
+    let (bs, ss) = (fold(campaign, &batched), fold(campaign, &scalar));
     assert_eq!(bs.outcomes, ss.outcomes, "{what}");
     assert_eq!(
         bs.emulation_seconds.to_bits(),
@@ -206,7 +210,7 @@ fn cb_input_pulses_match_scalar_path() {
 #[test]
 fn wire_delays_fall_back_to_scalar_and_match() {
     // Routing delays are not lane-expressible: the whole load routes to
-    // the scalar fallback inside `run_batched`, which must still produce
+    // the scalar fallback inside `execute_batched`, which must still produce
     // results identical to a plain scalar run.
     let (nl, imp) = lfsr_design();
     let load = FaultLoad::delays(TargetClass::SequentialWires, DurationRange::SHORT);
@@ -318,7 +322,7 @@ fn widest_lane_word_matches_its_shards_and_the_scalar_path() {
     // And the same verdicts as its three shards, each small enough
     // (367 entries) to run on a 127-lane word: the word width is a
     // packing choice only.
-    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config()).unwrap();
     let pulses = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
     let plan = campaign.plan(&pulses, 1100, 226).unwrap();
     let whole = campaign
@@ -393,7 +397,7 @@ fn every_lane_schedule_shape_matches_scalar_path() {
     // is gone.
     for bits in [8, 1] {
         let (nl, imp) = lfsr_observing(bits);
-        let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+        let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config()).unwrap();
         let plan = mixed_schedule_plan(&campaign);
         let run_cycles = campaign.run_cycles();
         let s = |e: &fades_core::PlannedExperiment| e.schedule;
@@ -421,7 +425,7 @@ fn batched_execution_composes_with_shards() {
     let (nl, imp) = lfsr_design();
     // Warm-start picks its checkpoint from each shard's own earliest
     // injection, so this also pins that choice.
-    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config()).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
     for seed in [213, 222] {
         let plan = campaign.plan(&load, 20, seed).unwrap();
@@ -444,33 +448,6 @@ fn batched_execution_composes_with_shards() {
             assert_eq!(w.outcome, s.outcome);
             assert_eq!(w.traffic, s.traffic);
         }
-    }
-}
-
-#[test]
-fn disabling_batch_makes_run_batched_scalar() {
-    // With `batch: false` the batched entry points must route everything
-    // through the scalar executor. Observable per result: only the scalar
-    // fast path fast-forwards a golden prefix (`skipped_cycles > 0`); a
-    // lane never does. (The process-global lane counters cannot show
-    // this: the other tests of this binary run lanes concurrently.)
-    let (nl, imp) = lfsr_design();
-    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(false)).unwrap();
-    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    let scalar = campaign.run_detailed(&load, 8, 214).unwrap();
-    let batched = campaign.run_batched_detailed(&load, 8, 214).unwrap();
-    assert!(
-        scalar.iter().any(|s| s.skipped_cycles > 0),
-        "the fixture must fast-forward at least one experiment"
-    );
-    for (b, s) in batched.iter().zip(&scalar) {
-        assert_eq!(b.outcome, s.outcome);
-        assert_eq!(b.traffic, s.traffic);
-        assert_eq!(
-            (b.skipped_cycles, b.early_stop_cycles),
-            (s.skipped_cycles, s.early_stop_cycles),
-            "batch: false must never touch the lane engine"
-        );
     }
 }
 
@@ -520,7 +497,7 @@ fn batched_isolated_matches_scalar_isolated_bitwise() {
     // executor, and its observer fires exactly once per experiment — at
     // lane retirement, i.e. interleaved with execution, not after it.
     let (nl, imp) = lfsr_design();
-    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config()).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
     for seed in [215, 220] {
         let plan = campaign.plan(&load, 70, seed).unwrap();
@@ -549,7 +526,7 @@ fn batched_isolated_scalar_fallback_load_matches() {
     // `execute_batched_isolated` must route it wholesale to the scalar
     // isolated path and stay equivalent.
     let (nl, imp) = lfsr_design();
-    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config()).unwrap();
     let load = FaultLoad::delays(TargetClass::SequentialWires, DurationRange::SHORT);
     let plan = campaign.plan(&load, 10, 217).unwrap();
     let batched = campaign
@@ -591,13 +568,14 @@ fn silent_faults_retire_lanes_early() {
     // the batch analogue of early stop: pulses into the dead inverters
     // reconverge with lane 0 once removed, so those lanes must retire.
     let (nl, imp) = dead_logic_design();
-    let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
+    let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config()).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
     let _counters = SIM_COUNTERS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     fades_telemetry::sim::reset();
-    let batched = campaign.run_batched_detailed(&load, 20, 17).unwrap();
+    let plan = campaign.plan(&load, 20, 17).unwrap();
+    let batched = campaign.execute_batched(&plan, None).unwrap();
     assert!(
         fades_telemetry::sim::LANE_CYCLES.get() > 0,
         "the lane engine never ran"
@@ -618,25 +596,11 @@ fn silent_faults_retire_lanes_early() {
             .collect::<Vec<_>>()
     );
     // And the retired outcomes still match the scalar reference.
-    let scalar = campaign.run_detailed(&load, 20, 17).unwrap();
+    let scalar = campaign.execute(&plan, None).unwrap();
     for (b, s) in batched.iter().zip(&scalar) {
         assert_eq!(b.outcome, s.outcome, "fault {:?}", b.fault);
         assert_eq!(b.traffic, s.traffic);
     }
-}
-
-#[test]
-fn no_batch_escape_hatch_controls_the_default() {
-    // Read per call (deliberately uncached) so one process can exercise
-    // both settings; no other test in this binary consults the default.
-    std::env::set_var("FADES_NO_BATCH", "1");
-    assert!(!fades_core::batch_default());
-    std::env::set_var("FADES_NO_BATCH", "0");
-    assert!(fades_core::batch_default());
-    std::env::set_var("FADES_NO_BATCH", "");
-    assert!(fades_core::batch_default());
-    std::env::remove_var("FADES_NO_BATCH");
-    assert!(fades_core::batch_default());
 }
 
 #[test]
@@ -648,22 +612,19 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
     // bit.
     let (nl, imp) = lfsr_design();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
-    let n = 150; // several cohorts, so the chunking actually splits work
-    let mt = Campaign::with_config(
-        &nl,
-        imp.clone(),
-        &["q"],
-        150,
-        CampaignConfig {
-            threads: 4,
-            ..config(true)
-        },
-    )
-    .unwrap();
-    let st = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
-    let threaded = mt.run_batched_detailed(&load, n, 221).unwrap();
-    let single = st.run_batched_detailed(&load, n, 221).unwrap();
-    let scalar = st.run_detailed(&load, n, 221).unwrap();
+    let with_threads = |threads| {
+        let config = CampaignConfig {
+            threads,
+            ..config()
+        };
+        Campaign::with_config(&nl, imp.clone(), &["q"], 150, config).unwrap()
+    };
+    let (mt, st) = (with_threads(4), with_threads(1));
+    // Several cohorts, so the chunking actually splits work.
+    let plan = st.plan(&load, 150, 221).unwrap();
+    let threaded = mt.execute_batched(&plan, None).unwrap();
+    let single = st.execute_batched(&plan, None).unwrap();
+    let scalar = st.execute(&plan, None).unwrap();
     assert_eq!(threaded.len(), single.len());
     assert_eq!(threaded.len(), scalar.len());
     for ((t, o), s) in threaded.iter().zip(&single).zip(&scalar) {
@@ -673,14 +634,37 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
         assert_eq!(t.traffic, o.traffic, "fault {:?}", t.fault);
         assert_eq!(t.traffic, s.traffic, "fault {:?}", t.fault);
     }
-    let ts = mt.run_batched(&load, n, 221).unwrap();
-    let os = st.run_batched(&load, n, 221).unwrap();
+    let (ts, os) = (fold(&mt, &threaded), fold(&st, &single));
     assert_eq!(ts.outcomes, os.outcomes);
     assert_eq!(
         ts.emulation_seconds.to_bits(),
         os.emulation_seconds.to_bits(),
         "modelled time must not depend on the thread count"
     );
+
+    // The isolated driver splits the same way: 1,100 entries take the
+    // 512-lane word, two or three words' worth, one per worker. Every
+    // worker's observer calls reach the one observer exactly once per
+    // experiment.
+    let plan = st.plan(&load, 1100, 222).unwrap();
+    let single = st.execute_batched_isolated(&plan, 1, None, None).unwrap();
+    let scalar = st.execute_isolated(&plan, 1, None, None).unwrap();
+    assert_verdicts_equivalent(&single, &scalar);
+    for threads in [2, 3] {
+        let observed = std::sync::Mutex::new(Vec::new());
+        let observer = |v: &fades_core::ExperimentVerdict| observed.lock().unwrap().push(v.index());
+        let threaded = with_threads(threads)
+            .execute_batched_isolated(&plan, 1, None, Some(&observer))
+            .unwrap();
+        assert_verdicts_equivalent(&threaded, &single);
+        let mut seen = observed.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..1100).collect::<Vec<u64>>(),
+            "threads = {threads}: the observer must see every experiment once"
+        );
+    }
 }
 
 /// Runs `n` faults of each load on the 8051 running Bubblesort for its
@@ -697,7 +681,7 @@ fn assert_merges_match_scalar(arch: fades_fpga::ArchParams, loads: &[&str], n: u
         .unwrap()
         .cycles;
     let campaign =
-        Campaign::with_config(&soc.netlist, imp, &OBSERVED_PORTS, cycles, config(true)).unwrap();
+        Campaign::with_config(&soc.netlist, imp, &OBSERVED_PORTS, cycles, config()).unwrap();
     for (k, &name) in loads.iter().enumerate() {
         let load = match name {
             "bitflip-mem" => FaultLoad::bit_flips(

@@ -1,13 +1,15 @@
 //! Property-based equivalence of the lane engine: random small netlists,
 //! random fault loads, and the `CampaignStats` — outcome tallies *and*
 //! the bit pattern of the modelled emulation seconds — must be identical
-//! between `run_batched`, the scalar path, and the scalar path with the
+//! between `execute_batched`, the scalar path, and the scalar path with the
 //! fast path disabled (`FADES_NO_FASTPATH`'s effect, set here through
 //! [`CampaignConfig::fastpath`] so cases cannot race on the environment).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
-use fades_core::{Campaign, CampaignConfig, DurationRange, FaultLoad, PermanentFault, TargetClass};
+use fades_core::{
+    Campaign, CampaignConfig, CampaignStats, DurationRange, FaultLoad, PermanentFault, TargetClass,
+};
 use fades_rtl::{RtlBuilder, Signal};
 use proptest::prelude::*;
 
@@ -83,7 +85,7 @@ proptest! {
             &["q"],
             cycles,
             CampaignConfig {
-                threads: 1, margin_cycles: 32, fastpath: true, batch: true,
+                threads: 1, margin_cycles: 32, fastpath: true,
                 static_preclassify: false,
             },
         )
@@ -94,13 +96,18 @@ proptest! {
             &["q"],
             cycles,
             CampaignConfig {
-                threads: 1, margin_cycles: 32, fastpath: false, batch: false,
+                threads: 1, margin_cycles: 32, fastpath: false,
                 static_preclassify: false,
             },
         )
         .expect("campaign");
 
-        let batched = fast.run_batched(&load, n, seed).expect("batched");
+        let plan = fast.plan(&load, n, seed).expect("plan");
+        let mut batched = CampaignStats::default();
+        for r in fast.execute_batched(&plan, None).expect("batched") {
+            let seconds = fast.time_model().experiment_seconds(&r.traffic, fast.golden().cycles());
+            batched.accumulate(r.outcome, seconds);
+        }
         let scalar = fast.run(&load, n, seed).expect("scalar");
         let no_fastpath = slow.run(&load, n, seed).expect("no fastpath");
 

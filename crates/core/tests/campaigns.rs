@@ -119,7 +119,6 @@ fn every_engine_rejects_a_hand_built_zero_cycle_schedule() {
     let (nl, imp) = lfsr_campaign();
     let config = fades_core::CampaignConfig {
         threads: 1,
-        batch: true,
         static_preclassify: false,
         ..fades_core::CampaignConfig::default()
     };
@@ -182,7 +181,10 @@ fn empty_campaign_yields_zeroed_stats() {
     assert_eq!(stats.total(), 0);
     assert_eq!(stats.emulation_seconds, 0.0);
     assert_eq!(stats.mean_seconds_per_fault(), 0.0);
-    assert!(campaign.run_detailed(&load, 0, 7).unwrap().is_empty());
+    assert!(campaign
+        .execute(&campaign.plan(&load, 0, 7).unwrap(), None)
+        .unwrap()
+        .is_empty());
 }
 
 #[test]
@@ -190,13 +192,19 @@ fn campaigns_are_deterministic_per_seed() {
     let (nl, imp) = lfsr_campaign();
     let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
-    let a = campaign.run_detailed(&load, 16, 42).unwrap();
-    let b = campaign.run_detailed(&load, 16, 42).unwrap();
+    let a = campaign
+        .execute(&campaign.plan(&load, 16, 42).unwrap(), None)
+        .unwrap();
+    let b = campaign
+        .execute(&campaign.plan(&load, 16, 42).unwrap(), None)
+        .unwrap();
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.fault, y.fault);
         assert_eq!(x.outcome, y.outcome);
     }
-    let c = campaign.run_detailed(&load, 16, 43).unwrap();
+    let c = campaign
+        .execute(&campaign.plan(&load, 16, 43).unwrap(), None)
+        .unwrap();
     assert!(
         a.iter().zip(&c).any(|(x, y)| x.fault != y.fault),
         "different seeds draw different fault lists"
@@ -224,8 +232,12 @@ fn gsr_mechanism_moves_more_configuration_data_than_lsr() {
     let mut gsr = lsr.clone();
     lsr.use_gsr = false;
     gsr.use_gsr = true;
-    let lsr_res = campaign.run_detailed(&lsr, 8, 11).unwrap();
-    let gsr_res = campaign.run_detailed(&gsr, 8, 11).unwrap();
+    let lsr_res = campaign
+        .execute(&campaign.plan(&lsr, 8, 11).unwrap(), None)
+        .unwrap();
+    let gsr_res = campaign
+        .execute(&campaign.plan(&gsr, 8, 11).unwrap(), None)
+        .unwrap();
     let bytes = |rs: &[fades_core::ExperimentResult]| -> u64 {
         rs.iter()
             .map(|r| r.traffic.readback_bytes + r.traffic.write_bytes)
@@ -271,8 +283,12 @@ fn delay_full_download_dominates_partial_cost() {
     let mut partial = full.clone();
     full.delay_full_download = true;
     partial.delay_full_download = false;
-    let f = campaign.run_detailed(&full, 8, 9).unwrap();
-    let p = campaign.run_detailed(&partial, 8, 9).unwrap();
+    let f = campaign
+        .execute(&campaign.plan(&full, 8, 9).unwrap(), None)
+        .unwrap();
+    let p = campaign
+        .execute(&campaign.plan(&partial, 8, 9).unwrap(), None)
+        .unwrap();
     let bulk = |rs: &[fades_core::ExperimentResult]| -> u64 {
         rs.iter().map(|r| r.traffic.bulk_bytes).sum()
     };
@@ -321,7 +337,9 @@ fn silent_faults_exist_when_targeting_dead_logic() {
     // Observe only `q`: pulses into the inverters cannot reach it.
     let campaign = Campaign::new(&nl, imp, &["q"], 64).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
-    let results = campaign.run_detailed(&load, 20, 17).unwrap();
+    let results = campaign
+        .execute(&campaign.plan(&load, 20, 17).unwrap(), None)
+        .unwrap();
     assert!(results.iter().any(|r| r.outcome == Outcome::Silent));
 }
 

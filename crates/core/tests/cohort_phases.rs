@@ -61,7 +61,6 @@ fn pass_phases_add_up_to_the_pass_time() {
             threads: 1,
             margin_cycles: 64,
             fastpath: true,
-            batch: true,
             static_preclassify: false,
         },
     )

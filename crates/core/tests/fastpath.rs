@@ -69,7 +69,6 @@ fn config(fastpath: bool) -> CampaignConfig {
         threads: 2,
         margin_cycles: 64,
         fastpath,
-        batch: true,
         // Off: this suite compares the raw engines, not the plan-time skip.
         static_preclassify: false,
     }
@@ -88,8 +87,12 @@ fn assert_equivalent(
         .expect("fast campaign");
     let slow = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(false))
         .expect("slow campaign");
-    let f = fast.run_detailed(load, n, seed).expect("fast run");
-    let s = slow.run_detailed(load, n, seed).expect("slow run");
+    let f = fast
+        .execute(&fast.plan(load, n, seed).expect("plans"), None)
+        .expect("fast run");
+    let s = slow
+        .execute(&slow.plan(load, n, seed).expect("plans"), None)
+        .expect("slow run");
     assert_eq!(f.len(), s.len());
     for (a, b) in f.iter().zip(&s) {
         assert_eq!(a.fault, b.fault, "{load:?}");
@@ -207,7 +210,9 @@ fn early_stop_engages_on_silent_faults() {
     let (nl, imp) = dead_logic_design();
     let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
-    let results = campaign.run_detailed(&load, 20, 17).expect("runs");
+    let results = campaign
+        .execute(&campaign.plan(&load, 20, 17).expect("plans"), None)
+        .expect("runs");
     // Pulses into the dead inverters leave the counter untouched: once
     // the fault is removed the state hash re-converges with golden and
     // the remaining tail is skipped.
@@ -223,7 +228,9 @@ fn early_stop_engages_on_silent_faults() {
     );
     // Early stop must never fire while the outcome would still be open.
     let slow = Campaign::with_config(&nl, imp, &["q"], 150, config(false)).unwrap();
-    let reference = slow.run_detailed(&load, 20, 17).expect("runs");
+    let reference = slow
+        .execute(&slow.plan(&load, 20, 17).expect("plans"), None)
+        .expect("runs");
     for (a, b) in results.iter().zip(&reference) {
         assert_eq!(a.outcome, b.outcome, "fault {:?}", a.fault);
         assert_eq!(a.traffic, b.traffic);

@@ -1,4 +1,5 @@
-//! Panic isolation of a lane cohort that carries merged lanes.
+//! Panic isolation of a lane cohort that carries merged lanes, on one
+//! worker and on the second of two.
 //!
 //! One test in its own binary: the chaos hook is a process-wide
 //! environment variable, so nothing may run beside it.
@@ -8,7 +9,8 @@
 use std::sync::Mutex;
 
 use fades_core::{
-    Campaign, CampaignConfig, DurationRange, ExperimentVerdict, FaultLoad, TargetClass,
+    Campaign, CampaignConfig, CampaignPlan, DurationRange, ExperimentVerdict, FaultLoad,
+    TargetClass,
 };
 use fades_mcu8051::{build_soc, workloads, Iss, OBSERVED_PORTS};
 
@@ -22,51 +24,66 @@ fn a_poisoned_cohort_replays_its_undecided_followers_once() {
         .run_to_completion(100_000)
         .unwrap()
         .cycles;
-    let config = CampaignConfig {
-        threads: 1,
-        batch: true,
-        static_preclassify: false,
-        ..CampaignConfig::default()
-    };
-    let campaign =
-        Campaign::with_config(&soc.netlist, imp, &OBSERVED_PORTS, cycles, config).unwrap();
     let memory = TargetClass::MemoryBits {
         name: "iram".into(),
         lo: w.data_range.0 as usize,
         hi: w.data_range.1 as usize,
     };
-    // 600 memory flips run on the 256-lane word: many lanes fail late
-    // or stay latent and are merged while later entries wait.
-    let plan = campaign
-        .plan(
-            &FaultLoad::bit_flips(memory, DurationRange::SubCycle),
-            600,
-            251,
-        )
-        .unwrap();
+    let load = FaultLoad::bit_flips(memory, DurationRange::SubCycle);
+    // Memory flips on the 256-lane word: many lanes fail late or stay
+    // latent and are merged while later entries wait. On one worker, 600
+    // of them; on two, 1,000, so that each worker's 500 keep entries
+    // waiting as the one worker's 600 do.
+    for (threads, n) in [(1, 600), (2, 1000)] {
+        let config = CampaignConfig {
+            threads,
+            static_preclassify: false,
+            ..CampaignConfig::default()
+        };
+        let campaign =
+            Campaign::with_config(&soc.netlist, imp.clone(), &OBSERVED_PORTS, cycles, config)
+                .unwrap();
+        let plan = campaign.plan(&load, n, 251).unwrap();
+        poison_one_cohort(&campaign, &plan, threads);
+    }
+}
+
+/// Poisons one entry taken by a refill two thirds of the way through the
+/// last worker's share of `plan`, and asserts the cohort's undecided
+/// lanes and followers replay once each, deciding what an undisturbed
+/// run decides.
+fn poison_one_cohort(campaign: &Campaign<'_>, plan: &CampaignPlan, threads: usize) {
+    let n = plan.len();
     let faulty_lanes = 255;
     let baseline = campaign
-        .execute_batched_isolated(&plan, 1, None, None)
+        .execute_batched_isolated(plan, 1, None, None)
         .unwrap();
 
-    // The victim is taken by a refill two thirds of the way through the
-    // plan: every lane is busy when it injects (entries still wait), and
-    // lanes merged before then wait on their leaders, undecided.
+    // The workers take contiguous shares of the entries sorted by
+    // injection instant. The victim is taken by a refill two thirds of
+    // the way through the last share: every lane is busy when it injects
+    // (entries still wait), and lanes merged before then wait on their
+    // leaders, undecided.
     let mut order: Vec<&fades_core::PlannedExperiment> = plan.experiments.iter().collect();
     order.sort_by_key(|e| (e.schedule.inject_at, e.index));
-    let victim = order[400].index;
+    let share = n.div_ceil(threads);
+    let victim = order[(threads - 1) * share + share * 2 / 3].index;
     let observed: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     let observer = |v: &ExperimentVerdict| observed.lock().unwrap().push(v.index());
     std::env::set_var("FADES_CHAOS_PANIC", victim.to_string());
     let verdicts = campaign
-        .execute_batched_isolated(&plan, 1, None, Some(&observer))
+        .execute_batched_isolated(plan, 1, None, Some(&observer))
         .unwrap();
     std::env::remove_var("FADES_CHAOS_PANIC");
 
     // Every verdict reached the observer exactly once.
     let mut observed = observed.into_inner().unwrap();
     observed.sort_unstable();
-    assert_eq!(observed, (0..600).collect::<Vec<u64>>());
+    assert_eq!(
+        observed,
+        (0..n as u64).collect::<Vec<u64>>(),
+        "{threads} workers"
+    );
     // More experiments were replayed on the scalar path than the word
     // has lanes, so the poisoned cohort held undecided followers besides
     // its lanes. A lane result never skips a golden prefix; a scalar
@@ -77,7 +94,8 @@ fn a_poisoned_cohort_replays_its_undecided_followers_once() {
         .count();
     assert!(
         replayed > faulty_lanes,
-        "{replayed} experiments replayed, no more than the word's {faulty_lanes} lanes"
+        "{threads} workers: {replayed} experiments replayed, \
+         no more than the word's {faulty_lanes} lanes"
     );
     // The replays decide exactly what the undisturbed run decided.
     assert_eq!(verdicts.len(), baseline.len());

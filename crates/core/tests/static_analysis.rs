@@ -14,8 +14,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use fades_core::{
-    Campaign, CampaignConfig, CampaignPlan, CampaignStats, DurationRange, ExperimentVerdict,
-    FaultLoad, Outcome, PlanAnnotation, TargetClass,
+    Campaign, CampaignConfig, CampaignPlan, CampaignStats, DurationRange, ExperimentResult,
+    ExperimentVerdict, FaultLoad, Outcome, PlanAnnotation, TargetClass,
 };
 use fades_rtl::{RtlBuilder, Signal};
 use proptest::prelude::*;
@@ -39,14 +39,25 @@ fn dead_logic_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
     (nl, imp)
 }
 
-fn config(static_preclassify: bool, batch: bool) -> CampaignConfig {
+fn config(static_preclassify: bool) -> CampaignConfig {
     CampaignConfig {
         threads: 1,
         margin_cycles: 32,
         fastpath: true,
-        batch,
         static_preclassify,
     }
+}
+
+/// The stats a campaign run folds from `results`, in plan order.
+fn stats_of(c: &Campaign, results: &[ExperimentResult]) -> CampaignStats {
+    let mut stats = CampaignStats::default();
+    for r in results {
+        let seconds = c
+            .time_model()
+            .experiment_seconds(&r.traffic, c.golden().cycles());
+        stats.accumulate(r.outcome, seconds);
+    }
+    stats
 }
 
 /// The fault loads whose faults the pre-classifier can annotate (plus
@@ -65,7 +76,7 @@ fn loads() -> Vec<FaultLoad> {
 #[test]
 fn dead_design_plans_carry_static_silent_annotations() {
     let (nl, imp) = dead_logic_design();
-    let campaign = Campaign::with_config(&nl, imp, &["q"], 120, config(true, false)).unwrap();
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 120, config(true)).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
     let plan = campaign.plan(&load, 40, 11).unwrap();
     let silent = plan
@@ -90,10 +101,10 @@ fn annotations_are_a_pure_function_of_the_plan_inputs() {
     let (nl, imp) = dead_logic_design();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
     let mut seen = Vec::new();
-    for (threads, static_on, batch) in [(1, true, false), (4, false, true), (2, true, true)] {
+    for (threads, static_on) in [(1, true), (4, false), (2, true)] {
         let cfg = CampaignConfig {
             threads,
-            ..config(static_on, batch)
+            ..config(static_on)
         };
         let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 120, cfg).unwrap();
         let plan = campaign.plan(&load, 30, 99).unwrap();
@@ -120,15 +131,14 @@ fn assert_skip_bit_identical(
     seed: u64,
     batch: bool,
 ) {
-    let skipping =
-        Campaign::with_config(nl, imp.clone(), &["q"], cycles, config(true, batch)).unwrap();
-    let executing =
-        Campaign::with_config(nl, imp.clone(), &["q"], cycles, config(false, batch)).unwrap();
+    let skipping = Campaign::with_config(nl, imp.clone(), &["q"], cycles, config(true)).unwrap();
+    let executing = Campaign::with_config(nl, imp.clone(), &["q"], cycles, config(false)).unwrap();
     let run_detailed = |c: &Campaign| {
+        let plan = c.plan(load, n, seed).unwrap();
         if batch {
-            c.run_batched_detailed(load, n, seed).unwrap()
+            c.execute_batched(&plan, None).unwrap()
         } else {
-            c.run_detailed(load, n, seed).unwrap()
+            c.execute(&plan, None).unwrap()
         }
     };
     let with_skip = run_detailed(&skipping);
@@ -146,15 +156,17 @@ fn assert_skip_bit_identical(
         );
         assert_eq!(s.strategy, e.strategy);
     }
-    let run_stats = |c: &Campaign| {
-        if batch {
-            c.run_batched(load, n, seed).unwrap()
-        } else {
-            c.run(load, n, seed).unwrap()
-        }
+    let (ss, es) = if batch {
+        (
+            stats_of(&skipping, &with_skip),
+            stats_of(&executing, &without),
+        )
+    } else {
+        (
+            skipping.run(load, n, seed).unwrap(),
+            executing.run(load, n, seed).unwrap(),
+        )
     };
-    let ss = run_stats(&skipping);
-    let es = run_stats(&executing);
     assert_eq!(ss.outcomes, es.outcomes, "{load:?}");
     assert_eq!(
         ss.emulation_seconds.to_bits(),
@@ -186,10 +198,8 @@ fn static_skip_is_bit_identical_under_sharded_execution() {
     // run that executed everything.
     let (nl, imp) = dead_logic_design();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
-    let skipping =
-        Campaign::with_config(&nl, imp.clone(), &["q"], 120, config(true, true)).unwrap();
-    let executing =
-        Campaign::with_config(&nl, imp.clone(), &["q"], 120, config(false, false)).unwrap();
+    let skipping = Campaign::with_config(&nl, imp.clone(), &["q"], 120, config(true)).unwrap();
+    let executing = Campaign::with_config(&nl, imp.clone(), &["q"], 120, config(false)).unwrap();
     let n = 30;
     let plan = skipping.plan(&load, n, 77).unwrap();
 
@@ -340,17 +350,13 @@ proptest! {
         let (nl, imp) = random_design_with_dead_logic(topology, width, init, taps);
         let load = random_load(pick);
         let executing = Campaign::with_config(
-            &nl, imp.clone(), &["q"], cycles, config(false, false),
+            &nl, imp.clone(), &["q"], cycles, config(false),
         ).expect("campaign");
         let plan = executing.plan(&load, n, seed).expect("plan");
 
         prop_assume!(plan.experiments.iter().any(|e| e.annotation == PlanAnnotation::StaticSilent));
         assert_static_silent_sound(&executing, &plan, false)?;
-
-        let lane = Campaign::with_config(
-            &nl, imp.clone(), &["q"], cycles, config(false, true),
-        ).expect("campaign");
-        assert_static_silent_sound(&lane, &plan, true)?;
+        assert_static_silent_sound(&executing, &plan, true)?;
 
         // Lint determinism: two runs over the same bitstream agree
         // diagnostic-for-diagnostic, in order.

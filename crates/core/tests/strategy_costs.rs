@@ -32,7 +32,9 @@ fn campaign_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
 fn traffic_of(load: &FaultLoad) -> (usize, u64, u64, u64) {
     let (nl, imp) = campaign_design();
     let campaign = Campaign::new(&nl, imp, &["q"], 64).unwrap();
-    let r = &campaign.run_detailed(load, 1, 123).unwrap()[0];
+    let r = &campaign
+        .execute(&campaign.plan(load, 1, 123).unwrap(), None)
+        .unwrap()[0];
     (
         r.traffic.ops,
         r.traffic.readback_bytes,
@@ -82,7 +84,9 @@ fn mem_bitflip_costs_two_ops() {
         lo: 0,
         hi: 2,
     };
-    let r = &campaign.run_detailed(&load, 1, 7).unwrap()[0];
+    let r = &campaign
+        .execute(&campaign.plan(&load, 1, 7).unwrap(), None)
+        .unwrap()[0];
     assert_eq!(r.traffic.ops, 2, "readback frame + write frame");
     assert_eq!(r.traffic.bulk_bytes, 0);
 }

@@ -69,7 +69,6 @@ fn lane_wall_attribution_shares_the_cohort_clock() {
             threads: 1,
             margin_cycles: 64,
             fastpath: true,
-            batch: true,
             static_preclassify: false,
         },
     )

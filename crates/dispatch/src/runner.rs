@@ -28,9 +28,8 @@ pub struct ShardOptions {
     /// lane engine (up to 511 per lane word) via
     /// [`Campaign::execute_batched_isolated`]. Outcomes, modelled
     /// seconds and journal contents are bit-identical to the scalar
-    /// isolated path — this changes host wall-clock only. Defaults to
-    /// [`fades_core::batch_default`] (the `FADES_NO_BATCH` escape
-    /// hatch).
+    /// isolated path — this changes host wall-clock only. On by
+    /// default.
     pub batch: bool,
     /// Cooperative cancellation. When set, the runner executes the
     /// pending experiments in chunks of up to
@@ -51,7 +50,7 @@ impl Default for ShardOptions {
             load: String::new(),
             retries: 1,
             with_recorder: false,
-            batch: fades_core::batch_default(),
+            batch: true,
             cancel: None,
         }
     }

@@ -15,6 +15,7 @@ use fades_core::{
     Campaign, CampaignConfig, CampaignStats, CoreError, DurationRange, FaultLoad, TargetClass,
 };
 use fades_mcu8051::OBSERVED_PORTS;
+use fades_telemetry::Recorder;
 
 use crate::context::ExperimentContext;
 use crate::tablefmt::TextTable;
@@ -82,7 +83,7 @@ pub fn run(
     fades_telemetry::sim::BATCH_CYCLES.reset();
     fades_telemetry::sim::LANE_RETIREMENTS.reset();
     let t1 = Instant::now();
-    let batched = campaign.run_batched_named("ff-flip-batched", &load, n_faults, seed)?;
+    let batched = run_batched(&campaign, "ff-flip-batched", &load, n_faults, seed)?;
     let batched_wall = t1.elapsed().as_secs_f64();
 
     assert_equivalent(&scalar, &batched);
@@ -107,8 +108,7 @@ pub fn run(
             },
         )?;
         let t2 = Instant::now();
-        let batched_mt =
-            mt_campaign.run_batched_named("ff-flip-batched-mt", &load, n_faults, seed)?;
+        let batched_mt = run_batched(&mt_campaign, "ff-flip-batched-mt", &load, n_faults, seed)?;
         let mt_wall = t2.elapsed().as_secs_f64();
         assert_equivalent(&scalar, &batched_mt);
         rows.push(row("batched, multi-thread", &batched_mt, n_faults, mt_wall));
@@ -128,6 +128,30 @@ pub fn run(
         },
         lane_retirements: fades_telemetry::sim::LANE_RETIREMENTS.get(),
     })
+}
+
+/// Plans `n` faults of `load` and runs them through
+/// [`Campaign::execute_batched`], recorded under `label` as
+/// [`Campaign::run_named`] records a scalar run.
+fn run_batched(
+    campaign: &Campaign<'_>,
+    label: &str,
+    load: &FaultLoad,
+    n: usize,
+    seed: u64,
+) -> Result<CampaignStats, CoreError> {
+    let plan = campaign.plan(load, n, seed)?;
+    let recorder = Recorder::new(label, n, campaign.config().threads.max(1).min(n.max(1)));
+    let results = campaign.execute_batched(&plan, Some(&recorder))?;
+    recorder.finish();
+    let mut stats = CampaignStats::default();
+    for r in &results {
+        let seconds = campaign
+            .time_model()
+            .experiment_seconds(&r.traffic, campaign.golden().cycles());
+        stats.accumulate(r.outcome, seconds);
+    }
+    Ok(stats)
 }
 
 fn row(path: &'static str, stats: &CampaignStats, n: usize, wall_s: f64) -> PathRow {

@@ -22,9 +22,8 @@
 //! single-process `campaign.run` when every experiment completed.
 //!
 //! `shard` and `resume` run lane-expressible experiments on the
-//! bit-parallel lane engine by default (`--batch`); `--no-batch` — or
-//! the `FADES_NO_BATCH` environment escape hatch — forces the scalar
-//! per-experiment path. Journal contents and merged stats are
+//! bit-parallel lane engine by default (`--batch`); `--no-batch` forces
+//! the scalar per-experiment path. Journal contents and merged stats are
 //! bit-identical either way, so the flag never changes results.
 
 use std::error::Error;
@@ -96,16 +95,15 @@ pub fn try_dispatch(args: &[String]) -> Option<Result<(), Box<dyn Error>>> {
     }
 }
 
-/// Strips `--batch` / `--no-batch` from argv; the last occurrence wins.
-/// `None` means neither was given (defer to [`fades_core::batch_default`],
-/// i.e. batched unless `FADES_NO_BATCH` is set).
-fn split_batch_flag(args: &[String]) -> (Vec<String>, Option<bool>) {
-    let mut batch = None;
+/// Strips `--batch` / `--no-batch` from argv; the last occurrence wins,
+/// and neither means `--batch`.
+fn split_batch_flag(args: &[String]) -> (Vec<String>, bool) {
+    let mut batch = true;
     let mut rest = Vec::new();
     for arg in args {
         match arg.as_str() {
-            "--batch" => batch = Some(true),
-            "--no-batch" => batch = Some(false),
+            "--batch" => batch = true,
+            "--no-batch" => batch = false,
             _ => rest.push(arg.clone()),
         }
     }
@@ -157,7 +155,7 @@ fn execute_shard(
     load_name: &str,
     n_faults: usize,
     seed: u64,
-    batch: Option<bool>,
+    batch: bool,
 ) -> Result<(), Box<dyn Error>> {
     let ctx = ExperimentContext::new()?;
     let load = named_load(&ctx, load_name).ok_or_else(|| {
@@ -168,7 +166,6 @@ fn execute_shard(
     })?;
     let campaign = ctx.fades_campaign()?;
     let plan = campaign.plan(&load, n_faults, seed)?;
-    let batch = batch.unwrap_or_else(fades_core::batch_default);
     println!(
         "shard {shard}/{count} of `{}` ({} of {} faults), seed {seed}, journal {}, {} engine",
         plan.target,
@@ -280,12 +277,12 @@ mod tests {
         };
         let (rest, batch) = split_batch_flag(&strs(&["0/2", "j.jsonl", "--no-batch"]));
         assert_eq!(rest, strs(&["0/2", "j.jsonl"]));
-        assert_eq!(batch, Some(false));
+        assert!(!batch);
         let (rest, batch) = split_batch_flag(&strs(&["--no-batch", "j.jsonl", "--batch"]));
         assert_eq!(rest, strs(&["j.jsonl"]));
-        assert_eq!(batch, Some(true));
+        assert!(batch);
         let (_, batch) = split_batch_flag(&strs(&["0/2", "j.jsonl"]));
-        assert_eq!(batch, None);
+        assert!(batch);
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! * `FADES_THREADS`  — campaign worker threads (default `min(cores, 8)`)
 //! * `FADES_RUN_LOG`  — append a JSONL run log (one line per experiment) here
 //! * `FADES_PROGRESS` — `1`/`0` forces the stderr progress ticker on/off
-//! * `FADES_NO_BATCH` — `1` disables the bit-parallel lane engine (the
-//!   `batch` section then compares scalar against scalar)
 //! * `FADES_NO_FASTPATH` — `1` disables checkpoint fast-forward and early
 //!   stop on the scalar path; wall-clock-only, results are bit-identical
 //!   either way

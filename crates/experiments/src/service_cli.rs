@@ -223,7 +223,7 @@ impl CampaignBackend for ExperimentBackend {
             load: spec.load.clone(),
             retries: 1,
             with_recorder: true,
-            batch: fades_core::batch_default(),
+            batch: true,
             cancel: Some(cancel.clone()),
         };
         let outcomes =

@@ -34,7 +34,6 @@ fn base_cmd(faults: &str) -> Command {
         .env_remove("FADES_METRICS_ADDR_FILE")
         .env_remove("FADES_TRACE_OUT")
         .env_remove("FADES_WATCHDOG_MS")
-        .env_remove("FADES_NO_BATCH")
         .env("FADES_FAULTS", faults)
         .env("FADES_THREADS", "2")
         .env("FADES_PROGRESS", "0");

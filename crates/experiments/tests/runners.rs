@@ -198,7 +198,7 @@ fn service_jobs_sharing_one_campaign_match_fresh_campaigns_bit_for_bit() {
             load: spec.load.clone(),
             retries: 1,
             with_recorder: true,
-            batch: fades_core::batch_default(),
+            batch: true,
             cancel: None,
         };
         for shard in 0..spec.shards {

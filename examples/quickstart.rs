@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    run) and inject bit-flips into every flip-flop.
     let campaign = Campaign::new(&netlist, imp, &["q"], 64)?;
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
-    let results = campaign.run_detailed(&load, 8, 1)?;
+    let results = campaign.execute(&campaign.plan(&load, 8, 1)?, None)?;
 
     for r in &results {
         println!(

@@ -170,29 +170,29 @@ rm -rf "$svc_dir"
 # The PR 1 overhead contract: with telemetry disabled, the hot path pays
 # one relaxed atomic load. The disabled-path bench must stay within
 # noise (15%) of the enabled path — if "disabled" got *slower* than
-# doing the counting, the gate fails.
+# doing the counting, the gate fails. Each side is the fastest of many
+# interleaved timings (a mean of a few samples flaps on a shared host).
 echo "== telemetry disabled-path overhead gate"
 cargo bench -q --offline -p fades-bench --bench microbench -- telemetry_overhead 2>&1 \
     | tee /tmp/fades-telemetry-overhead.txt | grep telemetry_overhead
 python3 - <<'EOF'
 import re
 
-scale = {"ns": 1, "µs": 1_000, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
 times = {}
 with open("/tmp/fades-telemetry-overhead.txt") as f:
     for line in f:
         m = re.search(
-            r"telemetry_overhead/sim_256_cycles_(disabled|enabled)\s+([\d.]+)(ns|µs|us|ms|s) /iter",
+            r"telemetry_overhead/sim_256_cycles_(disabled|enabled)\s+fastest of \d+: (\d+) ns",
             line,
         )
         if m:
-            times[m.group(1)] = float(m.group(2)) * scale[m.group(3)]
+            times[m.group(1)] = int(m.group(2))
 missing = {"disabled", "enabled"} - set(times)
 if missing:
     raise SystemExit(f"FAIL: telemetry_overhead bench lines not found: {missing}")
 ratio = times["disabled"] / times["enabled"]
-print(f"disabled {times['disabled']:.0f} ns/iter, enabled {times['enabled']:.0f} ns/iter "
-      f"(disabled/enabled = {ratio:.3f})")
+print(f"disabled {times['disabled']} ns, enabled {times['enabled']} ns "
+      f"(fastest of each; disabled/enabled = {ratio:.3f})")
 if ratio > 1.15:
     raise SystemExit("FAIL: disabled-path telemetry cost regressed beyond 15% of enabled")
 EOF

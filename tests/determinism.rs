@@ -29,7 +29,9 @@ fn thread_count_does_not_change_results() {
             },
         )
         .expect("campaign");
-        let detailed = campaign.run_detailed(&load, 24, 77).expect("runs");
+        let detailed = campaign
+            .execute(&campaign.plan(&load, 24, 77).expect("plans"), None)
+            .expect("runs");
         results.push(
             detailed
                 .into_iter()
