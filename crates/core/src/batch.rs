@@ -100,6 +100,45 @@ pub(crate) struct LaneEntry<'p> {
     pub(crate) planned: &'p PlannedExperiment,
 }
 
+/// Decides a memory flip of a word the golden run never selects again
+/// after its injection: the faulty machine is the golden one but for that
+/// bit until the run ends, so it is Latent, and no cycle needs
+/// simulating. Its traffic is the strategy's choreography, replayed on
+/// lane 1 of `batch` with that lane's ledger cleared first. The lane's
+/// state is left as the choreography leaves it: every pass overwrites
+/// every lane when it starts.
+///
+/// # Errors
+///
+/// Propagates strategy errors.
+pub(crate) fn decide_unread<const W: usize>(
+    batch: &mut BatchDevice<W>,
+    planned: &PlannedExperiment,
+    run_cycles: u64,
+    sub_cycle: bool,
+) -> Result<ExperimentResult, CoreError> {
+    let started = Instant::now();
+    let mut strategy = strategy_for(&planned.fault, sub_cycle);
+    batch.clear_ledger(1);
+    crate::experiment::replay_choreography(
+        &mut batch.lane(1),
+        strategy.as_mut(),
+        planned.schedule,
+        run_cycles,
+        &mut StdRng::seed_from_u64(planned.seed),
+    )?;
+    Ok(ExperimentResult {
+        fault: planned.fault.clone(),
+        schedule: planned.schedule,
+        outcome: Outcome::Latent,
+        traffic: LedgerSummary::from(batch.ledger(1)),
+        strategy: strategy.name(),
+        wall_us: started.elapsed().as_micros() as u64,
+        skipped_cycles: 0,
+        early_stop_cycles: 0,
+    })
+}
+
 /// The cohort's shared wall clock: charges elapsed intervals evenly
 /// across the lanes occupied over them.
 ///
@@ -771,7 +810,12 @@ mod tests {
         plan: &crate::CampaignPlan,
     ) -> Vec<String> {
         campaign
-            .execute_lanes::<W>(plan, None, crate::campaign::ExecMode::FailFast)
+            .execute_lanes::<W>(
+                plan,
+                campaign.partition_lanes(plan),
+                None,
+                crate::campaign::ExecMode::FailFast,
+            )
             .expect("lane run")
             .iter()
             .map(observable)
@@ -856,10 +900,9 @@ mod tests {
             let plan = campaign.plan(&load, 150, 31).expect("plan");
             assert_widths_agree(&campaign, kind, &plan);
         }
-        // Enough memory flips that entries still wait for a lane on every
-        // width while lanes reach the same state: lanes merge, each width
-        // at its own cycles and into its own leaders.
-        let merges = fades_telemetry::sim::LANE_MERGES.get();
+        // Memory flips collapse by golden access before they take a lane;
+        // every width collapses the same plan the same way, and the
+        // members take their lane's early stop.
         let memory = TargetClass::MemoryBits {
             name: "iram".into(),
             lo: w.data_range.0 as usize,
@@ -867,7 +910,20 @@ mod tests {
         };
         let load = FaultLoad::bit_flips(memory, DurationRange::SubCycle);
         let plan = campaign.plan(&load, 700, 32).expect("plan");
+        let collapsed = fades_telemetry::sim::FLIPS_COLLAPSED.get();
         assert_widths_agree(&campaign, "MemBitFlip", &plan);
+        assert!(
+            fades_telemetry::sim::FLIPS_COLLAPSED.get() > collapsed,
+            "no memory flip was collapsed"
+        );
+        // Enough flip-flop flips that entries still wait for a lane on
+        // every width while lanes reach the same state: lanes merge, each
+        // width at its own cycles and into its own leaders. (Memory flips
+        // that would merge now mostly collapse before they take a lane.)
+        let merges = fades_telemetry::sim::LANE_MERGES.get();
+        let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
+        let plan = campaign.plan(&load, 700, 32).expect("plan");
+        assert_widths_agree(&campaign, "FfBitFlip", &plan);
         assert!(
             fades_telemetry::sim::LANE_MERGES.get() > merges,
             "no lane was merged"

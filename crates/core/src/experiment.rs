@@ -1,6 +1,6 @@
 //! Execution of a single fault-injection experiment (paper Fig. 1).
 
-use fades_fpga::Device;
+use fades_fpga::{ConfigAccess, Device};
 use fades_netlist::OutputTrace;
 use rand::rngs::StdRng;
 
@@ -110,16 +110,15 @@ pub struct ExperimentResult {
 /// Silent, without simulating a single workload cycle.
 ///
 /// The strategy's reconfiguration choreography is replayed on the reset
-/// device — `inject` at the injection instant, `tick` for every active
-/// cycle, `remove` at expiry (or after the run for an outliving schedule)
-/// — exactly as [`run_experiment`] would have driven it. Every strategy
-/// charges the transfer ledger by frame *coordinates*, never by observed
-/// values, so the resulting [`LedgerSummary`] (and with it the modelled
-/// `emulation_seconds`) is bit-identical to a real execution; only host
-/// wall-clock is saved. The outcome is `Silent` by construction — the
-/// plan-time cone-of-influence proof is the whole point — and the
-/// soundness suite forces these experiments to execute for real and
-/// checks the claim against both engines.
+/// device ([`replay_choreography`]) exactly as [`run_experiment`] would
+/// have driven it. Every strategy charges the transfer ledger by frame
+/// *coordinates*, never by observed values, so the resulting
+/// [`LedgerSummary`] (and with it the modelled `emulation_seconds`) is
+/// bit-identical to a real execution; only host wall-clock is saved. The
+/// outcome is `Silent` by construction — the plan-time cone-of-influence
+/// proof is the whole point — and the soundness suite forces these
+/// experiments to execute for real and checks the claim against both
+/// engines.
 ///
 /// # Errors
 ///
@@ -136,11 +135,40 @@ pub(crate) fn replay_static_silent(
     rng: &mut StdRng,
 ) -> Result<ExperimentResult, CoreError> {
     let started = std::time::Instant::now();
-    let strategy_name = strategy.name();
     let run_cycles = golden.cycles();
     schedule.check(run_cycles)?;
     dev.reset();
     dev.clear_ledger();
+    replay_choreography(dev, strategy.as_mut(), schedule, run_cycles, rng)?;
+    Ok(ExperimentResult {
+        fault,
+        schedule,
+        outcome: Outcome::Silent,
+        traffic: LedgerSummary::from(dev.ledger()),
+        strategy: strategy.name(),
+        wall_us: started.elapsed().as_micros() as u64,
+        skipped_cycles: 0,
+        early_stop_cycles: 0,
+    })
+}
+
+/// Makes the strategy calls a run of `run_cycles` cycles makes for
+/// `schedule`, without simulating a cycle: `inject` at the injection
+/// instant, `tick` for every active cycle, `remove` at expiry (or after
+/// the run for an outliving schedule). The device's ledger ends up
+/// charged as the run's would be, since strategies charge it by frame
+/// coordinates.
+///
+/// # Errors
+///
+/// Propagates strategy errors.
+pub(crate) fn replay_choreography(
+    dev: &mut dyn ConfigAccess,
+    strategy: &mut dyn InjectionStrategy,
+    schedule: FaultSchedule,
+    run_cycles: u64,
+    rng: &mut StdRng,
+) -> Result<(), CoreError> {
     for cycle in schedule.inject_at..run_cycles {
         if cycle == schedule.inject_at {
             strategy.inject(dev, rng)?;
@@ -159,16 +187,7 @@ pub(crate) fn replay_static_silent(
     if schedule.outlives(run_cycles) {
         strategy.remove(dev)?;
     }
-    Ok(ExperimentResult {
-        fault,
-        schedule,
-        outcome: Outcome::Silent,
-        traffic: LedgerSummary::from(dev.ledger()),
-        strategy: strategy_name,
-        wall_us: started.elapsed().as_micros() as u64,
-        skipped_cycles: 0,
-        early_stop_cycles: 0,
-    })
+    Ok(())
 }
 
 /// Resolves each observed port to its wires once, so the per-cycle reads

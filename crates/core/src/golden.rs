@@ -31,7 +31,10 @@ pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 64;
 ///   their injection cycle, and
 /// * a cheap per-cycle state hash, so experiments whose fault has been
 ///   removed can detect reconvergence with the golden state and stop
-///   early.
+///   early, and
+/// * the words each memory block selects on each cycle, so the lane
+///   driver can tell which memory bit-flips are the same faulty machine
+///   (see [`first_access`](GoldenRun::first_access)).
 #[derive(Debug, Clone)]
 pub struct GoldenRun {
     trace: OutputTrace,
@@ -43,6 +46,10 @@ pub struct GoldenRun {
     /// `hashes[c]` is the state hash at the top of cycle `c`, for
     /// `c in 0..=cycles` (the last entry is the post-run state).
     hashes: Vec<u64>,
+    /// `accesses[b]` lists `(word, cycle)` for every cycle on which
+    /// memory block `b` reads that word or writes it at the clock edge,
+    /// sorted and without repeats.
+    accesses: Vec<Vec<(u32, u32)>>,
 }
 
 impl GoldenRun {
@@ -81,6 +88,7 @@ impl GoldenRun {
         let mut trace = OutputTrace::new(ports.to_vec());
         let mut checkpoints = Vec::new();
         let mut hashes = Vec::with_capacity(cycles as usize + 1);
+        let mut accesses = vec![Vec::new(); dev.bitstream().brams().len()];
         for cycle in 0..cycles {
             hashes.push(dev.state_hash());
             if cycle % interval == 0 {
@@ -88,9 +96,20 @@ impl GoldenRun {
             }
             dev.settle();
             trace.push_cycle(port_wires.iter().map(|w| dev.wires_u64(w)).collect());
+            for (b, words) in accesses.iter_mut().enumerate() {
+                let (read, written) = dev.bram_selects(b);
+                words.push((read as u32, cycle as u32));
+                if let Some(w) = written.filter(|&w| w != read) {
+                    words.push((w as u32, cycle as u32));
+                }
+            }
             dev.clock_edge();
         }
         hashes.push(dev.state_hash());
+        for words in &mut accesses {
+            words.sort_unstable();
+            words.dedup();
+        }
         let final_state = dev.state_snapshot();
         Ok(GoldenRun {
             trace,
@@ -99,6 +118,7 @@ impl GoldenRun {
             interval,
             checkpoints,
             hashes,
+            accesses,
         })
     }
 
@@ -142,5 +162,27 @@ impl GoldenRun {
     /// `cycle <= cycles`; the last entry is the post-run state).
     pub fn state_hash_at(&self, cycle: u64) -> u64 {
         self.hashes[cycle as usize]
+    }
+
+    /// The first cycle at or after `from` on which the golden run selects
+    /// word `addr` of memory block `bram`: its read port reads the word
+    /// once the cycle has settled, or the cycle's clock edge writes it
+    /// (on a missed capture, the edge performs the previous edge's
+    /// write). `None` when no later cycle of the run selects it, or the
+    /// block or word does not exist.
+    ///
+    /// A flip of a stored bit cannot be seen before that cycle, so two
+    /// flips of one bit that share it are the same faulty machine from
+    /// then on, and a flip of a word the run never selects again stays
+    /// in the final state unseen (DESIGN.md §5, *Memory-flip collapse*).
+    pub fn first_access(&self, bram: usize, addr: usize, from: u64) -> Option<u64> {
+        let words = self.accesses.get(bram)?;
+        let addr = u32::try_from(addr).ok()?;
+        let from = u32::try_from(from).unwrap_or(u32::MAX);
+        let at = words.partition_point(|&e| e < (addr, from));
+        words
+            .get(at)
+            .filter(|&&(word, _)| word == addr)
+            .map(|&(_, cycle)| u64::from(cycle))
     }
 }

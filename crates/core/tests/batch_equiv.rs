@@ -739,10 +739,14 @@ fn merged_lanes_match_the_scalar_path_on_a_marginally_timed_8051() {
     // flip-flops and memory but different shadows must not merge (on
     // this plan, a key without the previous-D shadows gives wrong
     // outcomes). At the paper's 80 ns clock nothing misses and the
-    // shadows never matter.
+    // shadows never matter. Memory flips are not here: at 66 ns the
+    // golden run never selects a word of the data range again after any
+    // of this plan's injections, so every one is decided Latent without a
+    // lane and none can merge; `flip_collapse.rs` checks them against the
+    // scalar oracle at this clock.
     let arch = fades_fpga::ArchParams {
         clock_period_ns: 66.0,
         ..fades_fpga::ArchParams::virtex1000_like()
     };
-    assert_merges_match_scalar(arch, &["indet-ffs", "bitflip-ffs", "bitflip-mem"], 600, 241);
+    assert_merges_match_scalar(arch, &["indet-ffs", "bitflip-ffs"], 600, 241);
 }

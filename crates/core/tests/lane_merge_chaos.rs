@@ -24,16 +24,12 @@ fn a_poisoned_cohort_replays_its_undecided_followers_once() {
         .run_to_completion(100_000)
         .unwrap()
         .cycles;
-    let memory = TargetClass::MemoryBits {
-        name: "iram".into(),
-        lo: w.data_range.0 as usize,
-        hi: w.data_range.1 as usize,
-    };
-    let load = FaultLoad::bit_flips(memory, DurationRange::SubCycle);
-    // Memory flips on the 256-lane word: many lanes fail late or stay
-    // latent and are merged while later entries wait. On one worker, 600
-    // of them; on two, 1,000, so that each worker's 500 keep entries
-    // waiting as the one worker's 600 do.
+    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
+    // Flip-flop flips on the 256-lane word: many lanes stay latent and
+    // are merged while later entries wait. (Memory flips, which merge
+    // more, mostly collapse by golden access before they take a lane.)
+    // On one worker, 600 of them; on two, 1,000, so that each worker's
+    // 500 keep entries waiting as the one worker's 600 do.
     for (threads, n) in [(1, 600), (2, 1000)] {
         let config = CampaignConfig {
             threads,

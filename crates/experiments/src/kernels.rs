@@ -1,5 +1,6 @@
-//! Lane-engine kernel timings: one settle sweep, one clock edge and one
-//! merge-key scan of the placed 8051 at every lane-word width.
+//! Lane-engine kernel timings: one settle sweep, the memory reads within
+//! it, one clock edge and one merge-key scan of the placed 8051 at every
+//! lane-word width.
 //!
 //! A criterion mean over a few samples cannot rank two builds on a shared
 //! host: one binary's mean settle moved by 2× between runs. The fastest of
@@ -39,6 +40,8 @@ pub struct KernelRow {
     pub level: LaneKernel,
     /// One settle sweep.
     pub settle_ns: f64,
+    /// The settle's memory reads: every block's read port once.
+    pub read_ns: f64,
     /// One clock edge.
     pub edge_ns: f64,
     /// One `divergence_keys::<2>` scan of every faulty lane.
@@ -103,20 +106,25 @@ impl<const W: usize> Bench<W> {
                 lanes,
                 level: LaneKernel::for_lanes(lanes),
                 settle_ns: f64::INFINITY,
+                read_ns: f64::INFINITY,
                 edge_ns: f64::INFINITY,
                 scan_ns: f64::INFINITY,
             },
         })
     }
 
-    /// Times each kernel once, keeping the fastest. The settle runs on
-    /// the base engine, whose state it does not change; the edge runs on
-    /// a settled copy, so every round starts from the same state.
+    /// Times each kernel once, keeping the fastest. The settle and the
+    /// reads run on the base engine, whose state they do not change; the
+    /// edge runs on a settled copy, so every round starts from the same
+    /// state.
     fn round(&mut self) {
         let ns = |t: Instant| t.elapsed().as_secs_f64() * 1e9;
         let t = Instant::now();
         self.base.settle();
         self.row.settle_ns = self.row.settle_ns.min(ns(t));
+        let t = Instant::now();
+        self.base.read_memories();
+        self.row.read_ns = self.row.read_ns.min(ns(t));
         let mut edge = self.base.clone();
         let t = Instant::now();
         edge.clock_edge();
@@ -160,6 +168,7 @@ impl KernelTimings {
             "level",
             "settle µs",
             "ns/node",
+            "mem reads µs",
             "edge µs",
             "merge scan µs",
         ]);
@@ -169,6 +178,7 @@ impl KernelTimings {
                 r.level.name().to_string(),
                 format!("{:.2}", r.settle_ns / 1e3),
                 format!("{:.2}", r.settle_ns / self.shape.nodes as f64),
+                format!("{:.2}", r.read_ns / 1e3),
                 format!("{:.2}", r.edge_ns / 1e3),
                 format!("{:.2}", r.scan_ns / 1e3),
             ]);

@@ -145,7 +145,7 @@ impl ConfigAccess for Device {
 /// One memory block, lane-parallel: contents are stored transposed, one
 /// lane word per (address, bit) cell.
 #[derive(Debug, Clone)]
-struct LaneBram<const W: usize> {
+pub(crate) struct LaneBram<const W: usize> {
     we: Option<u32>,
     addr_wires: Vec<u32>,
     din_wires: Vec<u32>,
@@ -210,7 +210,7 @@ impl<const W: usize> LaneBram<W> {
     /// sharing it, so the cost follows the distinct diverged addresses,
     /// not the diverged lanes or the width of the word.
     #[inline(always)]
-    fn read(&self, wv: &mut [Word<W>]) {
+    pub(crate) fn read(&self, wv: &mut [Word<W>]) {
         let (golden, mut odd) = golden_address(self.addr_wires.iter().map(|&w| wv[w as usize]));
         let base = golden * self.width;
         for (bit, dw) in self.dout_wires.iter().enumerate() {
@@ -802,6 +802,21 @@ impl<const W: usize> BatchDevice<W> {
         pub fn settle(&mut self) = settle_body, settle_avx2, settle_avx512;
     }
 
+    lane_kernel! {
+        /// Drives every memory block's read port from the current address
+        /// words, as the settle sweep's reads do: the read alone, for
+        /// timing it (`fades-experiments kernels`).
+        pub fn read_memories(&mut self) = read_memories_body, read_memories_avx2,
+            read_memories_avx512;
+    }
+
+    #[inline(always)]
+    fn read_memories_body(&mut self) {
+        for b in &self.brams {
+            b.read(&mut self.wire_values);
+        }
+    }
+
     #[inline(always)]
     fn settle_body(&mut self) {
         let wv = &mut self.wire_values;
@@ -810,9 +825,7 @@ impl<const W: usize> BatchDevice<W> {
                 wv[w as usize] = q;
             }
         }
-        let brams = &self.brams;
-        self.sweep
-            .eval(wv, &self.compact_tables, |b, wv| brams[b].read(wv));
+        self.sweep.eval(wv, &self.compact_tables, &self.brams);
     }
 
     /// How many LUTs have each op class right now, by class name in

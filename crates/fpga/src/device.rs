@@ -88,6 +88,10 @@ pub(crate) struct FfNode {
     pub(crate) out_wire: Option<u32>,
 }
 
+/// A memory block's write at a clock edge: (write enable, address,
+/// data).
+type BramWrite = (bool, usize, u64);
+
 #[derive(Debug, Clone)]
 pub(crate) struct BramWritePort {
     pub(crate) we: Option<u32>,
@@ -175,7 +179,7 @@ pub struct Device {
     lut_values: Vec<bool>,
     ff_state: Vec<bool>,
     ff_prev_d: Vec<bool>,
-    bram_prev_write: Vec<(bool, usize, u64)>,
+    bram_prev_write: Vec<BramWrite>,
     timing: TimingReport,
 
     // Incremental digests for state-hash convergence checks (see the
@@ -687,28 +691,10 @@ impl Device {
             };
             self.ff_prev_d[i] = d;
         }
-        for (bi, port) in self.bram_write_ports.iter().enumerate() {
-            let Some(we) = port.we else { continue };
-            let we_now = self.wire_values[we as usize];
-            let addr_now = read_bus(&self.wire_values, &port.addr);
-            let mut din_now = 0u64;
-            for (bit, w) in port.din.iter().enumerate() {
-                if self.wire_values[*w as usize] {
-                    din_now |= 1 << bit;
-                }
-            }
-            let overshoot = self
-                .timing
-                .bram_overshoot_ns
-                .get(bi)
-                .copied()
-                .unwrap_or(0.0);
-            let (we_eff, addr_eff, din_eff) =
-                if capture_misses(spread, self.cycle, overshoot, 0x8000_0000 | bi as u64) {
-                    self.bram_prev_write[bi]
-                } else {
-                    (we_now, addr_now, din_now)
-                };
+        for bi in 0..self.bram_write_ports.len() {
+            let Some((now, (we_eff, addr_eff, din_eff))) = self.bram_write(bi) else {
+                continue;
+            };
             if we_eff {
                 // Compiled port indices are valid by construction.
                 let Ok(bram) = self.bits.bram_mut(BramId::from_index(bi)) else {
@@ -720,9 +706,63 @@ impl Device {
                 self.bram_hash ^= state::mix(state::TAG_BRAM_WORD, cell, old)
                     ^ state::mix(state::TAG_BRAM_WORD, cell, din_eff);
             }
-            self.bram_prev_write[bi] = (we_now, addr_now, din_now);
+            self.bram_prev_write[bi] = now;
         }
         self.cycle += 1;
+    }
+
+    /// The write memory block `bi` presents to this cycle's clock edge,
+    /// `(write enable, address, data)`, and the write the edge performs:
+    /// the one presented, or the previous edge's when the block's write
+    /// port misses this capture. `None` for a block without a write port.
+    fn bram_write(&self, bi: usize) -> Option<(BramWrite, BramWrite)> {
+        let port = &self.bram_write_ports[bi];
+        let we = port.we?;
+        let mut din = 0u64;
+        for (bit, w) in port.din.iter().enumerate() {
+            if self.wire_values[*w as usize] {
+                din |= 1 << bit;
+            }
+        }
+        let now = (
+            self.wire_values[we as usize],
+            read_bus(&self.wire_values, &port.addr),
+            din,
+        );
+        let spread = self.bits.arch().arrival_spread_ns;
+        let overshoot = self
+            .timing
+            .bram_overshoot_ns
+            .get(bi)
+            .copied()
+            .unwrap_or(0.0);
+        let missed = capture_misses(spread, self.cycle, overshoot, 0x8000_0000 | bi as u64);
+        Some((
+            now,
+            if missed {
+                self.bram_prev_write[bi]
+            } else {
+                now
+            },
+        ))
+    }
+
+    /// The words memory block `bram` selects this cycle, once settled
+    /// and before the clock edge: the word its asynchronous read port
+    /// reads, and the word the coming edge writes (`None` when it writes
+    /// nothing; on a missed capture, the word of the previous edge's
+    /// write).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bram` is not a block of this device.
+    pub fn bram_selects(&self, bram: usize) -> (usize, Option<usize>) {
+        let read = read_bus(&self.wire_values, &self.bram_write_ports[bram].addr);
+        let written = match self.bram_write(bram) {
+            Some((_, (true, addr, _))) => Some(addr),
+            _ => None,
+        };
+        (read, written)
     }
 
     /// Runs one full cycle: settle, then clock edge.

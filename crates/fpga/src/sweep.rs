@@ -20,6 +20,7 @@
 //! nothing in the same level reads it. Overriding or restoring a LUT
 //! edits its level's short fix-up list; the runs never change.
 
+use crate::batch::LaneBram;
 use crate::device::{Device, FfData, NodeKind, NO_WIRE};
 use crate::word::Word;
 
@@ -633,9 +634,10 @@ impl Sweep {
     }
 
     /// Evaluates every combinational node, level by level: each level's
-    /// class runs, its generic LUTs, its memory reads (`read_bram(b, wv)`
-    /// for block `b`) and its fix-ups. `wv` holds one word per slot and
-    /// `tables` the lane-word compact tables.
+    /// class runs, its generic LUTs, its memory reads (from `brams`) and
+    /// its fix-ups. `wv` holds one word per slot and `tables` the
+    /// lane-word compact tables. The reads are inlined like the rest of
+    /// the sweep, so they run at the caller's `LaneKernel` level.
     ///
     /// # Panics
     ///
@@ -646,7 +648,7 @@ impl Sweep {
         &self,
         wv: &mut [Word<W>],
         tables: &[Word<W>],
-        mut read_bram: impl FnMut(usize, &mut [Word<W>]),
+        brams: &[LaneBram<W>],
     ) {
         assert_eq!(wv.len(), self.slots, "one word per sweep slot");
         let range = |(a, b): (u32, u32)| a as usize..b as usize;
@@ -691,7 +693,7 @@ impl Sweep {
                 wv[g.out as usize] = v;
             }
             for &b in &self.brams[range(lv.brams)] {
-                read_bram(b as usize, wv);
+                brams[b as usize].read(wv);
             }
             for &li in fixup {
                 let s = &self.luts[li as usize];

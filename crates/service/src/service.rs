@@ -144,6 +144,8 @@ struct State {
     /// A client asked the process to shut down (`POST /shutdown`).
     shutdown_requested: bool,
     completed_total: u64,
+    /// The sequence number the next submit tries first.
+    next_seq: u64,
 }
 
 struct Inner {
@@ -214,6 +216,7 @@ impl Service {
             stopping: false,
             shutdown_requested: false,
             completed_total: 0,
+            next_seq: store.next_seq()?,
         };
         for ScannedJob {
             spec,
@@ -302,18 +305,8 @@ impl Service {
         if !st.accepting {
             return Err(SubmitError::NotAccepting);
         }
-        // Allocate under the lock so concurrent submits get distinct
-        // seqs; take the max of disk and memory so ids never collide
-        // with a directory an operator dropped in by hand.
-        let seq = self
-            .inner
-            .store
-            .next_seq()
-            .map_err(SubmitError::Io)?
-            .max(st.jobs.keys().next_back().map_or(0, |s| s + 1))
-            .max(1);
-        let spec = JobSpec {
-            id: JobStore::id_for_seq(seq),
+        let mut spec = JobSpec {
+            id: JobStore::id_for_seq(st.next_seq),
             label: label.unwrap_or(load).to_string(),
             load: load.to_string(),
             faults,
@@ -325,7 +318,20 @@ impl Service {
             .backend
             .validate(&spec)
             .map_err(SubmitError::Invalid)?;
-        self.inner.store.persist(&spec).map_err(SubmitError::Io)?;
+        // Allocate under the lock so concurrent submits get distinct
+        // seqs. `persist` claims the job directory, so a number whose
+        // directory an operator dropped in by hand is skipped, never
+        // reused.
+        let seq = loop {
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            spec.id = JobStore::id_for_seq(seq);
+            match self.inner.store.persist(&spec) {
+                Ok(()) => break seq,
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(SubmitError::Io(e)),
+            }
+        };
         st.jobs.insert(
             seq,
             JobEntry {

@@ -97,21 +97,15 @@ impl JobStore {
             .collect()
     }
 
-    /// Creates the job directory and atomically persists `spec.json`.
+    /// Claims the job directory and atomically persists `spec.json`.
     ///
     /// # Errors
     ///
-    /// I/O failures; an already-existing job directory is an error (ids
-    /// are allocated once).
+    /// I/O failures; [`io::ErrorKind::AlreadyExists`] when a directory
+    /// of that name exists, whoever made it (ids are allocated once).
     pub fn persist(&self, spec: &JobSpec) -> io::Result<()> {
         let dir = self.job_dir(&spec.id);
-        if dir.exists() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("job directory {} already exists", dir.display()),
-            ));
-        }
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir(&dir)?;
         atomic_write(&dir.join("spec.json"), &format!("{}\n", spec.to_json()))
     }
 
@@ -188,6 +182,8 @@ impl JobStore {
     }
 
     /// The next free sequence number (max on disk + 1; 1 when empty).
+    /// Lists the whole queue directory: a service reads it once, at
+    /// start.
     ///
     /// # Errors
     ///
@@ -266,7 +262,8 @@ mod tests {
         let root = scratch("dup");
         let store = JobStore::open(&root).unwrap();
         store.persist(&spec(1)).unwrap();
-        assert!(store.persist(&spec(1)).is_err());
+        let err = store.persist(&spec(1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -441,6 +441,43 @@ fn shutdown_stops_admission_and_leaves_no_markers() {
 }
 
 #[test]
+fn submits_skip_a_job_directory_dropped_in_by_hand() {
+    let dir = scratch("hand-dropped");
+    let gate = Gate::default();
+    let service = Service::start(
+        &config(&dir, 1, 1),
+        Box::new(MockBackend::new(Some(gate.clone()))),
+    )
+    .unwrap();
+    assert_eq!(submit_mock(&service, 2, 1).id, "job-000001");
+    // An operator drops a directory under the next number while the
+    // service runs: its number is never handed out.
+    std::fs::create_dir(dir.join("job-000002")).unwrap();
+    assert_eq!(submit_mock(&service, 2, 1).id, "job-000003");
+    assert!(!dir.join("job-000002").join("spec.json").exists());
+    assert_eq!(submit_mock(&service, 2, 1).id, "job-000004");
+    gate.open();
+    service.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn numbering_continues_across_a_restart() {
+    let dir = scratch("renumber");
+    let service = Service::start(&config(&dir, 1, 1), Box::new(MockBackend::new(None))).unwrap();
+    let first: Vec<String> = (0..2).map(|_| submit_mock(&service, 2, 1).id).collect();
+    assert_eq!(first, ["job-000001", "job-000002"]);
+    service.join();
+    // A directory dropped in by hand while the service was down counts
+    // at the next start, spec or not.
+    std::fs::create_dir(dir.join("job-000007")).unwrap();
+    let service = Service::start(&config(&dir, 1, 1), Box::new(MockBackend::new(None))).unwrap();
+    assert_eq!(submit_mock(&service, 2, 1).id, "job-000008");
+    service.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn restart_fails_persisted_specs_the_backend_rejects() {
     let dir = scratch("revalidate");
     let store = fades_service::JobStore::open(&dir).unwrap();

@@ -175,6 +175,27 @@ pub mod sim {
         LANE_MERGES.inc();
     }
 
+    /// Memory bit-flips decided with the member of their golden-access
+    /// class that took a lane: the same faulty machine, simulated once.
+    pub static FLIPS_COLLAPSED: Counter = Counter::new();
+    /// Memory bit-flips of a word the golden run never selects again,
+    /// decided Latent without a lane.
+    pub static FLIPS_DECIDED: Counter = Counter::new();
+
+    /// Records `flips` memory bit-flips decided with their class's lane.
+    /// Always live — one add per lane entry decided.
+    #[inline(always)]
+    pub fn record_flips_collapsed(flips: u64) {
+        FLIPS_COLLAPSED.add(flips);
+    }
+
+    /// Records one memory bit-flip decided Latent without a lane. Always
+    /// live — one add per such flip.
+    #[inline(always)]
+    pub fn record_flip_decided() {
+        FLIPS_DECIDED.inc();
+    }
+
     /// Always 0: the lane engine's settle evaluates every combinational
     /// node. Retained only because the benchmark reads it; not exported
     /// on `/metrics`.
@@ -199,6 +220,8 @@ pub mod sim {
         LANE_SLOTS.reset();
         LANE_RETIREMENTS.reset();
         LANE_MERGES.reset();
+        FLIPS_COLLAPSED.reset();
+        FLIPS_DECIDED.reset();
         EVALS_SKIPPED.reset();
         WARM_SKIPPED_CYCLES.reset();
     }

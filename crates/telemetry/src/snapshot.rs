@@ -80,6 +80,14 @@ pub fn snapshot() -> MetricsSnapshot {
         ),
         ("fades_sim_lane_merges_total", crate::sim::LANE_MERGES.get()),
         (
+            "fades_sim_flips_collapsed_total",
+            crate::sim::FLIPS_COLLAPSED.get(),
+        ),
+        (
+            "fades_sim_flips_decided_total",
+            crate::sim::FLIPS_DECIDED.get(),
+        ),
+        (
             "fades_sim_warm_skipped_cycles_total",
             crate::sim::WARM_SKIPPED_CYCLES.get(),
         ),
@@ -272,6 +280,11 @@ mod tests {
             |v: &[(String, u64)], n: &str| v.iter().find(|(name, _)| name == n).map(|(_, v)| *v);
         assert!(get(&s.counters, "fades_anomalies_total").is_some());
         assert!(get(&s.counters, "fades_sim_cycles_total").is_some());
+        crate::sim::FLIPS_COLLAPSED.add(2);
+        crate::sim::FLIPS_DECIDED.add(1);
+        let s = snapshot();
+        assert!(get(&s.counters, "fades_sim_flips_collapsed_total").unwrap() >= 2);
+        assert!(get(&s.counters, "fades_sim_flips_decided_total").unwrap() >= 1);
         assert!(get(&s.counters, "fades_test_extra_total").unwrap() >= 7);
         assert_eq!(get(&s.gauges, "fades_test_extra_gauge"), Some(3));
         assert!(get(&s.gauges, "fades_experiments_done").is_some());

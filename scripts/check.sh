@@ -80,34 +80,38 @@ cargo test -q --release --offline -p fades-experiments --test service_e2e
 # cohort* must not cost the shard. Both engines run the same 2-shard
 # campaign with `FADES_CHAOS_PANIC=5` (index 5 lives in shard 1), resume
 # of a finished journal must be a no-op, and the merges must agree to
-# the bit — quarantine included.
+# the bit — quarantine included. `bitflip-mem` runs too: the lane driver
+# collapses memory flips by golden access, and the chaos target must
+# still run, panic and be quarantined, never be decided with a class.
 echo "== sharded-batched chaos gate (release)"
 gate_dir=$(mktemp -d)
 run_exp() { cargo run -q --release --offline -p fades-experiments -- "$@"; }
-for engine_flag in "lane --batch" "scalar --no-batch"; do
-    # shellcheck disable=SC2086  # splitting engine/flag pair is intended
-    set -- $engine_flag
-    engine=$1 flag=$2
-    for shard in 0 1; do
-        FADES_FAULTS=40 FADES_SEED=7 FADES_CHAOS_PANIC=5 \
-            run_exp shard "$shard/2" "$gate_dir/$engine-s$shard.jsonl" pulse-luts "$flag" \
-            >"$gate_dir/$engine-s$shard.txt" 2>/dev/null
+for load in pulse-luts bitflip-mem; do
+    for engine_flag in "lane --batch" "scalar --no-batch"; do
+        # shellcheck disable=SC2086  # splitting engine/flag pair is intended
+        set -- $engine_flag
+        engine=$1 flag=$2
+        run="$gate_dir/$load-$engine"
+        for shard in 0 1; do
+            FADES_FAULTS=40 FADES_SEED=7 FADES_CHAOS_PANIC=5 \
+                run_exp shard "$shard/2" "$run-s$shard.jsonl" "$load" "$flag" \
+                >"$run-s$shard.txt" 2>/dev/null
+        done
+        run_exp resume "$run-s1.jsonl" "$flag" >"$run-resume.txt"
+        grep -q "0 executed, 20 skipped" "$run-resume.txt" \
+            || { echo "FAIL: $load $engine resume of a finished shard re-ran work"; exit 1; }
+        run_exp merge "$run-s0.jsonl" "$run-s1.jsonl" >"$run-merge.txt"
+        grep -q 'quarantined #5:' "$run-merge.txt" \
+            || { echo "FAIL: $load $engine merge lost the chaos quarantine"; exit 1; }
     done
-    run_exp resume "$gate_dir/$engine-s1.jsonl" "$flag" >"$gate_dir/$engine-resume.txt"
-    grep -q "0 executed, 20 skipped" "$gate_dir/$engine-resume.txt" \
-        || { echo "FAIL: $engine resume of a finished shard re-ran work"; exit 1; }
-    run_exp merge "$gate_dir/$engine-s0.jsonl" "$gate_dir/$engine-s1.jsonl" \
-        >"$gate_dir/$engine-merge.txt"
-    grep -q 'quarantined #5:' "$gate_dir/$engine-merge.txt" \
-        || { echo "FAIL: $engine merge lost the chaos quarantine"; exit 1; }
+    lane_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/$load-lane-merge.txt")
+    scalar_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/$load-scalar-merge.txt")
+    echo "$load: lane merge bits $lane_bits, scalar merge bits $scalar_bits"
+    if [ -z "$lane_bits" ] || [ "$lane_bits" != "$scalar_bits" ]; then
+        echo "FAIL: $load sharded-batched merge is not bit-identical to the scalar-isolated merge"
+        exit 1
+    fi
 done
-lane_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/lane-merge.txt")
-scalar_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/scalar-merge.txt")
-echo "lane merge bits $lane_bits, scalar merge bits $scalar_bits"
-if [ -z "$lane_bits" ] || [ "$lane_bits" != "$scalar_bits" ]; then
-    echo "FAIL: sharded-batched merge is not bit-identical to the scalar-isolated merge"
-    exit 1
-fi
 rm -rf "$gate_dir"
 
 # Campaign-service CLI smoke gate: the serve/submit/jobs/results/shutdown
