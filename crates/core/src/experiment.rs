@@ -1,6 +1,6 @@
 //! Execution of a single fault-injection experiment (paper Fig. 1).
 
-use fades_fpga::{ConfigAccess, Device};
+use fades_fpga::{ConfigAccess, Device, DeviceState};
 use fades_netlist::OutputTrace;
 use rand::rngs::StdRng;
 
@@ -101,7 +101,8 @@ pub struct ExperimentResult {
     /// Golden-prefix cycles skipped by restoring a checkpoint (0 on the
     /// full-simulation path).
     pub skipped_cycles: u64,
-    /// Tail cycles skipped by early-stop convergence detection (0 on the
+    /// Tail cycles skipped once the outcome was decided: by early-stop
+    /// convergence detection, or by fail-stop on a Failure (0 on the
     /// full-simulation path).
     pub early_stop_cycles: u64,
 }
@@ -206,9 +207,18 @@ pub(crate) fn resolve_ports(dev: &Device, ports: &[String]) -> Result<Vec<Vec<u3
 /// reconfigure to inject at the scheduled instant, reconfigure to remove
 /// at expiry, observe, classify (paper Fig. 1).
 ///
-/// With `fastpath` enabled, the host-side simulation is shortened at both
-/// ends without changing what the emulated FPGA does:
+/// With `fastpath` enabled, the host-side simulation skips every cycle
+/// whose outcome is already known, without changing what the emulated
+/// FPGA does:
 ///
+/// * **Timing-neutral delays** — a routing delay acts only through
+///   static timing, so it is first injected on the freshly reset device.
+///   If every flip-flop and write-port overshoot stays pristine
+///   ([`Device::timing_is_pristine`]), the device behaves exactly as the
+///   golden run: the delay is removed again and decided `Silent` without
+///   simulating a cycle, reporting the checkpoint and early stop the
+///   simulated run would have reported. Otherwise the device is reset and
+///   the delay runs as below.
 /// * **Fast-forward** — instead of re-executing the fault-free prefix,
 ///   the nearest golden checkpoint at or before `inject_at` is restored
 ///   onto the device (the prefix trace is golden by construction).
@@ -217,8 +227,12 @@ pub(crate) fn resolve_ports(dev: &Device, ports: &[String]) -> Result<Vec<Vec<u3
 ///   is provably identical to the golden run, so the outcome is decided
 ///   immediately: `Failure` if the observed trace already diverged,
 ///   `Silent` otherwise (`Latent` is impossible — the states match).
+/// * **Fail-stop** — once the fault is removed and the observed trace
+///   has diverged, the outcome is `Failure` whatever follows, and the
+///   strategy makes no further calls, so the run stops there (the lane
+///   engine retires such a lane at the same cycle).
 ///
-/// Both shortcuts change host wall-clock only. The emulated device still
+/// All of these change host wall-clock only. The emulated device still
 /// executes the full `run_cycles` workload, and the strategy makes the
 /// same reconfiguration calls in the same order, so the traffic ledger —
 /// and with it modelled emulation time — is bit-identical to the
@@ -247,14 +261,37 @@ pub fn run_experiment(
     dev.clear_ledger();
     let port_wires = resolve_ports(dev, ports)?;
 
-    let mut start_cycle = 0u64;
-    if fastpath {
-        if let Some(cp) = golden.checkpoint_at_or_before(schedule.inject_at) {
-            if cp.cycle() > 0 {
-                dev.restore_state(cp);
-                start_cycle = cp.cycle();
-            }
+    let checkpoint = golden
+        .checkpoint_at_or_before(schedule.inject_at)
+        .filter(|cp| fastpath && cp.cycle() > 0);
+    let start_cycle = checkpoint.map_or(0, DeviceState::cycle);
+    if fastpath && matches!(fault, ResolvedFault::WireDelay { .. }) {
+        // The ledger charges frames by coordinates, so injecting and
+        // removing here charges exactly what the simulated run would.
+        strategy.inject(dev, rng)?;
+        if dev.timing_is_pristine() {
+            strategy.remove(dev)?;
+            // The simulated run would restore the checkpoint and stop
+            // once the delay is gone, its state equal to golden's.
+            let early_stop_cycles = run_cycles - schedule.gone_at().min(run_cycles);
+            fades_telemetry::fastpath::DELAYS_DECIDED.inc();
+            fades_telemetry::fastpath::record_experiment(start_cycle, early_stop_cycles);
+            return Ok(ExperimentResult {
+                fault,
+                schedule,
+                outcome: Outcome::Silent,
+                traffic: LedgerSummary::from(dev.ledger()),
+                strategy: strategy_name,
+                wall_us: started.elapsed().as_micros() as u64,
+                skipped_cycles: start_cycle,
+                early_stop_cycles,
+            });
         }
+        dev.reset();
+        dev.clear_ledger();
+    }
+    if let Some(cp) = checkpoint {
+        dev.restore_state(cp);
     }
 
     // The full path keeps the original record-everything-then-classify
@@ -267,9 +304,13 @@ pub fn run_experiment(
     let mut early_outcome = None;
     let mut early_stop_cycles = 0u64;
     for cycle in start_cycle..run_cycles {
-        if fastpath && schedule.inert_at(cycle) && dev.state_hash() == golden.state_hash_at(cycle) {
+        if fastpath
+            && schedule.inert_at(cycle)
+            && (diverged || dev.state_hash() == golden.state_hash_at(cycle))
+        {
             early_stop_cycles = run_cycles - cycle;
             early_outcome = Some(if diverged {
+                fades_telemetry::fastpath::FAILURE_STOPS.inc();
                 Outcome::Failure
             } else {
                 Outcome::Silent

@@ -17,6 +17,7 @@ use fades_core::{
     Campaign, CampaignConfig, CampaignPlan, CampaignStats, DurationRange, ExperimentResult,
     FaultLoad, PermanentFault, TargetClass,
 };
+use fades_mcu8051::OBSERVED_PORTS;
 use fades_netlist::UnitTag;
 use fades_pnr::implement;
 use fades_rtl::RtlBuilder;
@@ -154,6 +155,14 @@ fn assert_plan_equivalent(campaign: &Campaign<'_>, plan: &CampaignPlan, what: &s
             b.fault
         );
         assert_eq!(b.strategy, s.strategy, "{what}");
+        if s.outcome == fades_core::Outcome::Failure {
+            // Both engines stop a Failure once its fault is gone.
+            assert_eq!(
+                b.early_stop_cycles, s.early_stop_cycles,
+                "{what}: fault {:?} {:?}: Failure early stop",
+                b.fault, b.schedule
+            );
+        }
         let seconds = |r: &ExperimentResult| {
             campaign
                 .time_model()
@@ -271,7 +280,7 @@ fn permanent_open_line_faults_match_scalar_path() {
 
 #[test]
 fn memory_bit_flips_match_scalar_path() {
-    use fades_mcu8051::{build_soc, workloads, OBSERVED_PORTS};
+    use fades_mcu8051::{build_soc, workloads};
     let w = workloads::fibonacci();
     let soc = build_soc(&w.rom).unwrap();
     let imp = implement(&soc.netlist, fades_fpga::ArchParams::virtex1000_like()).unwrap();
@@ -667,12 +676,17 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
     }
 }
 
-/// Runs `n` faults of each load on the 8051 running Bubblesort for its
-/// full length, implemented for `arch`, on the lane engine and on the
-/// scalar oracle, asserts every experiment matches, and asserts the lane
-/// engine merged lanes on every load.
-fn assert_merges_match_scalar(arch: fades_fpga::ArchParams, loads: &[&str], n: usize, seed: u64) {
-    use fades_mcu8051::{build_soc, workloads, Iss, OBSERVED_PORTS};
+/// The 8051 running Bubblesort, implemented for `arch`: its netlist,
+/// implementation, full workload length and internal-RAM data range.
+fn bubblesort_8051(
+    arch: fades_fpga::ArchParams,
+) -> (
+    fades_netlist::Netlist,
+    fades_pnr::Implementation,
+    u64,
+    (u8, u8),
+) {
+    use fades_mcu8051::{build_soc, workloads, Iss};
     let w = workloads::bubblesort();
     let soc = build_soc(&w.rom).unwrap();
     let imp = implement(&soc.netlist, arch).unwrap();
@@ -680,25 +694,41 @@ fn assert_merges_match_scalar(arch: fades_fpga::ArchParams, loads: &[&str], n: u
         .run_to_completion(100_000)
         .unwrap()
         .cycles;
-    let campaign =
-        Campaign::with_config(&soc.netlist, imp, &OBSERVED_PORTS, cycles, config()).unwrap();
+    (soc.netlist, imp, cycles, w.data_range)
+}
+
+/// The paper-campaign fault load `name`, with memory flips over
+/// `data_range`.
+fn paper_load(name: &str, data_range: (u8, u8)) -> FaultLoad {
+    match name {
+        "bitflip-mem" => FaultLoad::bit_flips(
+            TargetClass::MemoryBits {
+                name: "iram".into(),
+                lo: data_range.0 as usize,
+                hi: data_range.1 as usize,
+            },
+            DurationRange::SubCycle,
+        ),
+        "bitflip-ffs" => FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle),
+        "pulse-luts" => FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle),
+        "indet-ffs" => {
+            FaultLoad::indeterminations(TargetClass::AllFfs, DurationRange::SHORT, false)
+        }
+        other => unreachable!("no load {other}"),
+    }
+}
+
+/// Runs `n` faults of each load on the 8051 running Bubblesort for its
+/// full length, implemented for `arch`, on the lane engine and on the
+/// scalar oracle, asserts every experiment matches, and asserts the lane
+/// engine merged lanes on every load.
+fn assert_merges_match_scalar(arch: fades_fpga::ArchParams, loads: &[&str], n: usize, seed: u64) {
+    let (netlist, imp, cycles, data_range) = bubblesort_8051(arch);
+    let campaign = Campaign::with_config(&netlist, imp, &OBSERVED_PORTS, cycles, config()).unwrap();
     for (k, &name) in loads.iter().enumerate() {
-        let load = match name {
-            "bitflip-mem" => FaultLoad::bit_flips(
-                TargetClass::MemoryBits {
-                    name: "iram".into(),
-                    lo: w.data_range.0 as usize,
-                    hi: w.data_range.1 as usize,
-                },
-                DurationRange::SubCycle,
-            ),
-            "bitflip-ffs" => FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle),
-            "indet-ffs" => {
-                FaultLoad::indeterminations(TargetClass::AllFfs, DurationRange::SHORT, false)
-            }
-            other => unreachable!("no load {other}"),
-        };
-        let plan = campaign.plan(&load, n, seed + k as u64).unwrap();
+        let plan = campaign
+            .plan(&paper_load(name, data_range), n, seed + k as u64)
+            .unwrap();
         {
             let _counters = SIM_COUNTERS
                 .lock()
@@ -711,6 +741,31 @@ fn assert_merges_match_scalar(arch: fades_fpga::ArchParams, loads: &[&str], n: u
             );
         }
         assert_plan_equivalent(&campaign, &plan, name);
+    }
+}
+
+#[test]
+fn engines_stop_8051_failures_at_the_same_cycle() {
+    // A Failure is decided once its fault is gone: the lane engine
+    // retires the lane and the scalar engine stops there too, so both
+    // report the same early stop (`assert_plan_equivalent` compares it
+    // for every Failure).
+    let (netlist, imp, cycles, data_range) =
+        bubblesort_8051(fades_fpga::ArchParams::virtex1000_like());
+    let campaign = Campaign::with_config(&netlist, imp, &OBSERVED_PORTS, cycles, config()).unwrap();
+    for name in ["bitflip-ffs", "pulse-luts", "indet-ffs", "bitflip-mem"] {
+        let plan = campaign
+            .plan(&paper_load(name, data_range), 300, 5)
+            .unwrap();
+        assert_plan_equivalent(&campaign, &plan, name);
+        assert!(
+            campaign
+                .execute(&plan, None)
+                .unwrap()
+                .iter()
+                .any(|r| r.outcome == fades_core::Outcome::Failure && r.early_stop_cycles > 0),
+            "{name}: no Failure stopped early, so the comparison is vacuous"
+        );
     }
 }
 

@@ -205,6 +205,124 @@ fn memory_bit_flips_match_full_simulation() {
     assert_equivalent(&soc.netlist, &imp, &OBSERVED_PORTS, 700, &load, 6, 109);
 }
 
+/// Routing delays on the 8051 running Bubblesort for its full length,
+/// clocked at `clock_period_ns`: `n` faults per download mode, compared
+/// entry by entry against the full-simulation path. Most delays leave
+/// every overshoot pristine and are decided without simulation; the rest
+/// are simulated, and some of those fail and stop once the delay is gone.
+fn assert_8051_delays_match_full_simulation(clock_period_ns: f64, n: usize, seed: u64) {
+    use fades_mcu8051::{build_soc, workloads, Iss, OBSERVED_PORTS};
+    let w = workloads::bubblesort();
+    let soc = build_soc(&w.rom).unwrap();
+    let arch = ArchParams {
+        clock_period_ns,
+        ..ArchParams::virtex1000_like()
+    };
+    let imp = implement(&soc.netlist, arch).unwrap();
+    let cycles = Iss::new(w.rom.clone())
+        .run_to_completion(100_000)
+        .unwrap()
+        .cycles;
+    let campaign = |fastpath| {
+        Campaign::with_config(
+            &soc.netlist,
+            imp.clone(),
+            &OBSERVED_PORTS,
+            cycles,
+            config(fastpath),
+        )
+        .unwrap()
+    };
+    let (fast, slow) = (campaign(true), campaign(false));
+    let mut dev = Device::configure(imp.bitstream.clone()).unwrap();
+    for full_download in [true, false] {
+        let what = format!("{clock_period_ns} ns, full download {full_download}");
+        let mut load = FaultLoad::delays(TargetClass::CombinationalWires, DurationRange::SHORT);
+        load.delay_full_download = full_download;
+        let plan = fast.plan(&load, n, seed).unwrap();
+        let decided = fades_telemetry::fastpath::DELAYS_DECIDED.get();
+        let f = fast.execute(&plan, None).unwrap();
+        let decided = fades_telemetry::fastpath::DELAYS_DECIDED.get() - decided;
+        let s = slow.execute(&plan, None).unwrap();
+        let seconds = |r: &fades_core::ExperimentResult| {
+            fast.time_model()
+                .experiment_seconds(&r.traffic, fast.run_cycles())
+                .to_bits()
+        };
+        for (a, b) in f.iter().zip(&s) {
+            assert_eq!(a.fault, b.fault, "{what}");
+            assert_eq!(a.schedule, b.schedule, "{what}");
+            assert_eq!(a.outcome, b.outcome, "{what}: fault {:?}", a.fault);
+            assert_eq!(a.traffic, b.traffic, "{what}: fault {:?}", a.fault);
+            assert_eq!(seconds(a), seconds(b), "{what}: fault {:?}", a.fault);
+        }
+        let total = |rs: &[fades_core::ExperimentResult]| {
+            rs.iter()
+                .map(|r| {
+                    fast.time_model()
+                        .experiment_seconds(&r.traffic, fast.run_cycles())
+                })
+                .sum::<f64>()
+                .to_bits()
+        };
+        assert_eq!(total(&f), total(&s), "{what}: modelled seconds");
+        // Which delays leave timing pristine, found independently by
+        // injecting each one on a device of its own.
+        let (run_cycles, interval) = (fast.run_cycles(), fast.golden().checkpoint_interval());
+        let mut neutral = 0;
+        for (e, r) in plan.experiments.iter().zip(&f) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(e.seed);
+            strategy_for(&e.fault, false)
+                .inject(&mut dev, &mut rng)
+                .unwrap();
+            if dev.timing_is_pristine() {
+                neutral += 1;
+                // A decided delay reports what its simulated run would:
+                // the checkpoint it restores, and a stop once the delay
+                // is gone, its state then equal to golden's.
+                let gone = e.schedule.inject_at + e.schedule.duration.unwrap();
+                assert_eq!(
+                    (r.skipped_cycles, r.early_stop_cycles),
+                    (
+                        e.schedule.inject_at / interval * interval,
+                        run_cycles - gone.min(run_cycles)
+                    ),
+                    "{what}: fault {:?} {:?}",
+                    e.fault,
+                    e.schedule
+                );
+            }
+            dev.reset();
+        }
+        assert!(
+            neutral > 0 && neutral < n,
+            "{what}: {neutral} of {n} delays are timing-neutral, so one path went untested"
+        );
+        assert!(
+            decided >= neutral as u64,
+            "{what}: {decided} delays decided, {neutral} neutral"
+        );
+        assert!(
+            f.iter()
+                .any(|r| r.outcome == Outcome::Failure && r.early_stop_cycles > 0),
+            "{what}: no Failure stopped early"
+        );
+    }
+}
+
+#[test]
+fn delays_on_the_8051_match_full_simulation() {
+    assert_8051_delays_match_full_simulation(80.0, 1000, 5);
+}
+
+#[test]
+fn delays_on_a_marginally_timed_8051_match_full_simulation() {
+    // At 66 ns the pristine design already overshoots the clock, so a
+    // timing-neutral delay is one that leaves those overshoots unchanged,
+    // not one that leaves them zero.
+    assert_8051_delays_match_full_simulation(66.0, 300, 6);
+}
+
 #[test]
 fn early_stop_engages_on_silent_faults() {
     let (nl, imp) = dead_logic_design();

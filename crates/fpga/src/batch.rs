@@ -490,7 +490,7 @@ impl<const W: usize> BatchDevice<W> {
             return None;
         }
         let arch = *pristine.arch();
-        let timing = dev.static_timing(pristine);
+        let timing = &dev.pristine_timing;
         let ffs = dev.ffs.clone();
         let cbs = pristine.cbs();
         let pristine_tables: Vec<u16> = dev
@@ -572,8 +572,8 @@ impl<const W: usize> BatchDevice<W> {
             ffs,
             ff_of_cb: dev.ff_of_cb.clone(),
             lut_of_cb: dev.lut_of_cb.clone(),
-            ff_overshoot_ns: timing.ff_overshoot_ns,
-            bram_overshoot_ns: timing.bram_overshoot_ns,
+            ff_overshoot_ns: timing.ff_overshoot_ns.clone(),
+            bram_overshoot_ns: timing.bram_overshoot_ns.clone(),
             ff_columns,
             pristine_tables,
             pristine_invert,

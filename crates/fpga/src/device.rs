@@ -181,6 +181,11 @@ pub struct Device {
     ff_prev_d: Vec<bool>,
     bram_prev_write: Vec<BramWrite>,
     timing: TimingReport,
+    /// Static timing of the pristine configuration, computed once at
+    /// configure time: `reset` after a routing fault, and any routing
+    /// write that leaves every written wire pristine again, copy it
+    /// instead of re-running the analysis.
+    pub(crate) pristine_timing: TimingReport,
 
     // Incremental digests for state-hash convergence checks (see the
     // `state` module). `behav_hash` covers behaviour-affecting
@@ -225,6 +230,7 @@ impl Device {
             ff_prev_d: Vec::new(),
             bram_prev_write: Vec::new(),
             timing: TimingReport::default(),
+            pristine_timing: TimingReport::default(),
             behav_hash: 0,
             bram_hash: 0,
             pristine_behav_hash: 0,
@@ -240,7 +246,8 @@ impl Device {
             frames: arch.total_frames(),
             bytes: arch.full_config_bytes(),
         });
-        dev.recompute_timing();
+        dev.pristine_timing = dev.static_timing(&dev.pristine);
+        dev.timing.clone_from(&dev.pristine_timing);
         Ok(dev)
     }
 
@@ -474,6 +481,19 @@ impl Device {
         &self.timing
     }
 
+    /// Whether every flip-flop and memory write port overshoots the
+    /// clock exactly as in the pristine configuration. Those overshoots
+    /// are the only timing [`clock_edge`](Self::clock_edge) reads, so
+    /// while this holds the device behaves cycle for cycle as the
+    /// pristine one does, whatever delays its routing carries.
+    ///
+    /// The comparison is against the pristine report, not against zero:
+    /// a design clocked close to its critical path already overshoots.
+    pub fn timing_is_pristine(&self) -> bool {
+        self.timing.ff_overshoot_ns == self.pristine_timing.ff_overshoot_ns
+            && self.timing.bram_overshoot_ns == self.pristine_timing.bram_overshoot_ns
+    }
+
     /// Restores the device to its initial state: flip-flops to their init
     /// values, configuration memory (including block-RAM contents and any
     /// injected routing faults) to the pristine configuration.
@@ -505,7 +525,7 @@ impl Device {
         self.behav_hash = self.pristine_behav_hash;
         self.bram_hash = self.pristine_bram_hash;
         if routing_touched {
-            self.recompute_timing();
+            self.timing.clone_from(&self.pristine_timing);
         }
     }
 
@@ -922,7 +942,7 @@ impl Device {
             });
         }
         if mutation.affects_timing() {
-            self.recompute_timing();
+            self.refresh_timing();
         }
         Ok(())
     }
@@ -1103,7 +1123,7 @@ impl Device {
         let flat = cb.flat_index(self.bits.arch().rows);
         match self.ff_of_cb.get(flat) {
             Some(&idx) if idx != u32::MAX => self
-                .timing
+                .pristine_timing
                 .ff_violated
                 .get(idx as usize)
                 .copied()
@@ -1242,6 +1262,24 @@ impl Device {
     /// Recomputes static timing for the current configuration.
     pub fn recompute_timing(&mut self) {
         self.timing = self.static_timing(&self.bits);
+    }
+
+    /// Brings the timing report up to date after a routing write: a copy
+    /// of the pristine report when every wire written since the last
+    /// [`reset`](Self::reset) is back at its pristine configuration (a
+    /// delay fault's removal), a full analysis otherwise.
+    fn refresh_timing(&mut self) {
+        let (live, pristine) = (self.bits.wires(), self.pristine.wires());
+        if self
+            .dirty_wires
+            .list
+            .iter()
+            .all(|&w| live[w as usize] == pristine[w as usize])
+        {
+            self.timing.clone_from(&self.pristine_timing);
+        } else {
+            self.recompute_timing();
+        }
     }
 
     /// Static timing of this device's compiled circuit under the routing
@@ -1469,5 +1507,65 @@ mod tests {
         // flag the violation; the functional effect is asserted by the
         // campaign-level tests in fades-core.
         let _ = before;
+    }
+
+    #[test]
+    fn timing_report_stays_exact_across_routing_writes_and_reset() {
+        let mut dev = inverter_loop_device();
+        let exact = |dev: &Device| dev.timing() == &dev.static_timing(dev.bitstream());
+        let violating = (dev.arch().usable_period_ns()
+            / (dev.arch().lut_delay_ns + dev.arch().wire_base_ns))
+            .ceil() as u32
+            + 1;
+        let n_wires = dev.bitstream().wires().len();
+        assert!(exact(&dev) && dev.timing_is_pristine());
+        assert!(dev
+            .bitstream()
+            .wires()
+            .iter()
+            .any(|w| matches!(w.driver, WireDriver::CbFf(_))));
+        // A fan-out load too small to violate, a detour that violates and
+        // their removals, on every wire, shipped both ways. Timing that
+        // differs from pristine only in wire arrivals still counts as
+        // pristine: capture reads the overshoots alone.
+        for full in [false, true] {
+            for w in 0..n_wires {
+                let wire = WireId::from_index(w);
+                // Only the feedback wire lies on the flip-flop's data
+                // path; the LUT output reaches the flip-flop inside its
+                // block.
+                let on_path = matches!(dev.bitstream().wires()[w].driver, WireDriver::CbFf(_));
+                let steps = [
+                    (Mutation::SetWireFanout { wire, extra: 1 }, true),
+                    (
+                        Mutation::SetWireDetour {
+                            wire,
+                            luts: violating,
+                        },
+                        !on_path,
+                    ),
+                    (Mutation::SetWireFanout { wire, extra: 0 }, !on_path),
+                    (Mutation::SetWireDetour { wire, luts: 0 }, true),
+                ];
+                for (mutation, neutral) in steps {
+                    if full {
+                        dev.apply_via_full_download(&mutation).unwrap();
+                    } else {
+                        dev.apply(&mutation).unwrap();
+                    }
+                    assert!(exact(&dev), "{mutation:?}");
+                    assert_eq!(dev.timing_is_pristine(), neutral, "{mutation:?}");
+                }
+                assert_eq!(dev.timing(), &dev.pristine_timing);
+                dev.apply(&Mutation::SetWireDetour {
+                    wire,
+                    luts: violating,
+                })
+                .unwrap();
+                dev.reset();
+                assert!(exact(&dev) && dev.timing_is_pristine());
+                assert_eq!(dev.timing(), &dev.pristine_timing);
+            }
+        }
     }
 }

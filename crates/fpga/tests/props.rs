@@ -402,6 +402,65 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The timing report stays exact through any sequence of routing
+    /// writes, through writes restoring every wire, and through `reset`
+    /// after a fault: after every step it equals a fresh analysis of the
+    /// live configuration, whether the device re-ran the analysis or
+    /// copied its pristine report. Overshoots equal to the pristine ones
+    /// are what `timing_is_pristine` reports.
+    #[test]
+    fn timing_report_tracks_routing_writes(
+        writes in proptest::collection::vec(
+            (any::<bool>(), any::<u32>(), 0u32..128, any::<bool>()),
+            1..16,
+        ),
+    ) {
+        let (bs, _) = mixed_design();
+        let mut dev = Device::configure(bs).unwrap();
+        let pristine = dev.timing().clone();
+        let n_wires = dev.bitstream().wires().len();
+        let write = |dev: &mut Device, detour: bool, wire: WireId, amount: u32, full: bool| {
+            let mutation = if detour {
+                Mutation::SetWireDetour { wire, luts: amount }
+            } else {
+                Mutation::SetWireFanout { wire, extra: amount * 80 }
+            };
+            if full {
+                dev.apply_via_full_download(&mutation).unwrap();
+            } else {
+                dev.apply(&mutation).unwrap();
+            }
+        };
+        let check = |dev: &Device| -> Result<(), TestCaseError> {
+            let fresh = Device::configure(dev.bitstream().clone()).unwrap();
+            prop_assert_eq!(dev.timing(), fresh.timing());
+            prop_assert_eq!(
+                dev.timing_is_pristine(),
+                fresh.timing().ff_overshoot_ns == pristine.ff_overshoot_ns
+                    && fresh.timing().bram_overshoot_ns == pristine.bram_overshoot_ns
+            );
+            Ok(())
+        };
+        let wire = |w: u32| WireId::from_index(w as usize % n_wires);
+        for &(detour, w, amount, full) in &writes {
+            write(&mut dev, detour, wire(w), amount, full);
+            check(&dev)?;
+        }
+        for &(detour, w, _, full) in writes.iter().rev() {
+            write(&mut dev, detour, wire(w), 0, !full);
+            check(&dev)?;
+        }
+        prop_assert_eq!(dev.timing(), &pristine);
+        for &(detour, w, amount, full) in &writes {
+            write(&mut dev, detour, wire(w), amount, full);
+        }
+        dev.reset();
+        check(&dev)?;
+        prop_assert_eq!(dev.timing(), &pristine);
+    }
+}
+
 /// Lanes on the edges of the `u64` words a lane word spans; a width-`W`
 /// engine uses those below `64 * W`.
 const EDGE_LANES: [usize; 8] = [1, 63, 64, 127, 128, 255, 256, 511];

@@ -228,7 +228,8 @@ pub mod sim {
 }
 
 /// Process-wide counters for the checkpointed fast-forward experiment
-/// path (golden-prefix skipping and early-stop convergence detection).
+/// path (golden-prefix skipping, early-stop convergence detection,
+/// fail-stop and timing-neutral delays).
 ///
 /// Unlike [`sim`], these are always live: they cost one atomic add per
 /// *experiment*, not per cycle, and campaign-level visibility into how
@@ -240,12 +241,19 @@ pub mod fastpath {
     /// Experiments that fast-forwarded over the golden prefix by
     /// restoring a checkpoint.
     pub static FAST_FORWARDED: Counter = Counter::new();
-    /// Experiments that stopped early on golden-state convergence.
+    /// Experiments that stopped early, on golden-state convergence or at
+    /// a locked Failure.
     pub static EARLY_STOPPED: Counter = Counter::new();
     /// Golden-prefix cycles skipped via checkpoint restoration.
     pub static PREFIX_CYCLES_SKIPPED: Counter = Counter::new();
-    /// Tail cycles skipped via early-stop convergence detection.
+    /// Tail cycles skipped via early stop and fail-stop.
     pub static EARLY_STOP_CYCLES_SKIPPED: Counter = Counter::new();
+    /// Routing delays decided Silent before the prefix because they
+    /// leave every flip-flop and write-port overshoot pristine.
+    pub static DELAYS_DECIDED: Counter = Counter::new();
+    /// Experiments stopped as `Failure` once their fault was gone and
+    /// their observed trace had diverged.
+    pub static FAILURE_STOPS: Counter = Counter::new();
 
     /// Records one finished experiment's fast-path savings (either count
     /// may be zero; zero-cycle components are not counted as engagement).
@@ -260,12 +268,14 @@ pub mod fastpath {
         }
     }
 
-    /// Resets all four counters (between benchmark sections or tests).
+    /// Resets all counters (between benchmark sections or tests).
     pub fn reset() {
         FAST_FORWARDED.reset();
         EARLY_STOPPED.reset();
         PREFIX_CYCLES_SKIPPED.reset();
         EARLY_STOP_CYCLES_SKIPPED.reset();
+        DELAYS_DECIDED.reset();
+        FAILURE_STOPS.reset();
     }
 }
 

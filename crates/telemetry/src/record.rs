@@ -45,7 +45,8 @@ pub struct ExperimentRecord {
     /// Golden-prefix cycles skipped by checkpoint fast-forward (0 on the
     /// full-simulation path).
     pub skipped_cycles: u64,
-    /// Tail cycles skipped by early-stop convergence detection (0 on the
+    /// Tail cycles skipped once the outcome was decided, by early-stop
+    /// convergence detection or by fail-stop on a Failure (0 on the
     /// full-simulation path).
     pub early_stop_cycles: u64,
     /// Real wall-clock microseconds this experiment took to emulate.
@@ -351,7 +352,7 @@ pub struct CampaignAggregate {
     pub bulk_bytes: u64,
     /// Total golden-prefix cycles skipped by checkpoint fast-forward.
     pub skipped_cycles: u64,
-    /// Total tail cycles skipped by early-stop convergence detection.
+    /// Total tail cycles skipped by early stop and fail-stop.
     pub early_stop_cycles: u64,
     /// Total extra attempts spent retrying experiments (0 when no
     /// experiment needed more than one try).

@@ -108,6 +108,14 @@ pub fn snapshot() -> MetricsSnapshot {
             crate::fastpath::EARLY_STOP_CYCLES_SKIPPED.get(),
         ),
         (
+            "fades_fastpath_delays_decided_total",
+            crate::fastpath::DELAYS_DECIDED.get(),
+        ),
+        (
+            "fades_fastpath_failure_stops_total",
+            crate::fastpath::FAILURE_STOPS.get(),
+        ),
+        (
             "fades_dispatch_retries_total",
             crate::dispatch::RETRIES.get(),
         ),
@@ -282,9 +290,13 @@ mod tests {
         assert!(get(&s.counters, "fades_sim_cycles_total").is_some());
         crate::sim::FLIPS_COLLAPSED.add(2);
         crate::sim::FLIPS_DECIDED.add(1);
+        crate::fastpath::DELAYS_DECIDED.inc();
+        crate::fastpath::FAILURE_STOPS.inc();
         let s = snapshot();
         assert!(get(&s.counters, "fades_sim_flips_collapsed_total").unwrap() >= 2);
         assert!(get(&s.counters, "fades_sim_flips_decided_total").unwrap() >= 1);
+        assert!(get(&s.counters, "fades_fastpath_delays_decided_total").unwrap() >= 1);
+        assert!(get(&s.counters, "fades_fastpath_failure_stops_total").unwrap() >= 1);
         assert!(get(&s.counters, "fades_test_extra_total").unwrap() >= 7);
         assert_eq!(get(&s.gauges, "fades_test_extra_gauge"), Some(3));
         assert!(get(&s.gauges, "fades_experiments_done").is_some());

@@ -83,10 +83,13 @@ cargo test -q --release --offline -p fades-experiments --test service_e2e
 # the bit — quarantine included. `bitflip-mem` runs too: the lane driver
 # collapses memory flips by golden access, and the chaos target must
 # still run, panic and be quarantined, never be decided with a class.
+# `delay-wires` runs on the scalar engine under both flags, and most of
+# its delays are decided before simulation: those decided results must
+# pass through journal, resume and merge like simulated ones.
 echo "== sharded-batched chaos gate (release)"
 gate_dir=$(mktemp -d)
 run_exp() { cargo run -q --release --offline -p fades-experiments -- "$@"; }
-for load in pulse-luts bitflip-mem; do
+for load in pulse-luts bitflip-mem delay-wires; do
     for engine_flag in "lane --batch" "scalar --no-batch"; do
         # shellcheck disable=SC2086  # splitting engine/flag pair is intended
         set -- $engine_flag
