@@ -104,31 +104,7 @@ impl JournalHeader {
     ///
     /// Returns [`DispatchError::Mismatch`] on any disagreement.
     pub fn ensure_matches(&self, other: &JournalHeader) -> Result<(), DispatchError> {
-        let fields: [(&str, String, String); 7] = [
-            ("campaign", self.campaign.clone(), other.campaign.clone()),
-            ("load", self.load.clone(), other.load.clone()),
-            (
-                "n_total",
-                self.n_total.to_string(),
-                other.n_total.to_string(),
-            ),
-            ("seed", self.seed.to_string(), other.seed.to_string()),
-            ("shard", self.shard.to_string(), other.shard.to_string()),
-            ("of", self.of.to_string(), other.of.to_string()),
-            (
-                "run_cycles",
-                self.run_cycles.to_string(),
-                other.run_cycles.to_string(),
-            ),
-        ];
-        for (name, a, b) in fields {
-            if a != b {
-                return Err(DispatchError::Mismatch(format!(
-                    "{name}: journal has `{b}`, expected `{a}`"
-                )));
-            }
-        }
-        Ok(())
+        self.first_mismatch(other, true)
     }
 
     /// [`ensure_matches`](JournalHeader::ensure_matches) ignoring the
@@ -138,11 +114,47 @@ impl JournalHeader {
     ///
     /// Returns [`DispatchError::Mismatch`] on any disagreement.
     pub fn ensure_same_campaign(&self, other: &JournalHeader) -> Result<(), DispatchError> {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.shard = 0;
-        b.shard = 0;
-        a.ensure_matches(&b)
+        self.first_mismatch(other, false)
+    }
+
+    /// Compares the fields in header order, the shard index only if
+    /// `with_shard`, and formats the first disagreement alone.
+    fn first_mismatch(&self, other: &JournalHeader, with_shard: bool) -> Result<(), DispatchError> {
+        let fields: [(&str, bool, &dyn std::fmt::Display, &dyn std::fmt::Display); 7] = [
+            (
+                "campaign",
+                self.campaign == other.campaign,
+                &self.campaign,
+                &other.campaign,
+            ),
+            ("load", self.load == other.load, &self.load, &other.load),
+            (
+                "n_total",
+                self.n_total == other.n_total,
+                &self.n_total,
+                &other.n_total,
+            ),
+            ("seed", self.seed == other.seed, &self.seed, &other.seed),
+            (
+                "shard",
+                !with_shard || self.shard == other.shard,
+                &self.shard,
+                &other.shard,
+            ),
+            ("of", self.of == other.of, &self.of, &other.of),
+            (
+                "run_cycles",
+                self.run_cycles == other.run_cycles,
+                &self.run_cycles,
+                &other.run_cycles,
+            ),
+        ];
+        match fields.into_iter().find(|&(_, same, _, _)| !same) {
+            Some((name, _, expected, found)) => Err(DispatchError::Mismatch(format!(
+                "{name}: journal has `{found}`, expected `{expected}`"
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -232,13 +244,15 @@ impl JournalRecord {
         format!("{},\"at_ms\":{at_ms}}}", &line[..line.len() - 1])
     }
 
-    fn from_json(v: &JsonValue) -> Result<Self, DispatchError> {
+    /// Reads a record line whose `type` field (looked up by the caller)
+    /// is `kind`.
+    fn from_json(kind: Option<&str>, v: &JsonValue) -> Result<Self, DispatchError> {
         let field_u64 = |k: &str| {
             v.get(k)
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| DispatchError::Journal(format!("record missing `{k}`")))
         };
-        match v.get("type").and_then(JsonValue::as_str) {
+        match kind {
             Some("experiment") => {
                 let bits_hex = v
                     .get("modelled_s_bits")
@@ -447,29 +461,29 @@ impl Journal {
             if line.trim().is_empty() {
                 continue;
             }
-            let mut at_ms = None;
-            let record = match json::parse(line).map(|v| {
-                at_ms = v.get("at_ms").and_then(JsonValue::as_u64);
-                if v.get("type").and_then(JsonValue::as_str) == Some("plan") {
-                    // A resumed run re-created the file instead of
-                    // appending; treat an identical header as a no-op and
-                    // anything else as a mismatch.
-                    JournalHeader::from_json(&v)
-                        .and_then(|h| replay.header.ensure_matches(&h))
-                        .map(|()| None)
-                } else {
-                    JournalRecord::from_json(&v).map(Some)
-                }
-            }) {
-                Ok(Ok(Some(record))) => record,
-                Ok(Ok(None)) => continue,
-                Ok(Err(e @ DispatchError::Mismatch(_))) => return Err(e),
-                Ok(Err(_)) | Err(_) => {
+            let Ok(v) = json::parse(line) else {
+                replay.malformed_lines += 1;
+                continue;
+            };
+            let parsed = match v.get("type").and_then(JsonValue::as_str) {
+                // A resumed run re-created the file instead of appending;
+                // treat an identical header as a no-op and anything else
+                // as a mismatch.
+                Some("plan") => JournalHeader::from_json(&v)
+                    .and_then(|h| replay.header.ensure_matches(&h))
+                    .map(|()| None),
+                kind => JournalRecord::from_json(kind, &v).map(Some),
+            };
+            let record = match parsed {
+                Ok(Some(record)) => record,
+                Ok(None) => continue,
+                Err(e @ DispatchError::Mismatch(_)) => return Err(e),
+                Err(_) => {
                     replay.malformed_lines += 1;
                     continue;
                 }
             };
-            match record {
+            let settled = match record {
                 JournalRecord::Completed { index, .. } => {
                     if let Some(prev) = replay.completed.get(&index) {
                         if *prev != record {
@@ -479,18 +493,20 @@ impl Journal {
                             )));
                         }
                     }
-                    if let Some(ms) = at_ms {
-                        replay.settled_at_ms.insert(index, ms);
-                    }
                     replay.completed.insert(index, record);
+                    index
                 }
                 JournalRecord::Quarantined { index, .. } => {
-                    if let Some(ms) = at_ms {
-                        replay.settled_at_ms.insert(index, ms);
-                    }
                     replay.quarantined.insert(index, record);
+                    index
                 }
-                JournalRecord::ShardComplete { .. } => replay.shard_complete = true,
+                JournalRecord::ShardComplete { .. } => {
+                    replay.shard_complete = true;
+                    continue;
+                }
+            };
+            if let Some(ms) = v.get("at_ms").and_then(JsonValue::as_u64) {
+                replay.settled_at_ms.insert(settled, ms);
             }
         }
         Ok(replay)
@@ -799,10 +815,22 @@ mod tests {
         let mut b = header();
         b.seed = 8;
         let err = a.ensure_matches(&b).unwrap_err();
-        assert!(err.to_string().contains("seed"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "journal mismatch: seed: journal has `8`, expected `7`"
+        );
         let mut c = header();
         c.shard = 2;
         assert!(a.ensure_matches(&c).is_err());
         assert!(a.ensure_same_campaign(&c).is_ok(), "merge ignores shard");
+        // Only the first disagreement is named, in header order.
+        c.load = "pulse-luts".into();
+        c.run_cycles = 1;
+        for err in [a.ensure_matches(&c), a.ensure_same_campaign(&c)] {
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                "journal mismatch: load: journal has `pulse-luts`, expected `bitflip-ffs`"
+            );
+        }
     }
 }

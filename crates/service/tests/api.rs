@@ -251,3 +251,38 @@ fn deeply_nested_submit_is_a_400_and_the_server_keeps_serving() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn body_budget_string_submit_is_a_400_and_the_server_keeps_serving() {
+    // A body-budget's worth of string used to hold the only HTTP thread
+    // for seconds: the JSON parser re-validated the rest of the body for
+    // every character of the string.
+    let dir = scratch("long-string");
+    let service = Service::start(
+        &ServiceConfig {
+            queue_dir: dir.clone(),
+            workers: 1,
+            max_jobs: 1,
+        },
+        Box::new(InstantBackend),
+    )
+    .unwrap();
+    let server = api::start_http("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let addr = server.addr().to_string();
+
+    let frame = "{\"load\":\"\"}";
+    let load = "a".repeat(fades_telemetry::serve::BODY_BUDGET - frame.len());
+    let body = format!("{{\"load\":\"{load}\"}}");
+    assert_eq!(body.len(), fades_telemetry::serve::BODY_BUDGET);
+    let (code, reply) = http_post(&addr, "/campaigns", &body).unwrap();
+    let head = &reply[..reply.len().min(200)];
+    assert_eq!(code, 400, "{head}");
+    assert!(reply.contains("unknown fault load"), "{head}");
+
+    let (code, reply) = http_get(&addr, "/campaigns").unwrap();
+    assert_eq!(code, 200, "{reply}");
+
+    service.join();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -2,8 +2,12 @@
 //!
 //! The build environment is offline, so instead of `serde` the run-log
 //! sink serializes through [`JsonObject`] — append-only, insertion-ordered
-//! fields, which gives the JSONL schema its stable field order — and the
-//! tests validate output with the small recursive-descent [`parse`]r.
+//! fields, which gives the JSONL schema its stable field order — and one
+//! recursive-descent [`parse`]r reads every JSON the workspace takes in:
+//! shard journals, job specs and queue records, HTTP request bodies, the
+//! benchmark's files, and test output. Some of that input is hostile (a
+//! request body, a torn journal), so parsing runs in time linear in its
+//! input and nesting is bounded by [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -103,7 +107,7 @@ pub fn array(items: &[String]) -> String {
 /// 2^53: every integer below it is exactly representable as an `f64`.
 const EXACT_F64_LIMIT: f64 = 9_007_199_254_740_992.0;
 
-/// A parsed JSON value (used by tests and the bench-file reader).
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`
@@ -178,6 +182,7 @@ pub const MAX_DEPTH: usize = 128;
 /// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -192,6 +197,9 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes: every token boundary the parser stops at is an
+    /// ASCII byte, so slicing `text` there is always on a char boundary.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -316,73 +324,105 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal. Each run of bytes up to the next `"` or
+    /// `\` is copied as one slice, so the literal costs one pass over
+    /// its bytes whatever it holds.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let Some(c) = s.chars().next() else {
-                        return Err("unterminated string".to_string());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            let stop = self.bytes[self.pos + run];
+            self.pos += run + 1;
+            if stop == b'"' {
+                return Ok(out);
             }
+            let escaped = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    self.pos += 1;
+                    out.push(self.unicode_escape()?);
+                    continue;
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            };
+            out.push(escaped);
+            self.pos += 1;
         }
     }
 
+    /// Decodes the code unit of a `\u` escape (the `\u` already
+    /// consumed). A high surrogate followed by an escaped low surrogate
+    /// is one scalar; an unpaired surrogate is U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.hex4()?;
+        if (0xD800..0xDC00).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let unpaired = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let scalar = 0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).unwrap_or(char::REPLACEMENT_CHARACTER));
+            }
+            // Not a low surrogate: it is decoded as an escape of its own.
+            self.pos = unpaired;
+        }
+        Ok(char::from_u32(unit).unwrap_or(char::REPLACEMENT_CHARACTER))
+    }
+
+    /// Reads exactly four hex digits (no sign, no other prefix).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut unit = 0;
+        for &d in digits {
+            let nibble = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            unit = unit << 4 | nibble;
+        }
+        self.pos += 4;
+        Ok(unit)
+    }
+
+    /// Parses a number. A plain digit run is accumulated as it is
+    /// scanned and kept exact if it fits a `u64`; anything else (a sign,
+    /// fraction or exponent, or a larger value) is parsed as an `f64`.
     fn num(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let mut integer = Some(0u64);
         while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
+            match b {
+                b'0'..=b'9' => {
+                    integer =
+                        integer.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+                }
+                b'-' | b'+' | b'.' | b'e' | b'E' => integer = None,
+                _ => break,
             }
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(JsonValue::Integer(n));
-            }
+        let text = &self.text[start..self.pos];
+        match integer {
+            Some(n) if !text.is_empty() => Ok(JsonValue::Integer(n)),
+            _ => text
+                .parse::<f64>()
+                .map(JsonValue::Number)
+                .map_err(|_| format!("bad number `{text}` at byte {start}")),
         }
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
     }
 }
 
@@ -468,6 +508,54 @@ mod tests {
         let body = "[".repeat(256 * 1024);
         let result = std::thread::spawn(move || parse(&body)).join().unwrap();
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB string literals: plain ASCII, nothing but escapes, and a
+        // two-byte scalar. A parser that re-read the rest of its input
+        // per character would take hours here; a linear one takes
+        // milliseconds, even unoptimized.
+        const LEN: usize = 4 << 20;
+        for (body, unescaped) in [("a", "a"), ("\\n", "\n"), ("\u{e9}", "\u{e9}")] {
+            let count = LEN / body.len();
+            let literal = format!("\"{}\"", body.repeat(count));
+            let started = std::time::Instant::now();
+            let value = parse(&literal).expect("parses");
+            let took = started.elapsed();
+            assert!(took.as_secs() < 5, "{body:?} × {count}: {took:?}");
+            assert_eq!(value, JsonValue::String(unescaped.repeat(count)));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_pair_surrogates_and_take_exactly_four_hex_digits() {
+        let string = |text: &str| parse(text).map(|v| v.as_str().map(str::to_string));
+        let ok = |s: &str| Ok(Some(s.to_string()));
+        assert_eq!(string(r#""Aéé""#), ok("A\u{e9}\u{e9}"));
+        assert_eq!(string(r#""😀""#), ok("\u{1f600}"));
+        assert_eq!(string(r#""😀!""#), ok("\u{1f600}!"));
+        // Unpaired surrogates are U+FFFD, and whatever follows one is
+        // decoded on its own.
+        assert_eq!(string(r#""\ud83d""#), ok("\u{fffd}"));
+        assert_eq!(string(r#""\ude00\ud83d""#), ok("\u{fffd}\u{fffd}"));
+        assert_eq!(string(r#""\ud83dx""#), ok("\u{fffd}x"));
+        assert_eq!(string(r#""\ud83d\n""#), ok("\u{fffd}\n"));
+        assert_eq!(string(r#""\ud83dA""#), ok("\u{fffd}A"));
+        assert_eq!(string(r#""\ud83d😀""#), ok("\u{fffd}\u{1f600}"));
+        // Exactly four hex digits: no sign, no short or non-hex forms.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u041""#,
+            r#""\u04g1""#,
+            r#""\u 041""#,
+            r#""\u00""#,
+            r#""\ud83d\u+e00""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]
@@ -558,6 +646,80 @@ mod tests {
         }
     }
 
+    /// Writes `text` as a string literal's body, picking at random for
+    /// each scalar among the encodings JSON allows it (raw, a short
+    /// escape, `\uXXXX` in either case, a surrogate pair), with
+    /// unpaired surrogates mixed in when `lone` is set.
+    fn random_escapes(rng: &mut Prng, text: &str, lone: bool) -> String {
+        let mut body = String::new();
+        let hex = |rng: &mut Prng, unit: u16| {
+            if rng.below(2) == 0 {
+                format!("\\u{unit:04x}")
+            } else {
+                format!("\\u{unit:04X}")
+            }
+        };
+        for c in text.chars() {
+            // Runs of them, so an escaped high surrogate can meet an
+            // escaped low one and pair.
+            while lone && rng.below(4) == 0 {
+                let surrogate = 0xD800 + rng.below(0x800) as u16;
+                body.push_str(&hex(rng, surrogate));
+            }
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            match (rng.below(3), short) {
+                (0, _) if !matches!(c, '"' | '\\') => body.push(c),
+                (1, Some(escape)) => body.push_str(escape),
+                _ => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        body.push_str(&hex(rng, *unit));
+                    }
+                }
+            }
+        }
+        body
+    }
+
+    /// A decoder for a string literal's body written apart from the
+    /// parser: every raw scalar and escape becomes UTF-16 code units,
+    /// and `char::decode_utf16` pairs them, replacing what is unpaired.
+    fn reference_decode(body: &str) -> String {
+        let mut units = Vec::new();
+        let mut chars = body.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                units.extend_from_slice(c.encode_utf16(&mut [0; 2]));
+                continue;
+            }
+            units.push(match chars.next() {
+                Some('u') => {
+                    let digits: String = chars.by_ref().take(4).collect();
+                    u16::from_str_radix(&digits, 16).expect("four hex digits")
+                }
+                Some('b') => 0x8,
+                Some('f') => 0xc,
+                Some('n') => u16::from(b'\n'),
+                Some('r') => u16::from(b'\r'),
+                Some('t') => u16::from(b'\t'),
+                Some(c) => c as u16,
+                None => panic!("dangling backslash"),
+            });
+        }
+        char::decode_utf16(units)
+            .map(|c| c.unwrap_or(char::REPLACEMENT_CHARACTER))
+            .collect()
+    }
+
     /// Serializes a value tree with the module's writers.
     fn write(v: &JsonValue) -> String {
         match v {
@@ -595,6 +757,27 @@ mod tests {
             let value = random_value(&mut rng, 4);
             let text = write(&value);
             prop_assert_eq!(parse(&text), Ok(value), "{}", text);
+        }
+
+        /// Strings written with random escape choices, unpaired
+        /// surrogates included, parse to what the reference decoder
+        /// reads; without unpaired surrogates, to the original text.
+        #[test]
+        fn escaped_strings_match_a_reference_decoder(seed in any::<u64>()) {
+            let mut rng = Prng::new(seed);
+            let text: String = (0..4).map(|_| random_string(&mut rng)).collect();
+            let lone = rng.below(2) == 1;
+            let body = random_escapes(&mut rng, &text, lone);
+            let expected = reference_decode(&body);
+            if !lone {
+                prop_assert_eq!(&expected, &text);
+            }
+            prop_assert_eq!(
+                parse(&format!("\"{body}\"")),
+                Ok(JsonValue::String(expected)),
+                "{}",
+                body
+            );
         }
 
         /// Integers above 2^53, where `f64` would round, come back exact,

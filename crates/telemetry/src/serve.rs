@@ -214,7 +214,8 @@ fn serve_loop(listener: &TcpListener, stop: &AtomicBool, handler: &Arc<HttpHandl
                 // CLI / scrapers, so one thread is plenty and keeps
                 // resources bounded. The hardened read path guarantees
                 // one connection detains the thread for at most
-                // ~2 × READ_DEADLINE.
+                // ~2 × READ_DEADLINE of reading, and a handler's JSON
+                // parse is linear in a body capped at BODY_BUDGET.
                 let _ = handle_connection(stream, handler);
             }
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
