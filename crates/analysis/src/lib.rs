@@ -4,7 +4,7 @@
 //! pristine [`Bitstream`](fades_fpga::Bitstream) the implementation flow
 //! produced:
 //!
-//! * [`lint`] — a structural linter over the placed design: combinational
+//! * [`lint()`] — a structural linter over the placed design: combinational
 //!   cycles, floating LUTs, dangling nets, constant truth tables, dead
 //!   flip-flops, unused-site inventory and lane-engine obstacles, each
 //!   reported as a structured [`Diagnostic`].

@@ -810,12 +810,7 @@ mod tests {
         plan: &crate::CampaignPlan,
     ) -> Vec<String> {
         campaign
-            .execute_lanes::<W>(
-                plan,
-                campaign.partition_lanes(plan),
-                None,
-                crate::campaign::ExecMode::FailFast,
-            )
+            .drive(plan, None, crate::campaign::ExecMode::FailFast, Some(|_| W))
             .expect("lane run")
             .iter()
             .map(observable)

@@ -51,31 +51,10 @@ impl Default for CampaignConfig {
         CampaignConfig {
             threads: worker_threads(),
             margin_cycles: 64,
-            fastpath: fastpath_default(),
-            static_preclassify: static_default(),
+            fastpath: true,
+            static_preclassify: true,
         }
     }
-}
-
-/// Default for [`CampaignConfig::fastpath`]: enabled unless the
-/// `FADES_NO_FASTPATH` escape hatch is set to a non-empty value other
-/// than `0` (kept available for equivalence testing and debugging).
-///
-/// Read per call — not cached — so one process can construct configs on
-/// both paths (the equivalence test relies on this).
-pub fn fastpath_default() -> bool {
-    !matches!(std::env::var("FADES_NO_FASTPATH"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Default for [`CampaignConfig::static_preclassify`]: enabled unless the
-/// `FADES_NO_STATIC` escape hatch is set to a non-empty value other than
-/// `0` (kept available for the soundness differential suite, which proves
-/// skipped and executed campaigns bit-identical).
-///
-/// Read per call — not cached — so one process can construct configs on
-/// both paths (the differential test relies on this).
-pub fn static_default() -> bool {
-    !matches!(std::env::var("FADES_NO_STATIC"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 /// Campaign worker-thread count: `FADES_THREADS` when set to a positive
@@ -251,7 +230,7 @@ fn record_of(
 
 /// One lane-driver call's plan, split by
 /// [`Campaign::partition_lanes`].
-pub(crate) struct LanePartition<'p> {
+struct LanePartition<'p> {
     /// The entries that take a lane.
     lane: Vec<LaneEntry<'p>>,
     /// Plan positions the scalar engine runs, ascending.
@@ -261,8 +240,6 @@ pub(crate) struct LanePartition<'p> {
     unread: Vec<usize>,
     /// `members[pos]`: the plan positions decided with lane entry `pos`.
     members: Vec<Vec<usize>>,
-    /// The chaos hook of this call.
-    chaos: Option<ChaosPanic>,
 }
 
 /// A prepared fault-injection campaign over one implemented design.
@@ -413,16 +390,15 @@ impl<'n> Campaign<'n> {
         let plan = self.plan(load, n_faults, seed)?;
         let threads = self.config.threads.max(1).min(n_faults.max(1));
         let recorder = Recorder::new(label, n_faults, threads);
-        let verdicts = self.execute_mode(&plan, Some(&recorder), ExecMode::FailFast)?;
         let mut stats = CampaignStats::default();
-        for v in &verdicts {
+        for v in self.drive(&plan, Some(&recorder), ExecMode::FailFast, None)? {
             if let ExperimentVerdict::Completed {
                 result,
                 modelled_seconds,
                 ..
             } = v
             {
-                stats.accumulate(result.outcome, *modelled_seconds);
+                stats.accumulate(result.outcome, modelled_seconds);
             }
         }
         recorder.finish();
@@ -558,10 +534,11 @@ impl<'n> Campaign<'n> {
         }
     }
 
-    /// Executes every experiment of `plan`, failing fast: the first
-    /// experiment error aborts the run, and a panicking experiment
-    /// surfaces as [`CoreError::ExperimentPanic`] naming the global index
-    /// that was in flight (instead of tearing down the process).
+    /// Executes every experiment of `plan` on the scalar engine, failing
+    /// fast: the first experiment error aborts the run, and a panicking
+    /// experiment surfaces as [`CoreError::ExperimentPanic`] naming the
+    /// global index that was in flight (instead of tearing down the
+    /// process).
     ///
     /// Results come back in plan order regardless of thread count.
     ///
@@ -573,19 +550,20 @@ impl<'n> Campaign<'n> {
         plan: &CampaignPlan,
         recorder: Option<&Recorder>,
     ) -> Result<Vec<ExperimentResult>, CoreError> {
-        Ok(completed(self.execute_mode(
+        Ok(completed(self.drive(
             plan,
             recorder,
             ExecMode::FailFast,
+            None,
         )?))
     }
 
-    /// Executes `plan` with per-experiment fault containment: each
-    /// experiment runs under `catch_unwind`, a panicking or erroring
-    /// attempt is retried `retries` more times on a freshly re-cloned
-    /// pristine device, and an experiment that exhausts its attempts is
-    /// [quarantined](ExperimentVerdict::Quarantined) — the campaign
-    /// finishes without it instead of aborting.
+    /// Executes `plan` on the scalar engine with per-experiment fault
+    /// containment: each experiment runs under `catch_unwind`, a
+    /// panicking or erroring attempt is retried `retries` more times on a
+    /// freshly re-cloned pristine device, and an experiment that exhausts
+    /// its attempts is [quarantined](ExperimentVerdict::Quarantined) — the
+    /// campaign finishes without it instead of aborting.
     ///
     /// `observer` is invoked once per finished experiment, from the
     /// worker thread that ran it (this is how `fades-dispatch` journals
@@ -608,7 +586,12 @@ impl<'n> Campaign<'n> {
         recorder: Option<&Recorder>,
         observer: Option<&(dyn Fn(&ExperimentVerdict) + Sync)>,
     ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        self.execute_mode(plan, recorder, ExecMode::Isolated { retries, observer })
+        self.drive(
+            plan,
+            recorder,
+            ExecMode::Isolated { retries, observer },
+            None,
+        )
     }
 
     /// [`execute`](Self::execute) on the bit-parallel lane engine:
@@ -622,10 +605,10 @@ impl<'n> Campaign<'n> {
     ///
     /// Faults the lane engine cannot express (routing delays, oscillating
     /// indeterminations), statically-Silent entries and entries whose
-    /// schedule is invalid run on the scalar engine, as does the whole
-    /// plan when the design cannot be lane-encoded. Results come back in
-    /// plan order. Accepts any plan — including a
-    /// [shard](CampaignPlan::shard).
+    /// schedule is invalid run on the scalar engine, before any lane
+    /// pass; so does the whole plan, in plan order, when the design
+    /// cannot be lane-encoded. Results come back in plan order. Accepts
+    /// any plan — including a [shard](CampaignPlan::shard).
     ///
     /// Memory bit-flips collapse by golden access within the call: one
     /// flip per class takes a lane and the rest take its verdict, and a
@@ -643,10 +626,11 @@ impl<'n> Campaign<'n> {
         plan: &CampaignPlan,
         recorder: Option<&Recorder>,
     ) -> Result<Vec<ExperimentResult>, CoreError> {
-        Ok(completed(self.execute_lanes_sized(
+        Ok(completed(self.drive(
             plan,
             recorder,
             ExecMode::FailFast,
+            Some(crate::batch::lane_word_width),
         )?))
     }
 
@@ -681,14 +665,80 @@ impl<'n> Campaign<'n> {
         recorder: Option<&Recorder>,
         observer: Option<&(dyn Fn(&ExperimentVerdict) + Sync)>,
     ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        self.execute_lanes_sized(plan, recorder, ExecMode::Isolated { retries, observer })
+        self.drive(
+            plan,
+            recorder,
+            ExecMode::Isolated { retries, observer },
+            Some(crate::batch::lane_word_width),
+        )
+    }
+
+    /// The one driver behind every entry point. A call holds one verdict
+    /// slot per plan position, and each engine decides positions straight
+    /// into their slots.
+    ///
+    /// With `lanes` (the lane word width, in `u64`s, for a number of lane
+    /// entries) the plan is [split](Self::partition_lanes) and
+    /// [`execute_lanes`](Self::execute_lanes) runs its scalar side, then
+    /// its lane passes. Last, every position still undecided runs on the
+    /// [scalar engine](Self::execute_scalar): without `lanes`, or when no
+    /// lane engine can be built, that is the whole plan; otherwise it is
+    /// whatever a poisoned lane pass left undecided.
+    pub(crate) fn drive(
+        &self,
+        plan: &CampaignPlan,
+        recorder: Option<&Recorder>,
+        mode: ExecMode<'_>,
+        lanes: Option<fn(usize) -> usize>,
+    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
+        let chaos = ChaosPanic::from_env();
+        let slots: Vec<OnceLock<ExperimentVerdict>> =
+            plan.experiments.iter().map(|_| OnceLock::new()).collect();
+        if let Some(width) = lanes {
+            let part = self.partition_lanes(plan, chaos);
+            match width(part.lane.len()) {
+                8 => self.execute_lanes::<8>(plan, part, &slots, recorder, mode, chaos),
+                4 => self.execute_lanes::<4>(plan, part, &slots, recorder, mode, chaos),
+                2 => self.execute_lanes::<2>(plan, part, &slots, recorder, mode, chaos),
+                _ => self.execute_lanes::<1>(plan, part, &slots, recorder, mode, chaos),
+            }?;
+        }
+        let undecided: Vec<usize> = (0..plan.len())
+            .filter(|&pos| slots[pos].get().is_none())
+            .collect();
+        self.execute_scalar(plan, &undecided, &slots, recorder, mode, chaos)?;
+        Ok(slots
+            .into_iter()
+            .map(|v| {
+                v.into_inner()
+                    .unwrap_or_else(|| unreachable!("every plan entry was decided"))
+            })
+            .collect())
+    }
+
+    /// The completed verdict of the experiment `index`, with its modelled
+    /// emulation seconds.
+    fn completed_verdict(
+        &self,
+        index: u64,
+        result: ExperimentResult,
+        attempts: u32,
+    ) -> ExperimentVerdict {
+        ExperimentVerdict::Completed {
+            index,
+            modelled_seconds: self
+                .time_model
+                .experiment_seconds(&result.traffic, self.golden.cycles()),
+            attempts,
+            result,
+        }
     }
 
     /// Whether `e` runs on the lane engine: lane-expressible, with a
     /// valid schedule, and not a statically-Silent entry the skip replays
-    /// (`execute_mode` stays the single place that replays them, and
-    /// quarantines or rejects an invalid schedule as it would without the
-    /// lane engine).
+    /// ([`execute_scalar`](Self::execute_scalar) stays the single place
+    /// that replays them, and quarantines or rejects an invalid schedule
+    /// as it would without the lane engine).
     fn runs_on_lane(&self, e: &PlannedExperiment) -> bool {
         crate::batch::lane_expressible(&e.fault)
             && !(self.config.static_preclassify
@@ -709,16 +759,18 @@ impl<'n> Campaign<'n> {
     /// the machine could retire (the fault inert and a cycle past the
     /// access), so members share the early stop too. A flip of a word
     /// golden never selects again is Latent and takes no lane. The entry
-    /// the chaos hook targets is neither collapsed nor decided.
-    pub(crate) fn partition_lanes<'p>(&self, plan: &'p CampaignPlan) -> LanePartition<'p> {
+    /// the `chaos` hook targets is neither collapsed nor decided.
+    fn partition_lanes<'p>(
+        &self,
+        plan: &'p CampaignPlan,
+        chaos: Option<ChaosPanic>,
+    ) -> LanePartition<'p> {
         use crate::location::ResolvedFault;
-        let chaos = ChaosPanic::from_env();
         let mut part = LanePartition {
             lane: Vec::new(),
             scalar: Vec::new(),
             unread: Vec::new(),
             members: vec![Vec::new(); plan.len()],
-            chaos,
         };
         let mut classes: HashMap<(usize, usize, u32, u64, u64), usize> = HashMap::new();
         for (pos, planned) in plan.experiments.iter().enumerate() {
@@ -762,77 +814,53 @@ impl<'n> Campaign<'n> {
         part
     }
 
-    /// [`execute_lanes`](Self::execute_lanes) on the word the plan's lane
-    /// entries fill.
-    fn execute_lanes_sized(
-        &self,
-        plan: &CampaignPlan,
-        recorder: Option<&Recorder>,
-        mode: ExecMode<'_>,
-    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        let part = self.partition_lanes(plan);
-        match crate::batch::lane_word_width(part.lane.len()) {
-            8 => self.execute_lanes::<8>(plan, part, recorder, mode),
-            4 => self.execute_lanes::<4>(plan, part, recorder, mode),
-            2 => self.execute_lanes::<2>(plan, part, recorder, mode),
-            _ => self.execute_lanes::<1>(plan, part, recorder, mode),
-        }
-    }
-
-    /// The lane engine's driver, for both execution modes, on a word of
-    /// `W` `u64`s, over `plan` as [`partition_lanes`](Self::partition_lanes)
-    /// split it. Runs the scalar side through
-    /// [`execute_mode`](Self::execute_mode), decides the flips of words
-    /// golden never selects again, and splits the lane entries, sorted by
-    /// injection instant, into contiguous chunks, one per worker, each on
-    /// its own engine clone (one worker runs inline). Every verdict goes
-    /// straight into its plan position; a lane entry's class members take
-    /// its verdict when it is decided. Whatever a poisoned pass left
-    /// undecided, members of its lane entries included, runs on the
-    /// scalar path last.
+    /// The lane side of [`drive`](Self::drive), for both execution modes,
+    /// on a word of `W` `u64`s, over `plan` as
+    /// [`partition_lanes`](Self::partition_lanes) split it. Runs the
+    /// scalar side through [`execute_scalar`](Self::execute_scalar),
+    /// decides the flips of words golden never selects again, and splits
+    /// the lane entries, sorted by injection instant, into contiguous
+    /// chunks, one per worker, each on its own engine clone (one worker
+    /// runs inline). Every verdict goes straight into its slot; a lane
+    /// entry's class members take its verdict when it is decided.
+    /// Whatever a poisoned pass left undecided, members of its lane
+    /// entries included, stays undecided for the driver's scalar replay.
+    /// So does the whole plan when no engine is built.
     ///
     /// Per-experiment results are independent of cohort composition
     /// (lanes interact only with the golden lane, and timing draws are
     /// lane-invariant), so they are bit-identical whatever the thread
     /// count or word width.
-    pub(crate) fn execute_lanes<const W: usize>(
+    fn execute_lanes<const W: usize>(
         &self,
         plan: &CampaignPlan,
         part: LanePartition<'_>,
+        verdicts: &[OnceLock<ExperimentVerdict>],
         recorder: Option<&Recorder>,
         mode: ExecMode<'_>,
-    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
+        chaos: Option<ChaosPanic>,
+    ) -> Result<(), CoreError> {
         let LanePartition {
             mut lane,
             scalar,
             unread,
             members,
-            chaos,
         } = part;
         // A design that is not lane-encodable (pristine memory contents
         // carry bits beyond their declared width, or a word is wider than
-        // 64 bits) runs everything scalar, as does a plan with nothing
-        // for the lane engine.
+        // 64 bits) builds no engine, and a plan with nothing for the lane
+        // engine needs none.
         let engine = if lane.is_empty() && unread.is_empty() {
             None
         } else {
             BatchDevice::<W>::new(&self.device)
         };
         let Some(mut engine) = engine else {
-            return self.execute_mode(plan, recorder, mode);
+            return Ok(());
         };
-        let verdicts: Vec<OnceLock<ExperimentVerdict>> =
-            plan.experiments.iter().map(|_| OnceLock::new()).collect();
-        self.execute_scalar_at(plan, &scalar, recorder, mode, &verdicts)?;
+        self.execute_scalar(plan, &scalar, verdicts, recorder, mode, chaos)?;
         let complete = |pos: usize, result: ExperimentResult, handle: Option<&RecorderHandle>| {
-            let verdict = ExperimentVerdict::Completed {
-                index: plan.experiments[pos].index,
-                modelled_seconds: self
-                    .time_model
-                    .experiment_seconds(&result.traffic, self.golden.cycles()),
-                attempts: 1,
-                result,
-            };
+            let verdict = self.completed_verdict(plan.experiments[pos].index, result, 1);
             report(&verdict, &plan.target, handle, mode);
             decide(&verdicts[pos], verdict);
         };
@@ -963,90 +991,51 @@ impl<'n> Campaign<'n> {
             })
             .unwrap_or_else(|p| std::panic::resume_unwind(p))?;
         }
-        let replay: Vec<usize> = (0..plan.len())
-            .filter(|&pos| verdicts[pos].get().is_none())
-            .collect();
-        self.execute_scalar_at(plan, &replay, recorder, mode, &verdicts)?;
-        Ok(verdicts
-            .into_iter()
-            .map(|v| {
-                v.into_inner()
-                    .unwrap_or_else(|| unreachable!("every plan entry was decided"))
-            })
-            .collect())
-    }
-
-    /// Runs the `plan` entries at positions `at` (ascending) through
-    /// [`execute_mode`](Self::execute_mode) and puts each verdict in its
-    /// plan position.
-    fn execute_scalar_at(
-        &self,
-        plan: &CampaignPlan,
-        at: &[usize],
-        recorder: Option<&Recorder>,
-        mode: ExecMode<'_>,
-        verdicts: &[OnceLock<ExperimentVerdict>],
-    ) -> Result<(), CoreError> {
-        if at.is_empty() {
-            return Ok(());
-        }
-        let part = CampaignPlan {
-            target: plan.target.clone(),
-            sub_cycle: plan.sub_cycle,
-            seed: plan.seed,
-            n_total: plan.n_total,
-            experiments: at
-                .iter()
-                .map(|&pos| plan.experiments[pos].clone())
-                .collect(),
-        };
-        for (&pos, verdict) in at.iter().zip(self.execute_mode(&part, recorder, mode)?) {
-            decide(&verdicts[pos], verdict);
-        }
         Ok(())
     }
 
-    fn execute_mode(
+    /// The scalar engine: runs the `plan` entries at positions `at`
+    /// (ascending) in contiguous chunks, one per worker on its own clone
+    /// of the pristine device, and puts each verdict in its slot.
+    ///
+    /// Fail-fast, an experiment error ends the run, and a panic unwinds
+    /// its worker and surfaces as [`CoreError::ExperimentPanic`] naming
+    /// the global index that worker had in flight. Isolated, every attempt
+    /// runs under `catch_unwind`, and a failed one retries on a pristine
+    /// device until the attempts run out and the entry is quarantined.
+    fn execute_scalar(
         &self,
         plan: &CampaignPlan,
+        at: &[usize],
+        verdicts: &[OnceLock<ExperimentVerdict>],
         recorder: Option<&Recorder>,
         mode: ExecMode<'_>,
-    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        if plan.is_empty() {
-            // Guard explicitly: an empty campaign has no work and a zero
-            // chunk size would panic `chunks(0)` below.
-            return Ok(Vec::new());
+        chaos: Option<ChaosPanic>,
+    ) -> Result<(), CoreError> {
+        if at.is_empty() {
+            // Guard explicitly: there is no work, and a zero chunk size
+            // would panic `chunks(0)` below.
+            return Ok(());
         }
-        let chaos = ChaosPanic::from_env();
-        let threads = self.config.threads.max(1).min(plan.len());
-        let chunk = plan.len().div_ceil(threads);
-        let n_chunks = plan.len().div_ceil(chunk);
-        let mut results: Vec<Option<ExperimentVerdict>> = vec![None; plan.len()];
+        let threads = self.config.threads.max(1).min(at.len());
+        let chunks = at.chunks(at.len().div_ceil(threads));
         // Every worker publishes the global index it is about to run, so
         // a panic escaping the fail-fast path can be attributed.
-        let in_flight: Vec<AtomicU64> = (0..n_chunks).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let in_flight: Vec<AtomicU64> = chunks.clone().map(|_| AtomicU64::new(u64::MAX)).collect();
+        let retries = match mode {
+            ExecMode::Isolated { retries, .. } => retries,
+            ExecMode::FailFast => 0,
+        };
 
         crossbeam::thread::scope(|scope| -> Result<(), CoreError> {
             let mut handles = Vec::new();
-            for ((chunk_plan, chunk_out), slot) in plan
-                .experiments
-                .chunks(chunk)
-                .zip(results.chunks_mut(chunk))
-                .zip(&in_flight)
-            {
-                let pristine = &self.device;
-                let mut dev = pristine.clone();
-                let ports = &self.ports;
-                let golden = &self.golden;
+            for (positions, flight) in chunks.zip(&in_flight) {
+                let mut dev = self.device.clone();
                 let rec: Option<RecorderHandle> = recorder.map(Recorder::handle);
-                let target = plan.target.as_str();
-                let sub_cycle = plan.sub_cycle;
-                let time_model = &self.time_model;
-                let fastpath = self.config.fastpath;
-                let static_skip = self.config.static_preclassify;
                 handles.push(scope.spawn(move |_| -> Result<(), CoreError> {
-                    for (planned, out) in chunk_plan.iter().zip(chunk_out.iter_mut()) {
-                        slot.store(planned.index, Ordering::Release);
+                    for &pos in positions {
+                        let planned = &plan.experiments[pos];
+                        flight.store(planned.index, Ordering::Release);
                         fades_telemetry::trace::set_current_experiment(planned.index);
                         let _span = fades_telemetry::span!("experiment");
                         let mut attempt = 0u32;
@@ -1057,8 +1046,8 @@ impl<'n> Campaign<'n> {
                                         c.maybe_panic(planned.index, attempt);
                                     }
                                     let mut rng = StdRng::seed_from_u64(planned.seed);
-                                    let strategy = strategy_for(&planned.fault, sub_cycle);
-                                    if static_skip
+                                    let strategy = strategy_for(&planned.fault, plan.sub_cycle);
+                                    if self.config.static_preclassify
                                         && planned.annotation
                                             == crate::plan::PlanAnnotation::StaticSilent
                                     {
@@ -1067,7 +1056,7 @@ impl<'n> Campaign<'n> {
                                         // ledger, skip the simulation.
                                         let result = crate::experiment::replay_static_silent(
                                             dev,
-                                            golden,
+                                            &self.golden,
                                             planned.fault.clone(),
                                             strategy,
                                             planned.schedule,
@@ -1078,55 +1067,40 @@ impl<'n> Campaign<'n> {
                                     }
                                     run_experiment(
                                         dev,
-                                        golden,
+                                        &self.golden,
                                         planned.fault.clone(),
                                         strategy,
                                         planned.schedule,
-                                        ports,
+                                        &self.ports,
                                         &mut rng,
-                                        fastpath,
+                                        self.config.fastpath,
                                     )
                                 };
-                            let error = match mode {
-                                ExecMode::FailFast => {
-                                    // Let a panic unwind the worker; the
-                                    // join below converts it into
-                                    // `ExperimentPanic` via `slot`.
-                                    let result = run_one(&mut dev)?;
-                                    break ExperimentVerdict::Completed {
-                                        index: planned.index,
-                                        modelled_seconds: time_model
-                                            .experiment_seconds(&result.traffic, golden.cycles()),
-                                        attempts: 1,
-                                        result,
-                                    };
-                                }
+                            let attempted = match mode {
+                                // Let a panic unwind the worker; the join
+                                // below converts it into `ExperimentPanic`
+                                // via `flight`.
+                                ExecMode::FailFast => Ok(run_one(&mut dev)?),
                                 ExecMode::Isolated { .. } => {
-                                    match catch_unwind(AssertUnwindSafe(|| run_one(&mut dev))) {
-                                        Ok(Ok(result)) => {
-                                            break ExperimentVerdict::Completed {
-                                                index: planned.index,
-                                                modelled_seconds: time_model.experiment_seconds(
-                                                    &result.traffic,
-                                                    golden.cycles(),
-                                                ),
-                                                attempts: attempt + 1,
-                                                result,
-                                            };
-                                        }
-                                        Ok(Err(e)) => e.to_string(),
-                                        Err(payload) => panic_message(payload.as_ref()),
-                                    }
+                                    catch_unwind(AssertUnwindSafe(|| run_one(&mut dev)))
+                                        .map_err(|payload| panic_message(payload.as_ref()))
+                                        .and_then(|r| r.map_err(|e| e.to_string()))
                                 }
+                            };
+                            let error = match attempted {
+                                Ok(result) => {
+                                    break self.completed_verdict(
+                                        planned.index,
+                                        result,
+                                        attempt + 1,
+                                    )
+                                }
+                                Err(error) => error,
                             };
                             // The attempt died mid-experiment: the device
                             // may hold a half-installed fault, so rebuild
                             // it from the pristine configuration.
-                            dev = pristine.clone();
-                            let retries = match mode {
-                                ExecMode::Isolated { retries, .. } => retries,
-                                ExecMode::FailFast => 0,
-                            };
+                            dev = self.device.clone();
                             if attempt >= retries {
                                 fades_telemetry::dispatch::QUARANTINES.inc();
                                 break ExperimentVerdict::Quarantined {
@@ -1138,19 +1112,19 @@ impl<'n> Campaign<'n> {
                             fades_telemetry::dispatch::RETRIES.inc();
                             attempt += 1;
                         };
-                        report(&verdict, target, rec.as_ref(), mode);
-                        *out = Some(verdict);
+                        report(&verdict, &plan.target, rec.as_ref(), mode);
+                        decide(&verdicts[pos], verdict);
                     }
                     fades_telemetry::trace::clear_current_experiment();
                     Ok(())
                 }));
             }
-            for (h, slot) in handles.into_iter().zip(&in_flight) {
+            for (h, flight) in handles.into_iter().zip(&in_flight) {
                 match h.join() {
                     Ok(worker) => worker?,
                     Err(payload) => {
                         return Err(CoreError::ExperimentPanic {
-                            index: slot.load(Ordering::Acquire),
+                            index: flight.load(Ordering::Acquire),
                             message: panic_message(payload.as_ref()),
                         })
                     }
@@ -1158,12 +1132,7 @@ impl<'n> Campaign<'n> {
             }
             Ok(())
         })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p))?;
-
-        Ok(results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| unreachable!("all experiments decided")))
-            .collect())
+        .unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
     /// The paper's screening pass (§6.3): finds the flip-flop sites whose

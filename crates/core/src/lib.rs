@@ -61,9 +61,7 @@ pub mod strategies;
 mod timing;
 
 pub use batch::{PASS_PHASES, PASS_TOTAL, WIDEST_WORD_COHORT};
-pub use campaign::{
-    fastpath_default, static_default, worker_threads, Campaign, CampaignConfig, CampaignStats,
-};
+pub use campaign::{worker_threads, Campaign, CampaignConfig, CampaignStats};
 pub use classify::{classify, Outcome, OutcomeStats};
 pub use error::CoreError;
 pub use experiment::{run_experiment, ExperimentResult, FaultSchedule};

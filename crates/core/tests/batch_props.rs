@@ -2,8 +2,8 @@
 //! random fault loads, and the `CampaignStats` — outcome tallies *and*
 //! the bit pattern of the modelled emulation seconds — must be identical
 //! between `execute_batched`, the scalar path, and the scalar path with the
-//! fast path disabled (`FADES_NO_FASTPATH`'s effect, set here through
-//! [`CampaignConfig::fastpath`] so cases cannot race on the environment).
+//! fast path disabled ([`CampaignConfig::fastpath`] `false`, the
+//! full-simulation reference).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 

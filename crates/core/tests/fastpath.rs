@@ -443,17 +443,3 @@ fn multi_flip_rejects_oversized_requests() {
         other => panic!("expected InsufficientTargets, got {other:?}"),
     }
 }
-
-#[test]
-fn no_fastpath_escape_hatch_controls_the_default() {
-    // Read per call (deliberately uncached) so one process can exercise
-    // both paths; no other test in this binary consults the default.
-    std::env::set_var("FADES_NO_FASTPATH", "1");
-    assert!(!fades_core::fastpath_default());
-    std::env::set_var("FADES_NO_FASTPATH", "0");
-    assert!(fades_core::fastpath_default());
-    std::env::set_var("FADES_NO_FASTPATH", "");
-    assert!(fades_core::fastpath_default());
-    std::env::remove_var("FADES_NO_FASTPATH");
-    assert!(fades_core::fastpath_default());
-}

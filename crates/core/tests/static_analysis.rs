@@ -6,10 +6,9 @@
 //!   a campaign that executed every experiment for real, on the scalar,
 //!   lane, and sharded paths alike. The skip saves wall-clock only.
 //! * **Soundness** — every experiment the cone-of-influence pass marks
-//!   `StaticSilent` must classify Silent when forced to execute (the
-//!   `FADES_NO_STATIC` hatch, set here through
-//!   [`CampaignConfig::static_preclassify`] so cases cannot race on the
-//!   environment), on both the scalar and the lane engine.
+//!   `StaticSilent` must classify Silent when forced to execute
+//!   ([`CampaignConfig::static_preclassify`] `false`), on both the scalar
+//!   and the lane engine.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 

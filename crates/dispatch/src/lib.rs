@@ -24,7 +24,7 @@
 //!   or erroring experiment is retried on a pristine device and, if it
 //!   keeps failing, recorded as `quarantined` in the journal while the
 //!   rest of the campaign completes.
-//! * **Merging** — [`merge`] folds shard journals back into one
+//! * **Merging** — [`merge()`] folds shard journals back into one
 //!   [`CampaignStats`](fades_core::CampaignStats), bit-identical
 //!   (including `emulation_seconds`) to what the monolithic run would
 //!   have produced, because per-experiment modelled seconds round-trip

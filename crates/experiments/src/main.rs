@@ -21,12 +21,6 @@
 //! * `FADES_THREADS`  — campaign worker threads (default `min(cores, 8)`)
 //! * `FADES_RUN_LOG`  — append a JSONL run log (one line per experiment) here
 //! * `FADES_PROGRESS` — `1`/`0` forces the stderr progress ticker on/off
-//! * `FADES_NO_FASTPATH` — `1` disables checkpoint fast-forward and early
-//!   stop on the scalar path; wall-clock-only, results are bit-identical
-//!   either way
-//! * `FADES_NO_STATIC` — `1` disables acting on static `StaticSilent`
-//!   pre-classification (every planned fault executes); wall-clock-only,
-//!   campaign statistics are bit-identical either way
 //! * `FADES_METRICS_ADDR` — serve live `GET /metrics` + `GET /status` on
 //!   this `host:port` while the run executes (port 0 picks a free port;
 //!   the bound address is written to `FADES_METRICS_ADDR_FILE` if set)

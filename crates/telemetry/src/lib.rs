@@ -20,7 +20,7 @@
 //! * [`write_bench_json`] — machine-readable `BENCH_campaign.json`
 //!   aggregate (faults/sec, mean µs/fault) for tracking the performance
 //!   trajectory across PRs.
-//! * [`snapshot`] — a point-in-time capture of every counter, gauge and
+//! * [`snapshot()`] — a point-in-time capture of every counter, gauge and
 //!   phase histogram, renderable as Prometheus text or JSON.
 //! * [`trace`] — completed spans recorded into a bounded lock-free ring
 //!   buffer and exported as Chrome `trace_event` JSON

@@ -29,7 +29,9 @@
 //!   bytes; anything larger is a `413` and the body is not read;
 //! * a `Content-Length` that is not a plain decimal number, or several
 //!   that disagree, is a `400`: the request is never served without the
-//!   body its client sent.
+//!   body its client sent;
+//! * an error reply's message is cut to 4 KiB, so a message that
+//!   echoes its input cannot grow with the request.
 //!
 //! [`MetricsServer`] is the classic campaign endpoint on top of it,
 //! activated by `FADES_METRICS_ADDR=<host:port>` (port `0` picks a free
@@ -49,6 +51,14 @@ pub const HEAD_BUDGET: usize = 8 * 1024;
 /// Maximum declared `Content-Length` the server accepts. Larger bodies
 /// are answered `413` without reading the body.
 pub const BODY_BUDGET: usize = 256 * 1024;
+
+/// Maximum bytes of the message an [`HttpResponse::error`] reply
+/// carries; a longer message is cut at a char boundary and marked with
+/// [`CUT_MARK`].
+const ERROR_MESSAGE_CAP: usize = 4 * 1024;
+
+/// The end of a cut error message.
+const CUT_MARK: &str = "… [cut]";
 
 /// How long a connection may take to deliver its head (and then its
 /// body) before the server gives up with `408`.
@@ -106,7 +116,22 @@ impl HttpResponse {
     }
 
     /// A JSON error document `{"error": msg}` with the given status.
+    ///
+    /// A message longer than 4 KiB is cut at the last char boundary that
+    /// leaves room for a closing `… [cut]` within those 4 KiB: messages
+    /// may echo client input, and the reply must not grow with it.
     pub fn error(status: u16, msg: &str) -> HttpResponse {
+        let cut;
+        let msg = if msg.len() <= ERROR_MESSAGE_CAP {
+            msg
+        } else {
+            let end = (0..=ERROR_MESSAGE_CAP - CUT_MARK.len())
+                .rev()
+                .find(|&i| msg.is_char_boundary(i))
+                .unwrap_or(0);
+            cut = format!("{}{CUT_MARK}", &msg[..end]);
+            &cut
+        };
         HttpResponse {
             status: status.max(400),
             content_type: "application/json".into(),
@@ -589,6 +614,33 @@ mod tests {
         assert_eq!(code, 404);
 
         server.shutdown();
+    }
+
+    #[test]
+    fn error_messages_are_cut_at_a_char_boundary_below_the_cap() {
+        let message = |reply: &HttpResponse| {
+            let v = crate::json::parse(reply.body.trim()).expect("error reply is JSON");
+            v.get("error")
+                .and_then(|m| m.as_str())
+                .expect("an error field")
+                .to_string()
+        };
+        let fits = "x".repeat(ERROR_MESSAGE_CAP);
+        assert_eq!(message(&HttpResponse::error(400, &fits)), fits);
+
+        // A 4-byte char straddling the cut point at every offset, and
+        // one starting right at it: the cut drops the whole char.
+        let keep = ERROR_MESSAGE_CAP - CUT_MARK.len();
+        for before in keep - 3..=keep {
+            let long = format!("{}𝄞{}", "a".repeat(before), "b".repeat(ERROR_MESSAGE_CAP));
+            let got = message(&HttpResponse::error(400, &long));
+            assert!(
+                got.len() <= ERROR_MESSAGE_CAP,
+                "{before}: {} bytes",
+                got.len()
+            );
+            assert_eq!(got, format!("{}{CUT_MARK}", "a".repeat(before)), "{before}");
+        }
     }
 
     #[test]

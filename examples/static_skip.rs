@@ -5,7 +5,7 @@
 //! --design demo-dead` uses (a counter observed on `q`, a shadow
 //! register nobody reads, and inverters feeding an unobserved debug
 //! port), then runs the three statically-classifiable fault loads twice
-//! — pre-classifier acting vs `FADES_NO_STATIC`-style disabled — and
+//! — pre-classifier acting vs `static_preclassify: false` — and
 //! reports the wall-clock per load. The campaign statistics of the two
 //! runs are asserted bit-identical (including the `emulation_seconds`
 //! f64 bits): skipping a statically-Silent experiment still charges its

@@ -11,6 +11,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Docs must not link to items that are gone or ambiguous (a name that is
+# both a function and a module needs `name()` or `mod@name`).
+echo "== cargo doc (deny broken intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline --document-private-items
+
 echo "== cargo build --examples"
 cargo build --workspace --examples --offline -q
 
