@@ -40,7 +40,7 @@
 
 use std::time::Instant;
 
-use fades_fpga::{BatchDevice, Word};
+use fades_fpga::{BatchDevice, LaneProgram, Word};
 use fades_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,14 +76,14 @@ pub(crate) fn lane_expressible(fault: &ResolvedFault) -> bool {
 }
 
 /// Resolves the observed ports to lane-engine wire lists.
-pub(crate) fn port_wires<const W: usize>(
-    batch: &BatchDevice<W>,
+pub(crate) fn port_wires(
+    program: &LaneProgram,
     ports: &[String],
 ) -> Result<Vec<Vec<u32>>, CoreError> {
     ports
         .iter()
         .map(|p| {
-            batch
+            program
                 .output_wires(p)
                 .map_err(|_| CoreError::UnknownPort(p.clone()))
         })
@@ -105,8 +105,10 @@ pub(crate) struct LaneEntry<'p> {
 /// bit until the run ends, so it is Latent, and no cycle needs
 /// simulating. Its traffic is the strategy's choreography, replayed on
 /// lane 1 of `batch` with that lane's ledger cleared first. The lane's
-/// state is left as the choreography leaves it: every pass overwrites
-/// every lane when it starts.
+/// state is left as the choreography leaves it: every pass restores
+/// every lane when it starts (`restore_broadcast` or `reset`), and an
+/// engine goes back to its campaign's pool only after
+/// `restore_pristine_config`.
 ///
 /// # Errors
 ///

@@ -3,9 +3,9 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use fades_fpga::{BatchDevice, CbCoord, Device};
+use fades_fpga::{BatchDevice, CbCoord, Device, LaneProgram};
 use fades_netlist::Netlist;
 use fades_pnr::Implementation;
 use fades_telemetry::{ExperimentRecord, Recorder, RecorderHandle};
@@ -19,6 +19,7 @@ use crate::experiment::{run_experiment, ExperimentResult, FaultSchedule};
 use crate::golden::GoldenRun;
 use crate::location::{resolve_targets, sample_fault, DurationRange, FaultLoad, TargetClass};
 use crate::plan::{CampaignPlan, ChaosPanic, ExperimentVerdict, PlannedExperiment};
+use crate::pool::EnginePool;
 use crate::strategies::strategy_for;
 use crate::timing::TimeModel;
 
@@ -26,7 +27,8 @@ use crate::timing::TimeModel;
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Worker threads (experiments are embarrassingly parallel; each
-    /// worker clones the configured device).
+    /// worker runs on its own engine). Also the most idle engines of each
+    /// class the campaign keeps between calls.
     pub threads: usize,
     /// Extra cycles executed beyond the workload's nominal completion so
     /// delayed completions still count as observed differences.
@@ -247,6 +249,11 @@ struct LanePartition<'p> {
 /// Holds the configured device, the golden run and the time model; each
 /// [`run`](Campaign::run) executes a fault load against it. See the crate
 /// documentation for an example.
+///
+/// A campaign also keeps what its calls can share: the lane program,
+/// built by the first call that runs lanes, and a pool of idle engines
+/// (DESIGN.md §5, *Engine lifetime*). Calls may run at once from several
+/// threads.
 #[derive(Debug)]
 pub struct Campaign<'n> {
     netlist: &'n Netlist,
@@ -260,6 +267,11 @@ pub struct Campaign<'n> {
     /// Structural lint findings over the implementation, computed on
     /// first use (see [`lint`](Campaign::lint)).
     lint: OnceLock<Vec<fades_analysis::Diagnostic>>,
+    /// The lane engine's width-independent part, built by the first call
+    /// that runs lanes; `None` when the design cannot be lane-encoded.
+    lane_program: OnceLock<Option<Arc<LaneProgram>>>,
+    /// Idle engines left by earlier calls.
+    pool: EnginePool,
 }
 
 impl<'n> Campaign<'n> {
@@ -314,6 +326,8 @@ impl<'n> Campaign<'n> {
             time_model,
             config,
             lint: OnceLock::new(),
+            lane_program: OnceLock::new(),
+            pool: EnginePool::new(config.threads),
         })
     }
 
@@ -820,12 +834,16 @@ impl<'n> Campaign<'n> {
     /// scalar side through [`execute_scalar`](Self::execute_scalar),
     /// decides the flips of words golden never selects again, and splits
     /// the lane entries, sorted by injection instant, into contiguous
-    /// chunks, one per worker, each on its own engine clone (one worker
-    /// runs inline). Every verdict goes straight into its slot; a lane
-    /// entry's class members take its verdict when it is decided.
-    /// Whatever a poisoned pass left undecided, members of its lane
-    /// entries included, stays undecided for the driver's scalar replay.
-    /// So does the whole plan when no engine is built.
+    /// chunks, one per worker, each on its own engine checked out of the
+    /// campaign's pool (one worker runs inline). A worker hands its
+    /// engine back when its last pass returned; a poisoned pass drops
+    /// it, and the worker goes on with a fresh engine built on the
+    /// campaign's lane program. Every verdict goes straight into its
+    /// slot; a lane entry's class members take its verdict when it is
+    /// decided. Whatever a poisoned pass left undecided, members of its
+    /// lane entries included, stays undecided for the driver's scalar
+    /// replay. So does the whole plan when the design cannot be
+    /// lane-encoded.
     ///
     /// Per-experiment results are independent of cohort composition
     /// (lanes interact only with the golden lane, and timing draws are
@@ -846,18 +864,31 @@ impl<'n> Campaign<'n> {
             unread,
             members,
         } = part;
+        // A plan with nothing for the lane engine needs none.
+        if lane.is_empty() && unread.is_empty() {
+            return Ok(());
+        }
         // A design that is not lane-encodable (pristine memory contents
         // carry bits beyond their declared width, or a word is wider than
-        // 64 bits) builds no engine, and a plan with nothing for the lane
-        // engine needs none.
-        let engine = if lane.is_empty() && unread.is_empty() {
-            None
-        } else {
-            BatchDevice::<W>::new(&self.device)
-        };
-        let Some(mut engine) = engine else {
+        // 64 bits) has no lane program.
+        let program = self
+            .lane_program
+            .get_or_init(|| LaneProgram::new(&self.device).map(Arc::new));
+        let Some(program) = program else {
+            fades_telemetry::analysis::LANE_FALLBACKS.inc();
             return Ok(());
         };
+        let build = || BatchDevice::<W>::from_program(Arc::clone(program));
+        // No point spinning up a word for fewer entries than a word holds.
+        let threads = self
+            .config
+            .threads
+            .min(lane.len().div_ceil(BatchDevice::<W>::LANES - 1))
+            .max(1);
+        let chunk = lane.len().div_ceil(threads).max(1);
+        let workers = lane.len().div_ceil(chunk).max(1);
+        let mut engines: Vec<BatchDevice<W>> =
+            (0..workers).map(|_| self.pool.checkout(build)).collect();
         self.execute_scalar(plan, &scalar, verdicts, recorder, mode, chaos)?;
         let complete = |pos: usize, result: ExperimentResult, handle: Option<&RecorderHandle>| {
             let verdict = self.completed_verdict(plan.experiments[pos].index, result, 1);
@@ -871,7 +902,7 @@ impl<'n> Campaign<'n> {
         for pos in unread {
             let planned = &plan.experiments[pos];
             let decided = crate::batch::decide_unread(
-                &mut engine,
+                &mut engines[0],
                 planned,
                 self.golden.cycles(),
                 plan.sub_cycle,
@@ -882,7 +913,7 @@ impl<'n> Campaign<'n> {
             }
         }
 
-        let port_wires = crate::batch::port_wires(&engine, &self.ports)?;
+        let port_wires = crate::batch::port_wires(program, &self.ports)?;
         // Ascending injection instants maximise refills: a freed lane can
         // only take an entry whose injection instant has not yet passed.
         lane.sort_by_key(|e| (e.planned.schedule.inject_at, e.planned.index));
@@ -892,7 +923,14 @@ impl<'n> Campaign<'n> {
                     mut pending: Vec<LaneEntry<'_>>,
                     handle: Option<RecorderHandle>|
          -> Result<(), CoreError> {
-            while !pending.is_empty() {
+            loop {
+                if pending.is_empty() {
+                    // Every pass returned: the engine goes back to the
+                    // pool, each lane's configuration pristine.
+                    engine.restore_pristine_config();
+                    self.pool.checkin(engine);
+                    return Ok(());
+                }
                 let mut loaded = Vec::new();
                 let pass = catch_unwind(AssertUnwindSafe(|| {
                     crate::batch::run_one_cohort(
@@ -955,37 +993,31 @@ impl<'n> Campaign<'n> {
                     }
                     !taken
                 });
-                // The word may hold a half-installed fault; rebuild the
-                // engine from the pristine device. A pass that died
-                // before taking any work can make no progress: the rest
-                // goes to the scalar path too.
-                match BatchDevice::<W>::new(&self.device) {
-                    Some(rebuilt) if !loaded.is_empty() => engine = rebuilt,
-                    _ => pending.clear(),
+                // The word may hold a half-installed fault: the engine is
+                // dropped, and the rest runs on a fresh one. A pass that
+                // died before taking any work can make no progress: the
+                // rest goes to the scalar path too.
+                if loaded.is_empty() || pending.is_empty() {
+                    return Ok(());
                 }
+                engine = crate::pool::fresh(build);
             }
-            Ok(())
         };
-        // No point spinning up a word for fewer entries than a word holds.
-        let threads = self
-            .config
-            .threads
-            .min(lane.len().div_ceil(BatchDevice::<W>::LANES - 1))
-            .max(1);
-        if threads == 1 {
+        if workers == 1 {
+            let engine = engines.pop().unwrap_or_else(build);
             work(engine, lane, recorder.map(Recorder::handle))?;
         } else {
             let work = &work;
-            let chunk = lane.len().div_ceil(threads);
             crossbeam::thread::scope(|scope| {
-                let workers: Vec<_> = lane
+                let spawned: Vec<_> = lane
                     .chunks(chunk)
-                    .map(|part| {
-                        let (engine, handle) = (engine.clone(), recorder.map(Recorder::handle));
+                    .zip(engines)
+                    .map(|(part, engine)| {
+                        let handle = recorder.map(Recorder::handle);
                         scope.spawn(move |_| work(engine, part.to_vec(), handle))
                     })
                     .collect();
-                workers
+                spawned
                     .into_iter()
                     .try_for_each(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             })
@@ -995,14 +1027,17 @@ impl<'n> Campaign<'n> {
     }
 
     /// The scalar engine: runs the `plan` entries at positions `at`
-    /// (ascending) in contiguous chunks, one per worker on its own clone
-    /// of the pristine device, and puts each verdict in its slot.
+    /// (ascending) in contiguous chunks, one per worker on its own
+    /// pristine device checked out of the campaign's pool, and puts each
+    /// verdict in its slot. A worker whose experiments all returned
+    /// hands its device back, reset.
     ///
     /// Fail-fast, an experiment error ends the run, and a panic unwinds
     /// its worker and surfaces as [`CoreError::ExperimentPanic`] naming
     /// the global index that worker had in flight. Isolated, every attempt
-    /// runs under `catch_unwind`, and a failed one retries on a pristine
-    /// device until the attempts run out and the entry is quarantined.
+    /// runs under `catch_unwind`, and a failed one retries on a fresh
+    /// clone of the pristine device until the attempts run out and the
+    /// entry is quarantined.
     fn execute_scalar(
         &self,
         plan: &CampaignPlan,
@@ -1030,7 +1065,7 @@ impl<'n> Campaign<'n> {
         crossbeam::thread::scope(|scope| -> Result<(), CoreError> {
             let mut handles = Vec::new();
             for (positions, flight) in chunks.zip(&in_flight) {
-                let mut dev = self.device.clone();
+                let mut dev = self.pool.checkout(|| self.device.clone());
                 let rec: Option<RecorderHandle> = recorder.map(Recorder::handle);
                 handles.push(scope.spawn(move |_| -> Result<(), CoreError> {
                     for &pos in positions {
@@ -1100,7 +1135,7 @@ impl<'n> Campaign<'n> {
                             // The attempt died mid-experiment: the device
                             // may hold a half-installed fault, so rebuild
                             // it from the pristine configuration.
-                            dev = self.device.clone();
+                            dev = crate::pool::fresh(|| self.device.clone());
                             if attempt >= retries {
                                 fades_telemetry::dispatch::QUARANTINES.inc();
                                 break ExperimentVerdict::Quarantined {
@@ -1116,6 +1151,9 @@ impl<'n> Campaign<'n> {
                         decide(&verdicts[pos], verdict);
                     }
                     fades_telemetry::trace::clear_current_experiment();
+                    dev.reset();
+                    dev.clear_ledger();
+                    self.pool.checkin(dev);
                     Ok(())
                 }));
             }

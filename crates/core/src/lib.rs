@@ -57,6 +57,7 @@ mod golden;
 mod location;
 pub mod models;
 mod plan;
+mod pool;
 pub mod strategies;
 mod timing;
 

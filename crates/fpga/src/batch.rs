@@ -29,6 +29,8 @@
 //! lane-uniform for whole-word selects to be exact). The campaign layer
 //! partitions such faults onto the scalar path.
 
+use std::sync::Arc;
+
 use crate::arch::ArchParams;
 use crate::bitstream::Bitstream;
 use crate::cb::SetReset;
@@ -39,7 +41,7 @@ use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
 use crate::reconfig::Mutation;
 use crate::state::DeviceState;
-use crate::sweep::{Op, Sweep, SweepShape, CLASSES};
+use crate::sweep::{Fixups, Op, Sweep, SweepShape, CLASSES};
 use crate::word::{lane_kernel, LaneBuf, LaneKernel, Word};
 
 /// The readback/reconfigure surface injection strategies drive.
@@ -142,20 +144,24 @@ impl ConfigAccess for Device {
     }
 }
 
-/// One memory block, lane-parallel: contents are stored transposed, one
-/// lane word per (address, bit) cell.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneBram<const W: usize> {
+/// The wiring and shape of one memory block, the same in every lane
+/// engine of a [`LaneProgram`].
+#[derive(Debug)]
+pub(crate) struct BramPort {
     we: Option<u32>,
     addr_wires: Vec<u32>,
     din_wires: Vec<u32>,
     dout_wires: Vec<Option<u32>>,
     width: usize,
     depth: usize,
+}
+
+/// One memory block's lane state: contents are stored transposed, one
+/// lane word per (address, bit) cell of its [`BramPort`]'s shape.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneBram<const W: usize> {
     /// `contents[addr * width + bit]` is the lane word of that bit.
     contents: LaneBuf<W>,
-    /// Scalar pristine words, for broadcast reset.
-    pristine_words: Vec<u64>,
     /// Indices into `contents` that may differ across lanes. Lazily swept
     /// by the divergence scan; the invariant is that every non-uniform
     /// content word is on this list.
@@ -179,11 +185,26 @@ fn mark_dirty(dirty: &mut Vec<u32>, is_dirty: &mut [bool], idx: usize) {
 }
 
 impl<const W: usize> LaneBram<W> {
-    /// Splats one scalar memory image (and write-port shadow) across
-    /// every lane and empties the dirty list.
+    /// A block of `port`'s shape, every word zero.
+    fn new(port: &BramPort) -> Self {
+        let cells = port.depth * port.width;
+        LaneBram {
+            contents: LaneBuf::new(cells, Word::ZERO),
+            dirty: Vec::new(),
+            is_dirty: vec![false; cells],
+            prev_we: Word::ZERO,
+            prev_addr: vec![Word::ZERO; port.addr_wires.len()],
+            prev_din: vec![Word::ZERO; port.din_wires.len()],
+            now_addr: vec![Word::ZERO; port.addr_wires.len()],
+            now_din: vec![Word::ZERO; port.din_wires.len()],
+        }
+    }
+
+    /// Splats one scalar memory image (and write-port shadow) of a block
+    /// `width` bits wide across every lane and empties the dirty list.
     #[inline(always)]
-    fn load_broadcast(&mut self, words: &[u64], (we, addr, din): (bool, usize, u64)) {
-        for (cells, &w) in self.contents.chunks_mut(self.width.max(1)).zip(words) {
+    fn load_broadcast(&mut self, width: usize, words: &[u64], (we, addr, din): (bool, usize, u64)) {
+        for (cells, &w) in self.contents.chunks_mut(width.max(1)).zip(words) {
             for (bit, cell) in cells.iter_mut().enumerate() {
                 *cell = Word::splat((w >> bit) & 1 == 1);
             }
@@ -210,20 +231,20 @@ impl<const W: usize> LaneBram<W> {
     /// sharing it, so the cost follows the distinct diverged addresses,
     /// not the diverged lanes or the width of the word.
     #[inline(always)]
-    pub(crate) fn read(&self, wv: &mut [Word<W>]) {
-        let (golden, mut odd) = golden_address(self.addr_wires.iter().map(|&w| wv[w as usize]));
-        let base = golden * self.width;
-        for (bit, dw) in self.dout_wires.iter().enumerate() {
+    pub(crate) fn read(&self, port: &BramPort, wv: &mut [Word<W>]) {
+        let (golden, mut odd) = golden_address(port.addr_wires.iter().map(|&w| wv[w as usize]));
+        let base = golden * port.width;
+        for (bit, dw) in port.dout_wires.iter().enumerate() {
             if let Some(w) = dw {
                 wv[*w as usize] = self.contents[base + bit];
             }
         }
         while let Some(lane) = odd.ones().next() {
-            let bus = || self.addr_wires.iter().map(|&w| wv[w as usize]);
+            let bus = || port.addr_wires.iter().map(|&w| wv[w as usize]);
             let addr = lane_address(bus(), lane);
             let at = odd & lanes_at(bus(), addr);
-            let base = addr * self.width;
-            for (bit, dw) in self.dout_wires.iter().enumerate() {
+            let base = addr * port.width;
+            for (bit, dw) in port.dout_wires.iter().enumerate() {
                 if let Some(w) = dw {
                     let out = &mut wv[*w as usize];
                     *out = Word::mux(*out, self.contents[base + bit], at);
@@ -291,21 +312,23 @@ fn lanes_at<const W: usize>(bus: impl Iterator<Item = Word<W>>, addr: usize) -> 
     })
 }
 
-/// A lane-parallel replica of one configured [`Device`]: `64 * W` copies
-/// of the compiled circuit advance together, one [`Word<W>`] per wire,
-/// LUT, flip-flop and memory bit.
+/// The width-independent part of the lane engine: what
+/// [`BatchDevice::new`] harvests from a configured [`Device`] — compiled
+/// structures, pristine configuration, the levelized settle sweep
+/// and the pristine static timing.
 ///
-/// Constructed from a configured device with [`BatchDevice::new`]; the
-/// compiled structures, pristine configuration and (pristine) static
-/// timing are harvested once and shared by all lanes. Per-lane
-/// reconfiguration goes through [`BatchDevice::lane`].
-#[derive(Debug, Clone)]
-pub struct BatchDevice<const W: usize> {
+/// Built once per design with [`LaneProgram::new`] and shared behind an
+/// [`Arc`] by every engine built from it with
+/// [`BatchDevice::from_program`], whatever its word width. Nothing in it
+/// changes after the build, and its pristine [`Bitstream`] is the
+/// device's own copy, not a clone.
+#[derive(Debug)]
+pub struct LaneProgram {
     arch: ArchParams,
-    pristine: Bitstream,
+    pristine: Arc<Bitstream>,
     ffs: Vec<FfNode>,
-    ff_of_cb: Vec<u32>,
-    lut_of_cb: Vec<u32>,
+    ff_of_cb: Arc<[u32]>,
+    lut_of_cb: Arc<[u32]>,
     ff_overshoot_ns: Vec<f64>,
     bram_overshoot_ns: Vec<f64>,
     ff_columns: Vec<u16>,
@@ -317,7 +340,6 @@ pub struct BatchDevice<const W: usize> {
     pristine_drive: Vec<bool>,
     ff_init: Vec<bool>,
 
-    // Lane configuration state.
     /// Number of connected pins per LUT (structural: mutations rewrite
     /// tables, never routing, so this is lane-invariant and constant).
     lut_arity: Vec<u8>,
@@ -326,8 +348,146 @@ pub struct BatchDevice<const W: usize> {
     lut_cfull: Vec<[u8; 16]>,
     /// Pristine truth table in compact index space.
     lut_cpristine: Vec<u16>,
-    /// Start of each LUT's slice in `compact_tables` (length `1 << arity`).
+    /// Start of each LUT's slice in an engine's compact tables (length
+    /// `1 << arity`).
     lut_coff: Vec<u32>,
+    /// Words of compact table, all LUTs together.
+    compact_len: usize,
+
+    /// The levelized settle sweep over the compiled tape.
+    sweep: Sweep,
+    /// The slot each flip-flop's data input reads.
+    ff_d: Vec<u32>,
+    /// Each memory block's wiring and shape.
+    bram_ports: Vec<BramPort>,
+}
+
+impl LaneProgram {
+    /// Harvests the lane program of a configured device.
+    ///
+    /// Borrows the device's compiled tape and structures and reads
+    /// configuration and static timing from its *pristine* configuration,
+    /// so engines built from the program always start pristine regardless
+    /// of what the caller has done to `dev` since configuring it.
+    ///
+    /// Returns `None` for configurations the engine cannot represent
+    /// bit-exactly (see [`lane_obstacles`]).
+    #[must_use]
+    pub fn new(dev: &Device) -> Option<Self> {
+        let pristine = &dev.pristine;
+        if !lane_obstacles(pristine).is_empty() {
+            return None;
+        }
+        let timing = &dev.pristine_timing;
+        let ffs = dev.ffs.clone();
+        let cbs = pristine.cbs();
+        let pristine_tables: Vec<u16> = dev
+            .luts
+            .iter()
+            .map(|l| cbs[l.cb_flat as usize].lut_table)
+            .collect();
+        let pristine_invert: Vec<bool> = ffs
+            .iter()
+            .map(|f| cbs[f.cb_flat as usize].invert_ff_in)
+            .collect();
+        let pristine_drive: Vec<bool> = ffs
+            .iter()
+            .map(|f| cbs[f.cb_flat as usize].lsr_drive.value())
+            .collect();
+        let ff_init: Vec<bool> = ffs
+            .iter()
+            .map(|f| cbs[f.cb_flat as usize].ff_init)
+            .collect();
+
+        // The tape is arity-compacted (see `TapeOp`): each LUT's compact
+        // table slice, which a lane-overridden LUT evaluates as a
+        // `2^arity`-word mux tree, starts out in every engine as the
+        // pristine table splat across every lane.
+        let mut lut_arity = Vec::with_capacity(dev.luts.len());
+        let mut lut_cfull = Vec::with_capacity(dev.luts.len());
+        let mut lut_cpristine = Vec::with_capacity(dev.luts.len());
+        let mut lut_coff = Vec::with_capacity(dev.luts.len());
+        let mut compact_len = 0u32;
+        for (l, &table) in dev.luts.iter().zip(&pristine_tables) {
+            let arity = dev.tape[l.tape as usize].arity;
+            lut_arity.push(arity);
+            lut_cfull.push(l.cfull);
+            lut_cpristine.push(compact_table(table, &l.cfull));
+            lut_coff.push(compact_len);
+            compact_len += 1 << arity;
+        }
+
+        let bram_ports = pristine
+            .brams()
+            .iter()
+            .zip(&dev.bram_write_ports)
+            .zip(&dev.bram_dout_wires)
+            .map(|((cfg, port), douts)| BramPort {
+                we: port.we,
+                addr_wires: port.addr.clone(),
+                din_wires: port.din.clone(),
+                dout_wires: douts.clone(),
+                width: cfg.width as usize,
+                depth: cfg.depth(),
+            })
+            .collect();
+
+        let sweep = Sweep::new(dev, &lut_coff, &lut_cpristine);
+        let ff_d = ffs.iter().map(|f| sweep.ff_slot(f.data)).collect();
+        Some(LaneProgram {
+            arch: *pristine.arch(),
+            pristine: Arc::clone(pristine),
+            ffs,
+            ff_of_cb: Arc::clone(&dev.ff_of_cb),
+            lut_of_cb: Arc::clone(&dev.lut_of_cb),
+            ff_overshoot_ns: timing.ff_overshoot_ns.clone(),
+            bram_overshoot_ns: timing.bram_overshoot_ns.clone(),
+            ff_columns: pristine.ff_columns(),
+            pristine_tables,
+            pristine_invert,
+            pristine_drive,
+            ff_init,
+            lut_arity,
+            lut_cfull,
+            lut_cpristine,
+            lut_coff,
+            compact_len: compact_len as usize,
+            sweep,
+            ff_d,
+            bram_ports,
+        })
+    }
+
+    /// The wire indices of an output port, LSB first (resolve once, then
+    /// read per cycle with [`BatchDevice::port_divergence`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::UnknownPort`] for an unknown port.
+    pub fn output_wires(&self, name: &str) -> Result<Vec<u32>, FpgaError> {
+        let port = self
+            .pristine
+            .outputs()
+            .iter()
+            .find(|p| p.name == name)
+            .ok_or_else(|| FpgaError::UnknownPort(name.to_string()))?;
+        Ok(port.wires.iter().map(|w| w.index() as u32).collect())
+    }
+}
+
+/// A lane-parallel replica of one configured [`Device`]: `64 * W` copies
+/// of the compiled circuit advance together, one [`Word<W>`] per wire,
+/// LUT, flip-flop and memory bit.
+///
+/// The engine is its [`LaneProgram`], shared, plus its own lane state:
+/// built with [`BatchDevice::from_program`], or with
+/// [`BatchDevice::new`] straight from a configured device. Per-lane
+/// reconfiguration goes through [`BatchDevice::lane`].
+#[derive(Debug, Clone)]
+pub struct BatchDevice<const W: usize> {
+    program: Arc<LaneProgram>,
+
+    // Lane configuration state.
     /// Lane-word truth tables in compact index space, arity-packed flat.
     /// Unconnected pins always present a constant-0 word, so only the
     /// `1 << arity` entries with those index bits clear are reachable;
@@ -337,11 +497,13 @@ pub struct BatchDevice<const W: usize> {
     compact_tables: LaneBuf<W>,
     /// Per lane: `(lut, table)` for every LUT whose full truth table in
     /// that lane differs from pristine. Readback answers from here (else
-    /// from `pristine_tables`), and reset re-splats only the slices
+    /// from the pristine tables), and reset re-splats only the slices
     /// named here.
     lut_overrides: Vec<Vec<(u32, u16)>>,
     /// Lanes whose table differs from pristine, per LUT node.
     lut_table_diff: Vec<Word<W>>,
+    /// The LUTs some lane overrides, which the settle sweep fixes up.
+    fixups: Fixups,
     invert_ff_in: Vec<Word<W>>,
     /// Lanes whose inverter differs from pristine, per FF node.
     invert_diff: Vec<Word<W>>,
@@ -364,11 +526,6 @@ pub struct BatchDevice<const W: usize> {
     brams: Vec<LaneBram<W>>,
     ledgers: Vec<TransferLedger>,
 
-    /// The levelized settle sweep over the compiled tape.
-    sweep: Sweep,
-    /// The slot each flip-flop's data input reads.
-    ff_d: Vec<u32>,
-
     // Incremental retirement mask (see `seq_divergence`): the flip-flop
     // and capture-shadow components are folded during `clock_edge`, so
     // the per-cycle retirement check no longer rescans every word.
@@ -378,7 +535,7 @@ pub struct BatchDevice<const W: usize> {
     /// cached `seq_div_ff` fold may be stale.
     ff_touched_since_edge: bool,
     /// The instruction-set level the per-cycle loops run at, chosen once
-    /// in [`new`](Self::new).
+    /// in [`from_program`](Self::from_program).
     kernel: LaneKernel,
 }
 
@@ -471,147 +628,55 @@ impl<const W: usize> BatchDevice<W> {
         Word(w)
     };
 
-    /// Builds a lane engine from a configured device.
-    ///
-    /// Harvests the device's compiled tape and structures by borrow and
-    /// reads configuration and static timing from its *pristine*
-    /// configuration, so the engine always starts pristine regardless of
-    /// what the caller has done to `dev` since configuring it.
+    /// Builds a lane engine from a configured device: its
+    /// [`LaneProgram`], then the engine on it.
     ///
     /// Returns `None` for configurations the engine cannot represent
-    /// bit-exactly (see [`lane_obstacles`]), counting the refusal in
-    /// `fades_telemetry::analysis::LANE_FALLBACKS` so the resulting
-    /// scalar fallback is visible on `/metrics`.
+    /// bit-exactly (see [`lane_obstacles`]).
     #[must_use]
     pub fn new(dev: &Device) -> Option<Self> {
-        let pristine = &dev.pristine;
-        if !lane_obstacles(pristine).is_empty() {
-            fades_telemetry::analysis::LANE_FALLBACKS.inc();
-            return None;
-        }
-        let arch = *pristine.arch();
-        let timing = &dev.pristine_timing;
-        let ffs = dev.ffs.clone();
-        let cbs = pristine.cbs();
-        let pristine_tables: Vec<u16> = dev
-            .luts
-            .iter()
-            .map(|l| cbs[l.cb_flat as usize].lut_table)
-            .collect();
-        let pristine_invert: Vec<bool> = ffs
-            .iter()
-            .map(|f| cbs[f.cb_flat as usize].invert_ff_in)
-            .collect();
-        let pristine_drive: Vec<bool> = ffs
-            .iter()
-            .map(|f| cbs[f.cb_flat as usize].lsr_drive.value())
-            .collect();
-        let ff_init: Vec<bool> = ffs
-            .iter()
-            .map(|f| cbs[f.cb_flat as usize].ff_init)
-            .collect();
+        LaneProgram::new(dev).map(|program| Self::from_program(Arc::new(program)))
+    }
 
-        // The tape is arity-compacted (see `TapeOp`): each LUT's compact
-        // table slice, which a lane-overridden LUT evaluates as a
-        // `2^arity`-word mux tree, starts out as the pristine table splat
-        // across every lane.
-        let mut lut_arity = Vec::with_capacity(dev.luts.len());
-        let mut lut_cfull = Vec::with_capacity(dev.luts.len());
-        let mut lut_cpristine = Vec::with_capacity(dev.luts.len());
-        let mut lut_coff = Vec::with_capacity(dev.luts.len());
-        let mut compact_tables: Vec<Word<W>> = Vec::new();
-        for (l, &table) in dev.luts.iter().zip(&pristine_tables) {
-            let arity = dev.tape[l.tape as usize].arity;
-            let ct = compact_table(table, &l.cfull);
-            lut_arity.push(arity);
-            lut_cfull.push(l.cfull);
-            lut_cpristine.push(ct);
-            lut_coff.push(compact_tables.len() as u32);
-            compact_tables.extend((0..1usize << arity).map(|k| Word::splat((ct >> k) & 1 == 1)));
-        }
-
-        let brams: Vec<LaneBram<W>> = pristine
-            .brams()
-            .iter()
-            .zip(&dev.bram_write_ports)
-            .zip(&dev.bram_dout_wires)
-            .map(|((cfg, port), douts)| {
-                let width = cfg.width as usize;
-                let depth = cfg.depth();
-                LaneBram {
-                    we: port.we,
-                    addr_wires: port.addr.clone(),
-                    din_wires: port.din.clone(),
-                    dout_wires: douts.clone(),
-                    width,
-                    depth,
-                    contents: LaneBuf::new(depth * width, Word::ZERO),
-                    pristine_words: cfg.contents.clone(),
-                    dirty: Vec::new(),
-                    is_dirty: vec![false; depth * width],
-                    prev_we: Word::ZERO,
-                    prev_addr: vec![Word::ZERO; port.addr.len()],
-                    prev_din: vec![Word::ZERO; port.din.len()],
-                    now_addr: vec![Word::ZERO; port.addr.len()],
-                    now_din: vec![Word::ZERO; port.din.len()],
-                }
-            })
-            .collect();
-
-        let ff_columns = pristine.ff_columns();
-        let n_luts = dev.luts.len();
-        let n_ffs = ffs.len();
-
-        let sweep = Sweep::new(dev, &lut_coff, &lut_cpristine);
-        let ff_d = ffs.iter().map(|f| sweep.ff_slot(f.data)).collect();
-        let n_slots = sweep.slots();
-
+    /// Builds an engine on a shared program: allocates the lane state
+    /// and resets every lane to the device's initial state.
+    #[must_use]
+    pub fn from_program(program: Arc<LaneProgram>) -> Self {
+        let p = &*program;
+        let (n_luts, n_ffs) = (p.lut_arity.len(), p.ffs.len());
         let mut engine = BatchDevice {
-            arch,
-            pristine: pristine.clone(),
-            ffs,
-            ff_of_cb: dev.ff_of_cb.clone(),
-            lut_of_cb: dev.lut_of_cb.clone(),
-            ff_overshoot_ns: timing.ff_overshoot_ns.clone(),
-            bram_overshoot_ns: timing.bram_overshoot_ns.clone(),
-            ff_columns,
-            pristine_tables,
-            pristine_invert,
-            pristine_drive,
-            ff_init,
-            lut_arity,
-            lut_cfull,
-            lut_cpristine,
-            lut_coff,
-            compact_tables: LaneBuf::from_slice(&compact_tables),
+            compact_tables: LaneBuf::new(p.compact_len, Word::ZERO),
             lut_overrides: vec![Vec::new(); Self::LANES],
             lut_table_diff: vec![Word::ZERO; n_luts],
+            fixups: p.sweep.fixups(),
             invert_ff_in: vec![Word::ZERO; n_ffs],
             invert_diff: vec![Word::ZERO; n_ffs],
             lsr_drive: vec![Word::ZERO; n_ffs],
             config_diff_count: vec![0; Self::LANES],
             config_div: Word::ZERO,
             cycle: 0,
-            wire_values: LaneBuf::new(n_slots, Word::ZERO),
+            wire_values: LaneBuf::new(p.sweep.slots(), Word::ZERO),
             ff_state: LaneBuf::new(n_ffs, Word::ZERO),
             ff_prev_d: LaneBuf::new(n_ffs, Word::ZERO),
-            brams,
+            brams: p.bram_ports.iter().map(LaneBram::new).collect(),
             ledgers: vec![TransferLedger::new(); Self::LANES],
-            sweep,
-            ff_d,
             seq_div_ff: Word::ZERO,
             seq_div_shadow: Word::ZERO,
             ff_touched_since_edge: false,
             kernel: LaneKernel::for_lanes(Self::LANES),
+            program,
         };
+        for li in 0..n_luts {
+            engine.splat_pristine_table(li);
+        }
         fades_telemetry::sim::LANE_KERNEL_BITS.set(u64::from(engine.kernel.vector_bits()));
         engine.reset();
-        Some(engine)
+        engine
     }
 
     /// The architecture of the underlying device.
     pub fn arch(&self) -> &ArchParams {
-        &self.arch
+        &self.program.arch
     }
 
     /// Cycles executed since the last [`reset`](Self::reset).
@@ -619,30 +684,43 @@ impl<const W: usize> BatchDevice<W> {
         self.cycle
     }
 
+    /// Splats LUT `li`'s pristine compact table across every lane.
+    #[inline(always)]
+    fn splat_pristine_table(&mut self, li: usize) {
+        let p = &*self.program;
+        let ct = p.lut_cpristine[li];
+        let off = p.lut_coff[li] as usize;
+        let len = 1usize << p.lut_arity[li];
+        for (k, w) in self.compact_tables[off..off + len].iter_mut().enumerate() {
+            *w = Word::splat((ct >> k) & 1 == 1);
+        }
+    }
+
     /// Returns every lane's configuration to pristine: re-splats the
     /// compact table slices of the LUTs some lane overrode, restores the
     /// inverter and set/reset-mux words, and clears the divergence
     /// bookkeeping and all lane ledgers.
+    ///
+    /// Every pass starts with it (through [`reset`](Self::reset) or
+    /// [`restore_broadcast`](Self::restore_broadcast)); a caller that
+    /// keeps an idle engine for later passes calls it too, so that the
+    /// idle engine holds no lane's fault.
     #[inline(always)]
-    fn restore_pristine_config(&mut self) {
-        for overrides in &mut self.lut_overrides {
-            for &(li, _) in overrides.iter() {
-                let li = li as usize;
-                let ct = self.lut_cpristine[li];
-                let off = self.lut_coff[li] as usize;
-                let len = 1usize << self.lut_arity[li];
-                for (k, w) in self.compact_tables[off..off + len].iter_mut().enumerate() {
-                    *w = Word::splat((ct >> k) & 1 == 1);
-                }
+    pub fn restore_pristine_config(&mut self) {
+        for lane in 0..self.lut_overrides.len() {
+            for k in 0..self.lut_overrides[lane].len() {
+                let li = self.lut_overrides[lane][k].0 as usize;
+                self.splat_pristine_table(li);
                 self.lut_table_diff[li] = Word::ZERO;
-                self.sweep.set_overridden(li, false);
+                self.fixups.set(&self.program.sweep, li, false);
             }
-            overrides.clear();
+            self.lut_overrides[lane].clear();
         }
-        for i in 0..self.ffs.len() {
-            self.invert_ff_in[i] = Word::splat(self.pristine_invert[i]);
+        let p = &*self.program;
+        for i in 0..p.ffs.len() {
+            self.invert_ff_in[i] = Word::splat(p.pristine_invert[i]);
             self.invert_diff[i] = Word::ZERO;
-            self.lsr_drive[i] = Word::splat(self.pristine_drive[i]);
+            self.lsr_drive[i] = Word::splat(p.pristine_drive[i]);
         }
         self.config_diff_count.fill(0);
         self.config_div = Word::ZERO;
@@ -659,16 +737,16 @@ impl<const W: usize> BatchDevice<W> {
     /// muxes, memory contents) to pristine, and clears all lane ledgers.
     pub fn reset(&mut self) {
         self.restore_pristine_config();
-        for i in 0..self.ffs.len() {
-            let init = Word::splat(self.ff_init[i]);
+        let p = &*self.program;
+        for i in 0..p.ffs.len() {
+            let init = Word::splat(p.ff_init[i]);
             self.ff_state[i] = init;
             self.ff_prev_d[i] = init;
         }
         self.wire_values.fill(Word::ZERO);
-        for b in self.brams.iter_mut() {
-            let words = std::mem::take(&mut b.pristine_words);
-            b.load_broadcast(&words, (false, 0, 0));
-            b.pristine_words = words;
+        let pristine = p.pristine.brams().iter().zip(&p.bram_ports);
+        for (b, (cfg, port)) in self.brams.iter_mut().zip(pristine) {
+            b.load_broadcast(port.width, &cfg.contents, (false, 0, 0));
         }
         self.cycle = 0;
     }
@@ -698,7 +776,8 @@ impl<const W: usize> BatchDevice<W> {
     #[inline(always)]
     fn restore_broadcast_body(&mut self, snap: &DeviceState) {
         self.restore_pristine_config();
-        for i in 0..self.ffs.len() {
+        let p = &*self.program;
+        for i in 0..p.ffs.len() {
             self.ff_state[i] = Word::splat(snap.ff_state[i]);
             self.ff_prev_d[i] = Word::splat(snap.ff_prev_d[i]);
         }
@@ -709,13 +788,17 @@ impl<const W: usize> BatchDevice<W> {
         // wires.
         let n_wires = snap.wire_values.len();
         for (li, &v) in snap.lut_values.iter().enumerate() {
-            let slot = self.sweep.lut_out(li) as usize;
+            let slot = p.sweep.lut_out(li) as usize;
             if slot >= n_wires {
                 self.wire_values[slot] = Word::splat(v);
             }
         }
-        for (bi, b) in self.brams.iter_mut().enumerate() {
-            b.load_broadcast(&snap.bram_contents[bi], snap.bram_prev_write[bi]);
+        for (bi, (b, port)) in self.brams.iter_mut().zip(&p.bram_ports).enumerate() {
+            b.load_broadcast(
+                port.width,
+                &snap.bram_contents[bi],
+                snap.bram_prev_write[bi],
+            );
         }
         self.cycle = snap.cycle;
     }
@@ -727,6 +810,7 @@ impl<const W: usize> BatchDevice<W> {
     /// Returns an error for an unknown port or wrong width.
     pub fn set_input(&mut self, name: &str, bits: &[bool]) -> Result<(), FpgaError> {
         let port = self
+            .program
             .pristine
             .inputs()
             .iter()
@@ -745,20 +829,14 @@ impl<const W: usize> BatchDevice<W> {
         Ok(())
     }
 
-    /// The wire indices of an output port, LSB first (resolve once, then
-    /// read per cycle with [`port_divergence`](Self::port_divergence)).
+    /// The wire indices of an output port, LSB first: the program's
+    /// [`LaneProgram::output_wires`].
     ///
     /// # Errors
     ///
     /// Returns [`FpgaError::UnknownPort`] for an unknown port.
     pub fn output_wires(&self, name: &str) -> Result<Vec<u32>, FpgaError> {
-        let port = self
-            .pristine
-            .outputs()
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| FpgaError::UnknownPort(name.to_string()))?;
-        Ok(port.wires.iter().map(|w| w.index() as u32).collect())
+        self.program.output_wires(name)
     }
 
     lane_kernel! {
@@ -812,20 +890,27 @@ impl<const W: usize> BatchDevice<W> {
 
     #[inline(always)]
     fn read_memories_body(&mut self) {
-        for b in &self.brams {
-            b.read(&mut self.wire_values);
+        for (b, port) in self.brams.iter().zip(&self.program.bram_ports) {
+            b.read(port, &mut self.wire_values);
         }
     }
 
     #[inline(always)]
     fn settle_body(&mut self) {
+        let p = &*self.program;
         let wv = &mut self.wire_values;
-        for (ff, &q) in self.ffs.iter().zip(self.ff_state.iter()) {
+        for (ff, &q) in p.ffs.iter().zip(self.ff_state.iter()) {
             if let Some(w) = ff.out_wire {
                 wv[w as usize] = q;
             }
         }
-        self.sweep.eval(wv, &self.compact_tables, &self.brams);
+        p.sweep.eval(
+            &self.fixups,
+            wv,
+            &self.compact_tables,
+            &p.bram_ports,
+            &self.brams,
+        );
     }
 
     /// How many LUTs have each op class right now, by class name in
@@ -837,11 +922,11 @@ impl<const W: usize> BatchDevice<W> {
     pub fn lut_op_counts(&self) -> Vec<(&'static str, usize)> {
         let mut counts = [0usize; Op::Generic as usize + 1];
         let mut wide = 0;
-        for li in 0..self.lut_arity.len() {
-            if self.sweep.overridden(li) {
+        for li in 0..self.program.lut_arity.len() {
+            if self.fixups.overridden(li) {
                 wide += 1;
             } else {
-                counts[self.sweep.lut_class(li) as usize] += 1;
+                counts[self.program.sweep.lut_class(li) as usize] += 1;
             }
         }
         CLASSES
@@ -858,7 +943,7 @@ impl<const W: usize> BatchDevice<W> {
     /// The shape of the settle sweep: combinational nodes, levels and
     /// runs.
     pub fn sweep_shape(&self) -> SweepShape {
-        self.sweep.shape(self.brams.len())
+        self.program.sweep.shape(self.brams.len())
     }
 
     lane_kernel! {
@@ -873,12 +958,13 @@ impl<const W: usize> BatchDevice<W> {
         // Fold the flip-flop and capture-shadow components of the
         // retirement divergence mask while the words are already in hand,
         // so `seq_divergence` does not rescan them per cycle.
+        let p = &*self.program;
         let mut div_ff = Word::ZERO;
         let mut div_shadow = Word::ZERO;
-        let spread = self.arch.arrival_spread_ns;
-        for (i, &slot) in self.ff_d.iter().enumerate() {
+        let spread = p.arch.arrival_spread_ns;
+        for (i, &slot) in p.ff_d.iter().enumerate() {
             let d = self.wire_values[slot as usize] ^ self.invert_ff_in[i];
-            let overshoot = self.ff_overshoot_ns.get(i).copied().unwrap_or(0.0);
+            let overshoot = p.ff_overshoot_ns.get(i).copied().unwrap_or(0.0);
             // Timing is pristine and lane-invariant (lanes cannot touch
             // routing), so the miss decision is one whole-word select.
             let captured = if capture_misses(spread, self.cycle, overshoot, i as u64) {
@@ -892,15 +978,15 @@ impl<const W: usize> BatchDevice<W> {
             div_shadow |= d ^ d.splat_lane0();
         }
         let wv = &self.wire_values;
-        for (bi, b) in self.brams.iter_mut().enumerate() {
-            let overshoot = self.bram_overshoot_ns.get(bi).copied().unwrap_or(0.0);
+        for (bi, (b, port)) in self.brams.iter_mut().zip(&p.bram_ports).enumerate() {
+            let overshoot = p.bram_overshoot_ns.get(bi).copied().unwrap_or(0.0);
             let miss = capture_misses(spread, self.cycle, overshoot, 0x8000_0000 | bi as u64);
-            let Some(we) = b.we else { continue };
+            let Some(we) = port.we else { continue };
             let we_now = wv[we as usize];
-            for (slot, &w) in b.now_addr.iter_mut().zip(&b.addr_wires) {
+            for (slot, &w) in b.now_addr.iter_mut().zip(&port.addr_wires) {
                 *slot = wv[w as usize];
             }
-            for (slot, &w) in b.now_din.iter_mut().zip(&b.din_wires) {
+            for (slot, &w) in b.now_din.iter_mut().zip(&port.din_wires) {
                 *slot = wv[w as usize];
             }
             // A missed capture writes the operands of the previous edge.
@@ -910,7 +996,7 @@ impl<const W: usize> BatchDevice<W> {
                 (we_now, &b.now_addr, &b.now_din)
             };
             let (contents, dirty, is_dirty) = (&mut b.contents, &mut b.dirty, &mut b.is_dirty);
-            let width = b.width;
+            let width = port.width;
             // Lanes agreeing with the golden lane on enable and address
             // write (or not) as whole words; the rest one distinct
             // address at a time, as whole words under the mask of the
@@ -1127,11 +1213,11 @@ impl<const W: usize> BatchDevice<W> {
             }
             snap.push(acc);
         }
-        for b in &self.brams {
-            for addr in 0..b.depth {
+        for (b, port) in self.brams.iter().zip(&self.program.bram_ports) {
+            for addr in 0..port.depth {
                 let mut word = 0u64;
-                for bit in 0..b.width {
-                    word |= u64::from(b.contents[addr * b.width + bit].bit(lane)) << bit;
+                for bit in 0..port.width {
+                    word |= u64::from(b.contents[addr * port.width + bit].bit(lane)) << bit;
                 }
                 snap.push(word);
             }
@@ -1231,7 +1317,7 @@ impl<const W: usize> BatchDevice<W> {
     /// behaviour-affecting configuration is pristine; `lsr_drive` is the
     /// one configuration cell retirement ignores).
     pub fn refill_lane(&mut self, lane: usize) {
-        for (w, &drive) in self.lsr_drive.iter_mut().zip(&self.pristine_drive) {
+        for (w, &drive) in self.lsr_drive.iter_mut().zip(&self.program.pristine_drive) {
             w.set_bit(lane, drive);
         }
         self.ledgers[lane].clear();
@@ -1240,8 +1326,8 @@ impl<const W: usize> BatchDevice<W> {
     /// Direct (cost-free) view of one flip-flop's state on one lane, for
     /// assertions (the batch analogue of [`Device::peek_ff`]).
     pub fn peek_ff_lane(&self, cb: CbCoord, lane: usize) -> Option<bool> {
-        let flat = cb.flat_index(self.arch.rows);
-        let idx = *self.ff_of_cb.get(flat)?;
+        let flat = cb.flat_index(self.program.arch.rows);
+        let idx = *self.program.ff_of_cb.get(flat)?;
         if idx == u32::MAX {
             None
         } else {
@@ -1274,15 +1360,16 @@ impl<const W: usize> BatchDevice<W> {
     }
 
     fn set_lane_table(&mut self, li: usize, lane: usize, table: u16) {
-        let cfull = self.lut_cfull[li];
-        let off = self.lut_coff[li] as usize;
-        let len = 1usize << self.lut_arity[li];
+        let p = &*self.program;
+        let cfull = p.lut_cfull[li];
+        let off = p.lut_coff[li] as usize;
+        let len = 1usize << p.lut_arity[li];
         for (w, &cf) in self.compact_tables[off..off + len].iter_mut().zip(&cfull) {
             w.set_bit(lane, (table >> cf) & 1 == 1);
         }
         let overrides = &mut self.lut_overrides[lane];
         let at = overrides.iter().position(|&(l, _)| l as usize == li);
-        let now = table != self.pristine_tables[li];
+        let now = table != p.pristine_tables[li];
         match (at, now) {
             (Some(k), true) => overrides[k].1 = table,
             (None, true) => overrides.push((li as u32, table)),
@@ -1294,7 +1381,7 @@ impl<const W: usize> BatchDevice<W> {
         if at.is_some() != now {
             self.lut_table_diff[li].set_bit(lane, now);
             let overridden = !self.lut_table_diff[li].is_zero();
-            self.sweep.set_overridden(li, overridden);
+            self.fixups.set(&p.sweep, li, overridden);
             self.note_config_diff(lane, now);
         }
     }
@@ -1304,7 +1391,7 @@ impl<const W: usize> BatchDevice<W> {
         self.lut_overrides[lane]
             .iter()
             .find(|&&(l, _)| l as usize == li)
-            .map_or(self.pristine_tables[li], |&(_, t)| t)
+            .map_or(self.program.pristine_tables[li], |&(_, t)| t)
     }
 
     /// Asserts one flip-flop's local set/reset line on one lane: the lane
@@ -1318,7 +1405,7 @@ impl<const W: usize> BatchDevice<W> {
     fn set_lane_invert(&mut self, fi: usize, lane: usize, invert: bool) {
         self.invert_ff_in[fi].set_bit(lane, invert);
         let was = self.invert_diff[fi].bit(lane);
-        let now = invert != self.pristine_invert[fi];
+        let now = invert != self.program.pristine_invert[fi];
         if was != now {
             self.invert_diff[fi].set_bit(lane, now);
             self.note_config_diff(lane, now);
@@ -1338,7 +1425,7 @@ pub struct LaneDevice<'a, const W: usize> {
 
 impl<const W: usize> LaneDevice<'_, W> {
     fn flat(&self, cb: CbCoord) -> Result<usize, FpgaError> {
-        let arch = &self.dev.arch;
+        let arch = &self.dev.program.arch;
         if cb.col >= arch.cols || cb.row >= arch.rows {
             return Err(FpgaError::CoordOutOfRange(cb));
         }
@@ -1346,7 +1433,7 @@ impl<const W: usize> LaneDevice<'_, W> {
     }
 
     fn ff_node(&self, cb: CbCoord) -> Result<usize, FpgaError> {
-        let idx = self.dev.ff_of_cb[self.flat(cb)?];
+        let idx = self.dev.program.ff_of_cb[self.flat(cb)?];
         if idx == u32::MAX {
             return Err(FpgaError::ResourceUnused(cb));
         }
@@ -1354,7 +1441,7 @@ impl<const W: usize> LaneDevice<'_, W> {
     }
 
     fn lut_node(&self, cb: CbCoord) -> Result<usize, FpgaError> {
-        let idx = self.dev.lut_of_cb[self.flat(cb)?];
+        let idx = self.dev.program.lut_of_cb[self.flat(cb)?];
         if idx == u32::MAX {
             return Err(FpgaError::ResourceUnused(cb));
         }
@@ -1370,7 +1457,7 @@ impl<const W: usize> LaneDevice<'_, W> {
     }
 
     fn charge_readback(&mut self, set: &FrameSet) {
-        let bytes = set.bytes(&self.dev.arch);
+        let bytes = set.bytes(&self.dev.program.arch);
         self.record(TransferOp {
             kind: TransferKind::Readback,
             frames: set.len() as u32,
@@ -1382,8 +1469,8 @@ impl<const W: usize> LaneDevice<'_, W> {
     /// touched cell and charging this lane's ledger with the identical
     /// frame traffic.
     fn apply_inner(&mut self, mutation: &Mutation, full_download: bool) -> Result<(), FpgaError> {
-        let arch = self.dev.arch;
-        let frames = mutation.frames(&arch, &self.dev.pristine);
+        let arch = self.dev.program.arch;
+        let frames = mutation.frames(&arch, &self.dev.program.pristine);
         let writes = match mutation {
             Mutation::PulseLsr { .. } => 2,
             _ => 1,
@@ -1407,7 +1494,7 @@ impl<const W: usize> LaneDevice<'_, W> {
                 self.dev.pulse_lsr(fi, lane);
             }
             Mutation::PulseGsr => {
-                for fi in 0..self.dev.ffs.len() {
+                for fi in 0..self.dev.program.ffs.len() {
                     self.dev.pulse_lsr(fi, lane);
                 }
                 self.record(TransferOp {
@@ -1423,19 +1510,21 @@ impl<const W: usize> LaneDevice<'_, W> {
                 bit,
                 value,
             } => {
-                let b = self
+                let port = self
                     .dev
-                    .brams
-                    .get_mut(bram.index())
+                    .program
+                    .bram_ports
+                    .get(bram.index())
                     .ok_or(FpgaError::BadBram(*bram))?;
-                if *addr >= b.depth || *bit as usize >= b.width {
+                if *addr >= port.depth || *bit as usize >= port.width {
                     return Err(FpgaError::BadBramLocation {
                         bram: *bram,
                         addr: *addr,
                         bit: *bit,
                     });
                 }
-                let idx = addr * b.width + *bit as usize;
+                let idx = addr * port.width + *bit as usize;
+                let b = &mut self.dev.brams[bram.index()];
                 let cell = &mut b.contents[idx];
                 if cell.bit(lane) != *value {
                     cell.set_bit(lane, *value);
@@ -1475,7 +1564,7 @@ impl<const W: usize> LaneDevice<'_, W> {
 impl<const W: usize> ConfigAccess for LaneDevice<'_, W> {
     fn readback_ff(&mut self, cb: CbCoord) -> Result<bool, FpgaError> {
         let fi = self.ff_node(cb)?;
-        let arch = self.dev.arch;
+        let arch = self.dev.program.arch;
         let mut set = FrameSet::new();
         set.add_cb_field(&arch, cb, CbField::FfCapture);
         self.charge_readback(&set);
@@ -1483,11 +1572,12 @@ impl<const W: usize> ConfigAccess for LaneDevice<'_, W> {
     }
 
     fn readback_all_ffs(&mut self) -> Vec<(CbCoord, bool)> {
-        let arch = self.dev.arch;
+        let arch = self.dev.program.arch;
         let mut set = FrameSet::new();
-        set.add_ff_capture_columns(self.dev.ff_columns.iter().copied());
+        set.add_ff_capture_columns(self.dev.program.ff_columns.iter().copied());
         self.charge_readback(&set);
         self.dev
+            .program
             .ffs
             .iter()
             .zip(&self.dev.ff_state)
@@ -1501,17 +1591,19 @@ impl<const W: usize> ConfigAccess for LaneDevice<'_, W> {
     }
 
     fn readback_bram_word(&mut self, bram: BramId, addr: usize) -> Result<u64, FpgaError> {
-        let arch = self.dev.arch;
+        let arch = self.dev.program.arch;
         let lane = self.lane;
-        let b = self
+        let port = self
             .dev
-            .brams
+            .program
+            .bram_ports
             .get(bram.index())
             .ok_or(FpgaError::BadBram(bram))?;
-        if addr >= b.depth {
+        if addr >= port.depth {
             return Err(FpgaError::BadBramLocation { bram, addr, bit: 0 });
         }
-        let width = b.width;
+        let width = port.width;
+        let b = &self.dev.brams[bram.index()];
         let mut word = 0u64;
         for bit in 0..width {
             word |= u64::from(b.contents[addr * width + bit].bit(lane)) << bit;
@@ -1525,7 +1617,7 @@ impl<const W: usize> ConfigAccess for LaneDevice<'_, W> {
     fn readback_lut_table(&mut self, cb: CbCoord) -> Result<u16, FpgaError> {
         let li = self.lut_node(cb)?;
         let table = self.dev.lane_table(li, self.lane);
-        let arch = self.dev.arch;
+        let arch = self.dev.program.arch;
         let mut set = FrameSet::new();
         set.add_cb_field(&arch, cb, CbField::LutTable);
         self.charge_readback(&set);
@@ -1541,7 +1633,7 @@ impl<const W: usize> ConfigAccess for LaneDevice<'_, W> {
     }
 
     fn bulk_set_lsr_drives(&mut self, drives: &[(CbCoord, SetReset)]) -> Result<(), FpgaError> {
-        let arch = self.dev.arch;
+        let arch = self.dev.program.arch;
         let mut set = FrameSet::new();
         for (cb, drive) in drives {
             let fi = self.ff_node(*cb)?;
@@ -1979,7 +2071,7 @@ mod tests {
         let (mut saw_wide, mut saw_odd_address, mut saw_buffer_wide) = (false, false, false);
         let buffer_luts: Vec<usize> = buffers
             .iter()
-            .map(|cb| base.lut_of_cb[cb.flat_index(16)] as usize)
+            .map(|cb| base.program.lut_of_cb[cb.flat_index(16)] as usize)
             .collect();
         for cycle in 0..40 {
             if cycle == 20 {
@@ -2006,7 +2098,8 @@ mod tests {
                     }],
                     1 => vec![Mutation::SetLutTable {
                         cb: lut_cb,
-                        table: base.pristine_tables[base.lut_of_cb[lut_cb.flat_index(16)] as usize],
+                        table: base.program.pristine_tables
+                            [base.program.lut_of_cb[lut_cb.flat_index(16)] as usize],
                     }],
                     2 => vec![
                         Mutation::SetLsrDrive {
@@ -2029,7 +2122,7 @@ mod tests {
             }
             let at = format!("{level:?} W={W} cycle {cycle}");
             saw_wide |= base.lut_op_counts().iter().any(|&(op, _)| op == "wide");
-            saw_buffer_wide |= buffer_luts.iter().any(|&li| base.sweep.overridden(li));
+            saw_buffer_wide |= buffer_luts.iter().any(|&li| base.fixups.overridden(li));
             base.settle();
             other.settle();
             assert_same_words(&base, &other, &format!("{at} settle"));
@@ -2108,14 +2201,15 @@ mod tests {
     /// it.
     fn assert_levelized<const W: usize>(batch: &BatchDevice<W>) {
         let bram_wires: Vec<(Vec<u32>, Vec<u32>)> = batch
-            .brams
+            .program
+            .bram_ports
             .iter()
             .map(|b| {
                 let douts = b.dout_wires.iter().flatten().copied().collect();
                 (douts, b.addr_wires.clone())
             })
             .collect();
-        let schedule = batch.sweep.schedule(&bram_wires);
+        let schedule = batch.program.sweep.schedule(&bram_wires);
         let mut written_at = std::collections::HashMap::new();
         for (level, outs, _) in &schedule {
             for &o in outs {
@@ -2137,11 +2231,11 @@ mod tests {
             }
         }
         // Every LUT and memory read is scheduled.
-        let luts = batch.lut_arity.len();
+        let luts = batch.program.lut_arity.len();
         assert_eq!(batch.sweep_shape().nodes, luts + batch.brams.len());
         for li in 0..luts {
             assert!(
-                written_at.contains_key(&batch.sweep.lut_out(li)),
+                written_at.contains_key(&batch.program.sweep.lut_out(li)),
                 "LUT {li}"
             );
         }
@@ -2183,7 +2277,7 @@ mod tests {
                     );
                 }
                 for (li, &v) in state.lut_values.iter().enumerate() {
-                    let slot = batch.sweep.lut_out(li);
+                    let slot = batch.program.sweep.lut_out(li);
                     if slot as usize >= state.wire_values.len() {
                         assert_eq!(
                             batch.wire_values[slot as usize].bit(lane),
@@ -2203,7 +2297,8 @@ mod tests {
             let lane = 1 + lane as usize % (lanes - 1);
             let cb = cbs[r as usize % cbs.len()];
             let lut_cb = lut_cbs[r as usize % lut_cbs.len()];
-            let pristine = batch.pristine_tables[batch.lut_of_cb[lut_cb.flat_index(16)] as usize];
+            let p = &batch.program;
+            let pristine = p.pristine_tables[p.lut_of_cb[lut_cb.flat_index(16)] as usize];
             let mutations = match kind % 5 {
                 0 | 1 => vec![Mutation::SetLutTable {
                     cb: lut_cb,

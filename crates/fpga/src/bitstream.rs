@@ -141,7 +141,7 @@ impl Bitstream {
     }
 
     fn new_wire(&mut self, driver: WireDriver) -> WireId {
-        let id = WireId(self.wires.len() as u32);
+        let id = WireId::from_index(self.wires.len());
         self.wires.push(WireConfig::new(driver));
         id
     }

@@ -1,6 +1,7 @@
 //! Coordinates of FPGA resources.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Position of a configurable block on the device grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,24 +44,47 @@ impl fmt::Display for CbCoord {
 }
 
 /// Identifier of a routed wire (one per logical net after implementation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WireId(pub(crate) u32);
+///
+/// Holds its index plus one, so that an `Option<WireId>` takes no more
+/// room than the id: a configurable block names up to five wires, and a
+/// bitstream holds every block of the device, used or not.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct WireId(NonZeroU32);
 
 impl WireId {
     /// Raw dense index (see [`crate::Bitstream::wires`]).
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
     }
 
     /// Creates a `WireId` from a raw index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is `u32::MAX` or more.
     pub fn from_index(index: usize) -> Self {
-        WireId(index as u32)
+        u32::try_from(index)
+            .ok()
+            .and_then(|i| i.checked_add(1))
+            .and_then(NonZeroU32::new)
+            .map_or_else(|| panic!("wire index {index} out of range"), WireId)
+    }
+
+    /// The index as the `u32` the compiled tape stores.
+    pub(crate) fn raw(self) -> u32 {
+        self.0.get() - 1
+    }
+}
+
+impl fmt::Debug for WireId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("WireId").field(&self.raw()).finish()
     }
 }
 
 impl fmt::Display for WireId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "w{}", self.0)
+        write!(f, "w{}", self.raw())
     }
 }
 

@@ -1,6 +1,8 @@
 //! The configured device: compiles a bitstream into an executable circuit
 //! and runs it cycle by cycle.
 
+use std::sync::Arc;
+
 use crate::arch::ArchParams;
 use crate::bitstream::{Bitstream, PortDef};
 use crate::cb::{CbConfig, FfDSrc, SetReset};
@@ -144,7 +146,9 @@ pub struct Device {
     /// Pristine copy for per-experiment reset (the tool keeps the original
     /// configuration file on the host; restoring state between experiments
     /// is the workload's own initialisation plus this host-side copy).
-    pub(crate) pristine: Bitstream,
+    /// Shared, never written: clones of the device and the lane program
+    /// built from it hold the same copy.
+    pub(crate) pristine: Arc<Bitstream>,
     ledger: TransferLedger,
     cycle: u64,
 
@@ -162,10 +166,11 @@ pub struct Device {
     pub(crate) ffs: Vec<FfNode>,
     /// Mirror of each flip-flop's `invert_ff_in` cell.
     ff_invert: Vec<bool>,
-    /// Flip-flop node index per CB (u32::MAX if none).
-    pub(crate) ff_of_cb: Vec<u32>,
+    /// Flip-flop node index per CB (u32::MAX if none). Shared, like
+    /// `pristine`: it never changes after `compile`.
+    pub(crate) ff_of_cb: Arc<[u32]>,
     /// LUT node index per CB (u32::MAX if none).
-    pub(crate) lut_of_cb: Vec<u32>,
+    pub(crate) lut_of_cb: Arc<[u32]>,
     pub(crate) bram_write_ports: Vec<BramWritePort>,
     pub(crate) bram_dout_wires: Vec<Vec<Option<u32>>>,
 
@@ -208,7 +213,7 @@ impl Device {
     /// Returns [`FpgaError::CombinationalLoop`] if the configured LUT
     /// network contains a cycle.
     pub fn configure(bitstream: Bitstream) -> Result<Self, FpgaError> {
-        let pristine = bitstream.clone();
+        let pristine = Arc::new(bitstream.clone());
         let mut dev = Device {
             bits: bitstream,
             pristine,
@@ -218,8 +223,8 @@ impl Device {
             luts: Vec::new(),
             ffs: Vec::new(),
             ff_invert: Vec::new(),
-            ff_of_cb: Vec::new(),
-            lut_of_cb: Vec::new(),
+            ff_of_cb: Arc::from([]),
+            lut_of_cb: Arc::from([]),
             bram_write_ports: Vec::new(),
             bram_dout_wires: Vec::new(),
             dirty_cbs: DirtySet::default(),
@@ -254,8 +259,8 @@ impl Device {
     fn compile(&mut self) -> Result<(), FpgaError> {
         let n_cbs = self.bits.arch().cb_count();
         let rows = self.bits.arch().rows;
-        self.lut_of_cb = vec![u32::MAX; n_cbs];
-        self.ff_of_cb = vec![u32::MAX; n_cbs];
+        let mut lut_of_cb = vec![u32::MAX; n_cbs];
+        let mut ff_of_cb = vec![u32::MAX; n_cbs];
         self.luts.clear();
         self.ffs.clear();
 
@@ -291,7 +296,7 @@ impl Device {
                 let mut arity = 0u8;
                 for (k, pin) in cfg.lut_pins.iter().enumerate() {
                     if let Some(w) = pin {
-                        pins[arity as usize] = w.0;
+                        pins[arity as usize] = w.raw();
                         used[arity as usize] = k as u8;
                         arity += 1;
                     }
@@ -308,7 +313,7 @@ impl Device {
                     }
                 }
                 let li = self.luts.len() as u32;
-                self.lut_of_cb[flat] = li;
+                lut_of_cb[flat] = li;
                 self.luts.push(LutNode {
                     cb_flat: flat as u32,
                     tape: 0,
@@ -328,10 +333,10 @@ impl Device {
             let cfg = &self.bits.cbs()[flat];
             if cfg.ff_used {
                 let data = match cfg.ff_d_src {
-                    FfDSrc::LutOut => FfData::LutInternal(self.lut_of_cb[flat]),
-                    FfDSrc::Direct(w) => FfData::Wire(w.0),
+                    FfDSrc::LutOut => FfData::LutInternal(lut_of_cb[flat]),
+                    FfDSrc::Direct(w) => FfData::Wire(w.raw()),
                 };
-                self.ff_of_cb[flat] = self.ffs.len() as u32;
+                ff_of_cb[flat] = self.ffs.len() as u32;
                 self.ffs.push(FfNode {
                     cb_flat: flat as u32,
                     data,
@@ -339,6 +344,8 @@ impl Device {
                 });
             }
         }
+        self.lut_of_cb = lut_of_cb.into();
+        self.ff_of_cb = ff_of_cb.into();
         self.ff_invert = self
             .ffs
             .iter()
@@ -350,9 +357,9 @@ impl Device {
             .brams()
             .iter()
             .map(|b| BramWritePort {
-                we: b.we_pin.map(|w| w.0),
-                addr: b.addr_pins.iter().map(|w| w.0).collect(),
-                din: b.din_pins.iter().map(|w| w.0).collect(),
+                we: b.we_pin.map(WireId::raw),
+                addr: b.addr_pins.iter().map(|w| w.raw()).collect(),
+                din: b.din_pins.iter().map(|w| w.raw()).collect(),
             })
             .collect();
 
@@ -441,7 +448,9 @@ impl Device {
         // its output wires for diagnosis.
         if let Some(stuck) = (0..nodes.len()).find(|&n| !done[n]) {
             let wire = self.node_outputs(&nodes[stuck]).next().unwrap_or(0);
-            return Err(FpgaError::CombinationalLoop(WireId(wire)));
+            return Err(FpgaError::CombinationalLoop(WireId::from_index(
+                wire as usize,
+            )));
         }
         Ok(order)
     }

@@ -72,7 +72,7 @@ mod timing;
 mod word;
 
 pub use arch::ArchParams;
-pub use batch::{lane_obstacles, BatchDevice, ConfigAccess, LaneDevice, LaneObstacle};
+pub use batch::{lane_obstacles, BatchDevice, ConfigAccess, LaneDevice, LaneObstacle, LaneProgram};
 pub use bitstream::Bitstream;
 pub use bram::BramConfig;
 pub use cb::{CbConfig, FfDSrc, SetReset};

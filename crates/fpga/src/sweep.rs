@@ -18,9 +18,11 @@
 //! runs, by the mux tree over its lane-word compact table. Its class run
 //! still computes the pristine value, which the fix-up overwrites:
 //! nothing in the same level reads it. Overriding or restoring a LUT
-//! edits its level's short fix-up list; the runs never change.
+//! edits its level's short fix-up list in the engine's [`Fixups`]; the
+//! [`Sweep`] itself never changes after it is built, so engines of every
+//! word width share one.
 
-use crate::batch::LaneBram;
+use crate::batch::{BramPort, LaneBram};
 use crate::device::{Device, FfData, NodeKind, NO_WIRE};
 use crate::word::Word;
 
@@ -352,13 +354,11 @@ struct LutSite {
     table_off: u32,
     /// Its pristine class (after pin reduction).
     op: Op,
-    /// Some lane overrides its table.
-    wide: bool,
 }
 
 /// The levelized settle sweep of one compiled tape (see the module
 /// docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Sweep {
     /// Slots the sweep reads and writes: the device's wires, then one per
     /// LUT without an output wire.
@@ -373,9 +373,40 @@ pub(crate) struct Sweep {
     generic: Vec<GenericEnt>,
     brams: Vec<u32>,
     luts: Vec<LutSite>,
+}
+
+/// One engine's overridden LUTs, which its [`Sweep::eval`] fixes up: the
+/// lane-state side of the sweep.
+#[derive(Debug, Clone)]
+pub(crate) struct Fixups {
+    /// Per LUT: some lane overrides its table.
+    wide: Vec<bool>,
     /// Per level: the overridden LUTs, evaluated by the mux tree after
     /// its runs.
-    fixup: Vec<Vec<u32>>,
+    levels: Vec<Vec<u32>>,
+}
+
+impl Fixups {
+    /// Records that some lane overrides LUT `li`'s table (`on`), or that
+    /// none does any more: the LUT is evaluated from its lane-word table
+    /// after its level's runs while any lane overrides it.
+    pub(crate) fn set(&mut self, sweep: &Sweep, li: usize, on: bool) {
+        if self.wide[li] == on {
+            return;
+        }
+        self.wide[li] = on;
+        let list = &mut self.levels[sweep.luts[li].level as usize];
+        if on {
+            list.push(li as u32);
+        } else if let Some(at) = list.iter().position(|&l| l as usize == li) {
+            list.swap_remove(at);
+        }
+    }
+
+    /// Whether some lane overrides LUT `li`.
+    pub(crate) fn overridden(&self, li: usize) -> bool {
+        self.wide[li]
+    }
 }
 
 /// The shape of the settle sweep:
@@ -487,7 +518,6 @@ impl Sweep {
                 arity: op.arity,
                 table_off: table_off[li],
                 op: class,
-                wide: false,
             });
             // A class reads the pins its table depends on, the generic
             // mux tree all of them.
@@ -520,7 +550,6 @@ impl Sweep {
             generic: Vec::new(),
             brams: Vec::new(),
             luts,
-            fixup: vec![Vec::new(); n_levels],
         };
         // Each level: runs sorted by (class, polarity, slot), then the
         // generic LUTs, then the memory reads.
@@ -567,6 +596,14 @@ impl Sweep {
         }
         sweep.validate();
         sweep
+    }
+
+    /// No LUT overridden: the fix-ups of a pristine engine.
+    pub(crate) fn fixups(&self) -> Fixups {
+        Fixups {
+            wide: vec![false; self.luts.len()],
+            levels: vec![Vec::new(); self.levels.len()],
+        }
     }
 
     /// The slot a flip-flop with data input `data` reads.
@@ -634,10 +671,11 @@ impl Sweep {
     }
 
     /// Evaluates every combinational node, level by level: each level's
-    /// class runs, its generic LUTs, its memory reads (from `brams`) and
-    /// its fix-ups. `wv` holds one word per slot and `tables` the
-    /// lane-word compact tables. The reads are inlined like the rest of
-    /// the sweep, so they run at the caller's `LaneKernel` level.
+    /// class runs, its generic LUTs, its memory reads (through `ports`
+    /// from `brams`) and its `fixups`. `wv` holds one word per slot and
+    /// `tables` the lane-word compact tables. The reads are inlined like
+    /// the rest of the sweep, so they run at the caller's `LaneKernel`
+    /// level.
     ///
     /// # Panics
     ///
@@ -646,13 +684,15 @@ impl Sweep {
     #[allow(unsafe_code)]
     pub(crate) fn eval<const W: usize>(
         &self,
+        fixups: &Fixups,
         wv: &mut [Word<W>],
         tables: &[Word<W>],
+        ports: &[BramPort],
         brams: &[LaneBram<W>],
     ) {
         assert_eq!(wv.len(), self.slots, "one word per sweep slot");
         let range = |(a, b): (u32, u32)| a as usize..b as usize;
-        for (lv, fixup) in self.levels.iter().zip(&self.fixup) {
+        for (lv, fixup) in self.levels.iter().zip(&fixups.levels) {
             for r in &self.runs[range(lv.runs)] {
                 let m = pol_masks::<W>(r.pol);
                 let at = r.start as usize..r.end as usize;
@@ -693,7 +733,7 @@ impl Sweep {
                 wv[g.out as usize] = v;
             }
             for &b in &self.brams[range(lv.brams)] {
-                brams[b as usize].read(wv);
+                brams[b as usize].read(&ports[b as usize], wv);
             }
             for &li in fixup {
                 let s = &self.luts[li as usize];
@@ -702,28 +742,6 @@ impl Sweep {
                 wv[s.out as usize] = v;
             }
         }
-    }
-
-    /// Records that some lane overrides LUT `li`'s table (`on`), or that
-    /// none does any more: the LUT is evaluated from its lane-word table
-    /// after its level's runs while any lane overrides it.
-    pub(crate) fn set_overridden(&mut self, li: usize, on: bool) {
-        let s = &mut self.luts[li];
-        if s.wide == on {
-            return;
-        }
-        s.wide = on;
-        let list = &mut self.fixup[s.level as usize];
-        if on {
-            list.push(li as u32);
-        } else if let Some(at) = list.iter().position(|&l| l as usize == li) {
-            list.swap_remove(at);
-        }
-    }
-
-    /// Whether some lane overrides LUT `li`.
-    pub(crate) fn overridden(&self, li: usize) -> bool {
-        self.luts[li].wide
     }
 
     /// The pristine class of LUT `li`.

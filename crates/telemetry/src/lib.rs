@@ -149,6 +149,14 @@ pub mod sim {
     /// depends on the host and the engine's word width); 0 until one is
     /// built.
     pub static LANE_KERNEL_BITS: Gauge = Gauge::new();
+    /// Engines campaigns built for a call: lane engines built on a
+    /// campaign's lane program, and scalar devices cloned from its
+    /// configured device (a retry's fresh device and a poisoned pass's
+    /// fresh engine included).
+    pub static ENGINE_BUILDS: Counter = Counter::new();
+    /// Engines a call took from its campaign's pool of idle engines
+    /// instead of building one.
+    pub static ENGINE_REUSES: Counter = Counter::new();
 
     /// Records one batch cycle over `occupied` of `capacity` faulty lanes
     /// (`LANE_CYCLES / BATCH_CYCLES` is the mean lane occupancy,
@@ -224,6 +232,8 @@ pub mod sim {
         FLIPS_DECIDED.reset();
         EVALS_SKIPPED.reset();
         WARM_SKIPPED_CYCLES.reset();
+        ENGINE_BUILDS.reset();
+        ENGINE_REUSES.reset();
     }
 }
 
@@ -322,8 +332,9 @@ pub mod analysis {
     pub static STATIC_SILENT: Counter = Counter::new();
     /// Diagnostics emitted by reporting lint passes.
     pub static LINT_DIAGNOSTICS: Counter = Counter::new();
-    /// Campaigns that fell back to the scalar engine because the design
-    /// cannot be lane-encoded (see the `lane-obstacle` lint rule).
+    /// Lane calls that fell back to the scalar engine because the design
+    /// cannot be lane-encoded (see the `lane-obstacle` lint rule): one per
+    /// call, though the campaign decides it once.
     pub static LANE_FALLBACKS: Counter = Counter::new();
 
     /// Resets all three counters (between runs or tests).

@@ -92,6 +92,14 @@ pub fn snapshot() -> MetricsSnapshot {
             crate::sim::WARM_SKIPPED_CYCLES.get(),
         ),
         (
+            "fades_sim_engine_builds_total",
+            crate::sim::ENGINE_BUILDS.get(),
+        ),
+        (
+            "fades_sim_engine_reuses_total",
+            crate::sim::ENGINE_REUSES.get(),
+        ),
+        (
             "fades_fastpath_fast_forwarded_total",
             crate::fastpath::FAST_FORWARDED.get(),
         ),
@@ -292,11 +300,15 @@ mod tests {
         crate::sim::FLIPS_DECIDED.add(1);
         crate::fastpath::DELAYS_DECIDED.inc();
         crate::fastpath::FAILURE_STOPS.inc();
+        crate::sim::ENGINE_BUILDS.inc();
+        crate::sim::ENGINE_REUSES.add(3);
         let s = snapshot();
         assert!(get(&s.counters, "fades_sim_flips_collapsed_total").unwrap() >= 2);
         assert!(get(&s.counters, "fades_sim_flips_decided_total").unwrap() >= 1);
         assert!(get(&s.counters, "fades_fastpath_delays_decided_total").unwrap() >= 1);
         assert!(get(&s.counters, "fades_fastpath_failure_stops_total").unwrap() >= 1);
+        assert!(get(&s.counters, "fades_sim_engine_builds_total").unwrap() >= 1);
+        assert!(get(&s.counters, "fades_sim_engine_reuses_total").unwrap() >= 3);
         assert!(get(&s.counters, "fades_test_extra_total").unwrap() >= 7);
         assert_eq!(get(&s.gauges, "fades_test_extra_gauge"), Some(3));
         assert!(get(&s.gauges, "fades_experiments_done").is_some());
